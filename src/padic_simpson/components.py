@@ -451,9 +451,10 @@ def component_quotient(A: FinAlgebra, e: AlgElement) -> Component:
     basis = [A.element(cols[j]) for j in chosen]
     s = len(basis)
     basis_mat = [[b.coords[i] for b in basis] for i in range(m)]
+    span = linalg.eliminate(basis_mat, reduce_above=True)
 
     def coords_of(x: AlgElement):
-        sols = linalg.solve(basis_mat, [list(x.coords)])
+        sols = span.solve([list(x.coords)])
         if sols is None:
             raise PrecisionExhausted("element does not lie in the component span")
         return sols[0]

@@ -264,12 +264,13 @@ def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:
             raise PrecisionExhausted("span closure exceeded the dimension bound")
     dim = len(basis)
     basis_mat = [[b.entries[i // n][i % n] for b in basis] for i in range(n * n)]
+    elim = linalg.eliminate(basis_mat, reduce_above=True)
     mul = []
     for i in range(dim):
         plane = []
         for j in range(dim):
             prod = basis[i] @ basis[j]
-            sols = linalg.solve(basis_mat, [_flatten(prod)])
+            sols = elim.solve([_flatten(prod)])
             if sols is None:
                 raise PrecisionExhausted("product escaped the closed span")
             plane.append(sols[0])
@@ -280,7 +281,7 @@ def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:
                           exact_structure=False)
     tau = []
     for t in H.theta:
-        sols = linalg.solve(basis_mat, [_flatten(t)])
+        sols = elim.solve([_flatten(t)])
         if sols is None:
             raise PrecisionExhausted("component escaped the closed span")
         tau.append(B.element(sols[0]))

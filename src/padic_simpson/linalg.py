@@ -13,45 +13,90 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .context import DEFAULT_SLACK
+from .context import DEFAULT_SLACK, PrimeContext
 from .errors import PrecisionExhausted
 from .scalar import PadicScalar
 
 
 @dataclass
 class Elimination:
-    """Row echelon data for a PadicScalar matrix."""
+    """Row echelon data for a PadicScalar matrix.
+
+    A reduced elimination (reduce_above=True) also keeps its row
+    operations, so solve() can apply them to any number of right-hand sides
+    without eliminating the matrix again.
+    """
 
     rows: list  # worked matrix (row echelon, possibly reduced)
     pivots: list  # [(row, col)] in elimination order
     margin: int | None  # smallest confidence gap behind any rank decision
     nrows: int
     ncols: int
+    min_margin: int  # evidence required of every zero decision
+    ctx: PrimeContext | None  # context of the first entry; None when empty
+    # per pivot step (pivot row, [(target row, factor)], pivot inverse);
+    # None unless the elimination was reduced
+    steps: list | None
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    def solve(self, rhs_cols):
+        """Solve mat @ X = rhs for each right-hand-side column; returns the
+        solution columns, or None if the system is inconsistent to precision.
+
+        The columns go through the recorded row operations, which is the
+        arithmetic they would see as extra columns of the elimination, and
+        are then checked as such: row by row, each row across all columns.
+        """
+        if self.steps is None:
+            raise ValueError("solve needs a reduced elimination (reduce_above=True)")
+        cols = [list(col) for col in rhs_cols]
+        for pi, targets, pinv in self.steps:
+            for x in cols:
+                y = x[pi]
+                for i, f in targets:
+                    x[i] = x[i] - f * y
+                x[pi] = pinv * y
+        pivot_of_col = {j: i for (i, j) in self.pivots}
+        pivot_rows = set(pivot_of_col.values())
+        # consistency: non-pivot rows must have vanishing right-hand sides
+        for i in range(self.nrows):
+            if i in pivot_rows:
+                continue
+            for x in cols:
+                entry = x[i]
+                if not entry.is_zero:
+                    return None
+                if entry.prec < self.min_margin:
+                    raise PrecisionExhausted(
+                        "consistency of a linear system decided on %d digits "
+                        "(< %d)" % (entry.prec, self.min_margin)
+                    )
+        return [[x[pivot_of_col[j]] if j in pivot_of_col else PadicScalar.zero(self.ctx)
+                 for j in range(self.ncols)] for x in cols]
 
 
 def _min_margin_update(margin, value):
     return value if margin is None else min(margin, value)
 
 
-def eliminate(mat, pivot_cols=None, reduce_above=False, min_margin=DEFAULT_SLACK):
+def eliminate(mat, reduce_above=False, min_margin=DEFAULT_SLACK):
     """Gaussian elimination with minimal-valuation pivoting.
 
-    pivot_cols restricts the pivot search (used to solve augmented systems);
     reduce_above additionally clears pivot columns upwards and normalises
-    pivots to 1, yielding a reduced echelon form.
+    pivots to 1, yielding a reduced echelon form, and records the row
+    operations for Elimination.solve.
     """
     work = [list(row) for row in mat]
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
-    if pivot_cols is None:
-        pivot_cols = ncols
+    ctx = work[0][0].ctx if nrows and ncols else None
     free_rows = list(range(nrows))
-    free_cols = list(range(pivot_cols))
+    free_cols = list(range(ncols))
     pivots = []
+    steps = [] if reduce_above else None
     margin = None
 
     while free_rows and free_cols:
@@ -73,15 +118,18 @@ def eliminate(mat, pivot_cols=None, reduce_above=False, min_margin=DEFAULT_SLACK
         targets = [i for i in free_rows if i != pi]
         if reduce_above:
             targets += [i for (i, _) in pivots[:-1]]
+        updated = []
         for i in targets:
             a = work[i][pj]
             if a.is_zero:
                 continue
             f = a / pivot
             work[i] = [x - f * y for x, y in zip(work[i], work[pi])]
+            updated.append((i, f))
         if reduce_above:
             pinv = pivot.inv()
             work[pi] = [pinv * x for x in work[pi]]
+            steps.append((pi, updated, pinv))
         free_rows.remove(pi)
         free_cols.remove(pj)
 
@@ -99,7 +147,7 @@ def eliminate(mat, pivot_cols=None, reduce_above=False, min_margin=DEFAULT_SLACK
                     "mod p^%d (< required margin %d); raise the working "
                     "precision" % (i, j, e.prec, min_margin)
                 )
-    return Elimination(work, pivots, margin, nrows, ncols)
+    return Elimination(work, pivots, margin, nrows, ncols, min_margin, ctx, steps)
 
 
 def rank_with_margin(mat, min_margin=DEFAULT_SLACK):
@@ -136,48 +184,18 @@ def solve(mat, rhs_cols, min_margin=DEFAULT_SLACK):
     solution columns, or None if the system is inconsistent to precision.
 
     mat: m x n rows of PadicScalar; rhs_cols: list of length-m columns.
+    To solve against one matrix repeatedly, eliminate it once and call
+    Elimination.solve instead.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    aug = [list(mat[i]) + [col[i] for col in rhs_cols] for i in range(m)]
-    e = eliminate(aug, pivot_cols=n, reduce_above=True, min_margin=min_margin)
-    pivot_of_col = {j: i for (i, j) in e.pivots}
-    pivot_rows = {i for (i, _) in e.pivots}
-    # consistency: non-pivot rows must have vanishing right-hand sides
-    for i in range(m):
-        if i in pivot_rows:
-            continue
-        for k in range(len(rhs_cols)):
-            entry = e.rows[i][n + k]
-            if not entry.is_zero:
-                return None
-            if entry.prec < min_margin:
-                raise PrecisionExhausted(
-                    "consistency of a linear system decided on %d digits "
-                    "(< %d)" % (entry.prec, min_margin)
-                )
-    sols = []
-    for k in range(len(rhs_cols)):
-        x = []
-        for j in range(n):
-            if j in pivot_of_col:
-                x.append(e.rows[pivot_of_col[j]][n + k])
-            else:
-                x.append(_zero_like(mat[0][0]))
-        sols.append(x)
-    return sols
+    return eliminate(mat, reduce_above=True, min_margin=min_margin).solve(rhs_cols)
 
 
 def invert(mat, min_margin=DEFAULT_SLACK):
-    """Matrix inverse via RREF on the identity-augmented system; None when
-    the matrix is singular to precision."""
+    """Matrix inverse via the reduced elimination applied to the identity;
+    None when the matrix is singular to precision."""
     n = len(mat)
-    ident_cols = []
-    for j in range(n):
-        col = []
-        for i in range(n):
-            col.append(_one_like(mat[0][0]) if i == j else _zero_like(mat[0][0]))
-        ident_cols.append(col)
+    one, zero = _one_like(mat[0][0]), _zero_like(mat[0][0])
+    ident_cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
     sols = solve(mat, ident_cols, min_margin=min_margin)
     if sols is None:
         return None

@@ -9,6 +9,7 @@ input supports (exp and log preserve absolute precision on their domains).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul
 
 from . import _series, linalg
 from .context import PrimeContext
@@ -94,17 +95,30 @@ class PadicMatrix:
         return PadicMatrix.from_rows(self.ctx, [[-a for a in r] for r in self.entries])
 
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
+        """Product with the precision ledger of summing the entry products
+        a*b one by one, computed in one integer pass per entry.
+
+        Entry (i, j) is known modulo p^prec with prec the least over t of
+        min(prec a + v b, prec b + v a, N a, N b), a zero marker's valuation
+        counting as its precision.  Each product is exact modulo its own
+        precision, so the exact sum of the unit products, reduced mod
+        p^prec, has the digits of the scalar fold; it carries the context
+        of the row's first entry, as the fold's result does.
+        """
         self._check(other)
-        n, k, m = self.nrows, self.ncols, other.ncols
+        p = self.ctx.p
+        left = [_Lane(row, p) for row in self.entries]
+        right = [_Lane(col, p) for col in zip(*other.entries)]
         out = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                acc = self.entries[i][0] * other.entries[0][j]
-                for t in range(1, k):
-                    acc = acc + self.entries[i][t] * other.entries[t][j]
-                row.append(acc)
-            out.append(row)
+        for a, row in zip(left, self.entries):
+            ctx = row[0].ctx
+            out_row = []
+            for b in right:
+                prec = min(min(map(add, a.precs, b.vals)), min(map(add, b.precs, a.vals)),
+                           a.cap, b.cap)
+                out_row.append(_scaled_residue(ctx, p, sum(map(mul, a.scaled, b.scaled)),
+                                               a.base + b.base, prec))
+            out.append(out_row)
         return PadicMatrix.from_rows(self.ctx, out)
 
     def scale(self, c: PadicScalar) -> "PadicMatrix":
@@ -264,6 +278,35 @@ def expm1_quotient(m: PadicMatrix) -> PadicMatrix:
     prec = min(m.min_precision(), ctx.default_precision)
     grid = _series.expm1_quotient_matrix(m.residues(prec), ctx.p, e0, prec)
     return _from_grid(ctx, grid, prec)
+
+
+class _Lane:
+    """One row or column of a product's operand as integers: precisions,
+    valuations (a zero marker's is its precision), the smallest ambient
+    precision, and each value as scaled * p^base with base the least
+    valuation of a nonzero entry (scaled = 0 for zero markers)."""
+
+    __slots__ = ("precs", "vals", "cap", "scaled", "base")
+
+    def __init__(self, entries, p):
+        self.precs = [x.prec for x in entries]
+        self.vals = [x.prec if x.v is None else x.v for x in entries]
+        self.cap = min(x.ctx.default_precision for x in entries)
+        nonzero = [x.v for x in entries if x.v is not None]
+        self.base = min(nonzero) if nonzero else 0
+        self.scaled = [0 if x.v is None else x.u * p ** (x.v - self.base) for x in entries]
+
+
+def _scaled_residue(ctx, p, r, base, prec):
+    """The scalar r * p^base known modulo p^prec, normalised as
+    PadicScalar arithmetic leaves it."""
+    if base >= prec:
+        return PadicScalar(ctx, None, 0, prec)
+    r %= p ** (prec - base)
+    if r == 0:
+        return PadicScalar(ctx, None, 0, prec)
+    t = _series.int_valuation(r, p)
+    return PadicScalar(ctx, base + t, r // p ** t, prec)
 
 
 def _from_grid(ctx, grid, prec):

@@ -32,7 +32,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PadicScalar:
     ctx: PrimeContext
     v: int | None  # valuation; None marks zero-to-precision

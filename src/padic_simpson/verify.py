@@ -287,7 +287,8 @@ def suite_cartdiag(cfg: VerifyConfig) -> SuiteResult:
             res.record(report.ok, {
                 "suite": "cartdiag", "instance": None,
                 "detail": "%s at p=%d: %s" % (name, p, "; ".join(report.failures)),
-                "replay": "python -m padic_simpson cartdiag battery",
+                "replay": "simpson verify --suites cartdiag --primes %d --seed %d --slack %d "
+                          "--precision %d" % (p, cfg.seed, cfg.slack, cfg.precision),
             })
     return res
 

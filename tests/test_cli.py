@@ -228,6 +228,25 @@ class TestVerifyCommand:
     def test_bad_suite_name(self):
         assert run_cli("verify", "--suites", "nonsense") == 2
 
+    def test_cartdiag_replay_hint_parses(self, monkeypatch):
+        # force a failing square check so the suite writes its replay hint
+        from types import SimpleNamespace
+
+        from padic_simpson import verify
+        from padic_simpson.cli import build_parser
+
+        monkeypatch.setattr(verify, "cart_square_check",
+                            lambda A, f, seed, slack: SimpleNamespace(ok=False, failures=["forced"]))
+        cfg = verify.VerifyConfig(suites=("cartdiag",), primes=(7, 3), seed=11, slack=5,
+                                  precision=24)
+        replay = verify.suite_cartdiag(cfg).counterexample["replay"]
+        prog, *argv = replay.split()
+        assert prog == "simpson"
+        args = build_parser().parse_args(argv)
+        assert args.command == "verify"
+        assert (args.suites, args.primes) == ("cartdiag", "7")
+        assert (args.seed, args.slack, args.precision) == (11, 5, 24)
+
     def test_corrupted_fixture_detected(self, tmp_path):
         # a non-commuting theta must be rejected with the validation report
         bad = HiggsModule.create(

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from padic_simpson.context import PrimeContext
 from padic_simpson.errors import OutsideExpDomain, OutsideLogDomain, PrecisionExhausted
@@ -193,3 +195,53 @@ class TestMatExpLog:
             # u = 1 mod p, hence a unit
             diff = u - PadicMatrix.identity(ctx, 2)
             assert diff.min_valuation() is None or diff.min_valuation() >= 1
+
+
+def fold_matmul(a: PadicMatrix, b: PadicMatrix) -> PadicMatrix:
+    """The product summed scalar by scalar, acc = acc + a*b: the reference
+    for the residue kernel behind PadicMatrix @."""
+    out = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = a.entries[i][0] * b.entries[0][j]
+            for t in range(1, a.ncols):
+                acc = acc + a.entries[i][t] * b.entries[t][j]
+            row.append(acc)
+        out.append(row)
+    return PadicMatrix.from_rows(a.ctx, out)
+
+
+@st.composite
+def ledger_scalars(draw, ctx):
+    """Zero markers, valuations from -3 up, any precision up to the
+    context's, and entries of contexts widened by up to 4 digits."""
+    if draw(st.booleans()):
+        ctx = ctx.widen(draw(st.integers(1, 4)))
+    p, top = ctx.p, ctx.default_precision
+    prec = draw(st.integers(-2, top))
+    if draw(st.integers(0, 3)) == 0:
+        return PadicScalar.zero(ctx, prec)
+    v = draw(st.integers(-3, prec - 1))
+    rel = prec - v
+    u = draw(st.integers(0, p ** (rel - 1) - 1)) * p + draw(st.integers(1, p - 1))
+    return PadicScalar(ctx, v, u, prec)
+
+
+@st.composite
+def matmul_operands(draw):
+    ctx = PrimeContext(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(8, 12)))
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    entry = ledger_scalars(ctx)
+    a = PadicMatrix.from_rows(ctx, [[draw(entry) for _ in range(k)] for _ in range(n)])
+    b = PadicMatrix.from_rows(ctx, [[draw(entry) for _ in range(m)] for _ in range(k)])
+    return a, b
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matmul_operands())
+def test_matmul_kernel_matches_scalar_fold(operands):
+    a, b = operands
+    got, want = a @ b, fold_matmul(a, b)
+    assert [[(x.v, x.u, x.prec, x.ctx) for x in row] for row in got.entries] == \
+        [[(x.v, x.u, x.prec, x.ctx) for x in row] for row in want.entries]
