@@ -7,12 +7,28 @@ associativity and the unit law are checked at construction (associativity
 via M_{e_i} M_{e_j} = M_{e_i e_j} on multiplication operators); internal
 constructions whose tensors are read off from actual endomorphism algebras
 may skip the quadratic checks above the documented size gate.
+
+Element products, multiplication operators and morphism images are
+bilinear sums of scalar products.  Each output coordinate or entry is
+computed in one integer pass with exactly the ledger of adding the
+products a*b one by one to a zero marker of the result's context (the
+algebra's; for a morphism, the target's): its precision is the least of
+that context's N and, over the terms, min(prec a + v b, prec b + v a,
+N a, N b), a zero marker's valuation counting as its precision; its value
+is the exact sum of the unit products reduced mod p^prec.  As in the fold,
+the terms of an element product are (a_i * b_j) * c[i][j][k] over the
+nonzero a_i, b_j and c[i][j][k], and those of an operator entry or an
+image coordinate run over the nonzero x_i, zero constants and zero image
+coordinates included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
+import operator
 
 from . import _series, linalg
 from .context import PrimeContext
@@ -25,7 +41,7 @@ from .errors import (
     PadicError,
     PrecisionExhausted,
 )
-from .matrix import PadicMatrix
+from .matrix import PadicMatrix, _Lane, _least_valuation, _scaled_residue
 from .scalar import PadicScalar, big_exp
 
 MAX_DIM = 64  # soft limit; keeps the m^5 validation desk-scale
@@ -108,18 +124,16 @@ class FinAlgebra:
     def from_ints(self, coords) -> "AlgElement":
         return self.element([PadicScalar.from_int(self.ctx, n) for n in coords])
 
+    @cached_property
+    def _constants(self) -> "_Constants":
+        return _Constants(self.mul, self.ctx.p)
+
     def mult_operator(self, x: "AlgElement") -> PadicMatrix:
-        """Matrix of multiplication by x in the given basis."""
-        cols = []
-        for j in range(self.dim):
-            col = [self.zero_scalar() for _ in range(self.dim)]
-            for i, xi in enumerate(x.coords):
-                if xi.is_zero:
-                    continue
-                for k, c in enumerate(self.mul[i][j]):
-                    col[k] = col[k] + xi * c
-            cols.append(col)
-        return PadicMatrix.from_rows(self.ctx, [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)])
+        """Matrix of multiplication by x in the given basis: entry (k, j)
+        is the sum of x_i * c[i][j][k] over the nonzero x_i."""
+        m = self.dim
+        entries = _combine(self.ctx, x.coords, self._constants.lanes, m * m)
+        return PadicMatrix.from_rows(self.ctx, [entries[k * m:(k + 1) * m] for k in range(m)])
 
     # -- convenient constructors -------------------------------------------
 
@@ -201,20 +215,37 @@ class AlgElement:
         if isinstance(other, PadicScalar):
             return AlgElement(self.algebra, tuple(other * a for a in self.coords))
         self._check(other)
-        m = self.algebra.dim
-        mul = self.algebra.mul
-        out = [PadicScalar.zero(self.algebra.ctx) for _ in range(m)]
+        A = self.algebra
+        ctx = A.ctx
+        p = ctx.p
+        constants = A._constants
+        precs = [ctx.default_precision] * A.dim
+        sums = [0] * A.dim
+        a_base = _least_valuation(self.coords)
+        b_base = _least_valuation(other.coords)
+        b_live = [(j, b.v, b.prec, b.ctx.default_precision, b.u * p ** (b.v - b_base))
+                  for j, b in enumerate(other.coords) if b.v is not None]
         for i, a in enumerate(self.coords):
-            if a.is_zero:
+            if a.v is None:
                 continue
-            for j, b in enumerate(other.coords):
-                if b.is_zero:
-                    continue
-                ab = a * b
-                for k, c in enumerate(mul[i][j]):
-                    if not c.is_zero:
-                        out[k] = out[k] + ab * c
-        return AlgElement(self.algebra, tuple(out))
+            va, pa, na = a.v, a.prec, a.ctx.default_precision
+            sa = a.u * p ** (va - a_base)
+            terms = constants.terms[i]
+            for j, vb, pb, nb, sb in b_live:
+                # the precision of a*b; when a*b is a zero marker (its
+                # valuation then counts as pab), pab + vc < pc + pab is the
+                # smaller bound anyway, since c is nonzero
+                pab = min(pa + vb, pb + va, na, nb)
+                vab = va + vb
+                sab = sa * sb
+                for k, vc, pc, nc, sc in terms[j]:
+                    prec = min(pab + vc, pc + vab, na, nc)
+                    if prec < precs[k]:
+                        precs[k] = prec
+                    sums[k] += sab * sc
+        base = a_base + b_base + constants.base
+        return AlgElement(A, tuple(_scaled_residue(ctx, p, r, base, prec)
+                                   for r, prec in zip(sums, precs)))
 
     def __rmul__(self, other):
         if isinstance(other, PadicScalar):
@@ -308,12 +339,18 @@ class Morphism:
                 if not lhs == rhs:
                     raise PadicError("morphism not multiplicative at (%d,%d)" % (i, j))
 
+    @cached_property
+    def _image_lanes(self):
+        """The image coordinates as integers, one _Lane per source basis
+        vector, all scaled to one base valuation."""
+        base = _least_valuation([c for img in self.images for c in img.coords])
+        return [_Lane(img.coords, self.target.ctx.p, base) for img in self.images]
+
     def apply(self, x: AlgElement) -> AlgElement:
-        out = self.target.zero()
-        for xi, img in zip(x.coords, self.images):
-            if not xi.is_zero:
-                out = out + img * xi
-        return out
+        """Coordinate k of the image is the sum of x_i * images[i][k] over
+        the nonzero x_i."""
+        return AlgElement(self.target, tuple(
+            _combine(self.target.ctx, x.coords, self._image_lanes, self.target.dim)))
 
     def is_surjective(self) -> bool:
         rows = [[img.coords[i] for img in self.images] for i in range(self.target.dim)]
@@ -323,6 +360,50 @@ class Morphism:
     def kernel_basis(self):
         rows = [[img.coords[i] for img in self.images] for i in range(self.target.dim)]
         return [self.source.element(v) for v in linalg.kernel_basis(rows)]
+
+
+class _Constants:
+    """A structure-constant tensor as integers, each c[i][j][k] scaled to
+    p^base with base the least valuation of a nonzero constant.  lanes[i]
+    is a _Lane over the c[i][j][k] in (k, j) order, the i-th plane of the
+    multiplication operators; terms[i][j] lists the nonzero c[i][j][k] as
+    (k, valuation, precision, ambient precision, scaled unit)."""
+
+    __slots__ = ("base", "lanes", "terms")
+
+    def __init__(self, mul, p):
+        m = len(mul)
+        planes = [[mul[i][j][k] for k in range(m) for j in range(m)] for i in range(m)]
+        self.base = base = _least_valuation([c for plane in planes for c in plane])
+        self.lanes = [_Lane(plane, p, base) for plane in planes]
+        self.terms = [
+            [tuple((k, c.v, c.prec, c.ctx.default_precision, c.u * p ** (c.v - base))
+                   for k, c in enumerate(row) if c.v is not None) for row in plane]
+            for plane in mul
+        ]
+
+
+def _combine(ctx, coords, lanes, size):
+    """Entry t of the sum of coords[i] * lanes[i][t] over the nonzero
+    coords[i], every lane entry counted, as summing the scalar products
+    into zero markers of ctx leaves it (the ledger in the module
+    docstring); the lanes share one base valuation."""
+    p = ctx.p
+    cap = ctx.default_precision
+    precs = [cap] * size
+    sums = [0] * size
+    base = _least_valuation(coords)
+    for x, lane in zip(coords, lanes):
+        if x.v is None:
+            continue
+        cap = min(cap, x.ctx.default_precision)
+        precs = list(map(min, precs, map(operator.add, lane.vals, repeat(x.prec)),
+                         map(operator.add, lane.precs, repeat(x.v)), lane.caps))
+        scaled = x.u * p ** (x.v - base)
+        sums = list(map(operator.add, sums, map(operator.mul, lane.scaled, repeat(scaled))))
+    if lanes:
+        base += lanes[0].base
+    return [_scaled_residue(ctx, p, r, base, min(prec, cap)) for r, prec in zip(sums, precs)]
 
 
 # -- nilradical and quotients ----------------------------------------------

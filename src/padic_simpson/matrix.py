@@ -282,19 +282,28 @@ def expm1_quotient(m: PadicMatrix) -> PadicMatrix:
 
 class _Lane:
     """One row or column of a product's operand as integers: precisions,
-    valuations (a zero marker's is its precision), the smallest ambient
-    precision, and each value as scaled * p^base with base the least
-    valuation of a nonzero entry (scaled = 0 for zero markers)."""
+    valuations (a zero marker's is its precision), ambient precisions and
+    their least value, and each value as scaled * p^base with base the
+    least valuation of a nonzero entry unless given (scaled = 0 for zero
+    markers; a given base must not exceed any entry's valuation)."""
 
-    __slots__ = ("precs", "vals", "cap", "scaled", "base")
+    __slots__ = ("precs", "vals", "caps", "cap", "scaled", "base")
 
-    def __init__(self, entries, p):
+    def __init__(self, entries, p, base=None):
         self.precs = [x.prec for x in entries]
         self.vals = [x.prec if x.v is None else x.v for x in entries]
-        self.cap = min(x.ctx.default_precision for x in entries)
-        nonzero = [x.v for x in entries if x.v is not None]
-        self.base = min(nonzero) if nonzero else 0
-        self.scaled = [0 if x.v is None else x.u * p ** (x.v - self.base) for x in entries]
+        self.caps = [x.ctx.default_precision for x in entries]
+        self.cap = min(self.caps)
+        if base is None:
+            base = _least_valuation(entries)
+        self.base = base
+        self.scaled = [0 if x.v is None else x.u * p ** (x.v - base) for x in entries]
+
+
+def _least_valuation(entries):
+    """The least valuation of a nonzero entry; 0 when all are zero markers."""
+    nonzero = [x.v for x in entries if x.v is not None]
+    return min(nonzero) if nonzero else 0
 
 
 def _scaled_residue(ctx, p, r, base, prec):

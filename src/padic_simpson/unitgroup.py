@@ -266,16 +266,19 @@ def cart_square_check(
     p = ctx.p
     prec_goal = ctx.default_precision - slack
     r_units = unit_battery(comp.algebra, seed)
-    s_units = [f_live.apply(t) for t in r_units] + unit_battery(S, seed + 1)
+    r_images = [f_live.apply(t) for t in r_units]
+    s_units = r_images + unit_battery(S, seed + 1)
+    lift_unit = _unit_lifter(f_live)
 
     # pullback, general form: a unit of R is determined by its image in S
     # together with its root class, i.e. the pairs (f(t), class(t^(p^k)))
     # never collide for distinct battery units
     for ia, t in enumerate(r_units):
-        for tb in r_units[ia + 1:]:
+        for ib in range(ia + 1, len(r_units)):
+            tb = r_units[ib]
             if t.agrees(tb, prec_goal):
                 continue
-            if not f_live.apply(t).agrees(f_live.apply(tb), prec_goal):
+            if not r_images[ia].agrees(r_images[ib], prec_goal):
                 continue
             for k in levels:
                 report.pullback_checked += 1
@@ -290,9 +293,8 @@ def cart_square_check(
 
     # pullback, scalar form (available when R's units split as scalar times
     # unipotent): reconstruct t from the pair alone
-    for t in r_units:
+    for t, s in zip(r_units, r_images):
         for k in levels:
-            s = f_live.apply(t)
             rc = RootClass(comp.algebra, t ** (p ** k), k)
             u, available = _pullback_unit(f_live, s, rc, slack)
             if not available:
@@ -327,7 +329,7 @@ def cart_square_check(
             report.pushout_checked += 1
             # general witness: the kernel is nilpotent, so u lifts to a unit
             # of R and (u, k) is the image of the R-class (lift, k)
-            W = _lift_unit(f_live, u)
+            W = lift_unit(u)
             if W is None or not f_live.apply(W).agrees(u, prec_goal):
                 report.failures.append("unit %r has no unit lift to R" % u)
                 continue
@@ -342,7 +344,7 @@ def cart_square_check(
                 continue
             unipotent = one_s + dec.nilpotent_part
             w = unipotent_root(unipotent, k)
-            Wn = _lift_unit(f_live, w)
+            Wn = lift_unit(w)
             if Wn is None or not f_live.apply(Wn).agrees(w, prec_goal):
                 report.failures.append("unipotent factor has no unit lift to R")
                 continue
@@ -390,16 +392,25 @@ def _pullback_unit(f_live: Morphism, s: AlgElement, rc: RootClass, slack: int):
     return None, True
 
 
-def _lift_unit(f: Morphism, w: AlgElement):
-    """A unit of the source mapping to the unit w; any linear preimage works
-    when the kernel is nilpotent (connected onto connected)."""
-    rows = [[img.coords[i] for img in f.images] for i in range(f.target.dim)]
-    sols = linalg.solve(rows, [list(w.coords)])
-    if sols is None:
-        return None
-    cand = f.source.element(sols[0])
-    try:
-        cand.inv()
-    except NotAUnit:
-        return None
-    return cand
+def _unit_lifter(f: Morphism):
+    """lift(w): a unit of the source mapping to the unit w, or None; any
+    linear preimage works when the kernel is nilpotent (connected onto
+    connected).  The image matrix is eliminated once, at the first call."""
+    elim = None
+
+    def lift(w: AlgElement):
+        nonlocal elim
+        if elim is None:
+            rows = [[img.coords[i] for img in f.images] for i in range(f.target.dim)]
+            elim = linalg.eliminate(rows, reduce_above=True)
+        sols = elim.solve([list(w.coords)])
+        if sols is None:
+            return None
+        cand = f.source.element(sols[0])
+        try:
+            cand.inv()
+        except NotAUnit:
+            return None
+        return cand
+
+    return lift
