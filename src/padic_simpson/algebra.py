@@ -20,6 +20,16 @@ the terms of an element product are (a_i * b_j) * c[i][j][k] over the
 nonzero a_i, b_j and c[i][j][k], and those of an operator entry or an
 image coordinate run over the nonzero x_i, zero constants and zero image
 coordinates included.
+
+An algebra computes its structural invariants once, on first use, and
+keeps them for its lifetime (functools.cached_property on the frozen
+FinAlgebra, like the integer constants): the nilradical, the reduced
+quotient A/nil with its projection and section, the primitive
+idempotents and connected components (components.py), and the lifts to
+wider working precisions, one per precision.  A lifted exact algebra thus
+keeps its own components across exp/log calls.  Only results are kept: a
+computation that raises stores nothing and raises again on the next call.
+Public functions return fresh lists of the immutable kept values.
 """
 
 from __future__ import annotations
@@ -127,6 +137,34 @@ class FinAlgebra:
     @cached_property
     def _constants(self) -> "_Constants":
         return _Constants(self.mul, self.ctx.p)
+
+    # -- structural invariants, each computed once on first use -------------
+
+    @cached_property
+    def _nilradical(self) -> tuple:
+        return tuple(_trace_form_radical(self))
+
+    @cached_property
+    def _reduced(self) -> tuple:
+        """(A/nil, projection, section), as quotient_by_ideal returns them."""
+        return quotient_by_ideal(self, self._nilradical)
+
+    @cached_property
+    def _idempotents(self) -> tuple:
+        from .components import _primitive_idempotents
+
+        return tuple(_primitive_idempotents(self))
+
+    @cached_property
+    def _components(self) -> tuple:
+        from .components import component_quotient
+
+        return tuple(component_quotient(self, e) for e in self._idempotents)
+
+    @cached_property
+    def _lifts(self) -> dict:
+        """Working-precision lifts made by _lift_algebra, by precision."""
+        return {}
 
     def mult_operator(self, x: "AlgElement") -> PadicMatrix:
         """Matrix of multiplication by x in the given basis: entry (k, j)
@@ -413,6 +451,10 @@ def nilradical(A: FinAlgebra):
     """Basis of the ideal of nilpotents, as the radical of the trace form
     (valid in characteristic zero); raises PrecisionExhausted when the
     trace-form rank is ambiguous at working precision."""
+    return list(A._nilradical)
+
+
+def _trace_form_radical(A: FinAlgebra):
     m = A.dim
     traces = []
     for l in range(m):
@@ -530,10 +572,9 @@ def _semisimple_part(x: AlgElement):
     y <- y - h(y)/h'(y), which moves inside x + nil and terminates exactly.
     Returns (y, h)."""
     A = x.algebra
-    nil = nilradical(A)
-    if not nil:
+    if not A._nilradical:
         return x, x.min_poly()
-    S, proj, _ = quotient_by_ideal(A, nil)
+    _, proj, _ = A._reduced
     h = proj.apply(x).min_poly()
     hprime = _poly_derivative(h)
     y = x
@@ -677,10 +718,8 @@ def _componentwise(x: AlgElement, fn) -> AlgElement:
     """Apply fn on each connected component of the algebra and reassemble;
     distinct components can carry p-adically close eigen-scalars whose
     interpolation denominators would otherwise drown the precision."""
-    from .components import connected_components
-
     A = x.algebra
-    comps = connected_components(A)
+    comps = A._components
     if len(comps) == 1:
         return fn(x)
     acc = A.zero()
@@ -700,17 +739,24 @@ def _lift_scalar(c: PadicScalar, wctx: PrimeContext) -> PadicScalar:
 
 
 def _lift_algebra(A: FinAlgebra, wctx: PrimeContext) -> FinAlgebra:
-    """Only valid for exact structure constants: the canonical residue lift
-    of a solve-derived tensor is no longer associative beyond the native
-    precision, and the component machinery would compute garbage there."""
-    if not A.exact_structure:
-        raise PadicError("cannot lift an inexact structure-constant tensor")
-    mul = [
-        [[_lift_scalar(c, wctx) for c in A.mul[i][j]] for j in range(A.dim)]
-        for i in range(A.dim)
-    ]
-    one = [_lift_scalar(c, wctx) for c in A.one]
-    return FinAlgebra.create(wctx, mul, one, labels=A.labels, validate=False)
+    """The canonical residue lift of A into the wider working context,
+    made once per working precision and kept by A.  The lift of an exact
+    tensor is the same algebra at more digits, so ring-theoretic machinery
+    (components, nilradical) may run on it and keeps its results there.
+    The lift of a solve-derived tensor is no longer associative beyond the
+    native precision; it keeps exact_structure=False and serves
+    straight-line bilinear evaluation only."""
+    Aw = A._lifts.get(wctx.default_precision)
+    if Aw is None:
+        mul = [
+            [[_lift_scalar(c, wctx) for c in A.mul[i][j]] for j in range(A.dim)]
+            for i in range(A.dim)
+        ]
+        one = [_lift_scalar(c, wctx) for c in A.one]
+        Aw = FinAlgebra.create(wctx, mul, one, labels=A.labels, validate=False,
+                               exact_structure=A.exact_structure)
+        A._lifts[wctx.default_precision] = Aw
+    return Aw
 
 
 def _eval_on_lift(x: AlgElement, fn, cap_fn):
@@ -720,6 +766,8 @@ def _eval_on_lift(x: AlgElement, fn, cap_fn):
     function-level precision computed by cap_fn(lifted x, lifted result)."""
     A = x.algebra
     ctx = A.ctx
+    if not A.exact_structure:
+        raise PadicError("cannot lift an inexact structure-constant tensor")
     target = min(x.min_precision(), ctx.default_precision)
     headroom = ctx.default_precision + 16
     last = None
@@ -796,7 +844,7 @@ def _direct_series(x: AlgElement, kind: str) -> AlgElement:
     headroom = N + 32
     for _ in range(4):
         wctx = ctx.widen(headroom)
-        Aw = _lift_algebra_raw(A, wctx)
+        Aw = _lift_algebra(A, wctx)
         xw = Aw.element([_lift_scalar(c, wctx) for c in x.coords])
         acc, used_terms, orbit_deficit = _run_lifted_series(xw, kind, e0, p, N, dim)
         # error propagation: a p^N input perturbation enters term n once and
@@ -821,18 +869,6 @@ def _direct_series(x: AlgElement, kind: str) -> AlgElement:
             return A.element([_rehome(c.reduce(level), ctx) for c in acc.coords])
         headroom *= 2
     raise PrecisionExhausted("series headroom did not stabilise")
-
-
-def _lift_algebra_raw(A: FinAlgebra, wctx: PrimeContext) -> FinAlgebra:
-    """Canonical lift of a possibly inexact tensor: usable only for
-    straight-line bilinear evaluation, never for ring-theoretic machinery."""
-    mul = [
-        [[_lift_scalar(c, wctx) for c in A.mul[i][j]] for j in range(A.dim)]
-        for i in range(A.dim)
-    ]
-    one = [_lift_scalar(c, wctx) for c in A.one]
-    return FinAlgebra.create(wctx, mul, one, labels=A.labels, validate=False,
-                             exact_structure=False)
 
 
 def _run_lifted_series(xw: AlgElement, kind: str, e0: int, p: int, target: int, dim: int):

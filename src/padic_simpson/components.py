@@ -14,7 +14,9 @@ one multiplier-ring step adjoins t/p.
 
 from __future__ import annotations
 
-from .algebra import AlgElement, FinAlgebra, Morphism, nilradical, quotient_by_ideal
+from dataclasses import dataclass
+
+from .algebra import AlgElement, FinAlgebra, Morphism
 from . import linalg
 from .errors import IntegralStructureFailure, PrecisionExhausted
 from .scalar import PadicScalar
@@ -365,10 +367,13 @@ def idempotents(A: FinAlgebra):
     Raises IntegralStructureFailure when no usable integral structure
     stabilises; connected_components then accepts caller-supplied
     idempotents as the documented fallback."""
+    return list(A._idempotents)
+
+
+def _primitive_idempotents(A: FinAlgebra):
     if A.dim == 1:
         return [A.unit()]
-    nil = nilradical(A)
-    S, proj, section = quotient_by_ideal(A, nil)
+    S, _, section = A._reduced
     if S.dim == 1:
         return [A.unit()]
     order = _saturate(_initial_order(S))
@@ -427,19 +432,19 @@ def connected_components(A: FinAlgebra, idems=None):
     """[Component] per primitive idempotent; supply idems explicitly to
     override the automatic search (the documented fallback)."""
     if idems is None:
-        idems = idempotents(A)
+        return list(A._components)
     return [component_quotient(A, e) for e in idems]
 
 
+@dataclass(frozen=True, eq=False)
 class Component:
     """A factor e*A: the idempotent, the factor as an abstract algebra, the
     projection morphism x -> e*x, and the linear embedding back into A."""
 
-    def __init__(self, idempotent, algebra, project, embed):
-        self.idempotent = idempotent
-        self.algebra = algebra
-        self.project = project
-        self.embed = embed
+    idempotent: AlgElement
+    algebra: FinAlgebra
+    project: Morphism
+    embed: Morphism
 
 
 def component_quotient(A: FinAlgebra, e: AlgElement) -> Component:

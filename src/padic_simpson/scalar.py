@@ -249,7 +249,10 @@ class PadicScalar:
     __hash__ = None  # equality is precision-relative; not hashable
 
     def agrees(self, other: "PadicScalar", prec: int) -> bool:
-        """Equality modulo p^prec (requires both operands that precise)."""
+        """Equality modulo p^prec; False unless both operands are known
+        modulo p^prec."""
+        if self.prec < prec or other.prec < prec:
+            return False
         return self.reduce(prec) == other.reduce(prec)
 
 

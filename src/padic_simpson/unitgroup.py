@@ -242,7 +242,13 @@ def cart_square_check(
 
     on a generated battery of units.  S must be connected; R may be
     disconnected, in which case the check runs on the component of R that
-    maps onto S (the quotient kills every other component)."""
+    maps onto S (the quotient kills every other component).
+
+    Work that does not depend on the level is done once: the root class
+    of t^(p^k) at level k for a battery unit t is made on first use and
+    shared by both pullback loops, and the pushout loop lifts and
+    decomposes each unit of S at its first level, then reports the outcome
+    at every level, counts and failure strings as if it were redone."""
     if quotient.source is not R and not quotient.source == R:
         raise PadicError("morphism source differs from R")
     if not quotient.is_surjective():
@@ -269,6 +275,15 @@ def cart_square_check(
     r_images = [f_live.apply(t) for t in r_units]
     s_units = r_images + unit_battery(S, seed + 1)
     lift_unit = _unit_lifter(f_live)
+    classes = {}
+
+    def root_class(i, k):
+        # the class of t^(p^k) at level k for battery unit i, made on first
+        # use and shared by both pullback loops
+        rc = classes.get((i, k))
+        if rc is None:
+            rc = classes[i, k] = RootClass(comp.algebra, r_units[i] ** (p ** k), k)
+        return rc
 
     # pullback, general form: a unit of R is determined by its image in S
     # together with its root class, i.e. the pairs (f(t), class(t^(p^k)))
@@ -282,21 +297,16 @@ def cart_square_check(
                 continue
             for k in levels:
                 report.pullback_checked += 1
-                if root_class_equal(
-                    RootClass(comp.algebra, t ** (p ** k), k),
-                    RootClass(comp.algebra, tb ** (p ** k), k),
-                    slack,
-                ):
+                if root_class_equal(root_class(ia, k), root_class(ib, k), slack):
                     report.failures.append(
                         "pullback collision at level %d: %r vs %r" % (k, t, tb)
                     )
 
     # pullback, scalar form (available when R's units split as scalar times
     # unipotent): reconstruct t from the pair alone
-    for t, s in zip(r_units, r_images):
+    for i, (t, s) in enumerate(zip(r_units, r_images)):
         for k in levels:
-            rc = RootClass(comp.algebra, t ** (p ** k), k)
-            u, available = _pullback_unit(f_live, s, rc, slack)
+            u, available = _pullback_unit(f_live, s, root_class(i, k), slack)
             if not available:
                 continue
             report.pullback_checked += 1
@@ -325,23 +335,19 @@ def cart_square_check(
     # pushout: every root class of S is reached by the two summands
     one_s = S.unit()
     for u in s_units:
+        witness = None
         for k in levels:
             report.pushout_checked += 1
-            # general witness: the kernel is nilpotent, so u lifts to a unit
-            # of R and (u, k) is the image of the R-class (lift, k)
-            W = lift_unit(u)
-            if W is None or not f_live.apply(W).agrees(u, prec_goal):
-                report.failures.append("unit %r has no unit lift to R" % u)
+            if witness is None:
+                witness = _pushout_witness(f_live, lift_unit, u, prec_goal)
+            dec, failure = witness
+            if failure is not None:
+                report.failures.append(failure)
                 continue
+            if dec is None:
+                continue  # eigen-scalar not in Q_p; the general witness stands
             # decomposition witness (scalar residue field): nilpotent factor
             # from S at level 0 via unique p-divisibility, scalar class from R
-            try:
-                dec = decompose_unit(u)
-            except NotConnected:
-                continue  # eigen-scalar not in Q_p; the general witness stands
-            except NotAUnit as exc:
-                report.failures.append("pushout decompose failed on %r: %s" % (u, exc))
-                continue
             unipotent = one_s + dec.nilpotent_part
             w = unipotent_root(unipotent, k)
             Wn = lift_unit(w)
@@ -357,6 +363,23 @@ def cart_square_check(
                     "pushout factorisation missed (level %d) for %r" % (k, u)
                 )
     return report
+
+
+def _pushout_witness(f_live: Morphism, lift_unit, u: AlgElement, prec: int):
+    """The level-independent part of the pushout check on u, as
+    (decomposition or None, failure or None).  General witness: the kernel
+    is nilpotent, so u lifts to a unit of R and (u, k) is the image of the
+    R-class (lift, k) at every level.  The decomposition u = c * (1 + n) is
+    None when the eigen-scalar is not in Q_p (NotConnected)."""
+    W = lift_unit(u)
+    if W is None or not f_live.apply(W).agrees(u, prec):
+        return None, "unit %r has no unit lift to R" % u
+    try:
+        return decompose_unit(u), None
+    except NotConnected:
+        return None, None
+    except NotAUnit as exc:
+        return None, "pushout decompose failed on %r: %s" % (u, exc)
 
 
 def _pullback_unit(f_live: Morphism, s: AlgElement, rc: RootClass, slack: int):

@@ -6,6 +6,8 @@ arithmetic for split series, and hand-verified lattice examples (the
 t^2 = p*t order, whose maximal order adjoins t/p).
 """
 
+import collections
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from padic_simpson.algebra import (
     FinAlgebra,
+    _lift_algebra,
     Morphism,
     alg_exp,
     alg_log,
@@ -30,6 +33,7 @@ from padic_simpson.errors import (
     OutsideExpDomain,
     OutsideRepresentableDomain,
     PadicError,
+    PrecisionExhausted,
 )
 from padic_simpson.components import connected_components, idempotents
 from padic_simpson.generate import gen_higgs
@@ -45,6 +49,7 @@ from padic_simpson.unitgroup import (
     unipotent_root,
     unit_battery,
 )
+from padic_simpson.verify import _nonsquare_unit
 
 C5 = PrimeContext(5, 32)
 C3 = PrimeContext(3, 32)
@@ -695,3 +700,195 @@ def test_product_term_capped_by_narrow_constant():
     got = x * y
     assert got.coords[0].prec == 8
     assert ledger(got.coords) == ledger(fold_product(x, y))
+
+
+# -- per-algebra invariants, computed once -----------------------------------
+
+
+def battery_relations(p):
+    """The explog and cartdiag batteries: x^2, x^3, x^2 - x, x^2 - 4 and
+    x^2 - c for a non-square unit c."""
+    return [[0, 0], [0, 0, 0], [0, 1], [4, 0], [_nonsquare_unit(p), 0]]
+
+
+def invariants(A):
+    """nilradical, idempotents and components of A as plain ledgers."""
+    comps = [(ledger(c.idempotent.coords),
+              [ledger(row) for plane in c.algebra.mul for row in plane],
+              [ledger(img.coords) for img in c.project.images],
+              [ledger(img.coords) for img in c.embed.images])
+             for c in connected_components(A)]
+    return ([ledger(n.coords) for n in nilradical(A)],
+            [ledger(e.coords) for e in idempotents(A)], comps)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_cold_and_warm_algebras_agree(p):
+    # a fresh algebra and one whose invariants, lifts and lifted components
+    # are already filled give the same exp, log and invariants
+    ctx = PrimeContext(p, 32)
+    rng = random.Random("cold-warm:%d" % p)
+    for rel in battery_relations(p):
+        warm = FinAlgebra.from_power_relation(ctx, rel)
+        w = warm.from_ints([p ** ctx.e0 * rng.randrange(p ** 6) for _ in rel])
+        alg_log(alg_exp(w))
+        cold_inv = invariants(FinAlgebra.from_power_relation(ctx, rel))
+        assert invariants(warm) == cold_inv
+        assert invariants(warm) == cold_inv
+        for _ in range(2):
+            coords = [p ** ctx.e0 * rng.randrange(p ** 6) for _ in rel]
+            cold_y = alg_exp(FinAlgebra.from_power_relation(ctx, rel).from_ints(coords))
+            cold_z = alg_log(FinAlgebra.from_power_relation(ctx, rel).element(cold_y.coords))
+            for _ in range(2):
+                y = alg_exp(warm.from_ints(coords))
+                z = alg_log(y)
+                assert ledger(y.coords) == ledger(cold_y.coords), (p, rel, coords)
+                assert ledger(z.coords) == ledger(cold_z.coords), (p, rel, coords)
+
+
+def test_returned_lists_are_fresh():
+    A = dual_numbers(C5)
+    nilradical(A).clear()
+    assert len(nilradical(A)) == 1
+    B = spectral_like(C5)
+    idems = idempotents(B)
+    before = [ledger(e.coords) for e in idems]
+    idems.reverse()
+    idems.append(B.zero())
+    assert [ledger(e.coords) for e in idempotents(B)] == before
+    comps = connected_components(B)
+    first = comps[0]
+    comps.pop(0)
+    again = connected_components(B)
+    assert len(again) == 2 and again[0] is first
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.algebra = A
+
+
+@pytest.mark.parametrize("rel, fn, message", [
+    ([128, 0], nilradical, "non-nilpotent direction"),
+    ([17, 0], idempotents, "not orthogonal"),
+    ([16, 0], connected_components, "consistency of a linear system"),
+])
+def test_failed_invariant_raises_again(rel, fn, message):
+    # at 8 digits of 2-adic precision each of these runs out of digits in
+    # the invariant named; a failure is never cached
+    A = FinAlgebra.from_power_relation(PrimeContext(2, 8), rel)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(PrecisionExhausted, match=message) as info:
+            fn(A)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+def test_failed_series_raises_again():
+    # the direct series for log(exp(tau)) on this solve-derived tensor
+    # certifies no digit; a second call on the same algebra, its lifts now
+    # kept, fails alike
+    tau = spectral_algebra(gen_higgs(2, 1, 4, 0.85, seed=2, precision=32)).tau[0]
+    y = alg_exp(tau)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(PrecisionExhausted) as info:
+            alg_log(y)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+# (pullback_checked, pushout_checked, kernel_checked, components) of
+# cart_square_check per cartdiag case, recorded before the per-unit work of
+# the check was shared across levels; no case reports a failure
+CARTDIAG_CASES = ("K", "x^2", "x^3", "x^2-x", "x^2-4", "x^2-c")
+CARTDIAG_REPORTS = {
+    (2, 0): [(21, 42, 0, 1), (48, 51, 1, 1), (120, 60, 2, 1), (21, 42, 0, 2),
+             (21, 42, 0, 2), (14, 48, 0, 1)],
+    (2, 7): [(21, 42, 0, 1), (57, 51, 1, 1), (99, 60, 2, 1), (21, 42, 0, 2),
+             (21, 42, 0, 2), (14, 48, 0, 1)],
+    (3, 0): [(24, 48, 0, 1), (48, 57, 1, 1), (102, 66, 2, 1), (24, 48, 0, 2),
+             (24, 48, 0, 2), (17, 54, 0, 1)],
+    (3, 7): [(24, 48, 0, 1), (48, 57, 1, 1), (99, 66, 2, 1), (24, 48, 0, 2),
+             (24, 48, 0, 2), (17, 54, 0, 1)],
+    (5, 0): [(27, 54, 0, 1), (51, 63, 1, 1), (102, 72, 2, 1), (27, 54, 0, 2),
+             (27, 54, 0, 2), (20, 60, 0, 1)],
+    (5, 7): [(27, 54, 0, 1), (54, 63, 1, 1), (105, 72, 2, 1), (27, 54, 0, 2),
+             (27, 54, 0, 2), (20, 60, 0, 1)],
+    (7, 0): [(27, 54, 0, 1), (51, 63, 1, 1), (102, 72, 2, 1), (27, 54, 0, 2),
+             (27, 54, 0, 2), (20, 60, 0, 1)],
+    (7, 7): [(27, 54, 0, 1), (51, 63, 1, 1), (102, 72, 2, 1), (27, 54, 0, 2),
+             (27, 54, 0, 2), (20, 60, 0, 1)],
+}
+
+
+def cartdiag_cases(ctx):
+    """(R, R -> S) per name in CARTDIAG_CASES, as the cartdiag suite builds
+    them."""
+    K = FinAlgebra.field(ctx)
+    cases = [(K, Morphism.create(K, K, [K.unit()]))]
+    for rel in ([0, 0], [0, 0, 0], [0, 1]):
+        A = FinAlgebra.from_power_relation(ctx, rel)
+        cases.append((A, Morphism.create(A, K, [K.unit()] + [K.zero()] * (A.dim - 1))))
+    A = quadratic_field(ctx, 4)
+    two = K.scalar_element(PadicScalar.from_int(ctx, 2))
+    cases.append((A, Morphism.create(A, K, [K.unit(), two])))
+    A = quadratic_field(ctx, _nonsquare_unit(ctx.p))
+    cases.append((A, Morphism.create(A, A, [A.basis_element(0), A.basis_element(1)])))
+    return cases
+
+
+@pytest.mark.parametrize("p, seed", sorted(CARTDIAG_REPORTS))
+def test_cartdiag_reports_pinned(p, seed):
+    ctx = PrimeContext(p, 32)
+    cases = cartdiag_cases(ctx)
+    # the non-square identity square: its units with an eigen-scalar outside
+    # Q_p make decompose_unit raise NotConnected in the pushout loop
+    A_ns = cases[-1][0]
+    with pytest.raises(NotConnected):
+        decompose_unit(A_ns.unit() + A_ns.basis_element(1))
+    for name, (R, f), want in zip(CARTDIAG_CASES, cases, CARTDIAG_REPORTS[p, seed]):
+        report = cart_square_check(R, f, seed=seed)
+        got = (report.pullback_checked, report.pushout_checked,
+               report.kernel_checked, report.components)
+        assert (got, report.failures) == (want, []), name
+
+
+def test_pushout_failures_reported_at_every_level():
+    # checked at all 8 digits, the thin lifts of K[x]/(x^2) -> K at p = 2
+    # fail: a unit without a lift fails once per level, as does each
+    # unipotent factor without one; recorded before the per-unit work was
+    # shared across levels, with agrees already strict
+    R, f = cartdiag_cases(PrimeContext(2, 8))[1]
+    report = cart_square_check(R, f, seed=0, slack=0)
+    counts = collections.Counter(report.failures)
+    assert (report.pullback_checked, report.pushout_checked, len(report.failures)) == (39, 51, 56)
+    assert counts["unit AlgElement[0:1] has no unit lift to R"] == 3
+    assert counts["unipotent factor has no unit lift to R"] == 32
+
+
+def test_one_lift_per_working_precision():
+    A = dual_numbers(C5)
+    lifts = [_lift_algebra(A, PrimeContext(5, n)) for n in (48, 64, 48)]
+    assert [L.ctx.default_precision for L in lifts] == [48, 64, 48]
+    assert lifts[0] is lifts[2] and lifts[0] is not lifts[1]
+    assert lifts[0].exact_structure
+    S = spectral_algebra(gen_higgs(3, 1, 3, 0.6, seed=0, precision=32)).algebra
+    assert not _lift_algebra(S, PrimeContext(3, 64)).exact_structure
+
+
+@pytest.mark.parametrize("p, d, n, density, seed", [(3, 1, 3, 0.6, 0), (2, 2, 4, 0.6, 3)])
+def test_cold_and_warm_solve_derived_algebras_agree(p, d, n, density, seed):
+    # the direct series lifts to a working precision that depends on the
+    # argument's digits, so an algebra keeps one lift per precision: here
+    # exp(tau) follows the exp of a thinner element
+    def tau():
+        return spectral_algebra(gen_higgs(p, d, n, density, seed=seed, precision=32)).tau[0]
+
+    cold_y = alg_exp(tau())
+    cold_z = alg_log(tau().algebra.element(cold_y.coords))
+    t = tau()
+    alg_exp(t.algebra.element([c.reduce(16) for c in t.coords]))
+    for _ in range(2):
+        y = alg_exp(t)
+        z = alg_log(y)
+        assert ledger(y.coords) == ledger(cold_y.coords)
+        assert ledger(z.coords) == ledger(cold_z.coords)

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from padic_simpson.algebra import FinAlgebra
 from padic_simpson.context import PrimeContext
 from padic_simpson.errors import (
     ContextMismatch,
@@ -20,6 +21,7 @@ from padic_simpson.errors import (
     PadicError,
     ZeroResidue,
 )
+from padic_simpson.matrix import PadicMatrix
 from padic_simpson.scalar import (
     PadicScalar,
     big_exp,
@@ -197,6 +199,41 @@ class TestArithmetic:
         x = s(C5, 12)
         assert x ** 5 == x * x * x * x * x
         assert (x ** -2) * x * x == s(C5, 1)
+
+
+class TestAgrees:
+    """A tolerance check at prec holds only when both operands are known
+    modulo p^prec; a thinner operand fails it instead of passing on the
+    digits it has."""
+
+    full = s(C5, 2 + 5 ** 15)  # known mod 5^32
+    thin = full.reduce(10)  # the same value known mod 5^10
+
+    def test_scalar(self):
+        assert self.thin.agrees(self.full, 10)
+        assert self.full.agrees(self.full, 20)
+        assert not self.thin.agrees(self.full, 20)
+        assert not self.full.agrees(self.thin, 20)
+        assert not self.full.agrees(s(C5, 2), 20)
+
+    def test_zero_markers(self):
+        assert PadicScalar.zero(C5, 10).agrees(PadicScalar.zero(C5), 10)
+        assert not PadicScalar.zero(C5, 10).agrees(PadicScalar.zero(C5), 20)
+
+    def test_algebra_element(self):
+        A = FinAlgebra.from_power_relation(C5, [0, 0])
+        x = A.element([self.thin, self.full])
+        y = A.element([self.full, self.full])
+        assert x.agrees(y, 10)
+        assert not x.agrees(y, 20)
+        assert not y.agrees(x, 20)
+
+    def test_matrix(self):
+        a = PadicMatrix.from_rows(C5, [[self.full, self.thin], [self.full, self.full]])
+        b = PadicMatrix.from_rows(C5, [[self.full, self.full], [self.full, self.full]])
+        assert a.agrees(b, 10)
+        assert not a.agrees(b, 20)
+        assert not b.agrees(a, 20)
 
 
 class TestExpLog:
