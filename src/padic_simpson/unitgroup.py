@@ -7,10 +7,20 @@ The decomposition behind everything: a unit of a connected algebra factors
 as u = c * (1 + n) with c a nonzero scalar and n nilpotent; the unipotent
 factor 1 + n is uniquely p-divisible (via the finite exp/log of nilpotents),
 and the scalar factor decomposes through Teichmuller representatives.
+
+While cart_square_check runs it keeps a value table, one per call and per
+thread (a ContextVar, reset when the check returns or raises): the unit
+tests, the powers x^(p^k) of root-class representatives, unipotent_root,
+scalar_pk_root and decompose_unit are then computed once per distinct
+argument, keyed by the algebra's identity and each coordinate's
+(v, u, prec, ctx).  A computation that raises is never kept, so it raises
+again where it did.  Outside a check nothing is kept and every function
+computes as it always did.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 import random
@@ -27,6 +37,58 @@ from .errors import (
 from . import linalg
 from .components import connected_components, idempotents
 from .scalar import PadicScalar, teichmuller
+
+
+# -- the value table of a running square check ----------------------------------
+
+
+class _ValueTable:
+    """Values of pure primitives by (kind, argument key, extra argument).
+    It holds every algebra it keys, so no id is reused while it lives."""
+
+    __slots__ = ("algebras", "values")
+
+    def __init__(self):
+        self.algebras = {}
+        self.values = {}
+
+    def key(self, x):
+        if isinstance(x, PadicScalar):
+            return (x.v, x.u, x.prec, x.ctx)
+        A = x.algebra
+        self.algebras[id(A)] = A
+        return (id(A),) + tuple((c.v, c.u, c.prec, c.ctx) for c in x.coords)
+
+
+_VALUES: ContextVar[_ValueTable | None] = ContextVar("unitgroup_values", default=None)
+_MISSING = object()
+
+
+def _recall(kind: str, x, arg, compute):
+    """compute(); while a square check runs, its value for (kind, x, arg)
+    is computed once and kept.  A compute() that raises keeps nothing."""
+    table = _VALUES.get()
+    if table is None:
+        return compute()
+    key = (kind, table.key(x), arg)
+    value = table.values.get(key, _MISSING)
+    if value is _MISSING:
+        value = table.values[key] = compute()
+    return value
+
+
+def _require_unit(x: AlgElement) -> None:
+    """Raise NotAUnit unless x is invertible to precision."""
+
+    def test():
+        x.inv()
+        return True
+
+    _recall("unit", x, None, test)
+
+
+def _power(x: AlgElement, e: int) -> AlgElement:
+    return _recall("pow", x, e, lambda: x ** e)
 
 
 @dataclass(frozen=True)
@@ -49,8 +111,12 @@ def decompose_unit(u: AlgElement) -> NilUnitDecomposition:
     failure of u/c - 1 to be nilpotent is exactly failure of connectedness
     at u, reported as NotConnected.
     """
+    return _recall("decompose", u, None, lambda: _decompose_unit(u))
+
+
+def _decompose_unit(u: AlgElement) -> NilUnitDecomposition:
     A = u.algebra
-    u.inv()  # raises NotAUnit when singular to precision
+    _require_unit(u)
     c = A.mult_operator(u).trace() * PadicScalar.from_fraction(A.ctx, Fraction(1, A.dim))
     if c.is_zero:
         raise NotConnected("unit has vanishing scalar trace part; algebra not connected at it")
@@ -74,12 +140,12 @@ class RootClass:
     def __post_init__(self):
         if self.level < 0:
             raise PadicError("root class level must be nonnegative")
-        self.representative.inv()  # representative must be a unit
+        _require_unit(self.representative)
 
     def shifted(self, extra: int) -> "RootClass":
         """(u, k) = (u^(p^extra), k + extra): the defining rescaling."""
         p = self.algebra.ctx.p
-        return RootClass(self.algebra, self.representative ** (p ** extra), self.level + extra)
+        return RootClass(self.algebra, _power(self.representative, p ** extra), self.level + extra)
 
 
 def root_class_equal(a: RootClass, b: RootClass, slack: int = DEFAULT_SLACK) -> bool:
@@ -96,8 +162,8 @@ def root_class_equal(a: RootClass, b: RootClass, slack: int = DEFAULT_SLACK) -> 
     ctx = a.algebra.ctx
     k = max(a.level, b.level) + (ctx.e0 - 1)
     p = ctx.p
-    x = a.representative ** (p ** (k - a.level))
-    y = b.representative ** (p ** (k - b.level))
+    x = _power(a.representative, p ** (k - a.level))
+    y = _power(b.representative, p ** (k - b.level))
     prec = ctx.default_precision - slack
     return x.agrees(y, prec)
 
@@ -117,9 +183,8 @@ def unipotent_root(u: AlgElement, k: int) -> AlgElement:
     exp(log(u)/p^k), both series finite."""
     if k == 0:
         return u
-    A = u.algebra
-    scale = PadicScalar.from_val_unit(A.ctx, -k, 1)
-    return alg_exp(alg_log(u) * scale)
+    scale = PadicScalar.from_val_unit(u.algebra.ctx, -k, 1)
+    return _recall("unipotent_root", u, k, lambda: alg_exp(alg_log(u) * scale))
 
 
 def scalar_pk_root(c: PadicScalar, k: int) -> PadicScalar | None:
@@ -131,6 +196,10 @@ def scalar_pk_root(c: PadicScalar, k: int) -> PadicScalar | None:
     """
     if k == 0:
         return c
+    return _recall("scalar_pk_root", c, k, lambda: _scalar_pk_root(c, k))
+
+
+def _scalar_pk_root(c: PadicScalar, k: int) -> PadicScalar | None:
     if c.is_zero:
         return None
     ctx = c.ctx
@@ -186,7 +255,7 @@ def unit_battery(A: FinAlgebra, seed: int = 0, extra: int = 4):
     out = []
     for u in units:
         try:
-            u.inv()
+            _require_unit(u)
         except NotAUnit:
             continue
         out.append(u)
@@ -244,11 +313,21 @@ def cart_square_check(
     disconnected, in which case the check runs on the component of R that
     maps onto S (the quotient kills every other component).
 
-    Work that does not depend on the level is done once: the root class
-    of t^(p^k) at level k for a battery unit t is made on first use and
-    shared by both pullback loops, and the pushout loop lifts and
-    decomposes each unit of S at its first level, then reports the outcome
-    at every level, counts and failure strings as if it were redone."""
+    The check keeps a value table for its own duration (see the module
+    docstring): each unit test, power of a representative, p-power root
+    and decomposition is computed once per distinct argument, across
+    levels and battery units alike, and the table is dropped when the
+    check returns or raises.  The pushout loop also lifts and decomposes
+    each unit of S at its first level, then reports the outcome at every
+    level, counts and failure strings as if it were redone."""
+    token = _VALUES.set(_ValueTable())
+    try:
+        return _cart_square_check(R, quotient, levels, seed, slack)
+    finally:
+        _VALUES.reset(token)
+
+
+def _cart_square_check(R, quotient, levels, seed, slack):
     if quotient.source is not R and not quotient.source == R:
         raise PadicError("morphism source differs from R")
     if not quotient.is_surjective():
@@ -275,15 +354,10 @@ def cart_square_check(
     r_images = [f_live.apply(t) for t in r_units]
     s_units = r_images + unit_battery(S, seed + 1)
     lift_unit = _unit_lifter(f_live)
-    classes = {}
 
     def root_class(i, k):
-        # the class of t^(p^k) at level k for battery unit i, made on first
-        # use and shared by both pullback loops
-        rc = classes.get((i, k))
-        if rc is None:
-            rc = classes[i, k] = RootClass(comp.algebra, r_units[i] ** (p ** k), k)
-        return rc
+        # the class of t^(p^k) at level k for battery unit i
+        return RootClass(comp.algebra, _power(r_units[i], p ** k), k)
 
     # pullback, general form: a unit of R is determined by its image in S
     # together with its root class, i.e. the pairs (f(t), class(t^(p^k)))
@@ -320,7 +394,7 @@ def cart_square_check(
     for z in Morphism.kernel_basis(f_live):
         w = comp.algebra.unit() + z
         try:
-            w.inv()
+            _require_unit(w)
         except NotAUnit:
             continue
         report.kernel_checked += 1
@@ -431,7 +505,7 @@ def _unit_lifter(f: Morphism):
             return None
         cand = f.source.element(sols[0])
         try:
-            cand.inv()
+            _require_unit(cand)
         except NotAUnit:
             return None
         return cand
