@@ -525,6 +525,7 @@ class TestCartSquare:
         f = Morphism.create(K, K, [K.unit()])
         report = cart_square_check(K, f)
         assert report.ok, str(report)
+        assert unitgroup._VALUES.get() is None  # the check's table is gone
 
     def test_dual_numbers(self):
         A = dual_numbers(C5)
@@ -549,12 +550,14 @@ class TestCartSquare:
         f = Morphism.create(A, A, [A.unit(), A.zero()], validate=False)
         with pytest.raises(NotSurjective):
             cart_square_check(A, f)
+        assert unitgroup._VALUES.get() is None
 
     def test_target_must_be_connected(self):
         A = split_quadratic(C5)
         ident = Morphism.create(A, A, [A.basis_element(0), A.basis_element(1)], validate=False)
         with pytest.raises(NotConnected):
             cart_square_check(A, ident)
+        assert unitgroup._VALUES.get() is None
 
 
 class TestMorphism:
@@ -1082,22 +1085,6 @@ def test_keys_tell_precisions_apart():
         unitgroup._VALUES.reset(token)
     assert inside == outside
     assert outside[0] != outside[1] and outside[2] != outside[3]
-
-
-def test_no_table_after_a_check():
-    R, f = cartdiag_cases(C5)[1]
-    cart_square_check(R, f)
-    assert unitgroup._VALUES.get() is None
-    A = dual_numbers(C5)
-    thin = Morphism.create(A, A, [A.unit(), A.zero()], validate=False)
-    with pytest.raises(NotSurjective):
-        cart_square_check(A, thin)
-    assert unitgroup._VALUES.get() is None
-    B = split_quadratic(C5)
-    ident = Morphism.create(B, B, [B.basis_element(0), B.basis_element(1)], validate=False)
-    with pytest.raises(NotConnected):
-        cart_square_check(B, ident)
-    assert unitgroup._VALUES.get() is None
 
 
 def test_threads_keep_their_own_tables():
