@@ -23,13 +23,19 @@ coordinates included.
 
 An algebra computes its structural invariants once, on first use, and
 keeps them for its lifetime (functools.cached_property on the frozen
-FinAlgebra, like the integer constants): the nilradical, the reduced
-quotient A/nil with its projection and section, the primitive
+FinAlgebra, like the integer constants): the nilradical, the primitive
 idempotents and connected components (components.py), and the lifts to
-wider working precisions, one per precision.  A lifted exact algebra thus
-keeps its own components across exp/log calls.  Only results are kept: a
-computation that raises stores nothing and raises again on the next call.
-Public functions return fresh lists of the immutable kept values.
+wider working precisions, one per precision, on which exp/log run their
+series.  Only results are kept: a computation that raises stores nothing
+and raises again on the next call.  Public functions return fresh lists
+of the immutable kept values.
+
+exp and log of a non-nilpotent element are one power series, summed on
+the lift of the algebra to a wider working precision (_orbit_series).
+Its result is capped at a level that depends on the tensor: on an exact
+tensor, the sensitivity of exp/log to a p^N change of the argument; on a
+solve-derived tensor, the bilinear-perturbation level, which also covers
+a p^N change of every structure constant.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ class FinAlgebra:
     # whether the stored residues ARE the exact structure constants (true
     # for hand-built and parsed tensors); solve-derived tensors (quotients,
     # spectral algebras) only approximate the true constants mod p^N, so
-    # transcendental evaluations on them cannot claim lifted precision
+    # exp/log on them are capped at the bilinear-perturbation level
     exact_structure: bool = True
 
     @staticmethod
@@ -143,11 +149,6 @@ class FinAlgebra:
     @cached_property
     def _nilradical(self) -> tuple:
         return tuple(_trace_form_radical(self))
-
-    @cached_property
-    def _reduced(self) -> tuple:
-        """(A/nil, projection, section), as quotient_by_ideal returns them."""
-        return quotient_by_ideal(self, self._nilradical)
 
     @cached_property
     def _idempotents(self) -> tuple:
@@ -314,12 +315,14 @@ class AlgElement:
     def __eq__(self, other):
         if not isinstance(other, AlgElement):
             return NotImplemented
-        return all(a == b for a, b in zip(self.coords, other.coords))
+        return len(self.coords) == len(other.coords) and all(
+            a == b for a, b in zip(self.coords, other.coords))
 
     __hash__ = None
 
     def agrees(self, other: "AlgElement", prec: int) -> bool:
-        return all(a.agrees(b, prec) for a, b in zip(self.coords, other.coords))
+        return len(self.coords) == len(other.coords) and all(
+            a.agrees(b, prec) for a, b in zip(self.coords, other.coords))
 
     def min_valuation(self) -> int | None:
         vals = [c.v for c in self.coords if not c.is_zero]
@@ -549,140 +552,11 @@ def _newton_polygon_ok(minpoly, bound: int) -> bool:
     return True
 
 
-def _poly_eval(coeffs, x: AlgElement) -> AlgElement:
-    """Evaluate a monic-or-not coefficient list (low degree first) at x."""
-    A = x.algebra
-    out = A.zero()
-    for c in reversed(coeffs):
-        out = out * x + A.scalar_element(c)
-    return out
-
-
-def _poly_derivative(coeffs):
-    return [
-        c * PadicScalar.from_int(c.ctx, k) for k, c in enumerate(coeffs) if k >= 1
-    ]
-
-
-def _semisimple_part(x: AlgElement):
-    """Jordan-Chevalley over Q_p: the unique decomposition x = y + nu with
-    nu nilpotent and y satisfying the separable polynomial h = minimal
-    polynomial of x over A/nil (separable because A/nil is a product of
-    fields).  y is found by the division-free-converging Newton iteration
-    y <- y - h(y)/h'(y), which moves inside x + nil and terminates exactly.
-    Returns (y, h)."""
-    A = x.algebra
-    if not A._nilradical:
-        return x, x.min_poly()
-    _, proj, _ = A._reduced
-    h = proj.apply(x).min_poly()
-    hprime = _poly_derivative(h)
-    y = x
-    for _ in range(max(1, A.dim).bit_length() + 2):
-        hy = _poly_eval(h, y)
-        if hy.is_zero_to_precision():
-            break
-        y = y - hy * _poly_eval(hprime, y).inv()
-    if not _poly_eval(h, y).is_zero_to_precision():
-        raise PrecisionExhausted("semisimple part did not converge")
-    return y, h
-
-
-def _separable_denominator_valuation(h) -> int:
-    """val_p(Res(h, h')) for monic separable h: bounds the Lagrange
-    denominators, so the power coefficients of T^n mod h have valuation
-    >= n*e0 - this."""
-    s = len(h) - 1
-    if s <= 1:
-        return 0
-    hp = _poly_derivative(h)
-    size = 2 * s - 1
-    ctx = h[0].ctx
-    zero = PadicScalar.zero(ctx)
-    rows = []
-    for i in range(s - 1):  # shifted copies of h (degree s, monic)
-        row = [zero] * size
-        for k, c in enumerate(h):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(s):  # shifted copies of h' (degree s-1)
-        row = [zero] * size
-        for k, c in enumerate(hp):
-            row[i + k] = c
-        rows.append(row)
-    elim = linalg.eliminate(rows)
-    if elim.rank < size:
-        raise PrecisionExhausted("resultant of the separable part vanishes to precision")
-    return sum(elim.rows[i][j].v for (i, j) in elim.pivots)
-
-
-def _separable_series(y: AlgElement, h, kind: str, target: int) -> AlgElement:
-    """exp(y) or log(1 + y) for y with separable minimal polynomial h whose
-    roots all have valuation >= e0, via the series in Q_p[T]/(h).
-
-    Truncation uses val(T^n mod h) >= n*e0 - D with D = val(Res(h, h')),
-    and the closed-form Legendre bound val(n!) <= n/(p-1), so the tail
-    vanishes mod p^target for every later term at once."""
-    A = y.algebra
-    ctx = A.ctx
-    p = ctx.p
-    e0 = ctx.e0
-    s = len(h) - 1
-    D = _separable_denominator_valuation(h)
-    if kind == "exp":
-        # n*e0 - D - n/(p-1) >= target for all n >= m_terms
-        m_terms = ((target + D) * (p - 1)) // ((p - 1) * e0 - 1) + 1
-        headroom = D + _series.factorial_valuation(m_terms, p)
-    else:
-        m_terms = 1
-        while m_terms * e0 - D - _series.floor_log(m_terms, p) < target:
-            m_terms += 1  # monotone: each step adds e0 >= any log jump
-        headroom = D + _series.floor_log(m_terms, p)
-    wctx = ctx.widen(headroom + 4)
-    gw = [c.with_context(wctx) for c in h[:-1]]
-    one_w = PadicScalar.from_int(wctx, 1)
-    zero_w = PadicScalar.zero(wctx)
-    r = [one_w] + [zero_w] * (s - 1)
-    if kind == "exp":
-        acc = [one_w] + [zero_w] * (s - 1)
-        fact = 1
-        for n in range(1, m_terms + 1):
-            r = _shift_reduce(r, gw, zero_w)
-            fact *= n
-            inv_fact = PadicScalar.from_fraction(wctx, Fraction(1, fact))
-            acc = [a + (c * inv_fact) for a, c in zip(acc, r)]
-    else:
-        acc = [zero_w] * s
-        for n in range(1, m_terms + 1):
-            r = _shift_reduce(r, gw, zero_w)
-            ninv = PadicScalar.from_int(wctx, n).inv()
-            if n % 2 == 0:
-                ninv = -ninv
-            acc = [a + (c * ninv) for a, c in zip(acc, r)]
-    powers = [A.unit()]
-    for _ in range(1, s):
-        powers.append(powers[-1] * y)
-    out = A.zero()
-    for coeff, pw in zip(acc, powers):
-        out = out + pw * _rehome(coeff, ctx)
-    return out
-
-
 def _rehome(c: PadicScalar, ctx) -> PadicScalar:
     prec = min(c.prec, ctx.default_precision)
     if c.is_zero or c.v >= prec:
         return PadicScalar.zero(ctx, prec)
     return PadicScalar(ctx, c.v, c.u % ctx.p ** (prec - c.v), prec)
-
-
-def _shift_reduce(r, gw, zero_w):
-    # multiply by T modulo the monic polynomial with lower coefficients gw
-    s = len(r)
-    carry = r[s - 1]
-    out = [zero_w] + list(r[: s - 1])
-    if not carry.is_zero:
-        out = [o - carry * c for o, c in zip(out, gw)]
-    return out
 
 
 def _finite_exp(nu: AlgElement) -> AlgElement:
@@ -714,21 +588,6 @@ def _finite_log(nu: AlgElement) -> AlgElement:
     return out
 
 
-def _componentwise(x: AlgElement, fn) -> AlgElement:
-    """Apply fn on each connected component of the algebra and reassemble;
-    distinct components can carry p-adically close eigen-scalars whose
-    interpolation denominators would otherwise drown the precision."""
-    A = x.algebra
-    comps = A._components
-    if len(comps) == 1:
-        return fn(x)
-    acc = A.zero()
-    for comp in comps:
-        ye = fn(comp.project.apply(x))
-        acc = acc + comp.embed.apply(ye)
-    return acc
-
-
 def _lift_scalar(c: PadicScalar, wctx: PrimeContext) -> PadicScalar:
     """The canonical exact lift of a residue into a wider working context;
     the ambiguity of the choice is absorbed by the final function-precision
@@ -740,12 +599,10 @@ def _lift_scalar(c: PadicScalar, wctx: PrimeContext) -> PadicScalar:
 
 def _lift_algebra(A: FinAlgebra, wctx: PrimeContext) -> FinAlgebra:
     """The canonical residue lift of A into the wider working context,
-    made once per working precision and kept by A.  The lift of an exact
-    tensor is the same algebra at more digits, so ring-theoretic machinery
-    (components, nilradical) may run on it and keeps its results there.
-    The lift of a solve-derived tensor is no longer associative beyond the
-    native precision; it keeps exact_structure=False and serves
-    straight-line bilinear evaluation only."""
+    made once per working precision and kept by A, with A's
+    exact_structure.  The exp/log series uses it for straight-line
+    bilinear evaluation only: the lift of a solve-derived tensor is no
+    longer associative beyond the native precision."""
     Aw = A._lifts.get(wctx.default_precision)
     if Aw is None:
         mul = [
@@ -759,43 +616,18 @@ def _lift_algebra(A: FinAlgebra, wctx: PrimeContext) -> FinAlgebra:
     return Aw
 
 
-def _eval_on_lift(x: AlgElement, fn, cap_fn):
-    """Evaluate fn on an exact lift of x at widened precision, retrying
-    with more headroom when interpolation denominators (p-adically close
-    eigen-scalars across components) exhaust it, then cap the result at the
-    function-level precision computed by cap_fn(lifted x, lifted result)."""
-    A = x.algebra
-    ctx = A.ctx
-    if not A.exact_structure:
-        raise PadicError("cannot lift an inexact structure-constant tensor")
-    target = min(x.min_precision(), ctx.default_precision)
-    headroom = ctx.default_precision + 16
-    last = None
-    for _ in range(4):
-        wctx = PrimeContext(ctx.p, ctx.default_precision + headroom)
-        Aw = _lift_algebra(A, wctx)
-        xw = Aw.element([_lift_scalar(c, wctx) for c in x.coords])
-        try:
-            out = _componentwise(xw, fn)
-        except PrecisionExhausted as exc:
-            last = exc
-            headroom *= 2
-            continue
-        cap = cap_fn(target, xw, out)
-        return A.element([_rehome(c.reduce(min(c.prec, cap)), ctx) for c in out.coords])
-    raise PrecisionExhausted(
-        "eigen-scalar separation beyond %d extra digits: %s" % (headroom, last)
-    )
-
-
-def _exp_cap(target, xw, out):
+def _exp_cap(N: int, out: AlgElement) -> int:
+    """Digits of exp(x) on an exact tensor with x known mod p^N: a p^N
+    change of x moves exp(x) by exp(x) * O(p^N)."""
     mv = out.min_valuation()
-    return target + min(0, mv if mv is not None else 0)
+    return N + min(0, mv if mv is not None else 0)
 
 
-def _log_cap(target, uw, out):
+def _log_cap(N: int, uw: AlgElement) -> int:
+    """Digits of log(u) on an exact tensor with u known mod p^N: a p^N
+    change of u moves log(u) by u^-1 * O(p^N)."""
     inv_mv = uw.inv().min_valuation()
-    return target + min(0, inv_mv if inv_mv is not None else 0)
+    return N + min(0, inv_mv if inv_mv is not None else 0)
 
 
 def _denominator_valuation(n: int, p: int, kind: str) -> int:
@@ -817,23 +649,49 @@ def _tail_certified(a: int, n: int, e0: int, p: int, kind: str, target: int) -> 
     return True
 
 
-def _direct_series(x: AlgElement, kind: str) -> AlgElement:
-    """Series for algebras whose structure constants are only known mod
-    p^N: a straight-line bilinear computation on the canonical lift.
+def _orbit_series(x: AlgElement, kind: str) -> AlgElement:
+    """exp(x), or log(1 + x), as the power series on the canonical lift of
+    A to a wider working precision.
 
-    No ring axioms beyond bilinearity are used (the lifted tensor need not
-    be associative beyond p^N): powers are the orbit of the multiply-by-x
-    operator, so the Cayley-Hamilton recurrence gains e0 per step once a
-    full window of dim consecutive powers satisfies val(x^k) >= a + k*e0,
-    and the tail past the certified index vanishes.  The result is capped
-    at the input-sensitivity level: perturbing the tensor or x by p^N moves
-    term n by at least p^(N + (n-1)*(e0 + c) - val(denominator)) where c is
-    the most negative tensor valuation."""
+    No ring axioms beyond bilinearity are used (the lift of a solve-derived
+    tensor need not be associative beyond p^N): powers are the orbit of the
+    multiply-by-x operator, so the Cayley-Hamilton recurrence gains e0 per
+    step once a full window of dim consecutive powers satisfies
+    val(x^k) >= a + k*e0, and the tail past the certified index vanishes.
+    The result is capped at the sensitivity of exp/log to a p^N change of
+    the argument when the tensor is exact, and at the bilinear-perturbation
+    level of _perturbation_level when it is solve-derived; the headroom
+    doubles until every coordinate of the lifted sum reaches the cap."""
     A = x.algebra
     ctx = A.ctx
     p = ctx.p
     e0 = ctx.e0
     N = min(x.min_precision(), ctx.default_precision)
+    dim = A.dim
+    headroom = N + 32
+    for _ in range(4):
+        wctx = ctx.widen(headroom)
+        Aw = _lift_algebra(A, wctx)
+        xw = Aw.element([_lift_scalar(c, wctx) for c in x.coords])
+        acc, used_terms, orbit_deficit = _run_lifted_series(xw, kind, e0, p, N, dim)
+        if not A.exact_structure:
+            level = _perturbation_level(A, xw, N, orbit_deficit)
+        elif kind == "exp":
+            level = _exp_cap(N, acc)
+        else:
+            level = _log_cap(N, Aw.unit() + xw)
+        if acc.min_precision() >= level:
+            return A.element([_rehome(c.reduce(level), ctx) for c in acc.coords])
+        headroom *= 2
+    raise PrecisionExhausted("series headroom did not stabilise")
+
+
+def _perturbation_level(A: FinAlgebra, xw: AlgElement, N: int, orbit_deficit: int) -> int:
+    """Digits of a series on a tensor known only mod p^N: perturbing the
+    tensor or x by p^N moves term n by at least
+    p^(N + (n-1)*(e0 + c) - val(denominator)) where c is the most negative
+    tensor valuation."""
+    e0 = A.ctx.e0
     dim = A.dim
     c_min = 0
     for plane in A.mul:
@@ -841,34 +699,24 @@ def _direct_series(x: AlgElement, kind: str) -> AlgElement:
             for c in row:
                 if not c.is_zero and c.v < c_min:
                     c_min = c.v
-    headroom = N + 32
-    for _ in range(4):
-        wctx = ctx.widen(headroom)
-        Aw = _lift_algebra(A, wctx)
-        xw = Aw.element([_lift_scalar(c, wctx) for c in x.coords])
-        acc, used_terms, orbit_deficit = _run_lifted_series(xw, kind, e0, p, N, dim)
-        # error propagation: a p^N input perturbation enters term n once and
-        # is then pushed around by powers of the multiplication operator,
-        # whose entry valuations grow by e0 per step past the first dim of
-        # them; the total deficit is a constant, not a factorial
-        op_deficit = 0
-        op_power = PadicMatrix.identity(wctx, dim)
-        m_x = Aw.mult_operator(xw)
-        for _ in range(dim - 1):
-            op_power = op_power @ m_x
-            mv = op_power.min_valuation()
-            if mv is not None and mv < -op_deficit:
-                op_deficit = -mv
-        level = N - (max(0, orbit_deficit - c_min) + op_deficit + dim * e0)
-        level = min(N, level)
-        if level <= 0:
-            raise PrecisionExhausted(
-                "structure-constant denominators leave no certified digits"
-            )
-        if acc.min_precision() >= level:
-            return A.element([_rehome(c.reduce(level), ctx) for c in acc.coords])
-        headroom *= 2
-    raise PrecisionExhausted("series headroom did not stabilise")
+    # error propagation: a p^N input perturbation enters term n once and
+    # is then pushed around by powers of the multiplication operator,
+    # whose entry valuations grow by e0 per step past the first dim of
+    # them; the total deficit is a constant, not a factorial
+    op_deficit = 0
+    op_power = PadicMatrix.identity(xw.algebra.ctx, dim)
+    m_x = xw.algebra.mult_operator(xw)
+    for _ in range(dim - 1):
+        op_power = op_power @ m_x
+        mv = op_power.min_valuation()
+        if mv is not None and mv < -op_deficit:
+            op_deficit = -mv
+    level = N - (max(0, orbit_deficit - c_min) + op_deficit + dim * e0)
+    if level <= 0:
+        raise PrecisionExhausted(
+            "structure-constant denominators leave no certified digits"
+        )
+    return level
 
 
 def _run_lifted_series(xw: AlgElement, kind: str, e0: int, p: int, target: int, dim: int):
@@ -906,59 +754,13 @@ def _run_lifted_series(xw: AlgElement, kind: str, e0: int, p: int, target: int, 
                 return acc, n, deficit
 
 
-def _exp_connected(x: AlgElement) -> AlgElement:
-    """exp on a connected algebra: Jordan-Chevalley split
-    exp(x) = exp(x_ss) * exp(x_nil), the nilpotent factor a finite exact
-    sum and the semisimple factor either a scalar exponential (degree-1
-    case, i.e. the eigen-scalar lies in Q_p) or the series over the
-    irreducible separable minimal polynomial."""
-    from .scalar import exp_scalar
-
-    A = x.algebra
-    ctx = A.ctx
-    y, h = _semisimple_part(x)
-    nu = x - y
-    if len(h) == 2:
-        a = -h[0]  # y = a * 1
-        exp_ss = A.scalar_element(exp_scalar(a) if not a.is_zero else PadicScalar.from_int(ctx, 1, a.prec))
-    else:
-        target = min(x.min_precision(), ctx.default_precision)
-        exp_ss = _separable_series(y, h, "exp", target)
-    return exp_ss * _finite_exp(nu)
-
-
-def _log_connected(u: AlgElement) -> AlgElement:
-    """log on a connected algebra: log(u_ss) + log(1 + nu) with the
-    unipotent factor an exact finite sum."""
-    from .scalar import log_scalar
-
-    A = u.algebra
-    ctx = A.ctx
-    t = u - A.unit()
-    if t.is_zero_to_precision():
-        prec = min(u.min_precision(), ctx.default_precision)
-        return A.element([c.reduce(prec) for c in A.zero().coords])
-    t_ss, h = _semisimple_part(t)
-    u_ss = A.unit() + t_ss
-    nu = u * u_ss.inv() - A.unit()
-    if len(h) == 2:
-        a = -h[0]  # t_ss = a * 1
-        if a.is_zero:
-            log_ss = A.zero()
-        else:
-            log_ss = A.scalar_element(log_scalar(PadicScalar.from_int(ctx, 1) + a))
-    else:
-        target = min(u.min_precision(), ctx.default_precision)
-        log_ss = _separable_series(t_ss, h, "log", target)
-    return log_ss + _finite_log(nu)
-
-
 def alg_exp(x: AlgElement) -> AlgElement:
     """Exponential in a finite-dimensional commutative algebra.
 
     Domain: every eigen-scalar of x (root of its minimal polynomial) has
-    valuation >= e0.  Computed componentwise through the Jordan-Chevalley
-    split; on nilpotents the series is finite and exact.
+    valuation >= e0.  On nilpotents the series is finite and exact;
+    otherwise it is the power series on a lift of the algebra
+    (_orbit_series).
     """
     A = x.algebra
     ctx = A.ctx
@@ -973,9 +775,7 @@ def alg_exp(x: AlgElement) -> AlgElement:
         )
     if x.is_nilpotent():
         return _finite_exp(x)
-    if A.exact_structure:
-        return _eval_on_lift(x, _exp_connected, _exp_cap)
-    return _direct_series(x, "exp")
+    return _orbit_series(x, "exp")
 
 
 def alg_log(u: AlgElement) -> AlgElement:
@@ -993,9 +793,7 @@ def alg_log(u: AlgElement) -> AlgElement:
         )
     if t.is_nilpotent():
         return _finite_log(t)
-    if A.exact_structure:
-        return _eval_on_lift(u, _log_connected, _log_cap)
-    return _direct_series(t, "log")
+    return _orbit_series(t, "log")
 
 
 def exp_G(x: AlgElement) -> AlgElement:

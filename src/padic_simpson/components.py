@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgElement, FinAlgebra, Morphism
+from .algebra import AlgElement, FinAlgebra, Morphism, quotient_by_ideal
 from . import linalg
 from .errors import IntegralStructureFailure, PrecisionExhausted
 from .scalar import PadicScalar
@@ -373,7 +373,7 @@ def idempotents(A: FinAlgebra):
 def _primitive_idempotents(A: FinAlgebra):
     if A.dim == 1:
         return [A.unit()]
-    S, _, section = A._reduced
+    S, _, section = quotient_by_ideal(A, A._nilradical)
     if S.dim == 1:
         return [A.unit()]
     order = _saturate(_initial_order(S))

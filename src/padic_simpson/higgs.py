@@ -59,13 +59,15 @@ class HiggsModule:
             self.ctx.p == other.ctx.p
             and self.rank == other.rank
             and self.d == other.d
+            and len(self.theta) == len(other.theta)
             and all(a == b for a, b in zip(self.theta, other.theta))
         )
 
     __hash__ = None
 
     def agrees(self, other: "HiggsModule", prec: int) -> bool:
-        return all(a.agrees(b, prec) for a, b in zip(self.theta, other.theta))
+        return len(self.theta) == len(other.theta) and all(
+            a.agrees(b, prec) for a, b in zip(self.theta, other.theta))
 
     def is_trivial(self) -> bool:
         return all(t.is_zero_to_precision() for t in self.theta)
@@ -96,13 +98,15 @@ class SmallRep:
             self.ctx.p == other.ctx.p
             and self.rank == other.rank
             and self.d == other.d
+            and len(self.rho) == len(other.rho)
             and all(a == b for a, b in zip(self.rho, other.rho))
         )
 
     __hash__ = None
 
     def agrees(self, other: "SmallRep", prec: int) -> bool:
-        return all(a.agrees(b, prec) for a, b in zip(self.rho, other.rho))
+        return len(self.rho) == len(other.rho) and all(
+            a.agrees(b, prec) for a, b in zip(self.rho, other.rho))
 
     def is_trivial(self) -> bool:
         ident = PadicMatrix.identity(self.ctx, self.rank)

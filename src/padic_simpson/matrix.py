@@ -188,7 +188,9 @@ class PadicMatrix:
         return all(x.is_zero for row in self.entries for x in row)
 
     def agrees(self, other: "PadicMatrix", prec: int) -> bool:
-        """Entrywise equality mod p^prec."""
+        """Entrywise equality mod p^prec; False on a shape mismatch."""
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            return False
         return all(
             a.agrees(b, prec)
             for ra, rb in zip(self.entries, other.entries)

@@ -754,6 +754,46 @@ def test_cold_and_warm_algebras_agree(p):
                 assert ledger(z.coords) == ledger(cold_z.coords), (p, rel, coords)
 
 
+def explog_grid_digest(p, n):
+    """sha256 prefix of (v, u, prec, ctx) of every coordinate of exp(x),
+    log(exp(x)) and log(1 + x), three seeded x per relation, over split,
+    nilpotent, close-eigenvalue (x^2 - p^4), three-component and
+    non-split exact power-relation algebras.  On x^2 - p^4 three more x
+    have an x-coordinate of valuation -1, and so do exp(x) and u^-1: the
+    caps of exp and log bind there."""
+    ctx = PrimeContext(p, n)
+    rng = random.Random("explog-grid:%d:%d" % (p, n))
+    digest = hashlib.sha256()
+    for rel in ([0, 0], [0, 0, 0], [0, 1], [4, 0], [p ** 4, 0], [0, 1, 0], [1 + p, 0]):
+        A = FinAlgebra.from_power_relation(ctx, rel)
+        xs = [A.from_ints([p ** ctx.e0 * rng.randrange(p ** 6) for _ in rel]) for _ in range(3)]
+        if rel == [p ** 4, 0]:
+            # eigen-scalars a +- p^2 b of valuation >= e0, also for p = 2
+            xs += [A.element([PadicScalar.from_fraction(ctx, Fraction(c)) for c in
+                              (p * (p * rng.randrange(p ** 6) + 1),
+                               Fraction(p * rng.randrange(p ** 6) + 1, p))])
+                   for _ in range(3)]
+        for x in xs:
+            for y in (alg_exp(x), alg_log(alg_exp(x)), alg_log(A.unit() + x)):
+                digest.update(repr(ledger(y.coords)).encode())
+    return digest.hexdigest()[:16]
+
+
+# explog_grid_digest per (p, N), recorded with the Jordan-Chevalley route
+# that exact tensors took before they shared the orbit series
+EXPLOG_GRID = {
+    (2, 8): "170eec63ab95a4c1", (2, 12): "df8973c1d5d372c9", (2, 32): "9a82b6799d3c2a73",
+    (3, 8): "6ad7ef813de8d880", (3, 12): "2b1c5037fc287a08", (3, 32): "5cdd57982346b351",
+    (5, 8): "b9e316574b1ad735", (5, 12): "442ee660804c7594", (5, 32): "d59520d5cfc40310",
+    (7, 8): "00d6f27904a35180", (7, 12): "3c9b24c0e41d5200", (7, 32): "4be04af3e443565b",
+}
+
+
+@pytest.mark.parametrize("p, n", sorted(EXPLOG_GRID))
+def test_exact_explog_grid_pinned(p, n):
+    assert explog_grid_digest(p, n) == EXPLOG_GRID[p, n]
+
+
 def test_returned_lists_are_fresh():
     A = dual_numbers(C5)
     nilradical(A).clear()

@@ -5,6 +5,7 @@ reduced mod p^N for the series, extended Euclid via pow(-1) for inversion,
 and the x -> x^p iteration for Teichmuller lifts.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -21,6 +22,8 @@ from padic_simpson.errors import (
     PadicError,
     ZeroResidue,
 )
+from padic_simpson.generate import gen_higgs
+from padic_simpson.higgs import higgs_to_rep
 from padic_simpson.matrix import PadicMatrix
 from padic_simpson.scalar import (
     PadicScalar,
@@ -234,6 +237,25 @@ class TestAgrees:
         assert a.agrees(b, 10)
         assert not a.agrees(b, 20)
         assert not b.agrees(a, 20)
+
+    def test_shape_mismatch(self):
+        # an operand with fewer entries, coordinates or components is not a
+        # truncated copy that agrees on the ones it has
+        ident = PadicMatrix.identity(C5, 2)
+        corner = PadicMatrix.from_rows(C5, [[s(C5, 1)]])
+        assert not ident.agrees(corner, 10) and not corner.agrees(ident, 10)
+        A3 = FinAlgebra.from_power_relation(C5, [0, 0, 0])
+        A2 = FinAlgebra.from_power_relation(C5, [0, 0])
+        x3, x2 = A3.from_ints([1, 5, 7]), A2.from_ints([1, 5])
+        assert not x3 == x2 and not x2 == x3
+        assert not x3.agrees(x2, 10) and not x2.agrees(x3, 10)
+        H = gen_higgs(5, 2, 3, seed=1)
+        for a in (H, higgs_to_rep(H)):
+            field = "theta" if a is H else "rho"
+            cut = dataclasses.replace(a, **{field: getattr(a, field)[:1]})
+            assert a.agrees(a, 20)
+            assert not a.agrees(cut, 20) and not cut.agrees(a, 20)
+            assert not a == cut and not cut == a
 
 
 class TestExpLog:
