@@ -44,15 +44,6 @@ def floor_log(n: int, p: int) -> int:
     return k
 
 
-def exp_terms_needed(e0: int, p: int, prec: int) -> int:
-    """Least M with M*e0 - val_p(M!) >= prec; past it every term vanishes
-    mod p^prec."""
-    n = 1
-    while n * e0 - factorial_valuation(n, p) < prec:
-        n += 1
-    return n
-
-
 def log_terms_needed(v: int, p: int, prec: int) -> int:
     """Least M with M*v - floor(log_p M) >= prec."""
     n = 1
@@ -84,25 +75,46 @@ def _identity(n):
 
 def exp_matrix(t, p: int, e0: int, prec: int):
     """exp of a square integer matrix with all entries divisible by p^e0,
-    as residues mod p^prec.
+    as residues mod p^prec."""
+    return _factorial_series(t, p, e0, prec, 0)
 
-    Uses the common denominator M!: S = sum_{n<=M} t^n * (M!/n!) is an
-    integer matrix, exactly divisible by p^val(M!), and exp = S / M!.
+
+def expm1_quotient_matrix(t, p: int, e0: int, prec: int):
+    """The unit u with exp(t) - 1 = t*u, i.e. u = sum_{k>=0} t^k/(k+1)!,
+    for an integer matrix t with entries divisible by p^e0.
+
+    This is the matrix form of log(T+1)/T being a unit: u is congruent to
+    the identity mod p and commutes with t.
+    """
+    return _factorial_series(t, p, e0, prec, 1)
+
+
+def _factorial_series(t, p: int, e0: int, prec: int, s: int):
+    """sum_{k>=0} t^k/(k+s)! mod p^prec, for an integer matrix t with all
+    entries divisible by p^e0.
+
+    M is the least M >= 1 with M*e0 - val_p((M+s)!) >= prec; past it every
+    term vanishes mod p^prec.  With the common denominator (M+s)!,
+    S = sum_{k<=M} t^k * ((M+s)!/(k+s)!) is an integer matrix, exactly
+    divisible by p^val((M+s)!), and the sum is S / (M+s)!.
     """
     n = len(t)
-    m_terms = exp_terms_needed(e0, p, prec)
-    w = factorial_valuation(m_terms, p)
+    m_terms = 1
+    while m_terms * e0 - factorial_valuation(m_terms + s, p) < prec:
+        m_terms += 1
+    w = factorial_valuation(m_terms + s, p)
     mod = p ** (prec + w)
     fact = 1
-    for k in range(2, m_terms + 1):
+    for k in range(2, m_terms + s + 1):
         fact *= k
     tlift = [[x % mod for x in row] for row in t]
-    coef = fact  # M!/n! for the current n
+    coef = fact  # (M+s)!/(k+s)! once divided below
     power = _identity(n)
-    acc = [[coef if i == j else 0 for j in range(n)] for i in range(n)]
-    for step in range(1, m_terms + 1):
-        power = _mat_mul(power, tlift, mod)
-        coef //= step
+    acc = [[0] * n for _ in range(n)]
+    for k in range(m_terms + 1):
+        if k:
+            power = _mat_mul(power, tlift, mod)
+        coef //= max(k + s, 1)
         c = coef % mod
         for i in range(n):
             pi = power[i]
@@ -117,7 +129,7 @@ def exp_matrix(t, p: int, e0: int, prec: int):
         orow = []
         for x in row:
             if x % pw:
-                raise AssertionError("exp accumulator not divisible by p^val(M!)")
+                raise AssertionError("series accumulator not divisible by p^val((M+s)!)")
             orow.append(((x // pw) * funit_inv) % (p ** prec))
         out.append(orow)
     return out
@@ -155,50 +167,6 @@ def log_matrix(u, p: int, v_min: int, prec: int):
                     raise AssertionError("log term not divisible by p^val(n)")
                 ai[j] = (ai[j] + sign * (x // pk) * qinv) % mod
     return [[x % target for x in row] for row in acc]
-
-
-def expm1_quotient_matrix(t, p: int, e0: int, prec: int):
-    """The unit u with exp(t) - 1 = t*u, i.e. u = sum_{k>=0} t^k/(k+1)!,
-    for an integer matrix t with entries divisible by p^e0.
-
-    This is the matrix form of log(T+1)/T being a unit: u is congruent to
-    the identity mod p and commutes with t.
-    """
-    n = len(t)
-    m_terms = 1
-    while m_terms * e0 - factorial_valuation(m_terms + 1, p) < prec:
-        m_terms += 1
-    w = factorial_valuation(m_terms + 1, p)
-    mod = p ** (prec + w)
-    fact = 1
-    for k in range(2, m_terms + 2):
-        fact *= k
-    tlift = [[x % mod for x in row] for row in t]
-    coef = fact  # (M+1)!/(0+1)! after first division below
-    power = _identity(n)
-    acc = [[0] * n for _ in range(n)]
-    for k in range(0, m_terms + 1):
-        coef //= (k + 1)
-        c = coef % mod
-        for i in range(n):
-            pi = power[i]
-            ai = acc[i]
-            for j in range(n):
-                ai[j] = (ai[j] + c * pi[j]) % mod
-        if k < m_terms:
-            power = _mat_mul(power, tlift, mod)
-    pw = p ** w
-    funit = fact // pw
-    funit_inv = pow(funit, -1, p ** prec)
-    out = []
-    for row in acc:
-        orow = []
-        for x in row:
-            if x % pw:
-                raise AssertionError("series accumulator not divisible")
-            orow.append(((x // pw) * funit_inv) % (p ** prec))
-        out.append(orow)
-    return out
 
 
 def exp_residue(t: int, p: int, e0: int, prec: int) -> int:

@@ -428,7 +428,10 @@ def _combine(ctx, coords, lanes, size):
     """Entry t of the sum of coords[i] * lanes[i][t] over the nonzero
     coords[i], every lane entry counted, as summing the scalar products
     into zero markers of ctx leaves it (the ledger in the module
-    docstring); the lanes share one base valuation."""
+    docstring); the lanes share one base valuation.  coords and lanes
+    must have one length: an element of another algebra is refused."""
+    if len(coords) != len(lanes):
+        raise PadicError("elements of different algebras")
     p = ctx.p
     cap = ctx.default_precision
     precs = [cap] * size

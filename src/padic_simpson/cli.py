@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .generate import gen_higgs, gen_rep
-from .higgs import higgs_to_rep, rep_to_higgs, spectral_algebra, validate_higgs, validate_rep
+from .higgs import higgs_to_rep, rep_to_higgs, spectral_algebra
 from .koszul import compare_cohomology, group_cohomology, higgs_cohomology
 from .verify import SUITE_NAMES, VerifyConfig, run_verify
 
@@ -115,28 +115,20 @@ def _metadata(text, command, precision):
 
 
 def cmd_to_rep(args):
-    obj, text = io_json.load_instance(args.input)
-    H = io_json.higgs_from_json(obj, args.precision)
-    report = validate_higgs(H)
-    if not report.ok:
-        raise ValidationError(report)
-    V = higgs_to_rep(H)
-    out = io_json.rep_to_json(V, _metadata(text, "to-rep", H.ctx.default_precision))
-    io_json.write_instance(args.out, out)
-    print("wrote %s (rank %d, d %d, p %d)" % (args.out, V.rank, V.d, V.ctx.p))
-    return EXIT_OK
+    return _convert(args, "to-rep", io_json.higgs_from_json, higgs_to_rep, io_json.rep_to_json)
 
 
 def cmd_to_higgs(args):
+    return _convert(args, "to-higgs", io_json.rep_from_json, rep_to_higgs, io_json.higgs_to_json)
+
+
+def _convert(args, command, read, convert, write):
+    """Read one side, convert it (which validates it) and write the other."""
     obj, text = io_json.load_instance(args.input)
-    V = io_json.rep_from_json(obj, args.precision)
-    report = validate_rep(V)
-    if not report.ok:
-        raise ValidationError(report)
-    H = rep_to_higgs(V)
-    out = io_json.higgs_to_json(H, _metadata(text, "to-higgs", V.ctx.default_precision))
-    io_json.write_instance(args.out, out)
-    print("wrote %s (rank %d, d %d, p %d)" % (args.out, H.rank, H.d, H.ctx.p))
+    X = read(obj, args.precision)
+    Y = convert(X)
+    io_json.write_instance(args.out, write(Y, _metadata(text, command, X.ctx.default_precision)))
+    print("wrote %s (rank %d, d %d, p %d)" % (args.out, Y.rank, Y.d, Y.ctx.p))
     return EXIT_OK
 
 

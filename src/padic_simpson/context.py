@@ -59,8 +59,5 @@ class PrimeContext:
         """Internal working context with extra digits of headroom."""
         return PrimeContext(self.p, self.default_precision + max(0, extra))
 
-    def same_prime(self, other: "PrimeContext") -> bool:
-        return self.p == other.p
-
     def __repr__(self):
         return "PrimeContext(p=%d, N=%d)" % (self.p, self.default_precision)

@@ -34,83 +34,81 @@ from .matrix import PadicMatrix, mat_exp, mat_log
 from .scalar import PadicScalar
 
 
-@dataclass(frozen=True)
-class HiggsModule:
+class _Side:
+    """What both sides of the correspondence share: d commuting rank-n
+    matrices, held in the dataclass field named by `matrix_field`, whose
+    Koszul operators are small.  A side supplies its kind, that field and
+    its operators (theta_i, or rho_i - 1)."""
+
+    kind = matrix_field = empty_message = None
+
+    @classmethod
+    def create(cls, ctx, matrices):
+        mats = tuple(matrices)
+        if not mats:
+            raise PadicError(cls.empty_message)
+        return cls(ctx, mats[0].nrows, len(mats), mats)
+
+    @property
+    def matrices(self) -> tuple:
+        return getattr(self, self.matrix_field)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (
+            self.ctx.p == other.ctx.p
+            and self.rank == other.rank
+            and self.d == other.d
+            and len(self.matrices) == len(other.matrices)
+            and all(a == b for a, b in zip(self.matrices, other.matrices))
+        )
+
+    __hash__ = None
+
+    def agrees(self, other, prec: int) -> bool:
+        return (isinstance(other, type(self)) and len(self.matrices) == len(other.matrices)
+                and all(a.agrees(b, prec) for a, b in zip(self.matrices, other.matrices)))
+
+    def is_trivial(self) -> bool:
+        return all(t.is_zero_to_precision() for t in self.operators())
+
+
+@dataclass(frozen=True, eq=False)
+class HiggsModule(_Side):
     ctx: PrimeContext
     rank: int
     d: int
     theta: tuple  # d matrices of PadicScalar
 
-    @staticmethod
-    def create(ctx, theta_matrices) -> "HiggsModule":
-        mats = tuple(theta_matrices)
-        if not mats:
-            raise PadicError("a Higgs module needs at least one component")
-        return HiggsModule(ctx, mats[0].nrows, len(mats), mats)
+    kind, matrix_field = "higgs", "theta"
+    empty_message = "a Higgs module needs at least one component"
 
     @staticmethod
     def trivial(ctx, d, rank=1) -> "HiggsModule":
         return HiggsModule.create(ctx, [PadicMatrix.zeros(ctx, rank) for _ in range(d)])
 
-    def __eq__(self, other):
-        if not isinstance(other, HiggsModule):
-            return NotImplemented
-        return (
-            self.ctx.p == other.ctx.p
-            and self.rank == other.rank
-            and self.d == other.d
-            and len(self.theta) == len(other.theta)
-            and all(a == b for a, b in zip(self.theta, other.theta))
-        )
-
-    __hash__ = None
-
-    def agrees(self, other: "HiggsModule", prec: int) -> bool:
-        return len(self.theta) == len(other.theta) and all(
-            a.agrees(b, prec) for a, b in zip(self.theta, other.theta))
-
-    def is_trivial(self) -> bool:
-        return all(t.is_zero_to_precision() for t in self.theta)
+    def operators(self) -> tuple:
+        return self.theta
 
 
-@dataclass(frozen=True)
-class SmallRep:
+@dataclass(frozen=True, eq=False)
+class SmallRep(_Side):
     ctx: PrimeContext
     rank: int
     d: int
     rho: tuple
 
-    @staticmethod
-    def create(ctx, rho_matrices) -> "SmallRep":
-        mats = tuple(rho_matrices)
-        if not mats:
-            raise PadicError("a representation needs at least one generator image")
-        return SmallRep(ctx, mats[0].nrows, len(mats), mats)
+    kind, matrix_field = "rep", "rho"
+    empty_message = "a representation needs at least one generator image"
 
     @staticmethod
     def trivial(ctx, d, rank=1) -> "SmallRep":
         return SmallRep.create(ctx, [PadicMatrix.identity(ctx, rank) for _ in range(d)])
 
-    def __eq__(self, other):
-        if not isinstance(other, SmallRep):
-            return NotImplemented
-        return (
-            self.ctx.p == other.ctx.p
-            and self.rank == other.rank
-            and self.d == other.d
-            and len(self.rho) == len(other.rho)
-            and all(a == b for a, b in zip(self.rho, other.rho))
-        )
-
-    __hash__ = None
-
-    def agrees(self, other: "SmallRep", prec: int) -> bool:
-        return len(self.rho) == len(other.rho) and all(
-            a.agrees(b, prec) for a, b in zip(self.rho, other.rho))
-
-    def is_trivial(self) -> bool:
+    def operators(self) -> list:
         ident = PadicMatrix.identity(self.ctx, self.rank)
-        return all((r - ident).is_zero_to_precision() for r in self.rho)
+        return [r - ident for r in self.rho]
 
 
 # -- validation ----------------------------------------------------------------
@@ -141,46 +139,37 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_higgs(H: HiggsModule) -> ValidationReport:
-    """Commutation (theta wedge theta = 0 componentwise) and smallness
-    (every entry of every component at valuation >= e0)."""
-    report = ValidationReport("higgs")
-    e0 = H.ctx.e0
-    for i in range(H.d):
-        for j in range(i + 1, H.d):
-            comm = H.theta[i] @ H.theta[j] - H.theta[j] @ H.theta[i]
+def _validate(X) -> ValidationReport:
+    """Commutation of the matrices and smallness of the operators (every
+    entry at valuation >= e0)."""
+    report = ValidationReport(X.kind)
+    e0 = X.ctx.e0
+    mats = X.matrices
+    for i in range(X.d):
+        for j in range(i + 1, X.d):
+            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
             if not comm.is_zero_to_precision():
                 report.commutation.append((i, j, comm.min_valuation()))
-    for i, t in enumerate(H.theta):
-        for r in range(H.rank):
-            for c in range(H.rank):
-                x = t[r, c]
+    for i, op in enumerate(X.operators()):
+        for r in range(X.rank):
+            for c in range(X.rank):
+                x = op[r, c]
                 if not x.is_zero and x.v < e0:
                     report.smallness.append((i, r, c, x.v))
     return report
+
+
+def validate_higgs(H: HiggsModule) -> ValidationReport:
+    """theta wedge theta = 0 componentwise, and theta = 0 mod p^e0."""
+    return _validate(H)
 
 
 def validate_rep(V: SmallRep) -> ValidationReport:
-    """Commutation of the generator images and congruence to 1 mod p^e0."""
-    report = ValidationReport("rep")
-    e0 = V.ctx.e0
-    ident = PadicMatrix.identity(V.ctx, V.rank)
-    for i in range(V.d):
-        for j in range(i + 1, V.d):
-            comm = V.rho[i] @ V.rho[j] - V.rho[j] @ V.rho[i]
-            if not comm.is_zero_to_precision():
-                report.commutation.append((i, j, comm.min_valuation()))
-    for i, rho in enumerate(V.rho):
-        diff = rho - ident
-        for r in range(V.rank):
-            for c in range(V.rank):
-                x = diff[r, c]
-                if not x.is_zero and x.v < e0:
-                    report.smallness.append((i, r, c, x.v))
-    return report
+    """Commuting generator images congruent to 1 mod p^e0."""
+    return _validate(V)
 
 
-def _require_valid(report: ValidationReport):
+def require_valid(report: ValidationReport):
     if not report.ok:
         raise ValidationError(report)
 
@@ -192,7 +181,7 @@ def higgs_to_rep(H: HiggsModule) -> SmallRep:
     """rho_i = exp(theta_i): the action of the i-th generator of Z_p^d on
     the trivialised module over the perfectoid cover; exact when theta_i is
     nilpotent."""
-    _require_valid(validate_higgs(H))
+    require_valid(validate_higgs(H))
     return SmallRep.create(H.ctx, [mat_exp(t) for t in H.theta])
 
 
@@ -201,7 +190,7 @@ def rep_to_higgs(V: SmallRep) -> HiggsModule:
     representation.  theta is zero exactly when the representation is
     trivial: matrices congruent to 1 mod p^e0 generate a torsion-free
     group, so log vanishes only at the identity."""
-    _require_valid(validate_rep(V))
+    require_valid(validate_rep(V))
     return HiggsModule.create(V.ctx, [mat_log(r) for r in V.rho])
 
 
@@ -209,7 +198,7 @@ def evaluate_rep(V: SmallRep, exponents) -> PadicMatrix:
     """The action of gamma_1^(a_1) ... gamma_d^(a_d) for p-adic integer
     exponents a, as exp(sum a_i log rho_i); for integer exponents this is
     the literal power product (continuity of the Z_p^d-action)."""
-    _require_valid(validate_rep(V))
+    require_valid(validate_rep(V))
     if len(exponents) != V.d:
         raise DimensionMismatch("need %d exponents, got %d" % (V.d, len(exponents)))
     acc = None
@@ -248,7 +237,7 @@ def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:
     """Close {1, theta_1..theta_d} under products by iterating
     multiply-and-span until stable; the result is the image of the
     symmetric algebra on the dual differentials inside End(E)."""
-    _require_valid(validate_higgs(H))
+    require_valid(validate_higgs(H))
     ctx = H.ctx
     n = H.rank
     basis = [PadicMatrix.identity(ctx, n)]
@@ -386,12 +375,8 @@ def _check_pair(a, b):
 def direct_sum(a, b):
     """Block-diagonal sum, on either side of the correspondence."""
     _check_pair(a, b)
-    if isinstance(a, HiggsModule):
-        return HiggsModule.create(
-            a.ctx, [PadicMatrix.block_diag(x, y) for x, y in zip(a.theta, b.theta)]
-        )
-    return SmallRep.create(
-        a.ctx, [PadicMatrix.block_diag(x, y) for x, y in zip(a.rho, b.rho)]
+    return type(a).create(
+        a.ctx, [PadicMatrix.block_diag(x, y) for x, y in zip(a.matrices, b.matrices)]
     )
 
 

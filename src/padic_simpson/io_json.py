@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .algebra import FinAlgebra, Morphism
+from .algebra import FinAlgebra
 from .context import PrimeContext
 from .errors import PadicError, ParseError
 from .higgs import HiggsModule, SmallRep
@@ -30,15 +30,16 @@ def file_hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _scalar_str(x: PadicScalar) -> str:
-    return x.to_string()
-
-
 def _matrix_grid(m: PadicMatrix):
-    return [[_scalar_str(x) for x in row] for row in m.entries]
+    return [[x.to_string() for x in row] for row in m.entries]
 
 
-def _parse_matrix(ctx, grid, what):
+def _parse_matrix(ctx, grid, what, n):
+    """The n x n matrix of scalar strings `grid`; anything else is a
+    ParseError naming `what`."""
+    if not (isinstance(grid, list) and len(grid) == n
+            and all(isinstance(row, list) and len(row) == n for row in grid)):
+        raise ParseError("%s is not a %d x %d matrix" % (what, n, n))
     try:
         return PadicMatrix.from_rows(
             ctx, [[PadicScalar.parse(ctx, s) for s in row] for row in grid]
@@ -47,11 +48,15 @@ def _parse_matrix(ctx, grid, what):
         raise ParseError("bad scalar in %s: %s" % (what, exc))
 
 
-def _context_from(obj) -> PrimeContext:
+def _context_from(obj, precision=None) -> PrimeContext:
+    """The file's context; `precision` overrides its working precision."""
     try:
-        return PrimeContext(int(obj["p"]), int(obj["precision"]))
+        return PrimeContext(int(obj["p"]),
+                            int(obj["precision"] if precision is None else precision))
     except KeyError as exc:
         raise ParseError("missing field %s" % exc)
+    except (ValueError, TypeError) as exc:
+        raise ParseError("bad p or precision: %s" % exc)
 
 
 def _base_header(kind, ctx, metadata):
@@ -75,110 +80,100 @@ def _check_header(obj, kind):
         raise ParseError("expected a %r file, found %r" % (kind, obj.get("kind")))
 
 
-def higgs_to_json(H: HiggsModule, metadata=None):
-    out = _base_header("higgs", H.ctx, metadata)
-    out["d"] = H.d
-    out["rank"] = H.rank
-    out["theta"] = [_matrix_grid(t) for t in H.theta]
+def _side_to_json(X, metadata):
+    out = _base_header(X.kind, X.ctx, metadata)
+    out["d"] = X.d
+    out["rank"] = X.rank
+    out[X.matrix_field] = [_matrix_grid(m) for m in X.matrices]
     return out
+
+
+def _side_from_json(cls, obj, precision, noun):
+    """A Higgs module or representation from its file; every matrix must
+    be square of one size, and d and rank must match the declared ones."""
+    _check_header(obj, cls.kind)
+    ctx = _context_from(obj, precision)
+    field = cls.matrix_field
+    grids = obj.get(field)
+    if not isinstance(grids, list):
+        raise ParseError("missing or malformed field %r" % field)
+    n = len(grids[0]) if grids and isinstance(grids[0], list) else 0
+    X = cls.create(ctx, [_parse_matrix(ctx, g, "%s[%d]" % (field, i), n)
+                         for i, g in enumerate(grids)])
+    if X.d != obj.get("d") or X.rank != obj.get("rank"):
+        raise ParseError("declared d/rank disagree with the %s matrices" % noun)
+    return X
+
+
+def higgs_to_json(H: HiggsModule, metadata=None):
+    return _side_to_json(H, metadata)
 
 
 def higgs_from_json(obj, precision=None) -> HiggsModule:
-    _check_header(obj, "higgs")
-    ctx = _context_from(obj if precision is None else {**obj, "precision": precision})
-    theta = [_parse_matrix(ctx, g, "theta[%d]" % i) for i, g in enumerate(obj["theta"])]
-    H = HiggsModule.create(ctx, theta)
-    if H.d != obj.get("d") or H.rank != obj.get("rank"):
-        raise ParseError("declared d/rank disagree with the component matrices")
-    return H
+    return _side_from_json(HiggsModule, obj, precision, "component")
 
 
 def rep_to_json(V: SmallRep, metadata=None):
-    out = _base_header("rep", V.ctx, metadata)
-    out["d"] = V.d
-    out["rank"] = V.rank
-    out["rho"] = [_matrix_grid(r) for r in V.rho]
-    return out
+    return _side_to_json(V, metadata)
 
 
 def rep_from_json(obj, precision=None) -> SmallRep:
-    _check_header(obj, "rep")
-    ctx = _context_from(obj if precision is None else {**obj, "precision": precision})
-    rho = [_parse_matrix(ctx, g, "rho[%d]" % i) for i, g in enumerate(obj["rho"])]
-    V = SmallRep.create(ctx, rho)
-    if V.d != obj.get("d") or V.rank != obj.get("rank"):
-        raise ParseError("declared d/rank disagree with the generator matrices")
-    return V
+    return _side_from_json(SmallRep, obj, precision, "generator")
 
 
-def algebra_to_json(A: FinAlgebra, metadata=None):
-    out = _base_header("algebra", A.ctx, metadata)
-    out["dim"] = A.dim
-    out["mul"] = [
-        [[_scalar_str(c) for c in A.mul[i][j]] for j in range(A.dim)] for i in range(A.dim)
-    ]
-    out["one"] = [_scalar_str(c) for c in A.one]
-    return out
+def _tensor_to_json(A: FinAlgebra):
+    return {
+        "dim": A.dim,
+        "mul": [[[c.to_string() for c in A.mul[i][j]] for j in range(A.dim)]
+                for i in range(A.dim)],
+        "one": [c.to_string() for c in A.one],
+    }
 
 
-def algebra_from_json(obj, precision=None) -> FinAlgebra:
-    _check_header(obj, "algebra")
-    ctx = _context_from(obj if precision is None else {**obj, "precision": precision})
+def _tensor_from_json(ctx, obj, what) -> FinAlgebra:
+    """FinAlgebra.create on the "mul" and "one" of obj; a missing field or
+    a bad scalar is a ParseError naming `what`, while a tensor that is not
+    an algebra raises what FinAlgebra.create raises."""
     try:
         mul = [
             [[PadicScalar.parse(ctx, s) for s in row] for row in plane]
             for plane in obj["mul"]
         ]
         one = [PadicScalar.parse(ctx, s) for s in obj["one"]]
-    except (ValueError, TypeError, PadicError) as exc:
-        raise ParseError("bad scalar in algebra: %s" % exc)
+    except (KeyError, ValueError, TypeError, PadicError) as exc:
+        raise ParseError("bad %s: %s" % (what, exc))
     return FinAlgebra.create(ctx, mul, one)
+
+
+def algebra_to_json(A: FinAlgebra, metadata=None):
+    out = _base_header("algebra", A.ctx, metadata)
+    out.update(_tensor_to_json(A))
+    return out
+
+
+def algebra_from_json(obj, precision=None) -> FinAlgebra:
+    _check_header(obj, "algebra")
+    return _tensor_from_json(_context_from(obj, precision), obj, "scalar in algebra")
 
 
 def twist_to_json(B: FinAlgebra, tau, units=None, metadata=None):
     out = _base_header("twist", B.ctx, metadata)
-    out["algebra"] = {
-        "dim": B.dim,
-        "mul": [[[_scalar_str(c) for c in B.mul[i][j]] for j in range(B.dim)] for i in range(B.dim)],
-        "one": [_scalar_str(c) for c in B.one],
-    }
-    out["tau"] = [[_scalar_str(c) for c in t.coords] for t in tau]
+    out["algebra"] = _tensor_to_json(B)
+    out["tau"] = [[c.to_string() for c in t.coords] for t in tau]
     if units is not None:
-        out["units"] = [[_scalar_str(c) for c in u.coords] for u in units]
+        out["units"] = [[c.to_string() for c in u.coords] for u in units]
     return out
 
 
 def twist_from_json(obj, precision=None):
     _check_header(obj, "twist")
-    ctx = _context_from(obj if precision is None else {**obj, "precision": precision})
-    alg = obj["algebra"]
+    ctx = _context_from(obj, precision)
+    B = _tensor_from_json(ctx, obj.get("algebra", {}), "twist payload")
     try:
-        mul = [
-            [[PadicScalar.parse(ctx, s) for s in row] for row in plane]
-            for plane in alg["mul"]
-        ]
-        one = [PadicScalar.parse(ctx, s) for s in alg["one"]]
-        B = FinAlgebra.create(ctx, mul, one)
         tau = [B.element([PadicScalar.parse(ctx, s) for s in t]) for t in obj["tau"]]
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, PadicError) as exc:
         raise ParseError("bad twist payload: %s" % exc)
     return B, tau
-
-
-def morphism_to_json(f: Morphism):
-    """Matrix of scalar strings: row i = coordinates of the image of the
-    i-th source basis vector."""
-    return [[_scalar_str(c) for c in img.coords] for img in f.images]
-
-
-def morphism_from_json(source: FinAlgebra, target: FinAlgebra, rows) -> Morphism:
-    try:
-        images = [
-            target.element([PadicScalar.parse(target.ctx, s) for s in row]) for row in rows
-        ]
-    except (ValueError, TypeError) as exc:
-        raise ParseError("bad scalar in morphism: %s" % exc)
-    return Morphism.create(source, target, images)
 
 
 def load_instance(path: str):

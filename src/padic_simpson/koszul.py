@@ -26,10 +26,9 @@ from .errors import (
     NotAUnit,
     PadicError,
     PrecisionExhausted,
-    ValidationError,
 )
-from .higgs import HiggsModule, SmallRep, higgs_to_rep, validate_higgs, validate_rep
-from .matrix import PadicMatrix, expm1_quotient, mat_exp
+from .higgs import HiggsModule, SmallRep, higgs_to_rep, require_valid, validate_higgs, validate_rep
+from .matrix import PadicMatrix, expm1_quotient
 from .scalar import PadicScalar
 
 
@@ -138,30 +137,25 @@ class KoszulComplex:
 
 
 def higgs_cohomology(H: HiggsModule, min_margin=DEFAULT_SLACK) -> CohomologyReport:
-    """Dolbeault cohomology: the Koszul complex of the Higgs components.
-    Degree 0 and d are cross-checked against the direct kernel/cokernel
-    computations."""
-    report = validate_higgs(H)
-    if not report.ok:
-        raise ValidationError(report)
-    kos = KoszulComplex(H.theta)
-    h, margins = kos.cohomology(min_margin)
-    _check_ends(H.theta, H.rank, h, min_margin)
-    return CohomologyReport(tuple(h), tuple(margins), "higgs", tuple(kos.term_dims))
+    """Dolbeault cohomology: the Koszul complex of the Higgs components."""
+    return _cohomology(H, validate_higgs(H), "higgs", min_margin)
 
 
 def group_cohomology(V: SmallRep, min_margin=DEFAULT_SLACK) -> CohomologyReport:
     """Continuous cohomology of Z_p^d with coefficients in the small
     representation, via the Koszul complex of the rho_i - 1."""
-    report = validate_rep(V)
-    if not report.ok:
-        raise ValidationError(report)
-    ident = PadicMatrix.identity(V.ctx, V.rank)
-    ops = [r - ident for r in V.rho]
+    return _cohomology(V, validate_rep(V), "group", min_margin)
+
+
+def _cohomology(X, report, side, min_margin) -> CohomologyReport:
+    """The Koszul cohomology of a validated side's operators; degree 0 and
+    d are cross-checked against the direct kernel/cokernel computations."""
+    require_valid(report)
+    ops = X.operators()
     kos = KoszulComplex(ops)
     h, margins = kos.cohomology(min_margin)
-    _check_ends(ops, V.rank, h, min_margin)
-    return CohomologyReport(tuple(h), tuple(margins), "group", tuple(kos.term_dims))
+    _check_ends(ops, X.rank, h, min_margin)
+    return CohomologyReport(tuple(h), tuple(margins), side, tuple(kos.term_dims))
 
 
 def _check_ends(ops, n, h, min_margin):
@@ -200,12 +194,12 @@ def compare_cohomology(H: HiggsModule, min_margin=DEFAULT_SLACK) -> ComparisonOu
     reports when any degree disagrees; this must never happen on valid
     input."""
     hig = higgs_cohomology(H, min_margin)
-    grp = group_cohomology(higgs_to_rep(H), min_margin)
+    V = higgs_to_rep(H)
+    grp = group_cohomology(V, min_margin)
     witness = True
     prec = H.ctx.default_precision - DEFAULT_SLACK
-    for i, t in enumerate(H.theta):
+    for t, lhs in zip(H.theta, V.operators()):
         u = expm1_quotient(t)
-        lhs = mat_exp(t) - PadicMatrix.identity(H.ctx, H.rank)
         if not lhs.agrees(t @ u, prec):
             witness = False
         diff = u - PadicMatrix.identity(H.ctx, H.rank)

@@ -52,14 +52,6 @@ class PadicScalar:
         """Zero to precision: every known digit vanishes."""
         return self.v is None
 
-    @property
-    def is_integral(self) -> bool:
-        return self.v is None or self.v >= 0
-
-    @property
-    def is_unit(self) -> bool:
-        return self.v == 0
-
     # -- construction ----------------------------------------------------
 
     @staticmethod
@@ -153,14 +145,6 @@ class PadicScalar:
         if self.is_zero or self.v >= prec:
             return PadicScalar(self.ctx, None, 0, prec)
         return PadicScalar(self.ctx, self.v, self.u % self.ctx.p ** (prec - self.v), prec)
-
-    def with_context(self, ctx: PrimeContext) -> "PadicScalar":
-        """Re-home to a context with the same prime (used by the widened
-        internal kernels)."""
-        if ctx.p != self.ctx.p:
-            raise ContextMismatch("cannot move a %d-adic value to p=%d" % (self.ctx.p, ctx.p))
-        s = self.reduce(min(self.prec, ctx.default_precision))
-        return PadicScalar(ctx, s.v, s.u, s.prec)
 
     # -- arithmetic ------------------------------------------------------
 

@@ -21,6 +21,7 @@ from .errors import (
 from .generate import gen_commuting_units, gen_higgs
 from .higgs import (
     HiggsModule,
+    SmallRep,
     direct_sum,
     dual,
     higgs_to_rep,
@@ -143,18 +144,14 @@ def suite_roundtrip(cfg: VerifyConfig, fixture=None) -> SuiteResult:
 def _roundtrip_one(obj, prec):
     """Round-trip a single instance (Higgs or representation); raises on a
     validation or tolerance failure."""
-    from .higgs import SmallRep
-
     if isinstance(obj, HiggsModule):
-        V = higgs_to_rep(obj)
-        if not rep_to_higgs(V).agrees(obj, prec):
-            raise PadicError("fixture round-trip disagreement beyond the tolerance")
+        there, back = higgs_to_rep, rep_to_higgs
     elif isinstance(obj, SmallRep):
-        H = rep_to_higgs(obj)
-        if not higgs_to_rep(H).agrees(obj, prec):
-            raise PadicError("fixture round-trip disagreement beyond the tolerance")
+        there, back = rep_to_higgs, higgs_to_rep
     else:
         raise PadicError("fixture kind not usable in the roundtrip suite")
+    if not back(there(obj)).agrees(obj, prec):
+        raise PadicError("fixture round-trip disagreement beyond the tolerance")
 
 
 def suite_cohomology(cfg: VerifyConfig) -> SuiteResult:

@@ -575,6 +575,18 @@ class TestMorphism:
         assert len(kern) == 1
         assert f.apply(kern[0]).is_zero_to_precision()
 
+    def test_element_of_another_algebra_refused(self):
+        # an element of K[x]/(x^3) is not read as a prefix of its coordinates
+        A = dual_numbers(C5)
+        K = FinAlgebra.field(C5)
+        f = Morphism.create(A, K, [K.unit(), K.zero()])
+        x = FinAlgebra.from_power_relation(C5, [0, 0, 0]).from_ints([1, 5, 7])
+        with pytest.raises(PadicError, match="elements of different algebras"):
+            f.apply(x)
+        for y in (x, K.unit()):  # longer and shorter than A's dimension
+            with pytest.raises(PadicError, match="elements of different algebras"):
+                A.mult_operator(y)
+
 
 # -- integer kernels against the scalar folds they replace -----------------
 

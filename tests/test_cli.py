@@ -1,15 +1,18 @@
 """lab-cli: instance files, conversions, cohomology commands, generation,
 verify; the exit-code contract and determinism guarantees."""
 
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from padic_simpson import io_json
 from padic_simpson.cli import main
 from padic_simpson.context import PrimeContext
 from padic_simpson.generate import gen_higgs
-from padic_simpson.higgs import HiggsModule
+from padic_simpson.higgs import HiggsModule, SmallRep
 from padic_simpson.matrix import PadicMatrix
 
 
@@ -118,6 +121,23 @@ class TestConversions:
         write_higgs(path, bad)
         assert run_cli("to-rep", str(path), "--out", str(out)) == 2
 
+
+@pytest.mark.parametrize("kind", ["higgs", "rep"])
+@pytest.mark.parametrize("rank, matrices", [
+    (1, None),  # no matrix field
+    (2, [[["5", "0"], ["0"]]]),  # ragged row
+    (1, [[["5", "0"]]]),  # not rank x rank
+], ids=["missing", "ragged", "not-square"])
+def test_malformed_instance_exit_2(tmp_path, capsys, kind, rank, matrices):
+    field, command = {"higgs": ("theta", "to-rep"), "rep": ("rho", "to-higgs")}[kind]
+    obj = {"format": 1, "kind": kind, "p": 5, "precision": 32, "d": 1, "rank": rank}
+    if matrices is not None:
+        obj[field] = matrices
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli(command, str(path), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("invalid input: ")
+    assert not out.exists()
 
 class TestCohomologyCommands:
     def test_trivial_shape(self, tmp_path, capsys):
@@ -296,3 +316,66 @@ class TestEntryPoint:
         assert run_cli("gen", "--p", "5", "--d", "1", "--rank", "2", "--seed", "0",
                        "--out", str(here)) == 0
         assert out.read_bytes() == here.read_bytes()
+
+
+# -- pinned CLI output ---------------------------------------------------------
+
+
+def cli_output_digests(monkeypatch, capsys, tmp_path):
+    """sha256 prefix, per command, of what the CLI writes on a fixed grid:
+    gen higgs files at p in {2, 3, 5, 7} and d in {1, 2, 3}, with ranks and
+    densities cycling, pushed through to-rep, to-higgs (on the written rep
+    file), spectral, cohomology (on both files) and compare; to-rep and
+    to-higgs run once more with --precision 20.  Each transcript
+    entry is the exit code, stdout, stderr and the bytes of any written file.
+    'invalid' covers to-rep on a non-commuting higgs file and to-higgs on a
+    rep file not congruent to 1."""
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+
+    def run(key, *argv, out=None):
+        code = run_cli(*argv)
+        cap = capsys.readouterr()
+        blob = repr((argv, code, cap.out, cap.err)).encode()
+        if out is not None and (tmp_path / out).exists():
+            blob += (tmp_path / out).read_bytes()
+        digests.setdefault(key, hashlib.sha256()).update(blob)
+
+    ranks, densities = (1, 2, 3), ("0.0", "0.6", "0.85")
+    idx = 0
+    for p in (2, 3, 5, 7):
+        for d in (1, 2, 3):
+            h, v, hb, s, v20, h20 = ("%s%d.json" % (x, idx)
+                                     for x in ("h", "v", "hb", "s", "v20_", "h20_"))
+            run("gen", "gen", "--p", str(p), "--d", str(d),
+                "--rank", str(ranks[(idx + idx // 3) % 3]),
+                "--density", densities[(idx // 2) % 3], "--seed", str(idx), "--out", h, out=h)
+            run("to-rep", "to-rep", h, "--out", v, out=v)
+            run("to-rep", "to-rep", h, "--precision", "20", "--out", v20, out=v20)
+            run("to-higgs", "to-higgs", v, "--out", hb, out=hb)
+            run("to-higgs", "to-higgs", v, "--precision", "20", "--out", h20, out=h20)
+            run("spectral", "spectral", h, "--out", s, out=s)
+            run("cohomology", "cohomology", h)
+            run("cohomology", "cohomology", v)
+            run("compare", "compare", h)
+            idx += 1
+    bad_h = HiggsModule.create(C5, [PadicMatrix.from_ints(C5, [[0, 5], [0, 0]]),
+                                    PadicMatrix.from_ints(C5, [[0, 0], [5, 0]])])
+    write_higgs(tmp_path / "bad_h.json", bad_h)
+    run("invalid", "to-rep", "bad_h.json", "--out", "bad_v_out.json")
+    bad_v = SmallRep.create(C5, [PadicMatrix.from_ints(C5, [[2, 0], [0, 1]])])
+    io_json.write_instance(str(tmp_path / "bad_v.json"), io_json.rep_to_json(bad_v))
+    run("invalid", "to-higgs", "bad_v.json", "--out", "bad_h_out.json")
+    return {k: v.hexdigest()[:16] for k, v in digests.items()}
+
+
+# cli_output_digests, recorded before the two sides shared their code paths
+CLI_OUTPUT = {
+    "gen": "046912b6ac3bee94", "to-rep": "782584e1cb4f129d", "to-higgs": "20129baf068070aa",
+    "spectral": "4f9ed0947c68e2fa", "cohomology": "b2eb0eebab0b5e76",
+    "compare": "26243386d8a50a3b", "invalid": "d43a0173dd1494ba",
+}
+
+
+def test_cli_output_pinned(monkeypatch, capsys, tmp_path):
+    assert cli_output_digests(monkeypatch, capsys, tmp_path) == CLI_OUTPUT

@@ -5,6 +5,7 @@ fixtures have exact rational entries).  Matrix exp oracle: exact Fraction
 series summed past the truncation bound, then reduced mod p^N.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from padic_simpson.context import PrimeContext
 from padic_simpson.errors import OutsideExpDomain, OutsideLogDomain, PrecisionExhausted
-from padic_simpson import linalg
+from padic_simpson import _series, linalg
 from padic_simpson.matrix import PadicMatrix, expm1_quotient, mat_exp, mat_log
 from padic_simpson.scalar import PadicScalar
 
@@ -195,6 +196,39 @@ class TestMatExpLog:
             # u = 1 mod p, hence a unit
             diff = u - PadicMatrix.identity(ctx, 2)
             assert diff.min_valuation() is None or diff.min_valuation() >= 1
+
+
+def series_kernel_digest(p):
+    """sha256 prefix of the residues exp_matrix and expm1_quotient_matrix
+    return on seeded integer matrices with entries divisible by p^e0:
+    N in {8, 13, 20, 40}, sizes 1-5, three dense matrices, one with entries
+    of valuation >= e0 + 2, one strictly upper triangular (nilpotent) and
+    the zero matrix per (N, size)."""
+    e0 = 1 if p > 2 else 2
+    rng = random.Random("series-kernels:%d" % p)
+    digest = hashlib.sha256()
+    for prec in (8, 13, 20, 40):
+        for n in range(1, 6):
+            def draw(scale, keep=lambda i, j: True):
+                return [[scale * rng.randrange(p ** prec) if keep(i, j) else 0
+                         for j in range(n)] for i in range(n)]
+            mats = [draw(p ** e0) for _ in range(3)]
+            mats += [draw(p ** (e0 + 2)), draw(p ** e0, lambda i, j: i < j), draw(0)]
+            for t in mats:
+                digest.update(repr(_series.exp_matrix(t, p, e0, prec)).encode())
+                digest.update(repr(_series.expm1_quotient_matrix(t, p, e0, prec)).encode())
+    return digest.hexdigest()[:16]
+
+
+# series_kernel_digest per p, recorded when exp and the expm1 quotient had
+# separate kernels
+SERIES_KERNELS = {2: "718a1dbbd1a31586", 3: "5b27315e7283eec9", 5: "912cc26ade50768a",
+                  7: "c6a187eac76a74e6"}
+
+
+@pytest.mark.parametrize("p", sorted(SERIES_KERNELS))
+def test_series_kernels_pinned(p):
+    assert series_kernel_digest(p) == SERIES_KERNELS[p]
 
 
 def fold_matmul(a: PadicMatrix, b: PadicMatrix) -> PadicMatrix:

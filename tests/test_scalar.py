@@ -23,7 +23,7 @@ from padic_simpson.errors import (
     ZeroResidue,
 )
 from padic_simpson.generate import gen_higgs
-from padic_simpson.higgs import higgs_to_rep
+from padic_simpson.higgs import HiggsModule, SmallRep, higgs_to_rep
 from padic_simpson.matrix import PadicMatrix
 from padic_simpson.scalar import (
     PadicScalar,
@@ -256,6 +256,9 @@ class TestAgrees:
             assert a.agrees(a, 20)
             assert not a.agrees(cut, 20) and not cut.agrees(a, 20)
             assert not a == cut and not cut == a
+        # the two sides never agree, even where theta and rho coincide
+        zero = HiggsModule.trivial(C5, 1)
+        assert not zero.agrees(SmallRep.create(C5, zero.theta), 20)
 
 
 class TestExpLog:
