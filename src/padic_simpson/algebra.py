@@ -58,7 +58,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .matrix import PadicMatrix, _Lane, _least_valuation, _scaled_residue
-from .scalar import PadicScalar, big_exp
+from .scalar import PadicScalar, big_exp, sub_mul_row
 
 MAX_DIM = 64  # soft limit; keeps the m^5 validation desk-scale
 _FULL_CHECK_DIM = 12
@@ -514,7 +514,7 @@ def quotient_by_ideal(A: FinAlgebra, ideal_basis):
             pr = red_rows[j]
             pivval = pr[j]
             f = cj / pivval
-            work = [x - f * y for x, y in zip(work, pr)]
+            work = sub_mul_row(work, f, pr)
         return [work[j] for j in free_cols]
 
     reps = [A.basis_element(j) for j in free_cols]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .algebra import AlgElement, FinAlgebra, Morphism, quotient_by_ideal
 from . import linalg
 from .errors import IntegralStructureFailure, PrecisionExhausted
-from .scalar import PadicScalar
+from .scalar import PadicScalar, sub_mul_row
 
 _SATURATION_ROUNDS = 64
 
@@ -352,8 +352,7 @@ def _triangular_lattice_basis(S: FinAlgebra, gens):
             if e.is_zero:
                 continue
             f = e * col[row].inv()  # integral since the pivot has minimal valuation
-            for k in range(m):
-                other[k] = other[k] - f * col[k]
+            other[:] = sub_mul_row(other, f, col)
         out.append(col)
     return [S.element(c) for c in out]
 

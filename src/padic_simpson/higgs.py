@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .matrix import PadicMatrix, mat_exp, mat_log
-from .scalar import PadicScalar
+from .scalar import PadicScalar, sub_mul_row
 
 
 class _Side:
@@ -47,7 +47,12 @@ class _Side:
         mats = tuple(matrices)
         if not mats:
             raise PadicError(cls.empty_message)
-        return cls(ctx, mats[0].nrows, len(mats), mats)
+        n = mats[0].nrows
+        for i, m in enumerate(mats):
+            if m.nrows != n or m.ncols != n:
+                raise DimensionMismatch("component %d is %d x %d, not %d x %d"
+                                        % (i, m.nrows, m.ncols, n, n))
+        return cls(ctx, n, len(mats), mats)
 
     @property
     def matrices(self) -> tuple:
@@ -303,7 +308,7 @@ class _IncrementalSpan:
             if e.is_zero:
                 continue
             f = e / row[piv]
-            vec = [a - f * b for a, b in zip(vec, row)]
+            vec = sub_mul_row(vec, f, row)
         best = None
         for i, e in enumerate(vec):
             if e.is_zero:

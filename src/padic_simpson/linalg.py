@@ -11,11 +11,11 @@ PrecisionExhausted instead of guessing a rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .context import DEFAULT_SLACK, PrimeContext
 from .errors import PrecisionExhausted
-from .scalar import PadicScalar
+from .scalar import PadicScalar, sub_mul_row
 
 
 @dataclass
@@ -37,6 +37,13 @@ class Elimination:
     # per pivot step (pivot row, [(target row, factor)], pivot inverse);
     # None unless the elimination was reduced
     steps: list | None
+    pivot_of_col: dict = field(init=False, repr=False)  # pivot column -> its row
+    free_rows: list = field(init=False, repr=False)  # rows without a pivot, in order
+
+    def __post_init__(self):
+        self.pivot_of_col = {j: i for (i, j) in self.pivots}
+        pivot_rows = set(self.pivot_of_col.values())
+        self.free_rows = [i for i in range(self.nrows) if i not in pivot_rows]
 
     @property
     def rank(self) -> int:
@@ -52,21 +59,20 @@ class Elimination:
         """
         if self.steps is None:
             raise ValueError("solve needs a reduced elimination (reduce_above=True)")
-        cols = [list(col) for col in rhs_cols]
+        rhs_cols = list(rhs_cols)
+        if not rhs_cols:
+            return []
+        # one list per matrix row, across the columns, so every recorded
+        # operation is a row operation
+        rows = [list(r) for r in zip(*rhs_cols)]
         for pi, targets, pinv in self.steps:
-            for x in cols:
-                y = x[pi]
-                for i, f in targets:
-                    x[i] = x[i] - f * y
-                x[pi] = pinv * y
-        pivot_of_col = {j: i for (i, j) in self.pivots}
-        pivot_rows = set(pivot_of_col.values())
+            y = rows[pi]
+            for i, f in targets:
+                rows[i] = sub_mul_row(rows[i], f, y)
+            rows[pi] = [pinv * x for x in y]
         # consistency: non-pivot rows must have vanishing right-hand sides
-        for i in range(self.nrows):
-            if i in pivot_rows:
-                continue
-            for x in cols:
-                entry = x[i]
+        for i in self.free_rows:
+            for entry in rows[i]:
                 if not entry.is_zero:
                     return None
                 if entry.prec < self.min_margin:
@@ -74,8 +80,9 @@ class Elimination:
                         "consistency of a linear system decided on %d digits "
                         "(< %d)" % (entry.prec, self.min_margin)
                     )
-        return [[x[pivot_of_col[j]] if j in pivot_of_col else PadicScalar.zero(self.ctx)
-                 for j in range(self.ncols)] for x in cols]
+        pivot_of_col = self.pivot_of_col
+        return [[rows[pivot_of_col[j]][c] if j in pivot_of_col else PadicScalar.zero(self.ctx)
+                 for j in range(self.ncols)] for c in range(len(rhs_cols))]
 
 
 def _min_margin_update(margin, value):
@@ -124,7 +131,7 @@ def eliminate(mat, reduce_above=False, min_margin=DEFAULT_SLACK):
             if a.is_zero:
                 continue
             f = a / pivot
-            work[i] = [x - f * y for x, y in zip(work[i], work[pi])]
+            work[i] = sub_mul_row(work[i], f, work[pi])
             updated.append((i, f))
         if reduce_above:
             pinv = pivot.inv()
@@ -163,7 +170,7 @@ def kernel_basis(mat, min_margin=DEFAULT_SLACK):
         return []
     ncols = len(mat[0])
     e = eliminate(mat, reduce_above=True, min_margin=min_margin)
-    pivot_of_col = {j: i for (i, j) in e.pivots}
+    pivot_of_col = e.pivot_of_col
     free = [j for j in range(ncols) if j not in pivot_of_col]
     basis = []
     for f in free:

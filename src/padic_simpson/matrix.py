@@ -15,6 +15,7 @@ from . import _series, linalg
 from .context import PrimeContext
 from .errors import (
     ContextMismatch,
+    DimensionMismatch,
     NotAUnit,
     OutsideExpDomain,
     OutsideLogDomain,
@@ -106,6 +107,9 @@ class PadicMatrix:
         of the row's first entry, as the fold's result does.
         """
         self._check(other)
+        if self.ncols != other.nrows:
+            raise DimensionMismatch("product of a %d x %d and a %d x %d matrix"
+                                    % (self.nrows, self.ncols, other.nrows, other.ncols))
         p = self.ctx.p
         left = [_Lane(row, p) for row in self.entries]
         right = [_Lane(col, p) for col in zip(*other.entries)]

@@ -1,4 +1,5 @@
-"""Factor-once solves against the augmented elimination they replace.
+"""Factor-once solves against the augmented elimination they replace, and
+the fused row kernel against the per-scalar row operations it replaces.
 
 The reference functions below are the augmented-system solver and the
 identity-augmented inverse as they stood before Elimination.solve existed:
@@ -8,6 +9,12 @@ replays the recorded row operations on the columns instead, so every
 solution entry, every None and every PrecisionExhausted must match the
 reference, both for a batch of columns and for columns solved one at a
 time on one factorisation.
+
+The unreduced elimination behind rank_with_margin and the incremental
+span of spectral_algebra are kept below as they stood before their row
+operations went through scalar.sub_mul_row, each row entry computed as
+x - f * y; ranks, margins, span decisions, the rows kept and every
+PrecisionExhausted message must match.
 """
 
 import pytest
@@ -17,6 +24,7 @@ from hypothesis import strategies as st
 from padic_simpson import linalg
 from padic_simpson.context import DEFAULT_SLACK, PrimeContext
 from padic_simpson.errors import PrecisionExhausted
+from padic_simpson.higgs import _IncrementalSpan
 from padic_simpson.scalar import PadicScalar
 
 CONTEXTS = {p: PrimeContext(p, 8) for p in (2, 3, 5)}
@@ -69,6 +77,85 @@ def _ref_eliminate(mat, pivot_cols, min_margin):
     return work, pivots
 
 
+def ref_rank_with_margin(mat, min_margin=DEFAULT_SLACK):
+    """The reduce_above=False path of eliminate, margin included; returns
+    the rank, the margin and the worked rows."""
+    work = [list(row) for row in mat]
+    free_rows = list(range(len(work)))
+    free_cols = list(range(len(work[0])))
+    rank, margin = 0, None
+    while free_rows and free_cols:
+        best = None
+        for i in free_rows:
+            for j in free_cols:
+                e = work[i][j]
+                if e.is_zero:
+                    continue
+                key = (e.v, i, j)
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        pivot = work[pi][pj]
+        gap = pivot.prec - pivot.v
+        margin = gap if margin is None else min(margin, gap)
+        rank += 1
+        for i in free_rows:
+            a = work[i][pj]
+            if i == pi or a.is_zero:
+                continue
+            f = a / pivot
+            work[i] = [x - f * y for x, y in zip(work[i], work[pi])]
+        free_rows.remove(pi)
+        free_cols.remove(pj)
+    for i in free_rows:
+        for j in free_cols:
+            e = work[i][j]
+            margin = e.prec if margin is None else min(margin, e.prec)
+            if e.prec < min_margin:
+                raise PrecisionExhausted(
+                    "rank decision at (%d,%d) rests on a value vanishing only "
+                    "mod p^%d (< required margin %d); raise the working "
+                    "precision" % (i, j, e.prec, min_margin)
+                )
+    return rank, margin, work
+
+
+class RefSpan:
+    """higgs._IncrementalSpan with its per-scalar row operation."""
+
+    def __init__(self, width, min_margin=4):
+        self.width = width
+        self.min_margin = min_margin
+        self.rows = []
+
+    def add(self, vec) -> bool:
+        vec = list(vec)
+        for (piv, row) in self.rows:
+            e = vec[piv]
+            if e.is_zero:
+                continue
+            f = e / row[piv]
+            vec = [a - f * b for a, b in zip(vec, row)]
+        best = None
+        for i, e in enumerate(vec):
+            if e.is_zero:
+                continue
+            if best is None or e.v < vec[best].v:
+                best = i
+        if best is None:
+            thinnest = min(e.prec for e in vec)
+            if thinnest < self.min_margin:
+                raise PrecisionExhausted(
+                    "span dependence decided on %d digits (< %d)"
+                    % (thinnest, self.min_margin)
+                )
+            return False
+        self.rows.append((best, vec))
+        return True
+
+
 def ref_solve(mat, rhs_cols, min_margin=DEFAULT_SLACK):
     m, n = len(mat), len(mat[0])
     aug = [list(mat[i]) + [col[i] for col in rhs_cols] for i in range(m)]
@@ -112,6 +199,10 @@ def ref_kernel_basis(mat, min_margin=DEFAULT_SLACK):
              else PadicScalar.zero(ctx)
              for j in range(len(mat[0]))]
             for f in range(len(mat[0])) if f not in pivot_of_col]
+
+
+def ledger(row):
+    return [(x.v, x.u, x.prec, x.ctx) for x in row]
 
 
 def outcome(fn, *args):
@@ -261,3 +352,86 @@ def test_batch_consistency_is_checked_row_by_row():
     elim = linalg.eliminate(mat, reduce_above=True, min_margin=5)
     with pytest.raises(PrecisionExhausted):
         elim.solve([first])
+
+
+# -- the fused row kernel against the per-scalar row operations ----------
+
+
+def _rank_outcome(fn, mat, min_margin):
+    try:
+        return fn(mat, min_margin)
+    except PrecisionExhausted as exc:
+        return "PrecisionExhausted", str(exc)
+
+
+def _rank_and_rows(mat, min_margin):
+    e = linalg.eliminate(mat, min_margin=min_margin)
+    assert (e.rank, e.margin) == linalg.rank_with_margin(mat, min_margin)
+    return e.rank, e.margin, [ledger(row) for row in e.rows]
+
+
+def _ref_rank_and_rows(mat, min_margin):
+    rank, margin, rows = ref_rank_with_margin(mat, min_margin)
+    return rank, margin, [ledger(row) for row in rows]
+
+
+@SETTINGS
+@given(systems())
+def test_rank_with_margin_unchanged(system):
+    mat, _, min_margin = system
+    assert (_rank_outcome(_rank_and_rows, mat, min_margin)
+            == _rank_outcome(_ref_rank_and_rows, mat, min_margin))
+
+
+def test_rank_decision_message_unchanged():
+    # the unreduced path refuses a rank decision on 3 vanishing digits
+    ctx = CONTEXTS[2]
+    mat = [[PadicScalar.from_int(ctx, 1), PadicScalar.from_int(ctx, 3)],
+           [PadicScalar.from_int(ctx, 1), PadicScalar.from_int(ctx, 3 + 8).reduce(3)]]
+    expected = _rank_outcome(_ref_rank_and_rows, mat, 4)
+    assert expected == ("PrecisionExhausted",
+                        "rank decision at (1,1) rests on a value vanishing only mod p^3 "
+                        "(< required margin 4); raise the working precision")
+    assert _rank_outcome(_rank_and_rows, mat, 4) == expected
+    with pytest.raises(PrecisionExhausted, match=r"mod p\^3 "):
+        linalg.rank_with_margin(mat, 4)
+    assert _rank_outcome(_rank_and_rows, mat, 3)[:2] == (1, 3)
+
+
+@st.composite
+def span_streams(draw):
+    """Vectors added to one span: drawn ones, and combinations of earlier
+    ones (dependent up to the precision they carry)."""
+    ctx = CONTEXTS[draw(st.sampled_from(sorted(CONTEXTS)))]
+    width = draw(st.integers(1, 4))
+    entry = scalars(ctx)
+    vecs = []
+    for _ in range(draw(st.integers(1, 6))):
+        if vecs and draw(st.booleans()):
+            picks = draw(st.lists(st.sampled_from(vecs), min_size=1, max_size=3))
+            mat = [list(col) for col in zip(*picks)]
+            vecs.append(_combination(mat, [draw(entry) for _ in picks]))
+        else:
+            vecs.append([draw(entry) for _ in range(width)])
+    return width, vecs, draw(st.integers(1, 6))
+
+
+def _span_decisions(cls, width, vecs, min_margin):
+    span = cls(width, min_margin)
+    decisions = []
+    for vec in vecs:
+        try:
+            decisions.append(span.add(vec))
+        except PrecisionExhausted as exc:
+            decisions.append(("PrecisionExhausted", str(exc)))
+            break
+        decisions.append([(piv, ledger(row)) for piv, row in span.rows])
+    return decisions
+
+
+@SETTINGS
+@given(span_streams())
+def test_incremental_span_decisions_unchanged(stream):
+    width, vecs, min_margin = stream
+    assert (_span_decisions(_IncrementalSpan, width, vecs, min_margin)
+            == _span_decisions(RefSpan, width, vecs, min_margin))

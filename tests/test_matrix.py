@@ -14,7 +14,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from padic_simpson.context import PrimeContext
-from padic_simpson.errors import OutsideExpDomain, OutsideLogDomain, PrecisionExhausted
+from padic_simpson.errors import (
+    DimensionMismatch,
+    OutsideExpDomain,
+    OutsideLogDomain,
+    PrecisionExhausted,
+)
 from padic_simpson import _series, linalg
 from padic_simpson.matrix import PadicMatrix, expm1_quotient, mat_exp, mat_log
 from padic_simpson.scalar import PadicScalar
@@ -279,3 +284,14 @@ def test_matmul_kernel_matches_scalar_fold(operands):
     got, want = a @ b, fold_matmul(a, b)
     assert [[(x.v, x.u, x.prec, x.ctx) for x in row] for row in got.entries] == \
         [[(x.v, x.u, x.prec, x.ctx) for x in row] for row in want.entries]
+
+
+def test_matmul_checks_inner_dimension():
+    ctx = PrimeContext(5, 8)
+    two, three = PadicMatrix.identity(ctx, 2), PadicMatrix.identity(ctx, 3)
+    for a, b in ((two, three), (three, two)):
+        with pytest.raises(DimensionMismatch):
+            a @ b
+    wide = PadicMatrix.from_ints(ctx, [[1, 2, 3], [4, 5, 6]])
+    assert (wide @ wide.transpose()).entries == PadicMatrix.from_ints(
+        ctx, [[14, 32], [32, 77]]).entries

@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from padic_simpson.algebra import FinAlgebra
 from padic_simpson.context import PrimeContext
@@ -30,6 +32,8 @@ from padic_simpson.scalar import (
     big_exp,
     exp_scalar,
     log_scalar,
+    sub_mul,
+    sub_mul_row,
     teichmuller,
     val,
 )
@@ -202,6 +206,59 @@ class TestArithmetic:
         x = s(C5, 12)
         assert x ** 5 == x * x * x * x * x
         assert (x ** -2) * x * x == s(C5, 1)
+
+
+@st.composite
+def ledger_operands(draw, p):
+    """A scalar of p or, now and then, of another prime: contexts of 8 to 12
+    digits, widened by up to 4, zero markers, thin and full precisions,
+    valuations from -1 up."""
+    if draw(st.integers(0, 7)) == 0:
+        p = draw(st.sampled_from([2, 3, 5, 7]))
+    ctx = PrimeContext(p, draw(st.integers(8, 12)))
+    if draw(st.booleans()):
+        ctx = ctx.widen(draw(st.integers(1, 4)))
+    top = ctx.default_precision
+    prec = draw(st.sampled_from([top, draw(st.integers(1, top)), draw(st.integers(1, 3))]))
+    if draw(st.integers(0, 3)) == 0:
+        return PadicScalar.zero(ctx, prec)
+    v = draw(st.integers(-1, min(3, prec - 1)))
+    rel = prec - v
+    u = draw(st.integers(0, p ** (rel - 1) - 1)) * p + draw(st.integers(1, p - 1))
+    return PadicScalar(ctx, v, u, prec)
+
+
+def _ledger_outcome(fn):
+    """(v, u, prec, ctx) of a scalar or of each scalar of a list, or the
+    type and message of the exception raised."""
+    try:
+        out = fn()
+    except PadicError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, PadicScalar):
+        return out.v, out.u, out.prec, out.ctx
+    return [(x.v, x.u, x.prec, x.ctx) for x in out]
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_fused_row_operation_matches_scalar_ops(data):
+    # sub_mul and sub_mul_row are x + (-(f * y)) to the last digit of the
+    # ledger, context included, and raise what that expression raises
+    operand = ledger_operands(data.draw(st.sampled_from([2, 3, 5, 7])))
+    x, f, y = (data.draw(operand) for _ in range(3))
+    reference = _ledger_outcome(lambda: x + (-(f * y)))
+    assert _ledger_outcome(lambda: sub_mul(x, f, y)) == reference
+    xs = [x] + [data.draw(operand) for _ in range(data.draw(st.integers(0, 3)))]
+    ys = [y] + [data.draw(operand) for _ in xs[1:]]
+    row = []
+    for a, b in zip(xs, ys):  # a row raises at its first failing entry
+        entry = _ledger_outcome(lambda: a + (-(f * b)))
+        if isinstance(entry[0], type):
+            row = entry
+            break
+        row.append(entry)
+    assert _ledger_outcome(lambda: sub_mul_row(xs, f, ys)) == row
 
 
 class TestAgrees:
