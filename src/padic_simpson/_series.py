@@ -52,7 +52,8 @@ def log_terms_needed(v: int, p: int, prec: int) -> int:
     return n
 
 
-def _mat_mul(a, b, mod):
+def mat_mul(a, b, mod):
+    """a @ b for integer matrices, entries reduced mod `mod`."""
     n = len(a)
     k = len(b)
     m = len(b[0])
@@ -113,7 +114,7 @@ def _factorial_series(t, p: int, e0: int, prec: int, s: int):
     acc = [[0] * n for _ in range(n)]
     for k in range(m_terms + 1):
         if k:
-            power = _mat_mul(power, tlift, mod)
+            power = mat_mul(power, tlift, mod)
         coef //= max(k + s, 1)
         c = coef % mod
         for i in range(n):
@@ -152,7 +153,7 @@ def log_matrix(u, p: int, v_min: int, prec: int):
     acc = [[0] * n for _ in range(n)]
     target = p ** prec
     for k in range(1, m_terms + 1):
-        power = _mat_mul(power, t, mod)
+        power = mat_mul(power, t, mod)
         vk = int_valuation(k, p) if k % p == 0 else 0
         q = k // (p ** vk)
         qinv = pow(q, -1, mod)

@@ -58,7 +58,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .matrix import PadicMatrix, _Lane, _least_valuation, _scaled_residue
-from .scalar import PadicScalar, big_exp, sub_mul_row
+from .scalar import PadicScalar, big_exp
 
 MAX_DIM = 64  # soft limit; keeps the m^5 validation desk-scale
 _FULL_CHECK_DIM = 12
@@ -70,7 +70,6 @@ class FinAlgebra:
     dim: int
     mul: tuple  # mul[i][j] = coordinate tuple of e_i * e_j
     one: tuple  # coordinates of the unit
-    labels: tuple = ()
     # whether the stored residues ARE the exact structure constants (true
     # for hand-built and parsed tensors); solve-derived tensors (quotients,
     # spectral algebras) only approximate the true constants mod p^N, so
@@ -78,15 +77,13 @@ class FinAlgebra:
     exact_structure: bool = True
 
     @staticmethod
-    def create(ctx, mul, one, labels=None, validate=True, max_dim=MAX_DIM,
-               exact_structure=True):
+    def create(ctx, mul, one, validate=True, exact_structure=True):
         m = len(mul)
         mul_t = tuple(tuple(tuple(row) for row in plane) for plane in mul)
         one_t = tuple(one)
-        labels_t = tuple(labels) if labels else tuple("e%d" % i for i in range(m))
-        if m > max_dim:
-            raise PadicError("algebra dimension %d exceeds the soft limit %d" % (m, max_dim))
-        alg = FinAlgebra(ctx, m, mul_t, one_t, labels_t, exact_structure)
+        if m > MAX_DIM:
+            raise PadicError("algebra dimension %d exceeds the soft limit %d" % (m, MAX_DIM))
+        alg = FinAlgebra(ctx, m, mul_t, one_t, exact_structure)
         if validate:
             alg._validate(full=(m <= _FULL_CHECK_DIM))
         return alg
@@ -179,7 +176,7 @@ class FinAlgebra:
     @staticmethod
     def field(ctx: PrimeContext) -> "FinAlgebra":
         one = PadicScalar.from_int(ctx, 1)
-        return FinAlgebra.create(ctx, [[[one]]], [one], labels=["1"])
+        return FinAlgebra.create(ctx, [[[one]]], [one])
 
     @staticmethod
     def from_power_relation(ctx: PrimeContext, rel) -> "FinAlgebra":
@@ -210,8 +207,7 @@ class FinAlgebra:
         powers = [reduce_power(k) for k in range(2 * s - 1)]
         mul = [[powers[i + j] for j in range(s)] for i in range(s)]
         unit = [one] + [zero] * (s - 1)
-        labels = ["1"] + ["x^%d" % k if k > 1 else "x" for k in range(1, s)]
-        return FinAlgebra.create(ctx, mul, unit, labels=labels)
+        return FinAlgebra.create(ctx, mul, unit)
 
     def __repr__(self):
         return "FinAlgebra(p=%d, dim=%d)" % (self.ctx.p, self.dim)
@@ -498,34 +494,21 @@ def quotient_by_ideal(A: FinAlgebra, ideal_basis):
         ident = Morphism.create(A, A, [A.basis_element(i) for i in range(m)], validate=False)
         return A, ident, ident
     e = linalg.eliminate(rows, reduce_above=True)
-    pivot_cols = sorted(j for (_, j) in e.pivots)
-    red_rows = {j: e.rows[i] for (i, j) in e.pivots}
-    free_cols = [j for j in range(m) if j not in pivot_cols]
+    pivot_rows = sorted((j, e.rows[i]) for (i, j) in e.pivots)
+    free_cols = [j for j in range(m) if j not in e.pivot_of_col]
     s = len(free_cols)
     if s == 0:
         raise PadicError("quotient by the unit ideal")
 
     def project(coords):
-        work = list(coords)
-        for j in pivot_cols:
-            cj = work[j]
-            if cj.is_zero:
-                continue
-            pr = red_rows[j]
-            pivval = pr[j]
-            f = cj / pivval
-            work = sub_mul_row(work, f, pr)
+        work = linalg.reduce_vector(coords, pivot_rows)
         return [work[j] for j in free_cols]
 
     reps = [A.basis_element(j) for j in free_cols]
     mul = [[project((reps[i] * reps[j]).coords) for j in range(s)] for i in range(s)]
     one = project(A.one)
-    S = FinAlgebra.create(
-        A.ctx, mul, one,
-        labels=[A.labels[j] for j in free_cols],
-        validate=(s <= _FULL_CHECK_DIM),
-        exact_structure=False,
-    )
+    S = FinAlgebra.create(A.ctx, mul, one, validate=(s <= _FULL_CHECK_DIM),
+                          exact_structure=False)
     proj = Morphism.create(
         A, S, [S.element(project(A.basis_element(i).coords)) for i in range(m)], validate=False
     )
@@ -613,7 +596,7 @@ def _lift_algebra(A: FinAlgebra, wctx: PrimeContext) -> FinAlgebra:
             for i in range(A.dim)
         ]
         one = [_lift_scalar(c, wctx) for c in A.one]
-        Aw = FinAlgebra.create(wctx, mul, one, labels=A.labels, validate=False,
+        Aw = FinAlgebra.create(wctx, mul, one, validate=False,
                                exact_structure=A.exact_structure)
         A._lifts[wctx.default_precision] = Aw
     return Aw

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgElement, FinAlgebra, Morphism, quotient_by_ideal
+from .algebra import _FULL_CHECK_DIM, AlgElement, FinAlgebra, Morphism, quotient_by_ideal
 from . import linalg
+from ._series import mat_mul
 from .errors import IntegralStructureFailure, PrecisionExhausted
+from .matrix import PadicMatrix
 from .scalar import PadicScalar, sub_mul_row
 
 _SATURATION_ROUNDS = 64
@@ -124,10 +126,7 @@ class _FpAlgebra:
             s += 1
         mat = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
         for _ in range(s):
-            mat = [
-                [sum(mat[i][t] * frob[t][j] for t in range(m)) % p for j in range(m)]
-                for i in range(m)
-            ]
+            mat = mat_mul(mat, frob, p)
         return _gf_kernel(mat, p)
 
     def primitive_idempotents(self):
@@ -207,19 +206,31 @@ def _gf_solve_dependency(powers, target, p):
 
 
 class _Order:
-    """Z_p-order inside an etale algebra S, held by a basis of AlgElements."""
+    """Z_p-order inside an etale algebra S, held by a basis of AlgElements.
+
+    The basis matrix is eliminated once, for its inverse and for the
+    index valuation."""
 
     def __init__(self, S: FinAlgebra, basis):
         self.S = S
         self.basis = list(basis)
-        mat = [[b.coords[i] for b in self.basis] for i in range(S.dim)]
-        inv = linalg.invert(mat)
-        if inv is None:
+        m = S.dim
+        mat = [[b.coords[i] for b in self.basis] for i in range(m)]
+        elim = linalg.eliminate(mat, reduce_above=True)
+        inverse = elim.inverse()
+        if inverse is None:
             raise IntegralStructureFailure("lattice basis is singular to precision")
-        self._inv_rows = inv
+        self._inverse = PadicMatrix.from_rows(S.ctx, inverse)
+        # val_p(det of the basis matrix): the unreduced elimination picks
+        # the same pivots, and each pivot inverse has valuation -v(pivot).
+        # A strictly smaller value means a strictly larger lattice.
+        self.index_valuation = -sum(pinv.v for _, _, pinv in elim.steps)
 
-    def coords(self, x: AlgElement):
-        return [_dot(row, x.coords) for row in self._inv_rows]
+    def coords(self, xs):
+        """Lattice coordinates of each element of xs: the inverse basis
+        matrix times the column of its S-coordinates."""
+        cols = PadicMatrix.from_rows(self.S.ctx, zip(*(x.coords for x in xs)))
+        return [list(c) for c in zip(*(self._inverse @ cols).entries)]
 
     def element(self, lat_coords) -> AlgElement:
         out = self.S.zero()
@@ -233,28 +244,10 @@ class _Order:
     def reduction(self) -> _FpAlgebra:
         p = self.S.ctx.p
         m = self.S.dim
-        tensor = [
-            [[_residue_mod_p(c, p) for c in self.coords(self.basis[i] * self.basis[j])]
-             for j in range(m)]
-            for i in range(m)
-        ]
-        one = [_residue_mod_p(c, p) for c in self.coords(self.S.unit())]
-        return _FpAlgebra(tensor, one, p)
-
-    def index_valuation(self) -> int:
-        """val_p(det of the basis matrix), up to a shared normalisation; a
-        strictly smaller value means a strictly larger lattice."""
-        mat = [[b.coords[i] for b in self.basis] for i in range(self.S.dim)]
-        e = linalg.eliminate(mat)
-        return sum(e.rows[i][j].v for (i, j) in e.pivots)
-
-
-def _dot(row, coords):
-    acc = None
-    for a, b in zip(row, coords):
-        t = a * b
-        acc = t if acc is None else acc + t
-    return acc
+        coords = self.coords([a * b for a in self.basis for b in self.basis] + [self.S.unit()])
+        residues = [[_residue_mod_p(c, p) for c in x] for x in coords]
+        tensor = [residues[i * m:(i + 1) * m] for i in range(m)]
+        return _FpAlgebra(tensor, residues[-1], p)
 
 
 def _residue_mod_p(c: PadicScalar, p: int) -> int:
@@ -283,11 +276,10 @@ def _initial_order(S: FinAlgebra) -> _Order:
         raise IntegralStructureFailure("basis completion failed to precision")
     probe = _Order(S, chosen)
     worst = 0
-    for i in range(m):
-        for j in range(i + 1):
-            for c in probe.coords(chosen[i] * chosen[j]):
-                if not c.is_zero and c.v < worst:
-                    worst = c.v
+    for x in probe.coords([chosen[i] * chosen[j] for i in range(m) for j in range(i + 1)]):
+        for c in x:
+            if not c.is_zero and c.v < worst:
+                worst = c.v
     if worst < 0:
         scale = PadicScalar.from_int(S.ctx, S.ctx.p ** (-worst))
         chosen = [chosen[0]] + [b * scale for b in chosen[1:]]
@@ -310,15 +302,13 @@ def _saturate(order: _Order) -> _Order:
         J = _Order(S, _triangular_lattice_basis(S, j_gens))
         # x = sum z_i b_i / p lies in the multiplier iff for every generator
         # g of J the J-coordinates of x*g are integral, i.e. B z = 0 mod p
-        cond = []
-        prods = [[J.coords(b * g) for b in order.basis] for g in J.basis]
-        for gi in range(m):
-            for coord in range(m):
-                cond.append([_residue_mod_p(prods[gi][z][coord], p) for z in range(m)])
+        prods = J.coords([b * g for g in J.basis for b in order.basis])
+        cond = [[_residue_mod_p(prods[gi * m + z][coord], p) for z in range(m)]
+                for gi in range(m) for coord in range(m)]
         kernel = _gf_kernel(cond, p)
         new_gens = list(order.basis) + [order.element(z) * p_inv for z in kernel]
         enlarged = _Order(S, _triangular_lattice_basis(S, new_gens))
-        if enlarged.index_valuation() == order.index_valuation():
+        if enlarged.index_valuation == order.index_valuation:
             return order
         order = enlarged
     raise IntegralStructureFailure(
@@ -465,7 +455,8 @@ def component_quotient(A: FinAlgebra, e: AlgElement) -> Component:
 
     mul = [[coords_of(basis[i] * basis[j]) for j in range(s)] for i in range(s)]
     one = coords_of(e)
-    comp = FinAlgebra.create(A.ctx, mul, one, validate=(s <= 12), exact_structure=False)
+    comp = FinAlgebra.create(A.ctx, mul, one, validate=(s <= _FULL_CHECK_DIM),
+                             exact_structure=False)
     proj = Morphism.create(
         A, comp, [comp.element(coords_of(e * A.basis_element(i))) for i in range(m)],
         validate=False,

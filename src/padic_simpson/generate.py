@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 
+from ._series import mat_mul
 from .context import PrimeContext
 from .higgs import HiggsModule, SmallRep, higgs_to_rep
 from .matrix import PadicMatrix
@@ -26,21 +27,12 @@ def _rng(tag: str, *params) -> random.Random:
     return random.Random(tag + ":" + ":".join(str(x) for x in params))
 
 
-def _random_unimodular(rng, n, p):
-    """L @ U with unit diagonals: integral, determinant 1, integral inverse."""
+def _random_unimodular(rng, n, p, mod):
+    """L @ U with unit diagonals, mod `mod`: integral, determinant 1,
+    integral inverse."""
     lower = [[1 if i == j else (rng.randrange(p ** 2) if i > j else 0) for j in range(n)] for i in range(n)]
     upper = [[1 if i == j else (rng.randrange(p ** 2) if i < j else 0) for j in range(n)] for i in range(n)]
-    return _int_mat_mul(lower, upper)
-
-
-def _int_mat_mul(a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-        for i in range(n)
-    ]
+    return mat_mul(lower, upper, mod)
 
 
 def _block_sizes(rng, n):
@@ -61,6 +53,8 @@ def gen_higgs(p, d, rank, density=0.6, seed=0, precision=32) -> HiggsModule:
     # precision is deliberately not part of the seed: the same seed at a
     # higher precision is a refinement of the same instance
     rng = _rng("higgs", p, d, rank, repr(density), seed)
+    # every integer matrix below is read mod p^precision by from_ints
+    mod = p ** precision
     sizes = _block_sizes(rng, rank)
     coeff_bound = p ** 3
     blocks_per_i = [[] for _ in range(d)]
@@ -72,7 +66,7 @@ def gen_higgs(p, d, rank, density=0.6, seed=0, precision=32) -> HiggsModule:
         ]
         nil_powers = [None, shared_nil]
         for k in range(2, s):
-            nil_powers.append(_int_mat_mul(nil_powers[-1], shared_nil))
+            nil_powers.append(mat_mul(nil_powers[-1], shared_nil, mod))
         for i in range(d):
             lam = p ** e0 * rng.randrange(coeff_bound) if rng.random() < density else 0
             block = [[lam if a == b else 0 for b in range(s)] for a in range(s)]
@@ -84,7 +78,7 @@ def gen_higgs(p, d, rank, density=0.6, seed=0, precision=32) -> HiggsModule:
                         for b in range(s):
                             block[a][b] += c * pw[a][b]
             blocks_per_i[i].append(block)
-    conj = _random_unimodular(rng, rank, p)
+    conj = _random_unimodular(rng, rank, p, mod)
     conj_mat = PadicMatrix.from_ints(ctx, conj, precision)
     conj_inv = conj_mat.inverse()
     theta = []

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .algebra import AlgElement, FinAlgebra, alg_exp
-from .context import PrimeContext
+from .algebra import _FULL_CHECK_DIM, AlgElement, FinAlgebra, alg_exp
+from .context import DEFAULT_SLACK, PrimeContext
 from .errors import (
     AlgebraMismatch,
     ContextMismatch,
@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .matrix import PadicMatrix, mat_exp, mat_log
-from .scalar import PadicScalar, sub_mul_row
+from .scalar import PadicScalar
 
 
 class _Side:
@@ -262,27 +262,16 @@ def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:
             raise PrecisionExhausted("span closure exceeded the dimension bound")
     dim = len(basis)
     basis_mat = [[b.entries[i // n][i % n] for b in basis] for i in range(n * n)]
-    elim = linalg.eliminate(basis_mat, reduce_above=True)
-    mul = []
-    for i in range(dim):
-        plane = []
-        for j in range(dim):
-            prod = basis[i] @ basis[j]
-            sols = elim.solve([_flatten(prod)])
-            if sols is None:
-                raise PrecisionExhausted("product escaped the closed span")
-            plane.append(sols[0])
-        mul.append(plane)
+    # every product and every theta_i, solved on one factorisation of the span
+    cols = [_flatten(a @ b) for a in basis for b in basis] + [_flatten(t) for t in H.theta]
+    sols = linalg.eliminate(basis_mat, reduce_above=True).solve(cols)
+    if sols is None:
+        raise PrecisionExhausted("a product or a component escaped the closed span")
+    mul = [sols[i * dim:(i + 1) * dim] for i in range(dim)]
     one = [PadicScalar.from_int(ctx, 1)] + [PadicScalar.zero(ctx)] * (dim - 1)
-    labels = ["1"] + ["m%d" % k for k in range(1, dim)]
-    B = FinAlgebra.create(ctx, mul, one, labels=labels, validate=(dim <= 12),
+    B = FinAlgebra.create(ctx, mul, one, validate=(dim <= _FULL_CHECK_DIM),
                           exact_structure=False)
-    tau = []
-    for t in H.theta:
-        sols = elim.solve([_flatten(t)])
-        if sols is None:
-            raise PrecisionExhausted("component escaped the closed span")
-        tau.append(B.element(sols[0]))
+    tau = [B.element(c) for c in sols[dim * dim:]]
     return SpectralAlgebra(B, tuple(basis), tuple(tau))
 
 
@@ -294,21 +283,14 @@ class _IncrementalSpan:
     """Echelonised span with minimal-valuation pivots; add() reports
     whether the vector enlarged the span.  A dependence decision must rest
     on at least min_margin vanishing digits, else the span rank is
-    ambiguous."""
+    ambiguous.  width, the length of the vectors, is not read."""
 
-    def __init__(self, width, min_margin=4):
-        self.width = width
+    def __init__(self, width, min_margin=DEFAULT_SLACK):
         self.min_margin = min_margin
         self.rows = []  # (pivot index, reduced row)
 
     def add(self, vec) -> bool:
-        vec = list(vec)
-        for (piv, row) in self.rows:
-            e = vec[piv]
-            if e.is_zero:
-                continue
-            f = e / row[piv]
-            vec = sub_mul_row(vec, f, row)
+        vec = linalg.reduce_vector(vec, self.rows)
         best = None
         for i, e in enumerate(vec):
             if e.is_zero:

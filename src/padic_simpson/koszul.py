@@ -67,7 +67,7 @@ class KoszulComplex:
     op_i(e) (x) epsilon_i ^ w; requires the operators to commute, which
     forces d о d = 0 (verified to precision as a guard)."""
 
-    def __init__(self, operators, check=True):
+    def __init__(self, operators):
         ops = list(operators)
         if not ops:
             raise PadicError("need at least one operator")
@@ -75,21 +75,17 @@ class KoszulComplex:
         self.n = ops[0].nrows
         self.d = len(ops)
         self.operators = ops
-        if check:
-            for i in range(self.d):
-                for j in range(i + 1, self.d):
-                    if not ops[i].commutes_with(ops[j]):
-                        raise CommutationFailure(
-                            "operators %d and %d do not commute" % (i, j)
-                        )
+        for i in range(self.d):
+            for j in range(i + 1, self.d):
+                if not ops[i].commutes_with(ops[j]):
+                    raise CommutationFailure("operators %d and %d do not commute" % (i, j))
         self.subsets = [list(combinations(range(self.d), k)) for k in range(self.d + 1)]
         self.term_dims = [self.n * len(self.subsets[k]) for k in range(self.d + 1)]
         self.differentials = [self._differential(k) for k in range(self.d)]
-        if check:
-            for k in range(self.d - 1):
-                prod = self.differentials[k + 1] @ self.differentials[k]
-                if not prod.is_zero_to_precision():
-                    raise PadicError("d o d != 0 at degree %d" % k)
+        for k in range(self.d - 1):
+            prod = self.differentials[k + 1] @ self.differentials[k]
+            if not prod.is_zero_to_precision():
+                raise PadicError("d o d != 0 at degree %d" % k)
 
     def _differential(self, k):
         src = self.subsets[k]
@@ -107,9 +103,9 @@ class KoszulComplex:
                 op = self.operators[i]
                 for r in range(self.n):
                     for c in range(self.n):
+                        # a zero entry is added too: it carries the
+                        # precision to which the operator knows it
                         e = op[r, c]
-                        if e.is_zero:
-                            continue
                         val = -e if sign < 0 else e
                         row = t_idx * self.n + r
                         col = s_idx * self.n + c

@@ -84,6 +84,30 @@ class Elimination:
         return [[rows[pivot_of_col[j]][c] if j in pivot_of_col else PadicScalar.zero(self.ctx)
                  for j in range(self.ncols)] for c in range(len(rhs_cols))]
 
+    def inverse(self):
+        """Rows of the inverse of the eliminated square matrix: solve() on
+        the identity columns; None when the matrix is singular to
+        precision."""
+        n = self.nrows
+        one, zero = PadicScalar.from_int(self.ctx, 1), PadicScalar.zero(self.ctx)
+        sols = self.solve([[one if i == j else zero for i in range(n)] for j in range(n)])
+        if sols is None:
+            return None
+        return [list(row) for row in zip(*sols)]
+
+
+def reduce_vector(vec, pivot_rows):
+    """vec reduced by each (pivot column j, row) in turn: where vec[j] is
+    nonzero, vec - (vec[j] / row[j]) * row, one exact-ledger row operation.
+    Returns a new list."""
+    vec = list(vec)
+    for j, row in pivot_rows:
+        e = vec[j]
+        if e.is_zero:
+            continue
+        vec = sub_mul_row(vec, e / row[j], row)
+    return vec
+
 
 def _min_margin_update(margin, value):
     return value if margin is None else min(margin, value)
@@ -200,13 +224,7 @@ def solve(mat, rhs_cols, min_margin=DEFAULT_SLACK):
 def invert(mat, min_margin=DEFAULT_SLACK):
     """Matrix inverse via the reduced elimination applied to the identity;
     None when the matrix is singular to precision."""
-    n = len(mat)
-    one, zero = _one_like(mat[0][0]), _zero_like(mat[0][0])
-    ident_cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
-    sols = solve(mat, ident_cols, min_margin=min_margin)
-    if sols is None:
-        return None
-    return [[sols[j][i] for j in range(n)] for i in range(n)]
+    return eliminate(mat, reduce_above=True, min_margin=min_margin).inverse()
 
 
 def _one_like(s: PadicScalar) -> PadicScalar:

@@ -229,10 +229,10 @@ def _scalar_pk_root(c: PadicScalar, k: int) -> PadicScalar | None:
 # -- unit batteries -------------------------------------------------------------
 
 
-def unit_battery(A: FinAlgebra, seed: int = 0, extra: int = 4):
+def unit_battery(A: FinAlgebra, seed: int = 0):
     """Deterministic battery of units: scalars, Teichmuller classes,
     1 + p^e0 * basis directions, unipotent elements from the nilradical,
-    and a few seeded combinations."""
+    and four seeded combinations."""
     ctx = A.ctx
     p = ctx.p
     e0 = ctx.e0
@@ -247,7 +247,7 @@ def unit_battery(A: FinAlgebra, seed: int = 0, extra: int = 4):
         units.append(A.unit() + n)
         units.append(A.unit() + n * pe)
     rng = random.Random("unit-battery:%d:%d:%d" % (p, A.dim, seed))
-    for _ in range(extra):
+    for _ in range(4):
         x = A.unit()
         for i in range(A.dim):
             x = x + A.basis_element(i) * PadicScalar.from_int(ctx, p ** e0 * rng.randrange(0, p ** 3))

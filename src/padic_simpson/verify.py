@@ -90,12 +90,11 @@ class SuiteResult:
         return out
 
 
-def _instances(cfg: VerifyConfig, tag: str, count=None):
+def _instances(cfg: VerifyConfig, tag: str):
     """Deterministic instance stream: cycle primes, sizes and densities
     (densities include 0, so trivial objects are mixed in)."""
     densities = (0.0, 0.35, 0.6, 0.85)
-    n = cfg.count if count is None else count
-    for idx in range(n):
+    for idx in range(cfg.count):
         p = cfg.primes[idx % len(cfg.primes)]
         d = 1 + (idx // len(cfg.primes)) % cfg.d_max
         rank = 1 + (idx * 7 + idx // 5) % cfg.n_max

@@ -52,6 +52,19 @@ class TestKoszulComplex:
         for k in range(len(kos.differentials) - 1):
             assert (kos.differentials[k + 1] @ kos.differentials[k]).is_zero_to_precision()
 
+    def test_differential_keeps_entry_precision(self):
+        # a zero known only mod 5^2 stays known only mod 5^2 in d^0, and
+        # in d^1 with its sign; nonzero entries and full zeros keep theirs
+        ctx = PrimeContext(5, 8)
+        five, thin = PadicScalar.from_int(ctx, 5), PadicScalar.zero(ctx, 2)
+        op = PadicMatrix.from_rows(ctx, [[five, thin], [thin, five]])
+        d0 = KoszulComplex([op]).differentials[0]
+        assert [[x.prec for x in row] for row in d0.entries] == [[8, 2], [2, 8]]
+        assert d0[0, 1].is_zero and d0[0, 0] == five
+        d1 = KoszulComplex([PadicMatrix.zeros(ctx, 2), op]).differentials[1]
+        assert [[x.prec for x in row] for row in d1.entries] == [[8, 2, 8, 8], [2, 8, 8, 8]]
+        assert d1[0, 0] == -five
+
     def test_noncommuting_rejected(self):
         a = PadicMatrix.from_ints(C5, [[0, 5], [0, 0]])
         b = PadicMatrix.from_ints(C5, [[0, 0], [5, 0]])
