@@ -10,7 +10,18 @@ Truncation bounds come from Legendre's formula
     val_p(n!) = (n - s_p(n)) / (p - 1)
 so a term x^n/n! with val(x) >= e0 has valuation >= n*e0 - val_p(n!), and a
 term (u-1)^n/n with val(u-1) >= v has valuation >= n*v - floor(log_p n).
+
+The three matrix series (exp, the expm1 quotient and log) are one integer
+polynomial in t over one common denominator, evaluated by one engine
+(_poly_eval, Paterson-Stockmeyer, about 2*sqrt(M) matrix products for M
+terms) and divided once (_divided_sum).  The exp series sum_k t^k/(k+s)!
+uses (M+s)!, with coefficients (M+s)!/(k+s)!; log(1+t) uses lcm(1..M),
+with coefficients +-lcm(1..M)/k.  The p-part of the denominator is the
+modulus headroom: val_p((M+s)!) digits for exp, floor(log_p M) for log.
 """
+
+from math import factorial, isqrt, lcm
+from operator import mul
 
 
 def digit_sum(n: int, p: int) -> int:
@@ -53,25 +64,61 @@ def log_terms_needed(v: int, p: int, prec: int) -> int:
 
 
 def mat_mul(a, b, mod):
-    """a @ b for integer matrices, entries reduced mod `mod`."""
-    n = len(a)
-    k = len(b)
-    m = len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] = (oi[j] + c * bt[j]) % mod
+    """a @ b for integer matrices, each entry summed exactly and reduced
+    mod `mod` once."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) % mod for col in cols] for row in a]
+
+
+def _poly_eval(t, coefs, mod):
+    """sum_k coefs[k] * t^k mod `mod` for a square integer matrix t, by
+    Paterson-Stockmeyer: with b = ceil(sqrt(len(coefs))) baby steps
+    t^0..t^(b-1) and the giant step t^b, Horner in t^b runs over blocks of
+    b coefficients, so about 2*sqrt(len(coefs)) matrix products are made
+    instead of one per term.  Each block entry is summed exactly and
+    reduced once."""
+    n = len(t)
+    b = isqrt(len(coefs) - 1) + 1  # ceil(sqrt(len(coefs)))
+    lift = [[x % mod for x in row] for row in t]
+    baby = [[[int(i == j) for j in range(n)] for i in range(n)], lift]
+    while len(baby) < b:
+        baby.append(mat_mul(baby[-1], lift, mod))
+    # stack[i][j] holds entry (i, j) of t^0..t^(b-1)
+    stack = [list(zip(*rows)) for rows in zip(*baby[:b])]
+    giant = mat_mul(baby[-1], lift, mod) if len(coefs) > b else None
+    acc = [[0] * n for _ in range(n)]
+    for start in reversed(range(0, len(coefs), b)):
+        if start + b < len(coefs):
+            acc = mat_mul(acc, giant, mod)
+        block = coefs[start:start + b]
+        acc = [[(a + sum(map(mul, block, e))) % mod for a, e in zip(arow, srow)]
+               for arow, srow in zip(acc, stack)]
+    return acc
+
+
+def _divided_sum(t, coefs, denom, p, prec):
+    """sum_k coefs[k] * t^k / denom mod p^prec, for integer coefficients
+    whose sum is an integer matrix divisible by p^val_p(denom).
+
+    The sum is evaluated mod p^(prec + w), w = val_p(denom), divided
+    exactly by p^w and multiplied by the inverse of denom's unit part.
+    """
+    w = int_valuation(denom, p)
+    pw = p ** w
+    target = p ** prec
+    mod = target * pw
+    acc = _poly_eval(t, [c % mod for c in coefs], mod)
+    unit_inv = pow(denom // pw, -1, target)
+    out = []
+    for row in acc:
+        orow = []
+        for x in row:
+            q, r = divmod(x, pw)
+            if r:
+                raise AssertionError("series sum not divisible by p^val(denominator)")
+            orow.append(q * unit_inv % target)
+        out.append(orow)
     return out
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def exp_matrix(t, p: int, e0: int, prec: int):
@@ -90,84 +137,47 @@ def expm1_quotient_matrix(t, p: int, e0: int, prec: int):
     return _factorial_series(t, p, e0, prec, 1)
 
 
+def exp_terms_needed(e0: int, p: int, prec: int, s: int = 0) -> int:
+    """Least M >= 1 with M*e0 - val_p((M+s)!) >= prec."""
+    n = 1
+    while n * e0 - factorial_valuation(n + s, p) < prec:
+        n += 1
+    return n
+
+
 def _factorial_series(t, p: int, e0: int, prec: int, s: int):
     """sum_{k>=0} t^k/(k+s)! mod p^prec, for an integer matrix t with all
     entries divisible by p^e0.
 
-    M is the least M >= 1 with M*e0 - val_p((M+s)!) >= prec; past it every
-    term vanishes mod p^prec.  With the common denominator (M+s)!,
-    S = sum_{k<=M} t^k * ((M+s)!/(k+s)!) is an integer matrix, exactly
-    divisible by p^val((M+s)!), and the sum is S / (M+s)!.
+    Past M = exp_terms_needed(e0, p, prec, s) every term vanishes mod
+    p^prec.  With the common denominator (M+s)!, the coefficient of t^k is
+    the integer (M+s)!/(k+s)!.
     """
-    n = len(t)
-    m_terms = 1
-    while m_terms * e0 - factorial_valuation(m_terms + s, p) < prec:
-        m_terms += 1
-    w = factorial_valuation(m_terms + s, p)
-    mod = p ** (prec + w)
-    fact = 1
-    for k in range(2, m_terms + s + 1):
-        fact *= k
-    tlift = [[x % mod for x in row] for row in t]
-    coef = fact  # (M+s)!/(k+s)! once divided below
-    power = _identity(n)
-    acc = [[0] * n for _ in range(n)]
-    for k in range(m_terms + 1):
-        if k:
-            power = mat_mul(power, tlift, mod)
-        coef //= max(k + s, 1)
-        c = coef % mod
-        for i in range(n):
-            pi = power[i]
-            ai = acc[i]
-            for j in range(n):
-                ai[j] = (ai[j] + c * pi[j]) % mod
-    pw = p ** w
-    funit = fact // pw
-    funit_inv = pow(funit, -1, p ** prec)
-    out = []
-    for row in acc:
-        orow = []
-        for x in row:
-            if x % pw:
-                raise AssertionError("series accumulator not divisible by p^val((M+s)!)")
-            orow.append(((x // pw) * funit_inv) % (p ** prec))
-        out.append(orow)
-    return out
+    m_terms = exp_terms_needed(e0, p, prec, s)
+    coefs = [1]
+    for k in range(m_terms + s, s, -1):
+        coefs.append(coefs[-1] * k)
+    coefs.reverse()
+    fact = coefs[0] * factorial(s)
+    return _divided_sum(t, coefs, fact, p, prec)
 
 
 def log_matrix(u, p: int, v_min: int, prec: int):
-    """log of a square integer matrix congruent to 1 mod p^v_min (v_min >= 1,
-    and >= 2 when p = 2 is not required: the log series converges on v >= 1),
-    as residues mod p^prec.
+    """log of a square integer matrix congruent to 1 mod p^v_min, as
+    residues mod p^prec.  The series converges for every v_min >= 1, for
+    p = 2 as well.
 
-    Terms t^n/n are divided exactly one at a time; the working modulus has
-    floor(log_p M) digits of headroom so no precision is lost.
+    With M = log_terms_needed(v_min, p, prec) and the common denominator
+    D = lcm(1..M), the coefficient of (u-1)^k is the integer +-D/k;
+    val_p(D) = floor(log_p M), and every term is divisible by p^val_p(D)
+    since k*v_min > val_p(k).
     """
     n = len(u)
     m_terms = log_terms_needed(v_min, p, prec)
-    w = floor_log(m_terms, p)
-    mod = p ** (prec + w)
-    t = [[(u[i][j] - (1 if i == j else 0)) % mod for j in range(n)] for i in range(n)]
-    power = _identity(n)
-    acc = [[0] * n for _ in range(n)]
-    target = p ** prec
-    for k in range(1, m_terms + 1):
-        power = mat_mul(power, t, mod)
-        vk = int_valuation(k, p) if k % p == 0 else 0
-        q = k // (p ** vk)
-        qinv = pow(q, -1, mod)
-        pk = p ** vk
-        sign = 1 if k % 2 == 1 else -1
-        for i in range(n):
-            pi = power[i]
-            ai = acc[i]
-            for j in range(n):
-                x = pi[j]
-                if x % pk:
-                    raise AssertionError("log term not divisible by p^val(n)")
-                ai[j] = (ai[j] + sign * (x // pk) * qinv) % mod
-    return [[x % target for x in row] for row in acc]
+    t = [[u[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    denom = lcm(*range(1, m_terms + 1))
+    coefs = [0] + [(denom if k % 2 else -denom) // k for k in range(1, m_terms + 1)]
+    return _divided_sum(t, coefs, denom, p, prec)
 
 
 def exp_residue(t: int, p: int, e0: int, prec: int) -> int:

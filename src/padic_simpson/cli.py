@@ -43,7 +43,12 @@ EXIT_PRECISION = 4
 
 def _default_precision():
     env = os.environ.get("SIMPSON_PRECISION")
-    return int(env) if env else 32
+    if not env:
+        return 32
+    try:
+        return int(env)
+    except ValueError:
+        raise ParseError("SIMPSON_PRECISION must be an integer, got %r" % env) from None
 
 
 def build_parser():

@@ -78,15 +78,21 @@ class PadicMatrix:
         if self.ctx.p != other.ctx.p:
             raise ContextMismatch("mixed primes %d, %d" % (self.ctx.p, other.ctx.p))
 
-    def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
+    def _check_shape(self, other: "PadicMatrix", op: str):
         self._check(other)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise DimensionMismatch("%s of a %d x %d and a %d x %d matrix"
+                                    % (op, self.nrows, self.ncols, other.nrows, other.ncols))
+
+    def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
+        self._check_shape(other, "sum")
         return PadicMatrix.from_rows(
             self.ctx,
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
         )
 
     def __sub__(self, other: "PadicMatrix") -> "PadicMatrix":
-        self._check(other)
+        self._check_shape(other, "difference")
         return PadicMatrix.from_rows(
             self.ctx,
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],

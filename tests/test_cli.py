@@ -184,6 +184,19 @@ class TestCohomologyCommands:
         B, tau = io_json.twist_from_json(obj)
         assert B.dim == 2 and len(tau) == 1
 
+    def test_spectral_shortfall_exit_4(self, tmp_path, capsys):
+        # at precision 8 the solve-derived structure constants of this
+        # B_theta fail associativity; as a subalgebra of End(E) it can only
+        # have run out of digits
+        path, out = tmp_path / "h.json", tmp_path / "s.json"
+        assert run_cli("gen", "--kind", "higgs", "--p", "3", "--d", "2", "--rank", "5",
+                       "--density", "0.6", "--seed", "3", "--precision", "8",
+                       "--out", str(path)) == 0
+        assert run_cli("spectral", str(path), "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert "precision exhausted: structure constants not associative at (3,3)" in err
+        assert not out.exists()
+
 
 class TestGen:
     def test_deterministic(self, tmp_path):
@@ -208,6 +221,13 @@ class TestGen:
                 "--seed", "2", "--out", str(path))
         H = io_json.higgs_from_json(io_json.load_instance(str(path))[0])
         assert H.is_trivial()
+
+    def test_malformed_precision_env_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SIMPSON_PRECISION", "abc")
+        path = tmp_path / "x.json"
+        assert run_cli("gen", "--p", "3", "--d", "1", "--rank", "2", "--out", str(path)) == 2
+        assert "invalid input: SIMPSON_PRECISION" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_rep_kind(self, tmp_path):
         path = tmp_path / "g.json"

@@ -236,6 +236,36 @@ def test_series_kernels_pinned(p):
     assert series_kernel_digest(p) == SERIES_KERNELS[p]
 
 
+def log_kernel_digest(p):
+    """sha256 prefix of the residues log_matrix returns on 1 + t for the
+    grid of series_kernel_digest (its own seeded draws), with v_min = e0."""
+    e0 = 1 if p > 2 else 2
+    rng = random.Random("log-kernel:%d" % p)
+    digest = hashlib.sha256()
+    for prec in (8, 13, 20, 40):
+        for n in range(1, 6):
+            def draw(scale, keep=lambda i, j: True):
+                return [[scale * rng.randrange(p ** prec) if keep(i, j) else 0
+                         for j in range(n)] for i in range(n)]
+            mats = [draw(p ** e0) for _ in range(3)]
+            mats += [draw(p ** (e0 + 2)), draw(p ** e0, lambda i, j: i < j), draw(0)]
+            for t in mats:
+                u = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)]
+                digest.update(repr(_series.log_matrix(u, p, e0, prec)).encode())
+    return digest.hexdigest()[:16]
+
+
+# log_kernel_digest per p, recorded when log_matrix summed its series term
+# by term, dividing each t^k by k
+LOG_KERNELS = {2: "b7dee2577bab88ab", 3: "2f9628ac0fd73467", 5: "91d4d3fc42fa0fa0",
+               7: "9cfdfe49d0144c04"}
+
+
+@pytest.mark.parametrize("p", sorted(LOG_KERNELS))
+def test_log_kernel_pinned(p):
+    assert log_kernel_digest(p) == LOG_KERNELS[p]
+
+
 def fold_matmul(a: PadicMatrix, b: PadicMatrix) -> PadicMatrix:
     """The product summed scalar by scalar, acc = acc + a*b: the reference
     for the residue kernel behind PadicMatrix @."""
@@ -284,6 +314,18 @@ def test_matmul_kernel_matches_scalar_fold(operands):
     got, want = a @ b, fold_matmul(a, b)
     assert [[(x.v, x.u, x.prec, x.ctx) for x in row] for row in got.entries] == \
         [[(x.v, x.u, x.prec, x.ctx) for x in row] for row in want.entries]
+
+
+def test_sum_and_difference_check_shape():
+    ctx = PrimeContext(5, 8)
+    two, three = PadicMatrix.identity(ctx, 2), PadicMatrix.identity(ctx, 3)
+    wide = PadicMatrix.from_ints(ctx, [[1, 2, 3], [4, 5, 6]])
+    for a, b in ((two, three), (three, two), (wide, three), (wide, wide.transpose())):
+        with pytest.raises(DimensionMismatch):
+            a + b
+        with pytest.raises(DimensionMismatch):
+            a - b
+    assert (wide + wide) - wide == wide
 
 
 def test_matmul_checks_inner_dimension():
