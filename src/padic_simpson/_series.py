@@ -20,6 +20,7 @@ with coefficients +-lcm(1..M)/k.  The p-part of the denominator is the
 modulus headroom: val_p((M+s)!) digits for exp, floor(log_p M) for log.
 """
 
+from functools import cache
 from math import factorial, isqrt, lcm
 from operator import mul
 
@@ -55,8 +56,9 @@ def floor_log(n: int, p: int) -> int:
     return k
 
 
+@cache
 def log_terms_needed(v: int, p: int, prec: int) -> int:
-    """Least M with M*v - floor(log_p M) >= prec."""
+    """Least M with M*v - floor(log_p M) >= prec; kept per argument tuple."""
     n = 1
     while n * v - floor_log(n, p) < prec:
         n += 1
@@ -137,19 +139,29 @@ def expm1_quotient_matrix(t, p: int, e0: int, prec: int):
     return _factorial_series(t, p, e0, prec, 1)
 
 
+@cache
 def exp_terms_needed(e0: int, p: int, prec: int, s: int = 0) -> int:
-    """Least M >= 1 with M*e0 - val_p((M+s)!) >= prec."""
-    n = 1
-    while n * e0 - factorial_valuation(n + s, p) < prec:
-        n += 1
-    return n
+    """Least M >= 1 with k*e0 - val_p((k+s)!) >= prec for every k >= M, so
+    that every term t^k/(k+s)! from M on vanishes mod p^prec; kept per
+    argument tuple.
+
+    The term valuation dips where k + s gains a high power of p (term 9 of
+    exp(3) at p = 3 has valuation 5, term 8 has 6), so the first index
+    that reaches prec is not enough.  Legendre's val_p(n!) <= (n-1)/(p-1)
+    settles every k from ceil((prec*(p-1) + s - 1) / (e0*(p-1) - 1)) on;
+    the indices before it are scanned."""
+    m = 1
+    for k in range(1, -(-(prec * (p - 1) + s - 1) // (e0 * (p - 1) - 1))):
+        if k * e0 - factorial_valuation(k + s, p) < prec:
+            m = k + 1
+    return m
 
 
 def _factorial_series(t, p: int, e0: int, prec: int, s: int):
     """sum_{k>=0} t^k/(k+s)! mod p^prec, for an integer matrix t with all
     entries divisible by p^e0.
 
-    Past M = exp_terms_needed(e0, p, prec, s) every term vanishes mod
+    From M = exp_terms_needed(e0, p, prec, s) on every term vanishes mod
     p^prec.  With the common denominator (M+s)!, the coefficient of t^k is
     the integer (M+s)!/(k+s)!.
     """

@@ -30,12 +30,18 @@ series.  Only results are kept: a computation that raises stores nothing
 and raises again on the next call.  Public functions return fresh lists
 of the immutable kept values.
 
-exp and log of a non-nilpotent element are one power series, summed on
-the lift of the algebra to a wider working precision (_orbit_series).
-Its result is capped at a level that depends on the tensor: on an exact
-tensor, the sensitivity of exp/log to a p^N change of the argument; on a
-solve-derived tensor, the bilinear-perturbation level, which also covers
-a p^N change of every structure constant.
+exp(x) and log(1 + x) take the matrix route first (_operator_series):
+on an exact tensor, when every entry of the multiplication operator M_x
+has valuation >= e0, the value is mat_exp(M_x), or mat_log(1 + M_x),
+applied to the coordinates of 1, at the precision of M_x and x.  Every
+other argument -- a solve-derived tensor, or an exact one with an
+operator entry below e0 -- is one power series, summed on the lift of the
+algebra to a wider working precision (_orbit_series), or the finite sum
+on a nilpotent.  The series result is capped at a level that depends on
+the tensor: on an exact tensor, the sensitivity of exp/log to a p^N
+change of the argument; on a solve-derived tensor, the
+bilinear-perturbation level, which also covers a p^N change of every
+structure constant.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from .errors import (
     PadicError,
     PrecisionExhausted,
 )
-from .matrix import PadicMatrix, _Lane, _least_valuation, _scaled_residue
+from .matrix import PadicMatrix, _Lane, _least_valuation, _scaled_residue, mat_exp, mat_log
 from .scalar import PadicScalar, big_exp
 
 MAX_DIM = 64  # soft limit; keeps the m^5 validation desk-scale
@@ -740,12 +746,38 @@ def _run_lifted_series(xw: AlgElement, kind: str, e0: int, p: int, target: int, 
                 return acc, n, deficit
 
 
+def _operator_series(x: AlgElement, kind: str) -> AlgElement | None:
+    """exp(x), or log(1 + x), as mat_exp(M_x), or mat_log(1 + M_x), applied
+    to the coordinates of 1, for M_x the multiplication operator of x; None
+    unless the tensor is exact and every entry of M_x has valuation >= e0.
+
+    On an exact tensor x -> M_x is an algebra morphism, so exp(M_x) is the
+    operator of exp(x) and sends 1 to it.  The entry condition puts every
+    eigen-scalar of x at valuation >= e0, so it implies the Newton-polygon
+    test and needs no nilpotent case; the matrix kernels keep the
+    operator's precision, which is capped at that of x."""
+    A = x.algebra
+    if not A.exact_structure:
+        return None
+    ctx = A.ctx
+    m_x = A.mult_operator(x)
+    v = m_x.min_valuation()
+    if v is not None and v < ctx.e0:
+        return None
+    op = mat_exp(m_x) if kind == "exp" else mat_log(m_x + PadicMatrix.identity(ctx, A.dim))
+    prec = min(x.min_precision(), ctx.default_precision)
+    image = op @ PadicMatrix.from_rows(ctx, [[c] for c in A.one])
+    return A.element([row[0].reduce(prec) for row in image.entries])
+
+
 def alg_exp(x: AlgElement) -> AlgElement:
     """Exponential in a finite-dimensional commutative algebra.
 
     Domain: every eigen-scalar of x (root of its minimal polynomial) has
-    valuation >= e0.  On nilpotents the series is finite and exact;
-    otherwise it is the power series on a lift of the algebra
+    valuation >= e0.  On an exact tensor whose operator M_x has every
+    entry of valuation >= e0 it is exp(M_x) applied to 1
+    (_operator_series).  Otherwise, on nilpotents the series is finite;
+    on the rest it is the power series on a lift of the algebra
     (_orbit_series).
     """
     A = x.algebra
@@ -754,6 +786,9 @@ def alg_exp(x: AlgElement) -> AlgElement:
         one = A.unit()
         prec = min(x.min_precision(), ctx.default_precision)
         return A.element([c.reduce(prec) for c in one.coords])
+    direct = _operator_series(x, "exp")
+    if direct is not None:
+        return direct
     if not _newton_polygon_ok(x.min_poly(), ctx.e0):
         raise OutsideExpDomain(
             "exp domain needs every eigen-scalar at valuation >= %d "
@@ -766,13 +801,19 @@ def alg_exp(x: AlgElement) -> AlgElement:
 
 def alg_log(u: AlgElement) -> AlgElement:
     """Logarithm, inverse to alg_exp on its domain: every eigen-scalar of
-    u - 1 must have valuation >= e0."""
+    u - 1 must have valuation >= e0.  The routes are alg_exp's, for
+    t = u - 1: log(1 + M_t) applied to 1 on an exact tensor whose M_t has
+    every entry of valuation >= e0, else the finite sum on a nilpotent t,
+    else the power series."""
     A = u.algebra
     ctx = A.ctx
     t = u - A.unit()
     if t.is_zero_to_precision():
         prec = min(u.min_precision(), ctx.default_precision)
         return A.element([c.reduce(prec) for c in A.zero().coords])
+    direct = _operator_series(t, "log")
+    if direct is not None:
+        return direct
     if not _newton_polygon_ok(t.min_poly(), ctx.e0):
         raise OutsideLogDomain(
             "log domain needs u = 1 + (eigen-scalars of valuation >= %d)" % ctx.e0

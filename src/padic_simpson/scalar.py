@@ -295,8 +295,9 @@ def val(a: PadicScalar) -> int | None:
 def exp_scalar(x: PadicScalar) -> PadicScalar:
     """The p-adic exponential sum x^n/n!, defined for val(x) >= e0.
 
-    Truncated at the least M with M*e0 - val_p(M!) >= precision; the result
-    is congruent to 1 mod p^e0 and carries the argument's precision.
+    Truncated past the last term that survives mod p^precision
+    (_series.exp_terms_needed); the result is congruent to 1 mod p^e0 and
+    carries the argument's precision.
     """
     ctx = x.ctx
     e0 = ctx.e0

@@ -226,8 +226,11 @@ def series_kernel_digest(p):
 
 
 # series_kernel_digest per p, recorded when exp and the expm1 quotient had
-# separate kernels
-SERIES_KERNELS = {2: "718a1dbbd1a31586", 3: "5b27315e7283eec9", 5: "912cc26ade50768a",
+# separate kernels; 2, 3 and 5 re-pinned when the term count stopped at the
+# first vanishing term (expm1 at p = 2, N = 8 and exp at p = 3, 5, N = 20 kept
+# a surviving later term out), each changed residue checked against an
+# exact term-by-term sum
+SERIES_KERNELS = {2: "8f1b1a315e60759c", 3: "881b4a2b80872255", 5: "a7bdd35b738366fc",
                   7: "c6a187eac76a74e6"}
 
 

@@ -2,7 +2,8 @@
 the expm1 quotient and log against the term-by-term sums it replaced, and
 its matrix-product count."""
 
-from math import isqrt
+from fractions import Fraction
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,11 +28,11 @@ def ref_mat_mul(a, b, mod):
 
 def ref_factorial_series(t, p, e0, prec, s):
     """sum_k t^k/(k+s)! over the common denominator (M+s)!, one term at a
-    time."""
+    time; M is one past the last index whose term can survive mod p^prec,
+    scanned past Legendre's closed-form index."""
     n = len(t)
-    m_terms = 1
-    while m_terms * e0 - _series.factorial_valuation(m_terms + s, p) < prec:
-        m_terms += 1
+    m_terms = 1 + max((k for k in range(1, 4 * prec + 8)
+                       if k * e0 - _series.factorial_valuation(k + s, p) < prec), default=0)
     w = _series.factorial_valuation(m_terms + s, p)
     mod = p ** (prec + w)
     fact = 1
@@ -106,6 +107,21 @@ def test_kernels_match_term_by_term_sums(inputs, log_at_one):
     v = 1 if log_at_one else e
     u = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)]
     assert _series.log_matrix(u, p, v, prec) == ref_log_matrix(u, p, v, prec)
+
+
+@pytest.mark.parametrize("p, t, prec", [
+    (3, 3, 6), (3, 3, 11), (3, 3, 29), (3, 3, 30), (2, 4, 10), (2, 4, 18), (5, 5, 20), (7, 7, 42),
+])
+def test_exp_keeps_the_terms_past_a_valuation_dip(p, t, prec):
+    # at these precisions the first term to vanish mod p^prec is followed
+    # by one that does not (term 9 of exp(3) at p = 3 has valuation 5), so
+    # exp and the expm1 quotient must run past it; the oracle sums exactly
+    e0 = 2 if p == 2 else 1
+    mod = p ** prec
+    for s, kernel in ((0, _series.exp_matrix), (1, _series.expm1_quotient_matrix)):
+        exact = sum(Fraction(t ** k, factorial(k + s)) for k in range(8 * prec))
+        want = exact.numerator * pow(exact.denominator, -1, mod) % mod
+        assert kernel([[t]], p, e0, prec) == [[want]], (s, p, prec)
 
 
 # -- work count ---------------------------------------------------------------
