@@ -18,8 +18,13 @@ N a, N b), a zero marker's valuation counting as its precision; its value
 is the exact sum of the unit products reduced mod p^prec.  As in the fold,
 the terms of an element product are (a_i * b_j) * c[i][j][k] over the
 nonzero a_i, b_j and c[i][j][k], and those of an operator entry or an
-image coordinate run over the nonzero x_i, zero constants and zero image
-coordinates included.
+image coordinate run over every x_i, c[i][j][k] and image coordinate,
+zero markers included: a zero marker x_i caps the entry at
+min(prec x_i + v c, prec c + prec x_i, N) and adds nothing to its value.
+
+AlgElement is a plain slotted class, never written to after construction
+(tests/test_values.py checks the sources) and unhashable; FinAlgebra is
+a frozen dataclass with its own equality and no hash.
 
 An algebra computes its structural invariants once, on first use, and
 keeps them for its lifetime (functools.cached_property on the frozen
@@ -70,7 +75,7 @@ MAX_DIM = 64  # soft limit; keeps the m^5 validation desk-scale
 _FULL_CHECK_DIM = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinAlgebra:
     ctx: PrimeContext
     dim: int
@@ -172,7 +177,7 @@ class FinAlgebra:
 
     def mult_operator(self, x: "AlgElement") -> PadicMatrix:
         """Matrix of multiplication by x in the given basis: entry (k, j)
-        is the sum of x_i * c[i][j][k] over the nonzero x_i."""
+        is the sum of x_i * c[i][j][k] over every x_i."""
         m = self.dim
         entries = _combine(self.ctx, x.coords, self._constants.lanes, m * m)
         return PadicMatrix.from_rows(self.ctx, [entries[k * m:(k + 1) * m] for k in range(m)])
@@ -230,7 +235,7 @@ class FinAlgebra:
     __hash__ = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AlgElement:
     algebra: FinAlgebra
     coords: tuple
@@ -391,7 +396,7 @@ class Morphism:
 
     def apply(self, x: AlgElement) -> AlgElement:
         """Coordinate k of the image is the sum of x_i * images[i][k] over
-        the nonzero x_i."""
+        every x_i."""
         return AlgElement(self.target, tuple(
             _combine(self.target.ctx, x.coords, self._image_lanes, self.target.dim)))
 
@@ -427,9 +432,9 @@ class _Constants:
 
 
 def _combine(ctx, coords, lanes, size):
-    """Entry t of the sum of coords[i] * lanes[i][t] over the nonzero
-    coords[i], every lane entry counted, as summing the scalar products
-    into zero markers of ctx leaves it (the ledger in the module
+    """Entry t of the sum of coords[i] * lanes[i][t] over every coords[i]
+    and every lane entry, zero markers included, as summing the scalar
+    products into zero markers of ctx leaves it (the ledger in the module
     docstring); the lanes share one base valuation.  coords and lanes
     must have one length: an element of another algebra is refused."""
     if len(coords) != len(lanes):
@@ -440,11 +445,14 @@ def _combine(ctx, coords, lanes, size):
     sums = [0] * size
     base = _least_valuation(coords)
     for x, lane in zip(coords, lanes):
-        if x.v is None:
-            continue
+        # a zero marker caps each entry at its precision plus the lane's
+        # valuation (and the lane's precision plus its own); it adds nothing
+        vx = x.prec if x.v is None else x.v
         cap = min(cap, x.ctx.default_precision)
         precs = list(map(min, precs, map(operator.add, lane.vals, repeat(x.prec)),
-                         map(operator.add, lane.precs, repeat(x.v)), lane.caps))
+                         map(operator.add, lane.precs, repeat(vx)), lane.caps))
+        if x.v is None:
+            continue
         scaled = x.u * p ** (x.v - base)
         sums = list(map(operator.add, sums, map(operator.mul, lane.scaled, repeat(scaled))))
     if lanes:

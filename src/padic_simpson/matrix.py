@@ -4,6 +4,11 @@ Matrix exp/log are the workhorses of the local correspondence, so they lift
 entries to integer residues and run the exact mod-p^W kernels rather than
 summing PadicScalar terms; the wrappers re-wrap results at the precision the
 input supports (exp and log preserve absolute precision on their domains).
+
+PadicMatrix, like PadicScalar, is a plain slotted class that is never
+written to after construction (checked over the sources by
+tests/test_values.py) and is unhashable, its equality being
+precision-relative.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import (
 from .scalar import PadicScalar
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PadicMatrix:
     ctx: PrimeContext
     entries: tuple  # tuple of tuples of PadicScalar

@@ -14,6 +14,12 @@ Precision rules (the documented ledger):
             min(prec_x, prec_f + v_y, prec_y + v_f, N_f, N_y)
   exp/log   preserved on their domains (isometries; the series kernels work
             at a widened internal modulus so no digits are lost)
+
+PadicScalar is a plain slotted class: every kernel builds one per output
+entry, so construction is kept to setting four slots, with no frozen-field
+guard.  A scalar is never written to after construction;
+tests/test_values.py checks the sources for such writes.  Equality is
+precision-relative, so scalars are unhashable.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PadicScalar:
     ctx: PrimeContext
     v: int | None  # valuation; None marks zero-to-precision

@@ -90,7 +90,7 @@ class SuiteResult:
         return out
 
 
-def _instances(cfg: VerifyConfig, tag: str):
+def _instances(cfg: VerifyConfig):
     """Deterministic instance stream: cycle primes, sizes and densities
     (densities include 0, so trivial objects are mixed in)."""
     densities = (0.0, 0.35, 0.6, 0.85)
@@ -124,7 +124,7 @@ def suite_roundtrip(cfg: VerifyConfig, fixture=None) -> SuiteResult:
         except PadicError as exc:
             res.record(False, _ce("roundtrip", fixture if isinstance(fixture, HiggsModule) else None,
                                   "fixture rejected: %s" % exc, "simpson to-rep <counterexample>"))
-    for idx, H in _instances(cfg, "roundtrip"):
+    for idx, H in _instances(cfg):
         V = higgs_to_rep(H)
         back = rep_to_higgs(V)
         ok = back.agrees(H, prec)
@@ -166,7 +166,7 @@ def suite_cohomology(cfg: VerifyConfig) -> SuiteResult:
             ok = list(hig.h) == shape and list(grp.h) == shape
             res.record(ok, _ce("cohomology", HiggsModule.trivial(ctx, d),
                                "trivial object shape != binomial", "simpson compare <file>"))
-    for idx, H in _instances(cfg, "cohomology"):
+    for idx, H in _instances(cfg):
         try:
             out = compare_cohomology(H, cfg.slack)
             ok = out.ok
@@ -189,7 +189,7 @@ def suite_functoriality(cfg: VerifyConfig) -> SuiteResult:
     """The correspondence commutes with direct sum, tensor and dual."""
     res = SuiteResult("functoriality")
     prec = cfg.precision - 8
-    pairs = list(_instances(cfg, "functoriality"))
+    pairs = list(_instances(cfg))
     for (i, a), (j, b) in zip(pairs, pairs[1:] + pairs[:1]):
         if a.ctx.p != b.ctx.p or a.d != b.d:
             b = gen_higgs(a.ctx.p, a.d, max(1, b.rank), seed=cfg.seed * 999 + i,
@@ -299,7 +299,7 @@ def suite_unitscaling(cfg: VerifyConfig) -> SuiteResult:
     """Koszul cohomology is invariant under scaling the operators by
     commuting units."""
     res = SuiteResult("unitscaling")
-    for idx, H in _instances(cfg, "unitscaling"):
+    for idx, H in _instances(cfg):
         units = gen_commuting_units(list(H.theta), seed=cfg.seed * 31 + idx)
         ok = koszul_unit_scaling_check(list(H.theta), units, cfg.slack)
         res.record(ok, _ce("unitscaling", H, "scaled Koszul dimensions moved", ""))
@@ -311,7 +311,7 @@ def suite_spectral(cfg: VerifyConfig) -> SuiteResult:
     dimension 1 for theta = 0, and the twist identity
     twist(E, L_tau) = higgs_to_rep(E)."""
     res = SuiteResult("spectral")
-    for idx, H in _instances(cfg, "spectral"):
+    for idx, H in _instances(cfg):
         S = spectral_algebra(H)
         ok = all(S.embed(t) == th for t, th in zip(S.tau, H.theta))
         if H.is_trivial():

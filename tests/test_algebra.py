@@ -611,13 +611,12 @@ def fold_product(x, y):
 
 def fold_operator(A, x):
     """Rows of the multiplication operator of x summed scalar by scalar,
-    zero constants included: the reference for FinAlgebra.mult_operator."""
+    zero coordinates and zero constants included: the reference for
+    FinAlgebra.mult_operator."""
     cols = []
     for j in range(A.dim):
         col = [PadicScalar.zero(A.ctx) for _ in range(A.dim)]
         for i, xi in enumerate(x.coords):
-            if xi.is_zero:
-                continue
             for k, c in enumerate(A.mul[i][j]):
                 col[k] = col[k] + xi * c
         cols.append(col)
@@ -625,12 +624,11 @@ def fold_operator(A, x):
 
 
 def fold_apply(f, x):
-    """f(x) summed scalar by scalar, out = out + img * x_i: the reference
-    for Morphism.apply."""
+    """f(x) summed scalar by scalar, out = out + img * x_i, zero
+    coordinates included: the reference for Morphism.apply."""
     out = f.target.zero()
     for xi, img in zip(x.coords, f.images):
-        if not xi.is_zero:
-            out = out + img * xi
+        out = out + img * xi
     return out
 
 
@@ -720,6 +718,18 @@ def test_product_term_capped_by_narrow_constant():
     got = x * y
     assert got.coords[0].prec == 8
     assert ledger(got.coords) == ledger(fold_product(x, y))
+
+
+def test_zero_marker_coordinate_caps_operator_and_image():
+    # x = [1, O(5^5)] in K[x]/(x^2): the (1, 0) entry of M_x is the
+    # coordinate O(5^5) times c[1][0][1] = 1, so it is known mod 5^5 only
+    A = dual_numbers(C5)
+    x = A.element([PadicScalar.from_int(C5, 1), PadicScalar.zero(C5, 5)])
+    M = A.mult_operator(x)
+    assert M[1, 0].is_zero and M[1, 0].prec == 5
+    assert [[c.prec for c in row] for row in M.entries] == [[32, 32], [5, 32]]
+    f = Morphism(A, A, (A.unit(), A.basis_element(1)))
+    assert [c.prec for c in f.apply(x).coords] == [32, 5]
 
 
 # -- per-algebra invariants, computed once -----------------------------------
