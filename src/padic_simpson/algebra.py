@@ -29,24 +29,24 @@ a frozen dataclass with its own equality and no hash.
 An algebra computes its structural invariants once, on first use, and
 keeps them for its lifetime (functools.cached_property on the frozen
 FinAlgebra, like the integer constants): the nilradical, the primitive
-idempotents and connected components (components.py), and the lifts to
-wider working precisions, one per precision, on which exp/log run their
-series.  Only results are kept: a computation that raises stores nothing
-and raises again on the next call.  Public functions return fresh lists
-of the immutable kept values.
+idempotents and connected components (components.py), and, for an exact
+tensor, its lifts to wider working precisions, one per precision.  Only
+results are kept: a computation that raises stores nothing and raises
+again on the next call.  Public functions return fresh lists of the
+immutable kept values.
 
-exp(x) and log(1 + x) take the matrix route first (_operator_series):
-on an exact tensor, when every entry of the multiplication operator M_x
-has valuation >= e0, the value is mat_exp(M_x), or mat_log(1 + M_x),
-applied to the coordinates of 1, at the precision of M_x and x.  Every
-other argument -- a solve-derived tensor, or an exact one with an
-operator entry below e0 -- is one power series, summed on the lift of the
-algebra to a wider working precision (_orbit_series), or the finite sum
-on a nilpotent.  The series result is capped at a level that depends on
-the tensor: on an exact tensor, the sensitivity of exp/log to a p^N
-change of the argument; on a solve-derived tensor, the
-bilinear-perturbation level, which also covers a p^N change of every
-structure constant.
+exp(x) and log(1 + x) have one engine (_operator_series): mat_exp(M'),
+or mat_log(1 + M'), applied to the coordinates of 1, for M' the
+multiplication operator M_x conjugated into a triangular basis P of the
+lattice sum over k < dim of (M_x/p^e0)^k Z_p^dim; an entry of M' below e0
+is the domain refusal.  Only the precision policy depends on the tensor.
+A solve-derived tensor keeps the ledger of M_x and of 1, with P exact
+and the products with P made in a wider context.  An exact tensor whose
+M_x has every entry at valuation >= e0 needs no P and keeps the
+precision of x; with an entry below e0 the engine runs on the exact lift
+of the algebra to a wider precision, capped at the sensitivity of
+exp/log to a p^N change of x and widened until every digit reaches the
+cap, except on a nilpotent, whose series is finite.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from functools import cached_property
 from itertools import repeat
 import operator
 
-from . import _series, linalg
+from . import linalg
 from .context import PrimeContext
 from .errors import (
     ContextMismatch,
@@ -83,8 +83,9 @@ class FinAlgebra:
     one: tuple  # coordinates of the unit
     # whether the stored residues ARE the exact structure constants (true
     # for hand-built and parsed tensors); solve-derived tensors (quotients,
-    # spectral algebras) only approximate the true constants mod p^N, so
-    # exp/log on them are capped at the bilinear-perturbation level
+    # components, spectral algebras and reloaded twists) only approximate
+    # the true constants, so exp/log on them keep the operator's ledger
+    # rather than working on an exact lift
     exact_structure: bool = True
 
     @staticmethod
@@ -172,7 +173,8 @@ class FinAlgebra:
 
     @cached_property
     def _lifts(self) -> dict:
-        """Working-precision lifts made by _lift_algebra, by precision."""
+        """Working-precision lifts of an exact tensor made by
+        _lift_algebra, by precision."""
         return {}
 
     def mult_operator(self, x: "AlgElement") -> PadicMatrix:
@@ -539,19 +541,6 @@ def quotient_by_ideal(A: FinAlgebra, ideal_basis):
 # -- exponential and logarithm ----------------------------------------------
 
 
-def _newton_polygon_ok(minpoly, bound: int) -> bool:
-    """All roots of the monic polynomial have valuation >= bound, iff
-    val(a_i) >= (s - i) * bound for every coefficient."""
-    s = len(minpoly) - 1
-    for i in range(s):
-        c = minpoly[i]
-        if c.is_zero:
-            continue
-        if c.v < (s - i) * bound:
-            return False
-    return True
-
-
 def _rehome(c: PadicScalar, ctx) -> PadicScalar:
     prec = min(c.prec, ctx.default_precision)
     if c.is_zero or c.v >= prec:
@@ -559,50 +548,33 @@ def _rehome(c: PadicScalar, ctx) -> PadicScalar:
     return PadicScalar(ctx, c.v, c.u % ctx.p ** (prec - c.v), prec)
 
 
-def _finite_exp(nu: AlgElement) -> AlgElement:
-    """exp of a nilpotent element: the series terminates within dim steps."""
+def _finite_series(nu: AlgElement, kind: str) -> AlgElement:
+    """exp(nu), or log(1 + nu), for nilpotent nu: the series stops within
+    dim terms, at the first power that vanishes to precision."""
     A = nu.algebra
-    out = A.unit()
+    out = A.unit() if kind == "exp" else A.zero()
     term = A.unit()
-    fact = 1
+    denom = 1
     for n in range(1, A.dim + 1):
         term = term * nu
         if term.is_zero_to_precision():
             break
-        fact *= n
-        out = out + term * PadicScalar.from_fraction(A.ctx, Fraction(1, fact))
+        denom = denom * n if kind == "exp" else (-1) ** (n + 1) * n
+        out = out + term * PadicScalar.from_fraction(A.ctx, Fraction(1, denom))
     return out
 
 
-def _finite_log(nu: AlgElement) -> AlgElement:
-    """log(1 + nu) for nilpotent nu: finite alternating sum."""
-    A = nu.algebra
-    out = A.zero()
-    term = A.unit()
-    for n in range(1, A.dim + 1):
-        term = term * nu
-        if term.is_zero_to_precision():
-            break
-        c = PadicScalar.from_fraction(A.ctx, Fraction(-1 if n % 2 == 0 else 1, n))
-        out = out + term * c
-    return out
-
-
-def _lift_scalar(c: PadicScalar, wctx: PrimeContext) -> PadicScalar:
-    """The canonical exact lift of a residue into a wider working context;
-    the ambiguity of the choice is absorbed by the final function-precision
-    cap."""
+def _lift_scalar(c: PadicScalar, wctx: PrimeContext, shift: int = 0) -> PadicScalar:
+    """p^shift times the canonical exact lift of a residue into a wider
+    working context."""
     if c.is_zero:
         return PadicScalar.zero(wctx)
-    return PadicScalar.from_val_unit(wctx, c.v, c.u)
+    return PadicScalar.from_val_unit(wctx, c.v + shift, c.u)
 
 
 def _lift_algebra(A: FinAlgebra, wctx: PrimeContext) -> FinAlgebra:
-    """The canonical residue lift of A into the wider working context,
-    made once per working precision and kept by A, with A's
-    exact_structure.  The exp/log series uses it for straight-line
-    bilinear evaluation only: the lift of a solve-derived tensor is no
-    longer associative beyond the native precision."""
+    """The canonical residue lift of the exact tensor A into the wider
+    working context, made once per working precision and kept by A."""
     Aw = A._lifts.get(wctx.default_precision)
     if Aw is None:
         mul = [
@@ -610,8 +582,7 @@ def _lift_algebra(A: FinAlgebra, wctx: PrimeContext) -> FinAlgebra:
             for i in range(A.dim)
         ]
         one = [_lift_scalar(c, wctx) for c in A.one]
-        Aw = FinAlgebra.create(wctx, mul, one, validate=False,
-                               exact_structure=A.exact_structure)
+        Aw = FinAlgebra.create(wctx, mul, one, validate=False)
         A._lifts[wctx.default_precision] = Aw
     return Aw
 
@@ -630,205 +601,115 @@ def _log_cap(N: int, uw: AlgElement) -> int:
     return N + min(0, inv_mv if inv_mv is not None else 0)
 
 
-def _denominator_valuation(n: int, p: int, kind: str) -> int:
-    return _series.factorial_valuation(n, p) if kind == "exp" else (
-        _series.int_valuation(n, p) if n % p == 0 else 0
-    )
+def _krylov_basis(m: PadicMatrix) -> PadicMatrix | None:
+    """A triangular basis P, with exact entries, of the lattice
+    L = sum over k < n of (M/p^e0)^k Z_p^n for the n x n matrix M; None
+    when M/p^e0 is integral, for L is then Z_p^n.
+
+    M/p^e0 maps L into itself exactly when its characteristic polynomial
+    is integral, i.e. when every eigen-scalar of M has valuation >= e0;
+    then P^-1 M P has every entry at valuation >= e0.  The basis is
+    computed from the residues of M taken as exact, and its own residues
+    are then taken as exact: any invertible P conjugates M, and the domain
+    test runs on the result."""
+    ctx = m.ctx
+    v = m.min_valuation()
+    if v is None or v >= ctx.e0:
+        return None
+    step = PadicMatrix.from_rows(ctx, [[_lift_scalar(c, ctx, -ctx.e0) for c in row]
+                                       for row in m.entries])
+    power = PadicMatrix.identity(ctx, m.nrows)
+    gens = list(power.entries)
+    for _ in range(m.nrows - 1):
+        power = step @ power
+        gens += zip(*power.entries)
+    cols = linalg.triangular_lattice_basis(gens)
+    return PadicMatrix.from_rows(ctx, zip(*([_lift_scalar(c, ctx) for c in col]
+                                            for col in cols)))
 
 
-def _tail_certified(a: int, n: int, e0: int, p: int, kind: str, target: int) -> bool:
-    """Given val(x^m) >= a + m*e0 for every m > n (the window induction
-    through the linear recurrence of the power orbit), check that every
-    later term vanishes mod p^target.  Beyond the closed-form index the
-    Legendre bound val(n!) <= n/(p-1) guarantees it; the finitely many
-    indices before that are scanned exactly."""
-    bound = max(n, ((target - a) * (p - 1)) // ((p - 1) * e0 - 1) + 1)
-    for m in range(n + 1, bound + 1):
-        if a + m * e0 - _denominator_valuation(m, p, kind) < target:
-            return False
-    return True
+def _operator_series(m: PadicMatrix, one, kind: str) -> list:
+    """exp(M), or log(1 + M), applied to the column one, as coordinates in
+    the context of M: mat_exp(M'), or mat_log(1 + M'), for M' = P^-1 M P
+    with P the basis of _krylov_basis, conjugated back.  A conjugated
+    entry below e0 means an eigen-scalar of M below e0: the domain
+    refusal.  The products with P and P^-1 keep the ledger of M and of
+    one; the matrix kernels keep the least precision of M'."""
+    ctx = m.ctx
+    basis = _krylov_basis(m)
+    col = PadicMatrix.from_rows(ctx, [[c] for c in one])
+    if basis is not None:
+        inverse = basis.inverse()
+        m = inverse @ m @ basis
+        col = inverse @ col
+    v = m.min_valuation()
+    if v is not None and v < ctx.e0:
+        if kind == "exp":
+            raise OutsideExpDomain(
+                "exp domain needs every eigen-scalar at valuation >= %d" % ctx.e0)
+        raise OutsideLogDomain(
+            "log domain needs u = 1 + (eigen-scalars of valuation >= %d)" % ctx.e0)
+    op = mat_exp(m) if kind == "exp" else mat_log(m + PadicMatrix.identity(ctx, m.nrows))
+    image = op @ col
+    if basis is not None:
+        image = basis @ image
+    return [row[0] for row in image.entries]
 
 
-def _orbit_series(x: AlgElement, kind: str) -> AlgElement:
-    """exp(x), or log(1 + x), as the power series on the canonical lift of
-    A to a wider working precision.
-
-    No ring axioms beyond bilinearity are used (the lift of a solve-derived
-    tensor need not be associative beyond p^N): powers are the orbit of the
-    multiply-by-x operator, so the Cayley-Hamilton recurrence gains e0 per
-    step once a full window of dim consecutive powers satisfies
-    val(x^k) >= a + k*e0, and the tail past the certified index vanishes.
-    The result is capped at the sensitivity of exp/log to a p^N change of
-    the argument when the tensor is exact, and at the bilinear-perturbation
-    level of _perturbation_level when it is solve-derived; the headroom
-    doubles until every coordinate of the lifted sum reaches the cap."""
+def _exp_log(x: AlgElement, kind: str) -> AlgElement:
+    """exp(x), or log(1 + x), as _operator_series on the multiplication
+    operator M_x and the coordinates of 1, under the precision policy of
+    the tensor (module docstring)."""
     A = x.algebra
     ctx = A.ctx
-    p = ctx.p
-    e0 = ctx.e0
     N = min(x.min_precision(), ctx.default_precision)
-    dim = A.dim
+    if x.is_zero_to_precision():
+        base = A.unit() if kind == "exp" else A.zero()
+        return A.element([c.reduce(N) for c in base.coords])
+    m_x = A.mult_operator(x)
+    if not A.exact_structure:
+        # the ledger of M_x and of 1 bounds the result; the wider context
+        # keeps the products with P from being capped at N
+        wctx = ctx.widen(N + 32)
+        out = _operator_series(
+            PadicMatrix.from_rows(wctx, [[_rehome(c, wctx) for c in row]
+                                         for row in m_x.entries]),
+            [_rehome(c, wctx) for c in A.one], kind)
+        return A.element([_rehome(c, ctx) for c in out])
+    v = m_x.min_valuation()
+    if v is None or v >= ctx.e0:
+        return A.element([c.reduce(N) for c in _operator_series(m_x, A.one, kind)])
+    if x.is_nilpotent():
+        return _finite_series(x, kind)
     headroom = N + 32
     for _ in range(4):
         wctx = ctx.widen(headroom)
         Aw = _lift_algebra(A, wctx)
         xw = Aw.element([_lift_scalar(c, wctx) for c in x.coords])
-        acc, used_terms, orbit_deficit = _run_lifted_series(xw, kind, e0, p, N, dim)
-        if not A.exact_structure:
-            level = _perturbation_level(A, xw, N, orbit_deficit)
-        elif kind == "exp":
-            level = _exp_cap(N, acc)
-        else:
-            level = _log_cap(N, Aw.unit() + xw)
+        acc = Aw.element(_operator_series(Aw.mult_operator(xw), Aw.one, kind))
+        level = _exp_cap(N, acc) if kind == "exp" else _log_cap(N, Aw.unit() + xw)
         if acc.min_precision() >= level:
             return A.element([_rehome(c.reduce(level), ctx) for c in acc.coords])
         headroom *= 2
-    raise PrecisionExhausted("series headroom did not stabilise")
-
-
-def _perturbation_level(A: FinAlgebra, xw: AlgElement, N: int, orbit_deficit: int) -> int:
-    """Digits of a series on a tensor known only mod p^N: perturbing the
-    tensor or x by p^N moves term n by at least
-    p^(N + (n-1)*(e0 + c) - val(denominator)) where c is the most negative
-    tensor valuation."""
-    e0 = A.ctx.e0
-    dim = A.dim
-    c_min = 0
-    for plane in A.mul:
-        for row in plane:
-            for c in row:
-                if not c.is_zero and c.v < c_min:
-                    c_min = c.v
-    # error propagation: a p^N input perturbation enters term n once and
-    # is then pushed around by powers of the multiplication operator,
-    # whose entry valuations grow by e0 per step past the first dim of
-    # them; the total deficit is a constant, not a factorial
-    op_deficit = 0
-    op_power = PadicMatrix.identity(xw.algebra.ctx, dim)
-    m_x = xw.algebra.mult_operator(xw)
-    for _ in range(dim - 1):
-        op_power = op_power @ m_x
-        mv = op_power.min_valuation()
-        if mv is not None and mv < -op_deficit:
-            op_deficit = -mv
-    level = N - (max(0, orbit_deficit - c_min) + op_deficit + dim * e0)
-    if level <= 0:
-        raise PrecisionExhausted(
-            "structure-constant denominators leave no certified digits"
-        )
-    return level
-
-
-def _run_lifted_series(xw: AlgElement, kind: str, e0: int, p: int, target: int, dim: int):
-    """Returns (series value, terms used, orbit deficit), the deficit being
-    max over observed powers of n*e0 - val(x^n)."""
-    Aw = xw.algebra
-    power = Aw.unit()
-    acc = Aw.unit() if kind == "exp" else Aw.zero()
-    window = []
-    deficit = 0
-    fact = 1
-    n = 0
-    hard_cap = 400 * (target + dim)
-    while True:
-        n += 1
-        if n > hard_cap:
-            raise PrecisionExhausted("series did not certify its tail")
-        power = power * xw
-        mv = power.min_valuation()
-        bound = (power.min_precision() if mv is None else mv) - n * e0
-        if -bound > deficit:
-            deficit = -bound
-        window.append(bound)
-        if len(window) > dim:
-            window.pop(0)
-        if kind == "exp":
-            fact *= n
-            coeff = PadicScalar.from_fraction(Aw.ctx, Fraction(1, fact))
-        else:
-            coeff = PadicScalar.from_fraction(Aw.ctx, Fraction(-1 if n % 2 == 0 else 1, n))
-        acc = acc + power * coeff
-        if len(window) == dim:
-            a = min(window)
-            if _tail_certified(a, n, e0, p, kind, target):
-                return acc, n, deficit
-
-
-def _operator_series(x: AlgElement, kind: str) -> AlgElement | None:
-    """exp(x), or log(1 + x), as mat_exp(M_x), or mat_log(1 + M_x), applied
-    to the coordinates of 1, for M_x the multiplication operator of x; None
-    unless the tensor is exact and every entry of M_x has valuation >= e0.
-
-    On an exact tensor x -> M_x is an algebra morphism, so exp(M_x) is the
-    operator of exp(x) and sends 1 to it.  The entry condition puts every
-    eigen-scalar of x at valuation >= e0, so it implies the Newton-polygon
-    test and needs no nilpotent case; the matrix kernels keep the
-    operator's precision, which is capped at that of x."""
-    A = x.algebra
-    if not A.exact_structure:
-        return None
-    ctx = A.ctx
-    m_x = A.mult_operator(x)
-    v = m_x.min_valuation()
-    if v is not None and v < ctx.e0:
-        return None
-    op = mat_exp(m_x) if kind == "exp" else mat_log(m_x + PadicMatrix.identity(ctx, A.dim))
-    prec = min(x.min_precision(), ctx.default_precision)
-    image = op @ PadicMatrix.from_rows(ctx, [[c] for c in A.one])
-    return A.element([row[0].reduce(prec) for row in image.entries])
+    raise PrecisionExhausted("exp/log headroom did not stabilise")
 
 
 def alg_exp(x: AlgElement) -> AlgElement:
     """Exponential in a finite-dimensional commutative algebra.
 
-    Domain: every eigen-scalar of x (root of its minimal polynomial) has
-    valuation >= e0.  On an exact tensor whose operator M_x has every
-    entry of valuation >= e0 it is exp(M_x) applied to 1
-    (_operator_series).  Otherwise, on nilpotents the series is finite;
-    on the rest it is the power series on a lift of the algebra
-    (_orbit_series).
+    Domain: every eigen-scalar of x has valuation >= e0.  The value is
+    exp(M_x) applied to 1, through the lattice basis of _operator_series;
+    an exact nilpotent whose operator has an entry below e0 takes the
+    finite series instead.
     """
-    A = x.algebra
-    ctx = A.ctx
-    if x.is_zero_to_precision():
-        one = A.unit()
-        prec = min(x.min_precision(), ctx.default_precision)
-        return A.element([c.reduce(prec) for c in one.coords])
-    direct = _operator_series(x, "exp")
-    if direct is not None:
-        return direct
-    if not _newton_polygon_ok(x.min_poly(), ctx.e0):
-        raise OutsideExpDomain(
-            "exp domain needs every eigen-scalar at valuation >= %d "
-            "(Newton polygon of the minimal polynomial too shallow)" % ctx.e0
-        )
-    if x.is_nilpotent():
-        return _finite_exp(x)
-    return _orbit_series(x, "exp")
+    return _exp_log(x, "exp")
 
 
 def alg_log(u: AlgElement) -> AlgElement:
     """Logarithm, inverse to alg_exp on its domain: every eigen-scalar of
-    u - 1 must have valuation >= e0.  The routes are alg_exp's, for
-    t = u - 1: log(1 + M_t) applied to 1 on an exact tensor whose M_t has
-    every entry of valuation >= e0, else the finite sum on a nilpotent t,
-    else the power series."""
-    A = u.algebra
-    ctx = A.ctx
-    t = u - A.unit()
-    if t.is_zero_to_precision():
-        prec = min(u.min_precision(), ctx.default_precision)
-        return A.element([c.reduce(prec) for c in A.zero().coords])
-    direct = _operator_series(t, "log")
-    if direct is not None:
-        return direct
-    if not _newton_polygon_ok(t.min_poly(), ctx.e0):
-        raise OutsideLogDomain(
-            "log domain needs u = 1 + (eigen-scalars of valuation >= %d)" % ctx.e0
-        )
-    if t.is_nilpotent():
-        return _finite_log(t)
-    return _orbit_series(t, "log")
+    t = u - 1 must have valuation >= e0.  The value is log(1 + M_t)
+    applied to 1, routed as alg_exp routes t."""
+    return _exp_log(u - u.algebra.unit(), "log")
 
 
 def exp_G(x: AlgElement) -> AlgElement:

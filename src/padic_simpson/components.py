@@ -21,7 +21,7 @@ from . import linalg
 from ._series import mat_mul
 from .errors import IntegralStructureFailure, PrecisionExhausted
 from .matrix import PadicMatrix
-from .scalar import PadicScalar, sub_mul_row
+from .scalar import PadicScalar
 
 _SATURATION_ROUNDS = 64
 
@@ -299,7 +299,7 @@ def _saturate(order: _Order) -> _Order:
     for _ in range(_SATURATION_ROUNDS):
         rad = order.reduction().radical()
         j_gens = [order.element(v) for v in rad] + [b * p_scalar for b in order.basis]
-        J = _Order(S, _triangular_lattice_basis(S, j_gens))
+        J = _Order(S, _lattice_basis(S, j_gens))
         # x = sum z_i b_i / p lies in the multiplier iff for every generator
         # g of J the J-coordinates of x*g are integral, i.e. B z = 0 mod p
         prods = J.coords([b * g for g in J.basis for b in order.basis])
@@ -307,7 +307,7 @@ def _saturate(order: _Order) -> _Order:
                 for gi in range(m) for coord in range(m)]
         kernel = _gf_kernel(cond, p)
         new_gens = list(order.basis) + [order.element(z) * p_inv for z in kernel]
-        enlarged = _Order(S, _triangular_lattice_basis(S, new_gens))
+        enlarged = _Order(S, _lattice_basis(S, new_gens))
         if enlarged.index_valuation == order.index_valuation:
             return order
         order = enlarged
@@ -316,35 +316,9 @@ def _saturate(order: _Order) -> _Order:
     )
 
 
-def _triangular_lattice_basis(S: FinAlgebra, gens):
-    """Hermite-style column reduction of a generating set to a triangular
-    lattice basis, using only unimodular operations over Z_p (scaling by
-    units, subtracting p-power multiples)."""
-    m = S.dim
-    cols = [list(g.coords) for g in gens]
-    out = []
-    for row in range(m):
-        best = None
-        for ci, col in enumerate(cols):
-            e = col[row]
-            if e.is_zero:
-                continue
-            if best is None or e.v < cols[best][row].v:
-                best = ci
-        if best is None:
-            raise IntegralStructureFailure("lattice generators do not span")
-        col = cols.pop(best)
-        pivot = col[row]
-        unit_inv = PadicScalar(S.ctx, 0, pivot.u, pivot.prec - pivot.v).inv()
-        col = [x * unit_inv for x in col]  # pivot becomes the pure power p^v
-        for other in cols:
-            e = other[row]
-            if e.is_zero:
-                continue
-            f = e * col[row].inv()  # integral since the pivot has minimal valuation
-            other[:] = sub_mul_row(other, f, col)
-        out.append(col)
-    return [S.element(c) for c in out]
+def _lattice_basis(S: FinAlgebra, gens):
+    """A triangular basis of the lattice the elements gens span."""
+    return [S.element(c) for c in linalg.triangular_lattice_basis([g.coords for g in gens])]
 
 
 # -- public entry points ------------------------------------------------------

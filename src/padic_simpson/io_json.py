@@ -130,7 +130,7 @@ def _tensor_to_json(A: FinAlgebra):
     }
 
 
-def _tensor_from_json(ctx, obj, what) -> FinAlgebra:
+def _tensor_from_json(ctx, obj, what, exact_structure) -> FinAlgebra:
     """FinAlgebra.create on the "mul" and "one" of obj; a missing field or
     a bad scalar is a ParseError naming `what`, while a tensor that is not
     an algebra raises what FinAlgebra.create raises."""
@@ -142,7 +142,7 @@ def _tensor_from_json(ctx, obj, what) -> FinAlgebra:
         one = [PadicScalar.parse(ctx, s) for s in obj["one"]]
     except (KeyError, ValueError, TypeError, PadicError) as exc:
         raise ParseError("bad %s: %s" % (what, exc))
-    return FinAlgebra.create(ctx, mul, one)
+    return FinAlgebra.create(ctx, mul, one, exact_structure=exact_structure)
 
 
 def algebra_to_json(A: FinAlgebra, metadata=None):
@@ -153,7 +153,7 @@ def algebra_to_json(A: FinAlgebra, metadata=None):
 
 def algebra_from_json(obj, precision=None) -> FinAlgebra:
     _check_header(obj, "algebra")
-    return _tensor_from_json(_context_from(obj, precision), obj, "scalar in algebra")
+    return _tensor_from_json(_context_from(obj, precision), obj, "scalar in algebra", True)
 
 
 def twist_to_json(B: FinAlgebra, tau, units=None, metadata=None):
@@ -168,7 +168,9 @@ def twist_to_json(B: FinAlgebra, tau, units=None, metadata=None):
 def twist_from_json(obj, precision=None):
     _check_header(obj, "twist")
     ctx = _context_from(obj, precision)
-    B = _tensor_from_json(ctx, obj.get("algebra", {}), "twist payload")
+    # a twist's tensor was solved for (spectral_algebra), so it only
+    # approximates the true structure constants
+    B = _tensor_from_json(ctx, obj.get("algebra", {}), "twist payload", False)
     try:
         tau = [B.element([PadicScalar.parse(ctx, s) for s in t]) for t in obj["tau"]]
     except (KeyError, ValueError, TypeError, PadicError) as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .context import DEFAULT_SLACK, PrimeContext
-from .errors import PrecisionExhausted
+from .errors import IntegralStructureFailure, PrecisionExhausted
 from .scalar import PadicScalar, sub_mul_row
 
 
@@ -225,6 +225,38 @@ def invert(mat, min_margin=DEFAULT_SLACK):
     """Matrix inverse via the reduced elimination applied to the identity;
     None when the matrix is singular to precision."""
     return eliminate(mat, reduce_above=True, min_margin=min_margin).inverse()
+
+
+def triangular_lattice_basis(cols):
+    """Hermite-style column reduction of generating columns to a
+    triangular basis of the Z_p-lattice they span, using only unimodular
+    operations over Z_p (scaling by units, subtracting p-power multiples):
+    column r of the result vanishes to precision above row r and holds the
+    pure power p^v at row r."""
+    cols = [list(c) for c in cols]
+    out = []
+    for row in range(len(cols[0])):
+        best = None
+        for ci, col in enumerate(cols):
+            e = col[row]
+            if e.is_zero:
+                continue
+            if best is None or e.v < cols[best][row].v:
+                best = ci
+        if best is None:
+            raise IntegralStructureFailure("lattice generators do not span")
+        col = cols.pop(best)
+        pivot = col[row]
+        unit_inv = PadicScalar(pivot.ctx, 0, pivot.u, pivot.prec - pivot.v).inv()
+        col = [x * unit_inv for x in col]  # pivot becomes the pure power p^v
+        for other in cols:
+            e = other[row]
+            if e.is_zero:
+                continue
+            f = e * col[row].inv()  # integral since the pivot has minimal valuation
+            other[:] = sub_mul_row(other, f, col)
+        out.append(col)
+    return out
 
 
 def _one_like(s: PadicScalar) -> PadicScalar:

