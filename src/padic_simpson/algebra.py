@@ -9,18 +9,21 @@ constructions whose tensors are read off from actual endomorphism algebras
 may skip the quadratic checks above the documented size gate.
 
 Element products, multiplication operators and morphism images are
-bilinear sums of scalar products.  Each output coordinate or entry is
+bilinear sums of scalar products, each output coordinate or entry
 computed in one integer pass with exactly the ledger of adding the
 products a*b one by one to a zero marker of the result's context (the
 algebra's; for a morphism, the target's): its precision is the least of
 that context's N and, over the terms, min(prec a + v b, prec b + v a,
 N a, N b), a zero marker's valuation counting as its precision; its value
-is the exact sum of the unit products reduced mod p^prec.  As in the fold,
-the terms of an element product are (a_i * b_j) * c[i][j][k] over the
-nonzero a_i, b_j and c[i][j][k], and those of an operator entry or an
-image coordinate run over every x_i, c[i][j][k] and image coordinate,
-zero markers included: a zero marker x_i caps the entry at
-min(prec x_i + v c, prec c + prec x_i, N) and adds nothing to its value.
+is the exact sum of the unit products reduced mod p^prec.  Operators and
+images are dot products of the coordinates of x with integer columns
+kept per algebra (one per operator entry) and per morphism (one per
+target coordinate), made by the product routine of PadicMatrix @
+(matrix._lane_products), so their terms run over every x_i, c[i][j][k]
+and image coordinate, zero markers included: a zero marker x_i caps the
+entry at min(prec x_i + v c, prec c + prec x_i, N) and adds nothing to
+its value.  An element product keeps its own term loop, whose terms
+(a_i * b_j) * c[i][j][k] run over the nonzero a_i, b_j and c[i][j][k].
 
 AlgElement is a plain slotted class, never written to after construction
 (tests/test_values.py checks the sources) and unhashable; FinAlgebra is
@@ -40,13 +43,15 @@ or mat_log(1 + M'), applied to the coordinates of 1, for M' the
 multiplication operator M_x conjugated into a triangular basis P of the
 lattice sum over k < dim of (M_x/p^e0)^k Z_p^dim; an entry of M' below e0
 is the domain refusal.  Only the precision policy depends on the tensor.
-A solve-derived tensor keeps the ledger of M_x and of 1, with P exact
-and the products with P made in a wider context.  An exact tensor whose
-M_x has every entry at valuation >= e0 needs no P and keeps the
-precision of x; with an entry below e0 the engine runs on the exact lift
-of the algebra to a wider precision, capped at the sensitivity of
-exp/log to a p^N change of x and widened until every digit reaches the
-cap, except on a nilpotent, whose series is finite.
+By default the result keeps the ledger of M_x and of 1, with P exact and
+the products with P made in a wider context: every solve-derived tensor
+takes this route, and so does an exact tensor whose M_x has every entry
+at valuation >= e0 (then P = 1).  An exact tensor with an entry of M_x
+below e0 needs P, whose denominators would cost digits, so the engine
+runs on the exact lift of the algebra to a wider precision instead,
+capped at the sensitivity of exp/log to a p^N change of x and widened
+until every digit reaches the cap; an x nilpotent on that lift takes
+its finite series.
 """
 
 from __future__ import annotations
@@ -54,8 +59,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-import operator
 
 from . import linalg
 from .context import PrimeContext
@@ -68,8 +71,8 @@ from .errors import (
     PadicError,
     PrecisionExhausted,
 )
-from .matrix import PadicMatrix, _Lane, _least_valuation, _scaled_residue, mat_exp, mat_log
-from .scalar import PadicScalar, big_exp
+from .matrix import PadicMatrix, _Lane, _lane_products, _least_valuation, mat_exp, mat_log
+from .scalar import PadicScalar, _scaled_residue, big_exp
 
 MAX_DIM = 64  # soft limit; keeps the m^5 validation desk-scale
 _FULL_CHECK_DIM = 12
@@ -181,7 +184,7 @@ class FinAlgebra:
         """Matrix of multiplication by x in the given basis: entry (k, j)
         is the sum of x_i * c[i][j][k] over every x_i."""
         m = self.dim
-        entries = _combine(self.ctx, x.coords, self._constants.lanes, m * m)
+        entries = _lane_products(self.ctx, _coordinate_lane(self, x), self._constants.columns)
         return PadicMatrix.from_rows(self.ctx, [entries[k * m:(k + 1) * m] for k in range(m)])
 
     # -- convenient constructors -------------------------------------------
@@ -292,7 +295,7 @@ class AlgElement:
                         precs[k] = prec
                     sums[k] += sab * sc
         base = a_base + b_base + constants.base
-        return AlgElement(A, tuple(_scaled_residue(ctx, p, r, base, prec)
+        return AlgElement(A, tuple(_scaled_residue(ctx, r, base, prec)
                                    for r, prec in zip(sums, precs)))
 
     def __rmul__(self, other):
@@ -390,17 +393,17 @@ class Morphism:
                     raise PadicError("morphism not multiplicative at (%d,%d)" % (i, j))
 
     @cached_property
-    def _image_lanes(self):
-        """The image coordinates as integers, one _Lane per source basis
-        vector, all scaled to one base valuation."""
-        base = _least_valuation([c for img in self.images for c in img.coords])
-        return [_Lane(img.coords, self.target.ctx.p, base) for img in self.images]
+    def _columns(self):
+        """The image coordinates as integers, one _Lane per target
+        coordinate k over the images[i][k]."""
+        p = self.target.ctx.p
+        return [_Lane(coords, p) for coords in zip(*(img.coords for img in self.images))]
 
     def apply(self, x: AlgElement) -> AlgElement:
         """Coordinate k of the image is the sum of x_i * images[i][k] over
         every x_i."""
         return AlgElement(self.target, tuple(
-            _combine(self.target.ctx, x.coords, self._image_lanes, self.target.dim)))
+            _lane_products(self.target.ctx, _coordinate_lane(self.source, x), self._columns)))
 
     def is_surjective(self) -> bool:
         rows = [[img.coords[i] for img in self.images] for i in range(self.target.dim)]
@@ -413,19 +416,19 @@ class Morphism:
 
 
 class _Constants:
-    """A structure-constant tensor as integers, each c[i][j][k] scaled to
-    p^base with base the least valuation of a nonzero constant.  lanes[i]
-    is a _Lane over the c[i][j][k] in (k, j) order, the i-th plane of the
+    """A structure-constant tensor as integers.  columns[k * m + j] is a
+    _Lane over the c[i][j][k], the column of entry (k, j) of the
     multiplication operators; terms[i][j] lists the nonzero c[i][j][k] as
-    (k, valuation, precision, ambient precision, scaled unit)."""
+    (k, valuation, precision, ambient precision, scaled unit), each scaled
+    to p^base with base the least valuation of a nonzero constant."""
 
-    __slots__ = ("base", "lanes", "terms")
+    __slots__ = ("base", "columns", "terms")
 
     def __init__(self, mul, p):
         m = len(mul)
-        planes = [[mul[i][j][k] for k in range(m) for j in range(m)] for i in range(m)]
-        self.base = base = _least_valuation([c for plane in planes for c in plane])
-        self.lanes = [_Lane(plane, p, base) for plane in planes]
+        self.columns = [_Lane([mul[i][j][k] for i in range(m)], p)
+                        for k in range(m) for j in range(m)]
+        self.base = base = _least_valuation([c for plane in mul for row in plane for c in row])
         self.terms = [
             [tuple((k, c.v, c.prec, c.ctx.default_precision, c.u * p ** (c.v - base))
                    for k, c in enumerate(row) if c.v is not None) for row in plane]
@@ -433,33 +436,12 @@ class _Constants:
         ]
 
 
-def _combine(ctx, coords, lanes, size):
-    """Entry t of the sum of coords[i] * lanes[i][t] over every coords[i]
-    and every lane entry, zero markers included, as summing the scalar
-    products into zero markers of ctx leaves it (the ledger in the module
-    docstring); the lanes share one base valuation.  coords and lanes
-    must have one length: an element of another algebra is refused."""
-    if len(coords) != len(lanes):
+def _coordinate_lane(A: FinAlgebra, x: AlgElement) -> _Lane:
+    """The coordinates of x as a _Lane, refusing an element of an algebra
+    of another dimension."""
+    if len(x.coords) != A.dim:
         raise PadicError("elements of different algebras")
-    p = ctx.p
-    cap = ctx.default_precision
-    precs = [cap] * size
-    sums = [0] * size
-    base = _least_valuation(coords)
-    for x, lane in zip(coords, lanes):
-        # a zero marker caps each entry at its precision plus the lane's
-        # valuation (and the lane's precision plus its own); it adds nothing
-        vx = x.prec if x.v is None else x.v
-        cap = min(cap, x.ctx.default_precision)
-        precs = list(map(min, precs, map(operator.add, lane.vals, repeat(x.prec)),
-                         map(operator.add, lane.precs, repeat(vx)), lane.caps))
-        if x.v is None:
-            continue
-        scaled = x.u * p ** (x.v - base)
-        sums = list(map(operator.add, sums, map(operator.mul, lane.scaled, repeat(scaled))))
-    if lanes:
-        base += lanes[0].base
-    return [_scaled_residue(ctx, p, r, base, min(prec, cap)) for r, prec in zip(sums, precs)]
+    return _Lane(x.coords, A.ctx.p)
 
 
 # -- nilradical and quotients ----------------------------------------------
@@ -542,10 +524,9 @@ def quotient_by_ideal(A: FinAlgebra, ideal_basis):
 
 
 def _rehome(c: PadicScalar, ctx) -> PadicScalar:
-    prec = min(c.prec, ctx.default_precision)
-    if c.is_zero or c.v >= prec:
-        return PadicScalar.zero(ctx, prec)
-    return PadicScalar(ctx, c.v, c.u % ctx.p ** (prec - c.v), prec)
+    """c as a scalar of ctx, capped at its N."""
+    return _scaled_residue(ctx, c.u, c.prec if c.v is None else c.v,
+                           min(c.prec, ctx.default_precision))
 
 
 def _finite_series(nu: AlgElement, kind: str) -> AlgElement:
@@ -667,7 +648,8 @@ def _exp_log(x: AlgElement, kind: str) -> AlgElement:
         base = A.unit() if kind == "exp" else A.zero()
         return A.element([c.reduce(N) for c in base.coords])
     m_x = A.mult_operator(x)
-    if not A.exact_structure:
+    v = m_x.min_valuation()
+    if not A.exact_structure or v is None or v >= ctx.e0:
         # the ledger of M_x and of 1 bounds the result; the wider context
         # keeps the products with P from being capped at N
         wctx = ctx.widen(N + 32)
@@ -676,16 +658,13 @@ def _exp_log(x: AlgElement, kind: str) -> AlgElement:
                                          for row in m_x.entries]),
             [_rehome(c, wctx) for c in A.one], kind)
         return A.element([_rehome(c, ctx) for c in out])
-    v = m_x.min_valuation()
-    if v is None or v >= ctx.e0:
-        return A.element([c.reduce(N) for c in _operator_series(m_x, A.one, kind)])
-    if x.is_nilpotent():
-        return _finite_series(x, kind)
     headroom = N + 32
     for _ in range(4):
         wctx = ctx.widen(headroom)
         Aw = _lift_algebra(A, wctx)
         xw = Aw.element([_lift_scalar(c, wctx) for c in x.coords])
+        if xw.is_nilpotent():  # exactly, not only mod p^N
+            return _finite_series(x, kind)
         acc = Aw.element(_operator_series(Aw.mult_operator(xw), Aw.one, kind))
         level = _exp_cap(N, acc) if kind == "exp" else _log_cap(N, Aw.unit() + xw)
         if acc.min_precision() >= level:
@@ -699,8 +678,8 @@ def alg_exp(x: AlgElement) -> AlgElement:
 
     Domain: every eigen-scalar of x has valuation >= e0.  The value is
     exp(M_x) applied to 1, through the lattice basis of _operator_series;
-    an exact nilpotent whose operator has an entry below e0 takes the
-    finite series instead.
+    on an exact tensor, an x nilpotent on its exact lift whose operator
+    has an entry below e0 takes the finite series instead.
     """
     return _exp_log(x, "exp")
 

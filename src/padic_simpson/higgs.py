@@ -246,7 +246,7 @@ def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:
     ctx = H.ctx
     n = H.rank
     basis = [PadicMatrix.identity(ctx, n)]
-    span = _IncrementalSpan(n * n)
+    span = _IncrementalSpan()
     span.add(_flatten(basis[0]))
     frontier = [basis[0]]
     while frontier:
@@ -289,9 +289,9 @@ class _IncrementalSpan:
     """Echelonised span with minimal-valuation pivots; add() reports
     whether the vector enlarged the span.  A dependence decision must rest
     on at least min_margin vanishing digits, else the span rank is
-    ambiguous.  width, the length of the vectors, is not read."""
+    ambiguous."""
 
-    def __init__(self, width, min_margin=DEFAULT_SLACK):
+    def __init__(self, min_margin=DEFAULT_SLACK):
         self.min_margin = min_margin
         self.rows = []  # (pivot index, reduced row)
 

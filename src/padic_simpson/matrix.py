@@ -3,7 +3,12 @@
 Matrix exp/log are the workhorses of the local correspondence, so they lift
 entries to integer residues and run the exact mod-p^W kernels rather than
 summing PadicScalar terms; the wrappers re-wrap results at the precision the
-input supports (exp and log preserve absolute precision on their domains).
+input supports (exp and log preserve absolute precision on their domains),
+and refuse with PrecisionExhausted an input known to no digit.
+
+PadicMatrix @, multiplication operators and morphism images (algebra.py)
+share one product routine, _lane_products: each output entry is the dot
+product of two integer lanes, with the ledger of the scalar fold.
 
 PadicMatrix, like PadicScalar, is a plain slotted class that is never
 written to after construction (checked over the sources by
@@ -24,8 +29,9 @@ from .errors import (
     NotAUnit,
     OutsideExpDomain,
     OutsideLogDomain,
+    PrecisionExhausted,
 )
-from .scalar import PadicScalar
+from .scalar import PadicScalar, _scaled_residue
 
 
 @dataclass(slots=True)
@@ -122,19 +128,9 @@ class PadicMatrix:
             raise DimensionMismatch("product of a %d x %d and a %d x %d matrix"
                                     % (self.nrows, self.ncols, other.nrows, other.ncols))
         p = self.ctx.p
-        left = [_Lane(row, p) for row in self.entries]
-        right = [_Lane(col, p) for col in zip(*other.entries)]
-        out = []
-        for a, row in zip(left, self.entries):
-            ctx = row[0].ctx
-            out_row = []
-            for b in right:
-                prec = min(min(map(add, a.precs, b.vals)), min(map(add, b.precs, a.vals)),
-                           a.cap, b.cap)
-                out_row.append(_scaled_residue(ctx, p, sum(map(mul, a.scaled, b.scaled)),
-                                               a.base + b.base, prec))
-            out.append(out_row)
-        return PadicMatrix.from_rows(self.ctx, out)
+        columns = [_Lane(col, p) for col in zip(*other.entries)]
+        return PadicMatrix.from_rows(self.ctx, [_lane_products(row[0].ctx, _Lane(row, p), columns)
+                                                for row in self.entries])
 
     def scale(self, c: PadicScalar) -> "PadicMatrix":
         return PadicMatrix.from_rows(self.ctx, [[c * a for a in r] for r in self.entries])
@@ -254,8 +250,7 @@ def mat_exp(m: PadicMatrix) -> PadicMatrix:
     prec = min(m.min_precision(), ctx.default_precision)
     if v is None:  # zero to precision: exp = 1 + O(p^prec)
         return PadicMatrix.identity(ctx, m.nrows).reduced(prec)
-    grid = _series.exp_matrix(m.residues(prec), ctx.p, e0, prec)
-    return _from_grid(ctx, grid, prec)
+    return _run_kernel(_series.exp_matrix, m, e0, prec)
 
 
 def mat_log(m: PadicMatrix) -> PadicMatrix:
@@ -274,8 +269,7 @@ def mat_log(m: PadicMatrix) -> PadicMatrix:
         raise OutsideLogDomain(
             "matrix log needs m = 1 mod p; found valuation %d" % v
         )
-    grid = _series.log_matrix(m.residues(prec), ctx.p, v, prec)
-    return _from_grid(ctx, grid, prec)
+    return _run_kernel(_series.log_matrix, m, v, prec)
 
 
 def expm1_quotient(m: PadicMatrix) -> PadicMatrix:
@@ -293,28 +287,35 @@ def expm1_quotient(m: PadicMatrix) -> PadicMatrix:
             "series needs entry valuations >= %d; found %d" % (e0, v)
         )
     prec = min(m.min_precision(), ctx.default_precision)
-    grid = _series.expm1_quotient_matrix(m.residues(prec), ctx.p, e0, prec)
-    return _from_grid(ctx, grid, prec)
+    return _run_kernel(_series.expm1_quotient_matrix, m, e0, prec)
 
 
 class _Lane:
     """One row or column of a product's operand as integers: precisions,
-    valuations (a zero marker's is its precision), ambient precisions and
-    their least value, and each value as scaled * p^base with base the
-    least valuation of a nonzero entry unless given (scaled = 0 for zero
-    markers; a given base must not exceed any entry's valuation)."""
+    valuations (a zero marker's is its precision), the least ambient
+    precision, and each value as scaled * p^base with base the least
+    valuation of a nonzero entry (scaled = 0 for zero markers)."""
 
-    __slots__ = ("precs", "vals", "caps", "cap", "scaled", "base")
+    __slots__ = ("precs", "vals", "cap", "scaled", "base")
 
-    def __init__(self, entries, p, base=None):
+    def __init__(self, entries, p):
         self.precs = [x.prec for x in entries]
         self.vals = [x.prec if x.v is None else x.v for x in entries]
-        self.caps = [x.ctx.default_precision for x in entries]
-        self.cap = min(self.caps)
-        if base is None:
-            base = _least_valuation(entries)
-        self.base = base
+        self.cap = min([x.ctx.default_precision for x in entries])
+        self.base = base = _least_valuation(entries)
         self.scaled = [0 if x.v is None else x.u * p ** (x.v - base) for x in entries]
+
+
+def _lane_products(ctx, row, columns):
+    """The dot products of the lane row with each lane of columns, as
+    scalars of ctx, each with the ledger of summing the products a*b one
+    by one (PadicMatrix.__matmul__) and capped at ctx's N."""
+    cap = min(row.cap, ctx.default_precision)
+    precs, vals, scaled, base = row.precs, row.vals, row.scaled, row.base
+    return [_scaled_residue(ctx, sum(map(mul, scaled, col.scaled)), base + col.base,
+                            min(min(map(add, precs, col.vals)), min(map(add, col.precs, vals)),
+                                col.cap, cap))
+            for col in columns]
 
 
 def _least_valuation(entries):
@@ -323,19 +324,12 @@ def _least_valuation(entries):
     return min(nonzero) if nonzero else 0
 
 
-def _scaled_residue(ctx, p, r, base, prec):
-    """The scalar r * p^base known modulo p^prec, normalised as
-    PadicScalar arithmetic leaves it."""
-    if base >= prec:
-        return PadicScalar(ctx, None, 0, prec)
-    r %= p ** (prec - base)
-    if r == 0:
-        return PadicScalar(ctx, None, 0, prec)
-    t = _series.int_valuation(r, p)
-    return PadicScalar(ctx, base + t, r // p ** t, prec)
-
-
-def _from_grid(ctx, grid, prec):
+def _run_kernel(kernel, m, e, prec):
+    """kernel(residues of m, p, e, prec) re-wrapped at prec; no digit of an
+    entry is known when prec <= 0."""
+    ctx = m.ctx
+    if prec <= 0:
+        raise PrecisionExhausted("matrix series on entries known only mod %d^%d" % (ctx.p, prec))
+    grid = kernel(m.residues(prec), ctx.p, e, prec)
     return PadicMatrix.from_rows(
-        ctx, [[PadicScalar.from_residue(ctx, x, prec) for x in row] for row in grid]
-    )
+        ctx, [[PadicScalar.from_residue(ctx, x, prec) for x in row] for row in grid])

@@ -15,6 +15,11 @@ Precision rules (the documented ledger):
   exp/log   preserved on their domains (isometries; the series kernels work
             at a widened internal modulus so no digits are lost)
 
+Every value made from an integer residue r * p^base known mod p^prec
+(from_residue, from_fraction, from_val_unit, reduce, add, mul, the fused
+row operation, and the products of matrix.py and algebra.py) ends in one
+normaliser, _scaled_residue, so it has one normal form whatever made it.
+
 PadicScalar is a plain slotted class: every kernel builds one per output
 entry, so construction is kept to setting four slots, with no frozen-field
 guard.  A scalar is never written to after construction;
@@ -68,12 +73,9 @@ class PadicScalar:
 
     @staticmethod
     def from_residue(ctx: PrimeContext, r: int, prec: int) -> "PadicScalar":
-        """The value r known modulo p^prec (r need not be reduced)."""
-        r %= ctx.p ** prec
-        if r == 0:
-            return PadicScalar(ctx, None, 0, prec)
-        v = _series.int_valuation(r, ctx.p)
-        return PadicScalar(ctx, v, (r // ctx.p ** v) % ctx.p ** (prec - v), prec)
+        """The value r known modulo p^prec (r need not be reduced); a zero
+        marker when prec <= 0."""
+        return _scaled_residue(ctx, r, 0, prec)
 
     @staticmethod
     def from_int(ctx: PrimeContext, n: int, prec: int | None = None) -> "PadicScalar":
@@ -90,21 +92,16 @@ class PadicScalar:
         vn = _series.int_valuation(num, ctx.p)
         vd = _series.int_valuation(den, ctx.p)
         v = vn - vd
-        rel = prec - v
-        if rel <= 0:
-            return PadicScalar(ctx, None, 0, prec)
-        mod = ctx.p ** rel
-        unit = (num // ctx.p ** vn) * pow(den // ctx.p ** vd, -1, mod) % mod
-        return PadicScalar(ctx, v, unit, prec)
+        mod = ctx.p ** max(prec - v, 0)
+        return _scaled_residue(ctx, (num // ctx.p ** vn) * pow(den // ctx.p ** vd, -1, mod),
+                               v, prec)
 
     @staticmethod
     def from_val_unit(ctx: PrimeContext, v: int, u: int, prec: int | None = None) -> "PadicScalar":
         prec = ctx.default_precision if prec is None else prec
         if u % ctx.p == 0:
             raise PadicError("unit part %d is divisible by p = %d" % (u, ctx.p))
-        if prec - v <= 0:
-            return PadicScalar(ctx, None, 0, prec)
-        return PadicScalar(ctx, v, u % ctx.p ** (prec - v), prec)
+        return _scaled_residue(ctx, u, v, prec)
 
     @staticmethod
     def parse(ctx: PrimeContext, text: str, prec: int | None = None) -> "PadicScalar":
@@ -150,9 +147,7 @@ class PadicScalar:
         """Forget digits beyond p^prec."""
         if prec >= self.prec:
             return self
-        if self.is_zero or self.v >= prec:
-            return PadicScalar(self.ctx, None, 0, prec)
-        return PadicScalar(self.ctx, self.v, self.u % self.ctx.p ** (prec - self.v), prec)
+        return _scaled_residue(self.ctx, self.u, self.prec if self.v is None else self.v, prec)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -169,16 +164,9 @@ class PadicScalar:
         va = self.prec if self.is_zero else self.v
         vb = other.prec if other.is_zero else other.v
         m = min(va, vb, prec)
-        if m >= prec:
-            return PadicScalar(self.ctx, None, 0, prec)
-        mod = p ** (prec - m)
-        ra = 0 if self.is_zero else (self.u * p ** (self.v - m)) % mod
-        rb = 0 if other.is_zero else (other.u * p ** (other.v - m)) % mod
-        r = (ra + rb) % mod
-        if r == 0:
-            return PadicScalar(self.ctx, None, 0, prec)
-        t = _series.int_valuation(r, p)
-        return PadicScalar(self.ctx, m + t, (r // p ** t) % p ** (prec - m - t), prec)
+        ra = 0 if self.is_zero else self.u * p ** (self.v - m)
+        rb = 0 if other.is_zero else other.u * p ** (other.v - m)
+        return _scaled_residue(self.ctx, ra + rb, m, prec)
 
     def __neg__(self) -> "PadicScalar":
         if self.is_zero:
@@ -194,11 +182,9 @@ class PadicScalar:
         va = self.prec if self.is_zero else self.v
         vb = other.prec if other.is_zero else other.v
         prec = min(self.prec + vb, other.prec + va, cap)
-        if self.is_zero or other.is_zero or va + vb >= prec:
+        if self.is_zero or other.is_zero:
             return PadicScalar(self.ctx, None, 0, prec)
-        v = va + vb
-        rel = prec - v
-        return PadicScalar(self.ctx, v, (self.u * other.u) % self.ctx.p ** rel, prec)
+        return _scaled_residue(self.ctx, self.u * other.u, va + vb, prec)
 
     def inv(self) -> "PadicScalar":
         if self.is_zero:
@@ -281,16 +267,27 @@ def _sub_mul(x, y, fctx, fv, fu, fprec):
     prec = xprec if xprec < pm else pm
     va = xprec if xv is None else xv
     m = min(va, vb, prec)
-    if m >= prec:
-        return PadicScalar(xctx, None, 0, prec)
     r = 0 if xv is None else x.u * p ** (xv - m)
     if vb < pm:
         r -= fu * y.u * p ** (vb - m)
-    r %= p ** (prec - m)
+    return _scaled_residue(xctx, r, m, prec)
+
+
+def _scaled_residue(ctx, r, base, prec):
+    """The scalar r * p^base of ctx known modulo p^prec, in normal form:
+    a zero marker when every known digit vanishes (always when
+    base >= prec), else p^v * u with u a unit reduced mod p^(prec - v).
+    Every construction from an integer residue ends here."""
+    if base >= prec:
+        return PadicScalar(ctx, None, 0, prec)
+    p = ctx.p
+    r %= p ** (prec - base)
+    if r % p:
+        return PadicScalar(ctx, base, r, prec)
     if r == 0:
-        return PadicScalar(xctx, None, 0, prec)
+        return PadicScalar(ctx, None, 0, prec)
     t = _series.int_valuation(r, p)
-    return PadicScalar(xctx, m + t, r // p ** t, prec)
+    return PadicScalar(ctx, base + t, r // p ** t, prec)
 
 
 def val(a: PadicScalar) -> int | None:

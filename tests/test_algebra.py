@@ -382,6 +382,14 @@ class TestAlgExpLog:
         for y in (alg_exp(x), alg_log(B.unit() + x)):
             assert y.coords[1].agrees(PadicScalar.from_int(ctx, 252), 8), y
 
+    def test_exact_tensor_nilpotent_only_mod_pN_takes_the_lift(self):
+        # x^2 = [2^14, 256] vanishes mod 2^8 but x is not nilpotent: exp(x)
+        # = e^128 (1 + x) and e^128 = 129 mod 2^8
+        A = dual_numbers(PrimeContext(2, 8))
+        x = A.from_ints([128, 1])
+        assert alg_exp(x).agrees(A.from_ints([129, 129]), 8)
+        assert alg_log(A.unit() + x).agrees(A.from_ints([128, 129]), 8)
+
     def test_nilpotent_any_valuation(self):
         # nilpotent arguments need no valuation bound: series is finite
         A = dual_numbers(C5)

@@ -125,8 +125,7 @@ def ref_rank_with_margin(mat, min_margin=DEFAULT_SLACK):
 class RefSpan:
     """higgs._IncrementalSpan with its per-scalar row operation."""
 
-    def __init__(self, width, min_margin=4):
-        self.width = width
+    def __init__(self, min_margin=4):
         self.min_margin = min_margin
         self.rows = []
 
@@ -413,11 +412,11 @@ def span_streams(draw):
             vecs.append(_combination(mat, [draw(entry) for _ in picks]))
         else:
             vecs.append([draw(entry) for _ in range(width)])
-    return width, vecs, draw(st.integers(1, 6))
+    return vecs, draw(st.integers(1, 6))
 
 
-def _span_decisions(cls, width, vecs, min_margin):
-    span = cls(width, min_margin)
+def _span_decisions(cls, vecs, min_margin):
+    span = cls(min_margin)
     decisions = []
     for vec in vecs:
         try:
@@ -432,6 +431,6 @@ def _span_decisions(cls, width, vecs, min_margin):
 @SETTINGS
 @given(span_streams())
 def test_incremental_span_decisions_unchanged(stream):
-    width, vecs, min_margin = stream
-    assert (_span_decisions(_IncrementalSpan, width, vecs, min_margin)
-            == _span_decisions(RefSpan, width, vecs, min_margin))
+    vecs, min_margin = stream
+    assert (_span_decisions(_IncrementalSpan, vecs, min_margin)
+            == _span_decisions(RefSpan, vecs, min_margin))

@@ -182,6 +182,20 @@ class TestMatExpLog:
         with pytest.raises(OutsideLogDomain):
             mat_log(pm(C5, [[2]]))
 
+    def test_entry_known_to_no_digit_is_refused(self):
+        # c = 5^-10 known to relative precision 2: c - c is O(5^-8), and a
+        # series on it has no digit to work on
+        c = PadicScalar.from_int(C5, 5 ** 10).reduce(12).inv()
+        hole = c - c
+        five, zero = PadicScalar.from_int(C5, 5), PadicScalar.zero(C5)
+        t = PadicMatrix.from_rows(C5, [[hole, five], [zero, five]])
+        u = PadicMatrix.from_rows(C5, [[PadicScalar.from_int(C5, 1) + hole, five],
+                                       [zero, PadicScalar.from_int(C5, 1)]])
+        for fn, m in ((mat_exp, t), (expm1_quotient, t), (mat_log, u),
+                      (expm1_quotient, PadicMatrix.from_rows(C5, [[hole]]))):
+            with pytest.raises(PrecisionExhausted, match="known only mod 5\\^-8"):
+                fn(m)
+
     def test_round_trip_random_commuting(self):
         rng = random.Random(17)
         for ctx in (C3, C5):

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from padic_simpson.algebra import FinAlgebra
+from padic_simpson._series import int_valuation
+from padic_simpson.algebra import FinAlgebra, _rehome
 from padic_simpson.context import PrimeContext
 from padic_simpson.errors import (
     ContextMismatch,
@@ -207,6 +208,12 @@ class TestArithmetic:
         assert x ** 5 == x * x * x * x * x
         assert (x ** -2) * x * x == s(C5, 1)
 
+    def test_residue_known_to_no_digit_is_a_zero_marker(self):
+        for prec in (0, -1, -3):
+            x = PadicScalar.from_residue(C5, 7, prec)
+            assert (x.v, x.u, x.prec) == (None, 0, prec)
+            assert type(x.u) is int
+
 
 @st.composite
 def ledger_operands(draw, p):
@@ -259,6 +266,116 @@ def test_fused_row_operation_matches_scalar_ops(data):
             break
         row.append(entry)
     assert _ledger_outcome(lambda: sub_mul_row(xs, f, ys)) == row
+
+
+# -- frozen reference: the normalisations that each site made on its own ----
+
+def ref_from_residue(ctx, r, prec):
+    r %= ctx.p ** prec
+    if r == 0:
+        return PadicScalar(ctx, None, 0, prec)
+    v = int_valuation(r, ctx.p)
+    return PadicScalar(ctx, v, (r // ctx.p ** v) % ctx.p ** (prec - v), prec)
+
+
+def ref_from_val_unit(ctx, v, u, prec):
+    if u % ctx.p == 0:
+        raise PadicError("unit part %d is divisible by p = %d" % (u, ctx.p))
+    if prec - v <= 0:
+        return PadicScalar(ctx, None, 0, prec)
+    return PadicScalar(ctx, v, u % ctx.p ** (prec - v), prec)
+
+
+def ref_reduce(x, prec):
+    if prec >= x.prec:
+        return x
+    if x.is_zero or x.v >= prec:
+        return PadicScalar(x.ctx, None, 0, prec)
+    return PadicScalar(x.ctx, x.v, x.u % x.ctx.p ** (prec - x.v), prec)
+
+
+def ref_add(a, b):
+    if a.ctx.p != b.ctx.p:
+        raise ContextMismatch("mixed primes %d and %d" % (a.ctx.p, b.ctx.p))
+    p = a.ctx.p
+    prec = min(a.prec, b.prec)
+    va = a.prec if a.is_zero else a.v
+    vb = b.prec if b.is_zero else b.v
+    m = min(va, vb, prec)
+    if m >= prec:
+        return PadicScalar(a.ctx, None, 0, prec)
+    mod = p ** (prec - m)
+    ra = 0 if a.is_zero else (a.u * p ** (a.v - m)) % mod
+    rb = 0 if b.is_zero else (b.u * p ** (b.v - m)) % mod
+    r = (ra + rb) % mod
+    if r == 0:
+        return PadicScalar(a.ctx, None, 0, prec)
+    t = int_valuation(r, p)
+    return PadicScalar(a.ctx, m + t, (r // p ** t) % p ** (prec - m - t), prec)
+
+
+def ref_mul(a, b):
+    if a.ctx.p != b.ctx.p:
+        raise ContextMismatch("mixed primes %d and %d" % (a.ctx.p, b.ctx.p))
+    cap = min(a.ctx.default_precision, b.ctx.default_precision)
+    va = a.prec if a.is_zero else a.v
+    vb = b.prec if b.is_zero else b.v
+    prec = min(a.prec + vb, b.prec + va, cap)
+    if a.is_zero or b.is_zero or va + vb >= prec:
+        return PadicScalar(a.ctx, None, 0, prec)
+    return PadicScalar(a.ctx, va + vb, (a.u * b.u) % a.ctx.p ** (prec - va - vb), prec)
+
+
+def ref_from_fraction(ctx, q, prec):
+    if q == 0:
+        return PadicScalar.zero(ctx, prec)
+    num, den = q.numerator, q.denominator
+    vn, vd = int_valuation(num, ctx.p), int_valuation(den, ctx.p)
+    v = vn - vd
+    rel = prec - v
+    if rel <= 0:
+        return PadicScalar(ctx, None, 0, prec)
+    mod = ctx.p ** rel
+    unit = (num // ctx.p ** vn) * pow(den // ctx.p ** vd, -1, mod) % mod
+    return PadicScalar(ctx, v, unit, prec)
+
+
+def ref_rehome(c, ctx):
+    prec = min(c.prec, ctx.default_precision)
+    if c.is_zero or c.v >= prec:
+        return PadicScalar.zero(ctx, prec)
+    return PadicScalar(ctx, c.v, c.u % ctx.p ** (prec - c.v), prec)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_shared_normaliser_matches_each_site(data):
+    # __add__, __mul__, from_residue, from_fraction, from_val_unit, reduce
+    # and algebra._rehome end in one normaliser; each keeps the value,
+    # precision, normal form, context and exceptions of its own former body
+    operand = ledger_operands(data.draw(st.sampled_from([2, 3, 5, 7])))
+    x, y = data.draw(operand), data.draw(operand)
+    ctx = x.ctx
+    top = ctx.default_precision
+    assert _ledger_outcome(lambda: x + y) == _ledger_outcome(lambda: ref_add(x, y))
+    assert _ledger_outcome(lambda: x * y) == _ledger_outcome(lambda: ref_mul(x, y))
+    prec = data.draw(st.integers(-3, top + 3))
+    assert _ledger_outcome(lambda: x.reduce(prec)) == _ledger_outcome(lambda: ref_reduce(x, prec))
+    r = data.draw(st.integers(-ctx.p ** (top + 2), ctx.p ** (top + 2)))
+    prec = data.draw(st.integers(1, top + 3))
+    assert (_ledger_outcome(lambda: PadicScalar.from_residue(ctx, r, prec))
+            == _ledger_outcome(lambda: ref_from_residue(ctx, r, prec)))
+    v, u = data.draw(st.integers(-3, top + 2)), data.draw(st.integers(-ctx.p ** 4, ctx.p ** top))
+    prec = data.draw(st.integers(-3, top + 3))
+    assert (_ledger_outcome(lambda: PadicScalar.from_val_unit(ctx, v, u, prec))
+            == _ledger_outcome(lambda: ref_from_val_unit(ctx, v, u, prec)))
+    q = Fraction(data.draw(st.integers(-ctx.p ** 6, ctx.p ** 6)),
+                 data.draw(st.integers(1, ctx.p ** 4)))
+    prec = data.draw(st.integers(-3, top + 3))
+    assert (_ledger_outcome(lambda: PadicScalar.from_fraction(ctx, q, prec))
+            == _ledger_outcome(lambda: ref_from_fraction(ctx, q, prec)))
+    home = PrimeContext(ctx.p, data.draw(st.integers(8, 16)))
+    assert _ledger_outcome(lambda: _rehome(x, home)) == _ledger_outcome(lambda: ref_rehome(x, home))
 
 
 class TestAgrees:
