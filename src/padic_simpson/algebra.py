@@ -492,15 +492,15 @@ def quotient_by_ideal(A: FinAlgebra, ideal_basis):
         ident = Morphism.create(A, A, [A.basis_element(i) for i in range(m)], validate=False)
         return A, ident, ident
     e = linalg.eliminate(rows, reduce_above=True)
-    pivot_rows = sorted((j, e.rows[i]) for (i, j) in e.pivots)
+    pivot_rows = [(j, e.int_rows[i]) for (i, j) in sorted(e.pivots, key=lambda ij: ij[1])]
     free_cols = [j for j in range(m) if j not in e.pivot_of_col]
     s = len(free_cols)
     if s == 0:
         raise PadicError("quotient by the unit ideal")
 
     def project(coords):
-        work = linalg.reduce_vector(coords, pivot_rows)
-        return [work[j] for j in free_cols]
+        work = linalg.reduce_vector(linalg.Row.of(coords), pivot_rows)
+        return [work.scalar(j) for j in free_cols]
 
     reps = [A.basis_element(j) for j in free_cols]
     mul = [[project((reps[i] * reps[j]).coords) for j in range(s)] for i in range(s)]

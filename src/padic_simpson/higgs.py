@@ -293,25 +293,24 @@ class _IncrementalSpan:
 
     def __init__(self, min_margin=DEFAULT_SLACK):
         self.min_margin = min_margin
-        self.rows = []  # (pivot index, reduced row)
+        self.rows = []  # (pivot index, reduced linalg.Row)
 
     def add(self, vec) -> bool:
-        vec = linalg.reduce_vector(vec, self.rows)
+        row = linalg.reduce_vector(linalg.Row.of(vec), self.rows)
+        vals, prec = row.vals(), row.prec
         best = None
-        for i, e in enumerate(vec):
-            if e.is_zero:
-                continue
-            if best is None or e.v < vec[best].v:
+        for i, v in enumerate(vals):
+            if v < prec[i] and (best is None or v < vals[best]):
                 best = i
         if best is None:
-            thinnest = min(e.prec for e in vec)
+            thinnest = min(prec)
             if thinnest < self.min_margin:
                 raise PrecisionExhausted(
                     "span dependence decided on %d digits (< %d)"
                     % (thinnest, self.min_margin)
                 )
             return False
-        self.rows.append((best, vec))
+        self.rows.append((best, row))
         return True
 
 

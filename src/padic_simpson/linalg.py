@@ -7,47 +7,294 @@ ledger predicts.  An entry is treated as zero only when it is
 zero-to-precision; if such a zero-decision rests on fewer than
 ``min_margin`` vanishing digits the computation aborts with
 PrecisionExhausted instead of guessing a rank.
+
+Elimination works on integers.  Every row is a Row: parallel lists of
+residues scaled to one base valuation, absolute precisions, valuations,
+ambient precisions and contexts, one entry per column.  A row operation
+x - f*y is one pass over those lists with the ledger of the scalar
+expression x + (-(f*y)) (see scalar.py), and a pivot row is scaled by
+the pivot inverse with the ledger of the scalar product; valuations are
+recomputed only where the pivot search, a margin or a later step reads
+them.  PadicScalars are built at the surface alone, in normal form, on
+the entries callers read: Elimination.rows, solutions, inverses, kernel
+vectors, lattice columns and the recorded pivot inverses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import gcd
 
+from . import _series
 from .context import DEFAULT_SLACK, PrimeContext
-from .errors import IntegralStructureFailure, PrecisionExhausted
-from .scalar import PadicScalar, sub_mul_row
+from .errors import (
+    ContextMismatch,
+    DimensionMismatch,
+    DivisionByZeroToPrecision,
+    IntegralStructureFailure,
+    PrecisionExhausted,
+)
+from .scalar import PadicScalar
+
+
+class _Powers(dict):
+    """p^k by exponent k; 1 for k <= 0, so that r % pw[k] is 0 whenever
+    nothing is known below p^k.  logs maps a power p^k back to k.  Both
+    tables only ever gain entries, each a function of its key alone."""
+
+    def __init__(self, p):
+        super().__init__()
+        self.p = p
+        self.logs = _Logs(p)
+
+    def __missing__(self, k):
+        value = self[k] = self.p ** k if k > 0 else 1
+        return value
+
+
+class _Logs(dict):
+    def __init__(self, p):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, power):
+        value = self[power] = _series.int_valuation(power, self.p)
+        return value
+
+
+_POWERS = {}
+
+
+def _powers(p) -> _Powers:
+    pw = _POWERS.get(p)
+    if pw is None:
+        pw = _POWERS[p] = _Powers(p)
+    return pw
+
+
+class Row:
+    """A row of p-adic entries of one prime p as parallel integer lists.
+
+    Entry k is res[k] * p^base known modulo p^prec[k], with res[k] reduced
+    modulo p^(prec[k] - base), so res[k] is 0 exactly for a zero marker.
+    vals() holds each entry's valuation, a zero marker's being its
+    precision; amb[k] is the ambient precision N of the entry's context
+    ctxs[k].  A row is never changed after construction; its valuations
+    are computed when first read, unless the operation that made the row
+    knew them.  The passes over a row are plain loops: rows are often
+    short, and one loop costs less per call than a comprehension per list.
+    """
+
+    __slots__ = ("pw", "base", "res", "prec", "amb", "ctxs", "_val")
+
+    def __init__(self, pw, base, res, prec, amb, ctxs, val=None):
+        self.pw = pw  # the powers of p
+        self.base = base
+        self.res = res
+        self.prec = prec
+        self.amb = amb
+        self.ctxs = ctxs
+        self._val = val
+
+    @staticmethod
+    def of(entries, p=None) -> "Row":
+        """The row of the scalars entries, all of the prime p (by default
+        the prime of the first entry)."""
+        res, prec, amb, ctxs, val = [], [], [], [], []
+        base = last = None
+        pw = _powers(p) if p is not None else None
+        for e in entries:
+            c = e.ctx
+            if c is not last:
+                if pw is None:
+                    pw = _powers(c.p)
+                elif c.p != pw.p:
+                    raise ContextMismatch("mixed primes %d and %d" % (pw.p, c.p))
+                last = c
+            v, q = e.v, e.prec
+            prec.append(q)
+            amb.append(c.default_precision)
+            ctxs.append(c)
+            if v is None:
+                res.append(0)
+                val.append(q)
+                continue
+            if base is None:
+                base = v
+            elif v < base:  # rebase the residues so far
+                s = pw[base - v]
+                res = [r * s for r in res]
+                base = v
+            res.append(e.u * pw[v - base])
+            val.append(v)
+        return Row(pw, 0 if base is None else base, res, prec, amb, ctxs, val)
+
+    @staticmethod
+    def unit(ctx: PrimeContext, n: int, k: int) -> "Row":
+        """Row k of the n x n identity matrix of ctx."""
+        N = ctx.default_precision
+        return Row(_powers(ctx.p), 0, [int(j == k) for j in range(n)], [N] * n, [N] * n,
+                   [ctx] * n, [0 if j == k else N for j in range(n)])
+
+    def vals(self) -> list:
+        if self._val is None:
+            pw, base = self.pw, self.base
+            p, logs = pw.p, pw.logs
+            val = self._val = []
+            for r, q in zip(self.res, self.prec):
+                val.append(q if not r else base if r % p else base + logs[gcd(r, pw[q - base])])
+        return self._val
+
+    def val_at(self, k) -> int:
+        if self._val is not None:
+            return self._val[k]
+        r, q = self.res[k], self.prec[k]
+        if not r:
+            return q
+        pw = self.pw
+        if r % pw.p:
+            return self.base
+        return self.base + pw.logs[gcd(r, pw[q - self.base])]
+
+    def parts(self, k):
+        """(valuation, unit, precision, ambient) of entry k, valuation and
+        precision alike and unit 0 for a zero marker."""
+        v = self.val_at(k)
+        r = self.res[k]
+        return v, r // self.pw[v - self.base] if r else 0, self.prec[k], self.amb[k]
+
+    def scalar(self, k) -> PadicScalar:
+        v, u, q, _ = self.parts(k)
+        return PadicScalar(self.ctxs[k], v if u else None, u, q)
+
+    def scalars(self) -> list:
+        pw, base = self.pw, self.base
+        out = []
+        for r, v, q, c in zip(self.res, self._val or self.vals(), self.prec, self.ctxs):
+            out.append(PadicScalar(c, v, r // pw[v - base], q) if r
+                       else PadicScalar(c, None, 0, q))
+        return out
+
+    def sub_mul(self, f, y: "Row") -> "Row":
+        """self - f*y entry by entry, for f = (v, u, prec, amb) as parts()
+        gives them: the value, precision and context of x + (-(f * y)),
+        whose ledger is min(prec_x, prec_f + v_y, prec_y + v_f, N_f, N_y)."""
+        pw = self.pw
+        if y.pw is not pw:
+            raise ContextMismatch("mixed primes %d and %d" % (pw.p, y.pw.p))
+        fv, fu, fprec, famb = f
+        if fu:
+            base = min(self.base, fv + y.base)
+            s, g = pw[self.base - base], fu * pw[fv + y.base - base]
+        else:  # f * y vanishes to the ledger's precision
+            base, s, g = self.base, 1, 0
+        res, prec = [], []
+        for a, r, b, c, n, t in zip(self.prec, self.res, y._val or y.vals(), y.prec, y.amb,
+                                    y.res):
+            q = fprec + b
+            c += fv
+            if c < q:
+                q = c
+            if a < q:
+                q = a
+            if famb < q:
+                q = famb
+            if n < q:
+                q = n
+            prec.append(q)
+            res.append((r * s - g * t) % pw[q - base])
+        return Row(pw, base, res, prec, self.amb, self.ctxs)
+
+    def scaled(self, s, ctx: PrimeContext | None = None) -> "Row":
+        """Every entry times the nonzero scalar s = (v, u, prec, amb), with
+        the ledger of PadicScalar.__mul__; the products lie in ctx when it
+        is given (s * x, s of ctx), else in each entry's own context
+        (x * s)."""
+        sv, su, sprec, samb = s
+        pw = self.pw
+        base = self.base + sv
+        res, prec, val = [], [], []
+        for r, v, q, n in zip(self.res, self._val or self.vals(), self.prec, self.amb):
+            w = v + sprec
+            q += sv
+            if w < q:
+                q = w
+            if samb < q:
+                q = samb
+            if n < q:
+                q = n
+            prec.append(q)
+            res.append((su * r) % pw[q - base])
+            # a unit multiple keeps the valuation, shifted by sv, unless
+            # the product vanishes to its precision
+            v += sv
+            val.append(v if r and v < q else q)
+        if ctx is None:
+            return Row(pw, base, res, prec, self.amb, self.ctxs, val)
+        n = len(res)
+        return Row(pw, base, res, prec, [samb] * n, [ctx] * n, val)
+
+
+def _inverse(pw, b):
+    """Parts of the inverse of the entry b = (v, u, prec, amb) of the prime
+    pw.p, with the ledger and the refusals of PadicScalar.inv; the inverse
+    lies in b's context."""
+    v, u, prec, amb = b
+    if not u:
+        raise DivisionByZeroToPrecision("inverse of O(%d^%d)" % (pw.p, prec))
+    iprec = min(prec - 2 * v, amb)
+    rel = iprec + v
+    if rel <= 0:
+        raise DivisionByZeroToPrecision(
+            "inverse at valuation %d loses all %d known digits" % (v, prec)
+        )
+    return -v, pow(u, -1, pw[rel]), iprec, amb
+
+
+def _times(pw, a, b):
+    """Parts of a * b for nonzero entries a and b, with the ledger of
+    PadicScalar.__mul__; the product lies in a's context."""
+    av, au, aprec, aamb = a
+    bv, bu, bprec, bamb = b
+    prec = min(aprec + bv, bprec + av, aamb, bamb)
+    v = av + bv
+    if v >= prec:
+        return prec, 0, prec, aamb
+    return v, (au * bu) % pw[prec - v], prec, aamb
 
 
 @dataclass
 class Elimination:
-    """Row echelon data for a PadicScalar matrix.
+    """Row echelon data for a PadicScalar matrix, held as integer Rows.
 
     A reduced elimination (reduce_above=True) also keeps its row
     operations, so solve() can apply them to any number of right-hand sides
     without eliminating the matrix again.
     """
 
-    rows: list  # worked matrix (row echelon, possibly reduced)
+    int_rows: list  # worked matrix as Rows (row echelon, possibly reduced)
     pivots: list  # [(row, col)] in elimination order
     margin: int | None  # smallest confidence gap behind any rank decision
     nrows: int
     ncols: int
     min_margin: int  # evidence required of every zero decision
     ctx: PrimeContext | None  # context of the first entry; None when empty
-    # per pivot step (pivot row, [(target row, factor)], pivot inverse);
-    # None unless the elimination was reduced
+    # per pivot step (pivot row, [(target row, factor parts)], pivot
+    # inverse as a PadicScalar, and as parts); None unless the elimination
+    # was reduced
     steps: list | None
-    pivot_of_col: dict = field(init=False, repr=False)  # pivot column -> its row
-    free_rows: list = field(init=False, repr=False)  # rows without a pivot, in order
-
-    def __post_init__(self):
-        self.pivot_of_col = {j: i for (i, j) in self.pivots}
-        pivot_rows = set(self.pivot_of_col.values())
-        self.free_rows = [i for i in range(self.nrows) if i not in pivot_rows]
+    pivot_of_col: dict = field(repr=False)  # pivot column -> its row
+    free_rows: list = field(repr=False)  # rows without a pivot, in order
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    @cached_property
+    def rows(self) -> list:
+        """The worked matrix as rows of PadicScalars."""
+        return [row.scalars() for row in self.int_rows]
 
     def solve(self, rhs_cols):
         """Solve mat @ X = rhs for each right-hand-side column; returns the
@@ -62,50 +309,73 @@ class Elimination:
         rhs_cols = list(rhs_cols)
         if not rhs_cols:
             return []
-        # one list per matrix row, across the columns, so every recorded
+        for col in rhs_cols:
+            if len(col) != self.nrows:
+                raise DimensionMismatch(
+                    "right-hand side of length %d for a system of %d rows"
+                    % (len(col), self.nrows)
+                )
+        p = self.ctx.p if self.ctx is not None else None
+        # one Row per matrix row, across the columns, so every recorded
         # operation is a row operation
-        rows = [list(r) for r in zip(*rhs_cols)]
-        for pi, targets, pinv in self.steps:
-            y = rows[pi]
-            for i, f in targets:
-                rows[i] = sub_mul_row(rows[i], f, y)
-            rows[pi] = [pinv * x for x in y]
-        # consistency: non-pivot rows must have vanishing right-hand sides
-        for i in self.free_rows:
-            for entry in rows[i]:
-                if not entry.is_zero:
-                    return None
-                if entry.prec < self.min_margin:
-                    raise PrecisionExhausted(
-                        "consistency of a linear system decided on %d digits "
-                        "(< %d)" % (entry.prec, self.min_margin)
-                    )
-        pivot_of_col = self.pivot_of_col
-        return [[rows[pivot_of_col[j]][c] if j in pivot_of_col else PadicScalar.zero(self.ctx)
-                 for j in range(self.ncols)] for c in range(len(rhs_cols))]
+        rows = self._replay([Row.of(r, p) for r in zip(*rhs_cols)])
+        if rows is None:
+            return None
+        if not self.ncols:
+            return [[] for _ in rhs_cols]
+        return list(map(list, zip(*self._unknowns(rows, len(rhs_cols)))))
 
     def inverse(self):
         """Rows of the inverse of the eliminated square matrix: solve() on
         the identity columns; None when the matrix is singular to
         precision."""
         n = self.nrows
-        one, zero = PadicScalar.from_int(self.ctx, 1), PadicScalar.zero(self.ctx)
-        sols = self.solve([[one if i == j else zero for i in range(n)] for j in range(n)])
-        if sols is None:
+        rows = self._replay([Row.unit(self.ctx, n, i) for i in range(n)])
+        if rows is None:
             return None
-        return [list(row) for row in zip(*sols)]
+        return self._unknowns(rows, n)
+
+    def _replay(self, rows):
+        """rows through the recorded row operations; None when a row
+        without a pivot keeps a nonzero entry."""
+        for pi, targets, pinv, scale in self.steps:
+            y = rows[pi]
+            for i, f in targets:
+                rows[i] = rows[i].sub_mul(f, y)
+            rows[pi] = y.scaled(scale, pinv.ctx)
+        # consistency: non-pivot rows must have vanishing right-hand sides
+        for i in self.free_rows:
+            for r, q in zip(rows[i].res, rows[i].prec):
+                if r:
+                    return None
+                if q < self.min_margin:
+                    raise PrecisionExhausted(
+                        "consistency of a linear system decided on %d digits "
+                        "(< %d)" % (q, self.min_margin)
+                    )
+        return rows
+
+    def _unknowns(self, rows, count):
+        """Per unknown, its values across the count replayed columns: the
+        pivot row of its column as PadicScalars, or zeros for a free
+        unknown."""
+        pivot_of_col = self.pivot_of_col
+        out = []
+        for j in range(self.ncols):
+            if j in pivot_of_col:
+                out.append(rows[pivot_of_col[j]].scalars())
+            else:
+                out.append([PadicScalar.zero(self.ctx)] * count)
+        return out
 
 
-def reduce_vector(vec, pivot_rows):
-    """vec reduced by each (pivot column j, row) in turn: where vec[j] is
-    nonzero, vec - (vec[j] / row[j]) * row, one exact-ledger row operation.
-    Returns a new list."""
-    vec = list(vec)
+def reduce_vector(vec: Row, pivot_rows) -> Row:
+    """vec reduced by each (pivot column j, Row) in turn: where vec[j] is
+    nonzero, vec - (vec[j] / row[j]) * row, one exact-ledger row operation."""
     for j, row in pivot_rows:
-        e = vec[j]
-        if e.is_zero:
-            continue
-        vec = sub_mul_row(vec, e / row[j], row)
+        if vec.res[j]:
+            pw = vec.pw
+            vec = vec.sub_mul(_times(pw, vec.parts(j), _inverse(pw, row.parts(j))), row)
     return vec
 
 
@@ -120,65 +390,77 @@ def eliminate(mat, reduce_above=False, min_margin=DEFAULT_SLACK):
     pivots to 1, yielding a reduced echelon form, and records the row
     operations for Elimination.solve.
     """
-    work = [list(row) for row in mat]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    ctx = work[0][0].ctx if nrows and ncols else None
+    mat = list(mat)
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    ctx = mat[0][0].ctx if nrows and ncols else None
+    p = ctx.p if ctx is not None else None
+    pw = _powers(p) if p is not None else None
+    work = [Row.of(row, p) for row in mat]
     free_rows = list(range(nrows))
     free_cols = list(range(ncols))
     pivots = []
+    pivot_of_col = {}
+    done = []  # pivot rows of the steps so far
     steps = [] if reduce_above else None
     margin = None
 
     while free_rows and free_cols:
+        # the least (valuation, row, column) of a nonzero entry: rows and
+        # columns are scanned in increasing order
         best = None
         for i in free_rows:
+            vals, prec = work[i].vals(), work[i].prec
             for j in free_cols:
-                e = work[i][j]
-                if e.is_zero:
-                    continue
-                key = (e.v, i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
+                v = vals[j]
+                if v < prec[j] and (best is None or v < best):
+                    best, pi, pj = v, i, j
         if best is None:
             break
-        _, pi, pj = best
-        pivot = work[pi][pj]
-        margin = _min_margin_update(margin, pivot.prec - pivot.v)
+        y = work[pi]
+        pivot = y.parts(pj)
+        margin = _min_margin_update(margin, pivot[2] - pivot[0])
         pivots.append((pi, pj))
-        targets = [i for i in free_rows if i != pi]
-        if reduce_above:
-            targets += [i for (i, _) in pivots[:-1]]
-        updated = []
-        for i in targets:
-            a = work[i][pj]
-            if a.is_zero:
-                continue
-            f = a / pivot
-            work[i] = sub_mul_row(work[i], f, work[pi])
-            updated.append((i, f))
-        if reduce_above:
-            pinv = pivot.inv()
-            work[pi] = [pinv * x for x in work[pi]]
-            steps.append((pi, updated, pinv))
+        pivot_of_col[pj] = pi
         free_rows.remove(pi)
         free_cols.remove(pj)
+        targets = free_rows + done if reduce_above else free_rows
+        done.append(pi)
+        pivot_inv = None  # PadicScalar.inv refuses only once it is used
+        updated = []
+        for i in targets:
+            x = work[i]
+            if not x.res[pj]:
+                continue
+            if pivot_inv is None:
+                pivot_inv = _inverse(pw, pivot)
+            f = _times(pw, x.parts(pj), pivot_inv)
+            work[i] = x.sub_mul(f, y)
+            updated.append((i, f))
+        if reduce_above:
+            if pivot_inv is None:
+                pivot_inv = _inverse(pw, pivot)
+            pctx = y.ctxs[pj]
+            work[pi] = y.scaled(pivot_inv, pctx)
+            steps.append((pi, updated, PadicScalar(pctx, *pivot_inv[:3]), pivot_inv))
 
     # every remaining candidate entry vanished to precision; record how
     # confidently, and refuse to decide on thin evidence
     for i in free_rows:
+        row = work[i]
         for j in free_cols:
-            e = work[i][j]
-            if not e.is_zero:  # unreachable unless the loop broke early
+            if row.res[j]:  # unreachable unless the loop broke early
                 raise AssertionError("nonzero entry left after elimination")
-            margin = _min_margin_update(margin, e.prec)
-            if e.prec < min_margin:
+            prec = row.prec[j]
+            margin = _min_margin_update(margin, prec)
+            if prec < min_margin:
                 raise PrecisionExhausted(
                     "rank decision at (%d,%d) rests on a value vanishing only "
                     "mod p^%d (< required margin %d); raise the working "
-                    "precision" % (i, j, e.prec, min_margin)
+                    "precision" % (i, j, prec, min_margin)
                 )
-    return Elimination(work, pivots, margin, nrows, ncols, min_margin, ctx, steps)
+    return Elimination(work, pivots, margin, nrows, ncols, min_margin, ctx, steps,
+                       pivot_of_col, free_rows)
 
 
 def rank_with_margin(mat, min_margin=DEFAULT_SLACK):
@@ -203,7 +485,7 @@ def kernel_basis(mat, min_margin=DEFAULT_SLACK):
             if j == f:
                 vec[j] = _one_like(mat[0][0])
             elif j in pivot_of_col:
-                vec[j] = -e.rows[pivot_of_col[j]][f]
+                vec[j] = -e.int_rows[pivot_of_col[j]].scalar(f)
             else:
                 vec[j] = _zero_like(mat[0][0])
         basis.append(vec)
@@ -233,30 +515,33 @@ def triangular_lattice_basis(cols):
     operations over Z_p (scaling by units, subtracting p-power multiples):
     column r of the result vanishes to precision above row r and holds the
     pure power p^v at row r."""
-    cols = [list(c) for c in cols]
+    cols = [Row.of(c) for c in cols]
     out = []
-    for row in range(len(cols[0])):
+    for row in range(len(cols[0].res)):
         best = None
         for ci, col in enumerate(cols):
-            e = col[row]
-            if e.is_zero:
+            if not col.res[row]:
                 continue
-            if best is None or e.v < cols[best][row].v:
-                best = ci
+            v = col.val_at(row)
+            if best is None or v < best_v:
+                best, best_v = ci, v
         if best is None:
             raise IntegralStructureFailure("lattice generators do not span")
         col = cols.pop(best)
-        pivot = col[row]
-        unit_inv = PadicScalar(pivot.ctx, 0, pivot.u, pivot.prec - pivot.v).inv()
-        col = [x * unit_inv for x in col]  # pivot becomes the pure power p^v
-        for other in cols:
-            e = other[row]
-            if e.is_zero:
+        pw = col.pw
+        v, u, prec, amb = col.parts(row)
+        # the pivot becomes the pure power p^v
+        col = col.scaled(_inverse(pw, (0, u, prec - v, amb)))
+        pivot_inv = None
+        for ci, other in enumerate(cols):
+            if not other.res[row]:
                 continue
-            f = e * col[row].inv()  # integral since the pivot has minimal valuation
-            other[:] = sub_mul_row(other, f, col)
+            if pivot_inv is None:
+                pivot_inv = _inverse(pw, col.parts(row))
+            # integral since the pivot has minimal valuation
+            cols[ci] = other.sub_mul(_times(pw, other.parts(row), pivot_inv), col)
         out.append(col)
-    return out
+    return [col.scalars() for col in out]
 
 
 def _one_like(s: PadicScalar) -> PadicScalar:

@@ -10,15 +10,18 @@ Precision rules (the documented ledger):
   mul       min(prec_a + v_b, prec_b + v_a), capped at N
   inv       prec - 2*val  (relative precision is preserved, so the absolute
             precision drops by twice the valuation)
-  sub_mul   x - f*y in one integer pass, with the ledger of x + (-(f*y)):
-            min(prec_x, prec_f + v_y, prec_y + v_f, N_f, N_y)
+  row op    x - f*y (elimination, linalg.Row.sub_mul), with the ledger of
+            x + (-(f*y)): min(prec_x, prec_f + v_y, prec_y + v_f, N_f, N_y)
   exp/log   preserved on their domains (isometries; the series kernels work
             at a widened internal modulus so no digits are lost)
 
 Every value made from an integer residue r * p^base known mod p^prec
-(from_residue, from_fraction, from_val_unit, reduce, add, mul, the fused
-row operation, and the products of matrix.py and algebra.py) ends in one
-normaliser, _scaled_residue, so it has one normal form whatever made it.
+(from_residue, from_fraction, from_val_unit, reduce, add, mul, and the
+products of matrix.py and algebra.py) ends in one normaliser,
+_scaled_residue, so it has one normal form whatever made it.  Elimination
+(linalg.py) works on integer rows instead of scalars: its rows keep each
+residue reduced with its valuation, so the scalars it hands out are built
+in that normal form directly, once per entry read.
 
 PadicScalar is a plain slotted class: every kernel builds one per output
 entry, so construction is kept to setting four slots, with no frozen-field
@@ -232,45 +235,6 @@ class PadicScalar:
         if self.prec < prec or other.prec < prec:
             return False
         return self.reduce(prec) == other.reduce(prec)
-
-
-def sub_mul(x: PadicScalar, f: PadicScalar, y: PadicScalar) -> PadicScalar:
-    """x - f*y in one integer pass: the value, precision, normalisation,
-    context and exceptions of x + (-(f * y))."""
-    return sub_mul_row((x,), f, (y,))[0]
-
-
-def sub_mul_row(xs, f: PadicScalar, ys) -> list:
-    """[sub_mul(x, f, y) for x, y in zip(xs, ys)], the row operation of an
-    elimination step, with f decomposed once per row."""
-    fctx, fu, fprec = f.ctx, f.u, f.prec
-    fv = fprec if f.v is None else f.v
-    return [_sub_mul(x, y, fctx, fv, fu, fprec) for x, y in zip(xs, ys)]
-
-
-def _sub_mul(x, y, fctx, fv, fu, fprec):
-    # f = p^fv * fu known mod p^fprec, with fu == 0 and fv == fprec for a
-    # zero marker; the prime checks run in the order of f * y, then x + ...
-    p = fctx.p
-    if y.ctx.p != p:
-        raise ContextMismatch("mixed primes %d and %d" % (p, y.ctx.p))
-    xctx = x.ctx
-    if xctx.p != p:
-        raise ContextMismatch("mixed primes %d and %d" % (xctx.p, p))
-    # the product's ledger: min(prec_f + v_y, prec_y + v_f, N_f, N_y)
-    yv, yprec = y.v, y.prec
-    vy = yprec if yv is None else yv
-    pm = min(fprec + vy, yprec + fv, fctx.default_precision, y.ctx.default_precision)
-    # the product's valuation, or its precision when it is a zero marker
-    vb = pm if (fu == 0 or yv is None or fv + vy >= pm) else fv + vy
-    xv, xprec = x.v, x.prec
-    prec = xprec if xprec < pm else pm
-    va = xprec if xv is None else xv
-    m = min(va, vb, prec)
-    r = 0 if xv is None else x.u * p ** (xv - m)
-    if vb < pm:
-        r -= fu * y.u * p ** (vb - m)
-    return _scaled_residue(xctx, r, m, prec)
 
 
 def _scaled_residue(ctx, r, base, prec):

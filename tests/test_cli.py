@@ -273,6 +273,15 @@ class TestVerifyCommand:
                 "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_default_summary_pinned(self, tmp_path, capsys, monkeypatch):
+        # the default suites at --count 20: every digit, rank and verdict
+        # of the summary file, byte for byte
+        monkeypatch.delenv("SIMPSON_PRECISION", raising=False)
+        out = tmp_path / "summary.json"
+        assert run_cli("verify", "--count", "20", "--seed", "0", "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4de96e9c23df7557e3d0827f4b6297eb2758d46554cd568413a56915e9baa29c")
+
     def test_suite_subset(self, tmp_path, capsys):
         code = run_cli("verify", "--count", "2", "--suites", "explog")
         assert code == 0

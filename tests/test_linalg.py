@@ -1,5 +1,5 @@
 """Factor-once solves against the augmented elimination they replace, and
-the fused row kernel against the per-scalar row operations it replaces.
+the integer row engine against the per-scalar row operations it replaces.
 
 The reference functions below are the augmented-system solver and the
 identity-augmented inverse as they stood before Elimination.solve existed:
@@ -10,11 +10,14 @@ solution entry, every None and every PrecisionExhausted must match the
 reference, both for a batch of columns and for columns solved one at a
 time on one factorisation.
 
-The unreduced elimination behind rank_with_margin and the incremental
-span of spectral_algebra are kept below as they stood before their row
-operations went through scalar.sub_mul_row, each row entry computed as
-x - f * y; ranks, margins, span decisions, the rows kept and every
-PrecisionExhausted message must match.
+The unreduced elimination behind rank_with_margin, the incremental span
+of spectral_algebra, reduce_vector, quotient_by_ideal, the triangular
+lattice basis and the index valuation of components._Order are kept
+below as they stood before their rows became integer Rows, each row
+entry computed as x - f * y from PadicScalars; ranks, margins, span
+decisions, the rows kept, every output entry and every refusal must
+match.  The entries drawn mix ambient precisions, zero markers down to
+one digit and valuations from -1 up.
 """
 
 import pytest
@@ -22,10 +25,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from padic_simpson import linalg
+from padic_simpson.algebra import _FULL_CHECK_DIM, FinAlgebra, quotient_by_ideal
+from padic_simpson.components import _Order
 from padic_simpson.context import DEFAULT_SLACK, PrimeContext
-from padic_simpson.errors import PrecisionExhausted
+from padic_simpson.errors import (
+    ContextMismatch,
+    DimensionMismatch,
+    IntegralStructureFailure,
+    PadicError,
+    PrecisionExhausted,
+)
 from padic_simpson.higgs import _IncrementalSpan
+from padic_simpson.linalg import Row
+from padic_simpson.matrix import PadicMatrix
 from padic_simpson.scalar import PadicScalar
+from test_scalar import ledger_operands
 
 CONTEXTS = {p: PrimeContext(p, 8) for p in (2, 3, 5)}
 
@@ -33,7 +47,7 @@ CONTEXTS = {p: PrimeContext(p, 8) for p in (2, 3, 5)}
 # -- reference: the augmented elimination -------------------------------
 
 
-def _ref_eliminate(mat, pivot_cols, min_margin):
+def _ref_eliminate(mat, pivot_cols, min_margin, pivot_log=None):
     work = [list(row) for row in mat]
     nrows = len(work)
     free_rows = list(range(nrows))
@@ -54,6 +68,8 @@ def _ref_eliminate(mat, pivot_cols, min_margin):
         _, pi, pj = best
         pivot = work[pi][pj]
         pivots.append((pi, pj))
+        if pivot_log is not None:
+            pivot_log.append(pivot)
         targets = [i for i in free_rows if i != pi] + [i for (i, _) in pivots[:-1]]
         for i in targets:
             a = work[i][pj]
@@ -209,8 +225,8 @@ def outcome(fn, *args):
     or the exception it raised."""
     try:
         result = fn(*args)
-    except PrecisionExhausted as exc:
-        return ("PrecisionExhausted", str(exc))
+    except PadicError as exc:
+        return (type(exc).__name__, str(exc))
     if result is None:
         return None
     return [[(x.v, x.u, x.prec, x.ctx) for x in col] for col in result]
@@ -221,12 +237,12 @@ def outcome(fn, *args):
 
 @st.composite
 def scalars(draw, ctx):
-    """A scalar of ctx or of a widened ctx: zero markers, thin and full
-    precisions, valuations from -1 up."""
+    """A scalar of ctx or of a widened ctx: zero markers, thin (down to one
+    digit) and full precisions, valuations from -1 up."""
     if draw(st.booleans()):
         ctx = ctx.widen(draw(st.integers(1, 3)))
     p, top = ctx.p, ctx.default_precision
-    prec = draw(st.sampled_from([top, top, draw(st.integers(1, top))]))
+    prec = draw(st.sampled_from([top, top, draw(st.integers(1, top)), draw(st.integers(1, 3))]))
     if draw(st.integers(0, 3)) == 0:
         return PadicScalar.zero(ctx, prec)
     v = draw(st.integers(-1, min(2, prec - 1)))
@@ -424,7 +440,8 @@ def _span_decisions(cls, vecs, min_margin):
         except PrecisionExhausted as exc:
             decisions.append(("PrecisionExhausted", str(exc)))
             break
-        decisions.append([(piv, ledger(row)) for piv, row in span.rows])
+        decisions.append([(piv, ledger(row.scalars() if isinstance(row, Row) else row))
+                          for piv, row in span.rows])
     return decisions
 
 
@@ -434,3 +451,244 @@ def test_incremental_span_decisions_unchanged(stream):
     vecs, min_margin = stream
     assert (_span_decisions(_IncrementalSpan, vecs, min_margin)
             == _span_decisions(RefSpan, vecs, min_margin))
+
+
+# -- the row operation against the scalar expression ---------------------
+
+
+def _parts(s):
+    """The scalar s as Row.parts gives an entry: a row operation's factor."""
+    return (s.prec if s.v is None else s.v), s.u, s.prec, s.ctx.default_precision
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_fused_row_operation_matches_scalar_ops(data):
+    # Row.sub_mul is x + (-(f * y)) entry by entry, to the last digit of
+    # the ledger, context included.  The engine takes its factors from
+    # the entries of its own rows, so it meets mixed primes only within a
+    # row or across two rows, and refuses them there
+    operand = ledger_operands(data.draw(st.sampled_from([2, 3, 5, 7])))
+    f = data.draw(operand)
+    xs = [data.draw(operand) for _ in range(data.draw(st.integers(1, 4)))]
+    ys = [data.draw(operand) for _ in xs]
+    primes = {s.ctx.p for s in xs + ys}
+    if len(primes) > 1:
+        with pytest.raises(ContextMismatch):
+            Row.of(xs).sub_mul(_parts(f), Row.of(ys))
+        return
+    if primes != {f.ctx.p}:
+        return
+    expected = [ledger([a + (-(f * b))]) for a, b in zip(xs, ys)]
+    got = Row.of(xs).sub_mul(_parts(f), Row.of(ys))
+    assert [ledger([got.scalar(k)]) for k in range(len(xs))] == expected
+    assert ledger(got.scalars()) == [e[0] for e in expected]
+
+
+# -- reduce_vector, quotients, lattices and orders -----------------------
+
+
+def ref_reduce_vector(vec, pivot_rows):
+    vec = list(vec)
+    for j, row in pivot_rows:
+        e = vec[j]
+        if e.is_zero:
+            continue
+        f = e / row[j]
+        vec = [a - f * b for a, b in zip(vec, row)]
+    return vec
+
+
+def _reduce_vector(vec, pivot_rows):
+    rows = [(j, Row.of(row)) for j, row in pivot_rows]
+    return linalg.reduce_vector(Row.of(vec), rows).scalars()
+
+
+@st.composite
+def reductions(draw):
+    """A vector and pivot rows to reduce it by: the reduced rows of an
+    elimination, or drawn rows with drawn pivot columns."""
+    mat, cols, min_margin = draw(systems())
+    n = len(mat[0])
+    vec = draw(st.sampled_from(mat + [[c[0]] * n for c in cols]))
+    if draw(st.booleans()):
+        try:
+            work, pivots = _ref_eliminate(mat, n, min_margin)
+        except PadicError:
+            work, pivots = [], []
+        pivot_rows = sorted((j, work[i]) for (i, j) in pivots)
+    else:
+        entry = scalars(CONTEXTS[mat[0][0].ctx.p])
+        js = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        pivot_rows = [(j, [draw(entry) for _ in range(n)]) for j in js]
+    return [draw(st.sampled_from([x, x.reduce(1)])) for x in vec], pivot_rows
+
+
+@SETTINGS
+@given(reductions())
+def test_reduce_vector_unchanged(case):
+    vec, pivot_rows = case
+    assert (outcome(lambda: [_reduce_vector(vec, pivot_rows)])
+            == outcome(lambda: [ref_reduce_vector(vec, pivot_rows)]))
+
+
+def ref_quotient_by_ideal(A, ideal_basis):
+    """quotient_by_ideal's structure constants, unit and projection images."""
+    m = A.dim
+    rows = [list(x.coords) for x in ideal_basis]
+    work, pivots = _ref_eliminate(rows, m, DEFAULT_SLACK)
+    pivot_rows = sorted((j, work[i]) for (i, j) in pivots)
+    free_cols = [j for j in range(m) if j not in {j for _, j in pivots}]
+    s = len(free_cols)
+    if s == 0:
+        raise PadicError("quotient by the unit ideal")
+
+    def project(coords):
+        reduced = ref_reduce_vector(coords, pivot_rows)
+        return [reduced[j] for j in free_cols]
+
+    reps = [A.basis_element(j) for j in free_cols]
+    mul = [[project((reps[i] * reps[j]).coords) for j in range(s)] for i in range(s)]
+    S = FinAlgebra.create(A.ctx, mul, project(A.one), validate=(s <= _FULL_CHECK_DIM),
+                          exact_structure=False)
+    return S, [project(A.basis_element(i).coords) for i in range(m)]
+
+
+def _quotient(A, ideal_basis):
+    S, proj, _ = quotient_by_ideal(A, ideal_basis)
+    return S, [list(x.coords) for x in proj.images]
+
+
+def _quotient_ledger(fn, A, ideal_basis):
+    def record():
+        S, images = fn(A, ideal_basis)
+        return [c for plane in S.mul for c in plane] + [list(S.one)] + images
+    return outcome(record)
+
+
+@st.composite
+def ideals(draw):
+    """A = K[x]/(g) for g = x^m - sum rel_i x^i with rel_0 = 0, over a
+    context of N = 8, and a spanning set of the ideal of one or two drawn
+    elements of (x), a proper ideal."""
+    ctx = CONTEXTS[draw(st.sampled_from(sorted(CONTEXTS)))]
+    m = draw(st.integers(1, 4))
+    rel = [0] + [draw(st.integers(0, ctx.p ** 2)) * draw(st.sampled_from([1, ctx.p]))
+                 for _ in range(m - 1)]
+    A = FinAlgebra.from_power_relation(ctx, rel)
+    entry = scalars(ctx)
+    gens = [A.element([PadicScalar.zero(ctx)] + [draw(entry) for _ in range(m - 1)])
+            for _ in range(draw(st.integers(1, 2)))]
+    return A, [g * A.basis_element(i) for g in gens for i in range(m)]
+
+
+@SETTINGS
+@given(ideals())
+def test_quotient_by_ideal_unchanged(case):
+    A, ideal_basis = case
+    assert (_quotient_ledger(_quotient, A, ideal_basis)
+            == _quotient_ledger(ref_quotient_by_ideal, A, ideal_basis))
+
+
+def ref_triangular_lattice_basis(cols):
+    cols = [list(c) for c in cols]
+    out = []
+    for row in range(len(cols[0])):
+        best = None
+        for ci, col in enumerate(cols):
+            e = col[row]
+            if e.is_zero:
+                continue
+            if best is None or e.v < cols[best][row].v:
+                best = ci
+        if best is None:
+            raise IntegralStructureFailure("lattice generators do not span")
+        col = cols.pop(best)
+        pivot = col[row]
+        unit_inv = PadicScalar(pivot.ctx, 0, pivot.u, pivot.prec - pivot.v).inv()
+        col = [x * unit_inv for x in col]
+        for other in cols:
+            e = other[row]
+            if e.is_zero:
+                continue
+            f = e * col[row].inv()
+            other[:] = [a - f * b for a, b in zip(other, col)]
+        out.append(col)
+    return out
+
+
+@st.composite
+def lattice_generators(draw):
+    """Generating columns of length m: drawn ones, with the columns of a
+    scaled identity among them now and then, so that they span."""
+    ctx = CONTEXTS[draw(st.sampled_from(sorted(CONTEXTS)))]
+    m = draw(st.integers(1, 4))
+    entry = scalars(ctx)
+    cols = [[draw(entry) for _ in range(m)] for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        scale = PadicScalar.from_int(ctx, ctx.p ** draw(st.integers(0, 2)))
+        cols += [[scale if i == j else PadicScalar.zero(ctx) for i in range(m)]
+                 for j in range(m)]
+    return draw(st.permutations(cols))
+
+
+@SETTINGS
+@given(lattice_generators())
+def test_triangular_lattice_basis_unchanged(cols):
+    assert (outcome(linalg.triangular_lattice_basis, cols)
+            == outcome(ref_triangular_lattice_basis, cols))
+
+
+def ref_order(S, basis):
+    """_Order's index valuation and inverse basis matrix."""
+    m = S.dim
+    mat = [[b.coords[i] for b in basis] for i in range(m)]
+    pivots = []
+    _ref_eliminate(mat, m, DEFAULT_SLACK, pivots)
+    inverse = ref_invert(mat)
+    if inverse is None:
+        raise IntegralStructureFailure("lattice basis is singular to precision")
+    return -sum(pivot.inv().v for pivot in pivots), PadicMatrix.from_rows(S.ctx, inverse)
+
+
+def _order(S, basis):
+    order = _Order(S, basis)
+    return order.index_valuation, order._inverse
+
+
+def _order_outcome(fn, S, basis):
+    try:
+        index, inverse = fn(S, basis)
+    except PadicError as exc:
+        return type(exc).__name__, str(exc)
+    return index, [ledger(row) for row in inverse.entries]
+
+
+@SETTINGS
+@given(ideals(), st.data())
+def test_order_index_valuation_unchanged(case, data):
+    A, _ = case
+    m = A.dim
+    entry = scalars(A.ctx)
+    basis = [A.element([data.draw(entry) for _ in range(m)]) for _ in range(m)]
+    assert _order_outcome(_order, A, basis) == _order_outcome(ref_order, A, basis)
+
+
+# -- shapes ----------------------------------------------------------------
+
+
+def test_solve_refuses_a_right_hand_side_of_another_length():
+    ctx = PrimeContext(3, 32)
+    elim = linalg.eliminate(PadicMatrix.identity(ctx, 2).rows(), reduce_above=True)
+    for col in ([1, 2, 5], [1]):
+        with pytest.raises(DimensionMismatch, match="length %d .* 2 rows" % len(col)):
+            elim.solve([[PadicScalar.from_int(ctx, x) for x in col]])
+    (x,) = elim.solve([[PadicScalar.from_int(ctx, x) for x in (1, 2)]])
+    assert [s.residue() for s in x] == [1, 2]
+
+
+def test_empty_system_inverts_to_the_empty_matrix():
+    ctx = PrimeContext(3, 32)
+    assert linalg.invert([]) == []
+    inverse = PadicMatrix.from_rows(ctx, []).inverse()
+    assert (inverse.nrows, inverse.ncols) == (0, 0)

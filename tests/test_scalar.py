@@ -33,8 +33,6 @@ from padic_simpson.scalar import (
     big_exp,
     exp_scalar,
     log_scalar,
-    sub_mul,
-    sub_mul_row,
     teichmuller,
     val,
 )
@@ -245,27 +243,6 @@ def _ledger_outcome(fn):
     if isinstance(out, PadicScalar):
         return out.v, out.u, out.prec, out.ctx
     return [(x.v, x.u, x.prec, x.ctx) for x in out]
-
-
-@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.data())
-def test_fused_row_operation_matches_scalar_ops(data):
-    # sub_mul and sub_mul_row are x + (-(f * y)) to the last digit of the
-    # ledger, context included, and raise what that expression raises
-    operand = ledger_operands(data.draw(st.sampled_from([2, 3, 5, 7])))
-    x, f, y = (data.draw(operand) for _ in range(3))
-    reference = _ledger_outcome(lambda: x + (-(f * y)))
-    assert _ledger_outcome(lambda: sub_mul(x, f, y)) == reference
-    xs = [x] + [data.draw(operand) for _ in range(data.draw(st.integers(0, 3)))]
-    ys = [y] + [data.draw(operand) for _ in xs[1:]]
-    row = []
-    for a, b in zip(xs, ys):  # a row raises at its first failing entry
-        entry = _ledger_outcome(lambda: a + (-(f * b)))
-        if isinstance(entry[0], type):
-            row = entry
-            break
-        row.append(entry)
-    assert _ledger_outcome(lambda: sub_mul_row(xs, f, ys)) == row
 
 
 # -- frozen reference: the normalisations that each site made on its own ----
