@@ -15,15 +15,17 @@ products a*b one by one to a zero marker of the result's context (the
 algebra's; for a morphism, the target's): its precision is the least of
 that context's N and, over the terms, min(prec a + v b, prec b + v a,
 N a, N b), a zero marker's valuation counting as its precision; its value
-is the exact sum of the unit products reduced mod p^prec.  Operators and
-images are dot products of the coordinates of x with integer columns
-kept per algebra (one per operator entry) and per morphism (one per
-target coordinate), made by the product routine of PadicMatrix @
-(matrix._lane_products), so their terms run over every x_i, c[i][j][k]
-and image coordinate, zero markers included: a zero marker x_i caps the
+is the exact sum of the scaled residues reduced mod p^prec.  Each
+operand is read as a linalg.Row, which refuses a scalar of another prime
+with ContextMismatch.  Operators and images are made by the one product
+kernel, Row.dot, as dot products of the coordinates of x with
+Rows kept per algebra (one per operator entry) and per morphism (one per
+target coordinate), so their terms run over every x_i, c[i][j][k] and
+image coordinate, zero markers included: a zero marker x_i caps the
 entry at min(prec x_i + v c, prec c + prec x_i, N) and adds nothing to
-its value.  An element product keeps its own term loop, whose terms
-(a_i * b_j) * c[i][j][k] run over the nonzero a_i, b_j and c[i][j][k].
+its value.  An element product keeps its own term loop over the Rows of
+its operands and of the whole tensor, whose terms (a_i * b_j) * c[i][j][k]
+run over the nonzero a_i, b_j and c[i][j][k].
 
 AlgElement is a plain slotted class, never written to after construction
 (tests/test_values.py checks the sources) and unhashable; FinAlgebra is
@@ -71,7 +73,7 @@ from .errors import (
     PadicError,
     PrecisionExhausted,
 )
-from .matrix import PadicMatrix, _Lane, _lane_products, _least_valuation, mat_exp, mat_log
+from .matrix import PadicMatrix, mat_exp, mat_log
 from .scalar import PadicScalar, _scaled_residue, big_exp
 
 MAX_DIM = 64  # soft limit; keeps the m^5 validation desk-scale
@@ -184,7 +186,7 @@ class FinAlgebra:
         """Matrix of multiplication by x in the given basis: entry (k, j)
         is the sum of x_i * c[i][j][k] over every x_i."""
         m = self.dim
-        entries = _lane_products(self.ctx, _coordinate_lane(self, x), self._constants.columns)
+        entries = _coordinate_row(self, x).dot(self.ctx, self._constants.columns)
         return PadicMatrix.from_rows(self.ctx, [entries[k * m:(k + 1) * m] for k in range(m)])
 
     # -- convenient constructors -------------------------------------------
@@ -268,19 +270,16 @@ class AlgElement:
         self._check(other)
         A = self.algebra
         ctx = A.ctx
-        p = ctx.p
         constants = A._constants
         precs = [ctx.default_precision] * A.dim
         sums = [0] * A.dim
-        a_base = _least_valuation(self.coords)
-        b_base = _least_valuation(other.coords)
-        b_live = [(j, b.v, b.prec, b.ctx.default_precision, b.u * p ** (b.v - b_base))
-                  for j, b in enumerate(other.coords) if b.v is not None]
-        for i, a in enumerate(self.coords):
-            if a.v is None:
+        a = linalg.Row.of(self.coords, ctx.p)
+        b = linalg.Row.of(other.coords, ctx.p)
+        b_live = [(j, vb, pb, nb, sb)
+                  for j, (sb, vb, pb, nb) in enumerate(zip(b.res, b.vals(), b.prec, b.amb)) if sb]
+        for i, (sa, va, pa, na) in enumerate(zip(a.res, a.vals(), a.prec, a.amb)):
+            if not sa:
                 continue
-            va, pa, na = a.v, a.prec, a.ctx.default_precision
-            sa = a.u * p ** (va - a_base)
             terms = constants.terms[i]
             for j, vb, pb, nb, sb in b_live:
                 # the precision of a*b; when a*b is a zero marker (its
@@ -294,7 +293,7 @@ class AlgElement:
                     if prec < precs[k]:
                         precs[k] = prec
                     sums[k] += sab * sc
-        base = a_base + b_base + constants.base
+        base = a.base + b.base + constants.base
         return AlgElement(A, tuple(_scaled_residue(ctx, r, base, prec)
                                    for r, prec in zip(sums, precs)))
 
@@ -394,16 +393,16 @@ class Morphism:
 
     @cached_property
     def _columns(self):
-        """The image coordinates as integers, one _Lane per target
+        """The image coordinates as integers, one Row per target
         coordinate k over the images[i][k]."""
         p = self.target.ctx.p
-        return [_Lane(coords, p) for coords in zip(*(img.coords for img in self.images))]
+        return [linalg.Row.of(coords, p) for coords in zip(*(img.coords for img in self.images))]
 
     def apply(self, x: AlgElement) -> AlgElement:
         """Coordinate k of the image is the sum of x_i * images[i][k] over
         every x_i."""
         return AlgElement(self.target, tuple(
-            _lane_products(self.target.ctx, _coordinate_lane(self.source, x), self._columns)))
+            _coordinate_row(self.source, x).dot(self.target.ctx, self._columns)))
 
     def is_surjective(self) -> bool:
         rows = [[img.coords[i] for img in self.images] for i in range(self.target.dim)]
@@ -416,32 +415,33 @@ class Morphism:
 
 
 class _Constants:
-    """A structure-constant tensor as integers.  columns[k * m + j] is a
-    _Lane over the c[i][j][k], the column of entry (k, j) of the
+    """A structure-constant tensor as integers.  columns[k * m + j] is the
+    Row over the c[i][j][k], the column of entry (k, j) of the
     multiplication operators; terms[i][j] lists the nonzero c[i][j][k] as
-    (k, valuation, precision, ambient precision, scaled unit), each scaled
-    to p^base with base the least valuation of a nonzero constant."""
+    (k, valuation, precision, ambient precision, scaled residue), read off
+    the Row of the whole tensor, so each residue is scaled to p^base with
+    base the least valuation of a nonzero constant."""
 
     __slots__ = ("base", "columns", "terms")
 
     def __init__(self, mul, p):
         m = len(mul)
-        self.columns = [_Lane([mul[i][j][k] for i in range(m)], p)
+        self.columns = [linalg.Row.of([mul[i][j][k] for i in range(m)], p)
                         for k in range(m) for j in range(m)]
-        self.base = base = _least_valuation([c for plane in mul for row in plane for c in row])
-        self.terms = [
-            [tuple((k, c.v, c.prec, c.ctx.default_precision, c.u * p ** (c.v - base))
-                   for k, c in enumerate(row) if c.v is not None) for row in plane]
-            for plane in mul
-        ]
+        flat = linalg.Row.of([c for plane in mul for row in plane for c in row], p)
+        self.base = flat.base
+        live = [(t % m, v, q, n, r)
+                for t, (v, q, n, r) in enumerate(zip(flat.vals(), flat.prec, flat.amb, flat.res))]
+        rows = [tuple(c for c in live[s:s + m] if c[4]) for s in range(0, m ** 3, m)]
+        self.terms = [rows[i * m:(i + 1) * m] for i in range(m)]
 
 
-def _coordinate_lane(A: FinAlgebra, x: AlgElement) -> _Lane:
-    """The coordinates of x as a _Lane, refusing an element of an algebra
-    of another dimension."""
+def _coordinate_row(A: FinAlgebra, x: AlgElement) -> linalg.Row:
+    """The coordinates of x as a Row, refusing an element of an algebra of
+    another dimension."""
     if len(x.coords) != A.dim:
         raise PadicError("elements of different algebras")
-    return _Lane(x.coords, A.ctx.p)
+    return linalg.Row.of(x.coords, A.ctx.p)
 
 
 # -- nilradical and quotients ----------------------------------------------

@@ -41,7 +41,11 @@ EXIT_COMPARISON = 3
 EXIT_PRECISION = 4
 
 
-def _default_precision():
+def _precision(flag):
+    """The --precision value when it is given (0 included: PrimeContext
+    refuses it), else SIMPSON_PRECISION, else 32."""
+    if flag is not None:
+        return flag
     env = os.environ.get("SIMPSON_PRECISION")
     if not env:
         return 32
@@ -176,7 +180,7 @@ def cmd_spectral(args):
 
 
 def cmd_gen(args):
-    precision = args.precision or _default_precision()
+    precision = _precision(args.precision)
     if args.kind == "higgs":
         H = gen_higgs(args.p, args.d, args.rank, args.density, args.seed, precision)
         obj = io_json.higgs_to_json(H, {"seed": args.seed, "density": args.density})
@@ -197,7 +201,7 @@ def cmd_verify(args):
         count=args.count,
         seed=args.seed,
         slack=args.slack,
-        precision=args.precision or _default_precision(),
+        precision=_precision(args.precision),
     )
     fixture = None
     if args.fixture:

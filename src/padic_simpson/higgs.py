@@ -48,6 +48,8 @@ class _Side:
         if not mats:
             raise PadicError(cls.empty_message)
         n = mats[0].nrows
+        if not n:
+            raise DimensionMismatch("components are 0 x 0: the rank must be at least 1")
         for i, m in enumerate(mats):
             if m.nrows != n or m.ncols != n:
                 raise DimensionMismatch("component %d is %d x %d, not %d x %d"

@@ -18,6 +18,12 @@ recomputed only where the pivot search, a margin or a later step reads
 them.  PadicScalars are built at the surface alone, in normal form, on
 the entries callers read: Elimination.rows, solutions, inverses, kernel
 vectors, lattice columns and the recorded pivot inverses.
+
+Row is the one integer form of a row of scalars in the package.  Row.dot
+is the one product kernel: PadicMatrix @, multiplication operators and
+morphism images (algebra.py) are dot products of Rows, each output entry
+one integer pass with the ledger of the scalar fold; AlgElement.__mul__
+reads its operands and structure constants from Rows as well.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
+from operator import add, mul
 
 from . import _series
 from .context import DEFAULT_SLACK, PrimeContext
@@ -35,7 +42,7 @@ from .errors import (
     IntegralStructureFailure,
     PrecisionExhausted,
 )
-from .scalar import PadicScalar
+from .scalar import PadicScalar, _scaled_residue
 
 
 class _Powers(dict):
@@ -234,6 +241,22 @@ class Row:
             return Row(pw, base, res, prec, self.amb, self.ctxs, val)
         n = len(res)
         return Row(pw, base, res, prec, [samb] * n, [ctx] * n, val)
+
+    def dot(self, ctx: PrimeContext, columns) -> list:
+        """The dot products of this row with each Row of columns, as
+        scalars of ctx: the value and precision of adding the products
+        a*b one by one to a zero marker of ctx.  That precision is the
+        least of ctx's N and, over the terms, min(prec a + v b, prec b + v a,
+        N a, N b), a zero marker's valuation counting as its precision;
+        each product is exact modulo its own precision, so the exact sum of
+        the scaled residues, reduced mod p^prec, has the digits of the fold.
+        """
+        res, prec, vals, base = self.res, self.prec, self._val or self.vals(), self.base
+        cap = min(ctx.default_precision, *self.amb)
+        return [_scaled_residue(ctx, sum(map(mul, res, col.res)), base + col.base,
+                                min(min(map(add, prec, col._val or col.vals())),
+                                    min(map(add, col.prec, vals)), min(col.amb), cap))
+                for col in columns]
 
 
 def _inverse(pw, b):
@@ -483,11 +506,11 @@ def kernel_basis(mat, min_margin=DEFAULT_SLACK):
         vec = [None] * ncols
         for j in range(ncols):
             if j == f:
-                vec[j] = _one_like(mat[0][0])
+                vec[j] = PadicScalar.from_int(mat[0][0].ctx, 1)
             elif j in pivot_of_col:
                 vec[j] = -e.int_rows[pivot_of_col[j]].scalar(f)
             else:
-                vec[j] = _zero_like(mat[0][0])
+                vec[j] = PadicScalar.zero(mat[0][0].ctx)
         basis.append(vec)
     return basis
 
@@ -542,11 +565,3 @@ def triangular_lattice_basis(cols):
             cols[ci] = other.sub_mul(_times(pw, other.parts(row), pivot_inv), col)
         out.append(col)
     return [col.scalars() for col in out]
-
-
-def _one_like(s: PadicScalar) -> PadicScalar:
-    return PadicScalar.from_int(s.ctx, 1)
-
-
-def _zero_like(s: PadicScalar) -> PadicScalar:
-    return PadicScalar.zero(s.ctx)

@@ -7,8 +7,8 @@ input supports (exp and log preserve absolute precision on their domains),
 and refuse with PrecisionExhausted an input known to no digit.
 
 PadicMatrix @, multiplication operators and morphism images (algebra.py)
-share one product routine, _lane_products: each output entry is the dot
-product of two integer lanes, with the ledger of the scalar fold.
+share one product kernel, linalg.Row.dot: each output entry is the dot
+product of two integer Rows, with the ledger of the scalar fold.
 
 PadicMatrix, like PadicScalar, is a plain slotted class that is never
 written to after construction (checked over the sources by
@@ -19,7 +19,6 @@ precision-relative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mul
 
 from . import _series, linalg
 from .context import PrimeContext
@@ -31,7 +30,7 @@ from .errors import (
     OutsideLogDomain,
     PrecisionExhausted,
 )
-from .scalar import PadicScalar, _scaled_residue
+from .scalar import PadicScalar
 
 
 @dataclass(slots=True)
@@ -114,22 +113,16 @@ class PadicMatrix:
 
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
         """Product with the precision ledger of summing the entry products
-        a*b one by one, computed in one integer pass per entry.
-
-        Entry (i, j) is known modulo p^prec with prec the least over t of
-        min(prec a + v b, prec b + v a, N a, N b), a zero marker's valuation
-        counting as its precision.  Each product is exact modulo its own
-        precision, so the exact sum of the unit products, reduced mod
-        p^prec, has the digits of the scalar fold; it carries the context
-        of the row's first entry, as the fold's result does.
-        """
+        a*b one by one: one Row.dot per row of self against the columns of
+        other, entry (i, j) in the context of row i's first entry, as the
+        fold's result is."""
         self._check(other)
         if self.ncols != other.nrows:
             raise DimensionMismatch("product of a %d x %d and a %d x %d matrix"
                                     % (self.nrows, self.ncols, other.nrows, other.ncols))
         p = self.ctx.p
-        columns = [_Lane(col, p) for col in zip(*other.entries)]
-        return PadicMatrix.from_rows(self.ctx, [_lane_products(row[0].ctx, _Lane(row, p), columns)
+        columns = [linalg.Row.of(col, p) for col in zip(*other.entries)]
+        return PadicMatrix.from_rows(self.ctx, [linalg.Row.of(row, p).dot(row[0].ctx, columns)
                                                 for row in self.entries])
 
     def scale(self, c: PadicScalar) -> "PadicMatrix":
@@ -288,40 +281,6 @@ def expm1_quotient(m: PadicMatrix) -> PadicMatrix:
         )
     prec = min(m.min_precision(), ctx.default_precision)
     return _run_kernel(_series.expm1_quotient_matrix, m, e0, prec)
-
-
-class _Lane:
-    """One row or column of a product's operand as integers: precisions,
-    valuations (a zero marker's is its precision), the least ambient
-    precision, and each value as scaled * p^base with base the least
-    valuation of a nonzero entry (scaled = 0 for zero markers)."""
-
-    __slots__ = ("precs", "vals", "cap", "scaled", "base")
-
-    def __init__(self, entries, p):
-        self.precs = [x.prec for x in entries]
-        self.vals = [x.prec if x.v is None else x.v for x in entries]
-        self.cap = min([x.ctx.default_precision for x in entries])
-        self.base = base = _least_valuation(entries)
-        self.scaled = [0 if x.v is None else x.u * p ** (x.v - base) for x in entries]
-
-
-def _lane_products(ctx, row, columns):
-    """The dot products of the lane row with each lane of columns, as
-    scalars of ctx, each with the ledger of summing the products a*b one
-    by one (PadicMatrix.__matmul__) and capped at ctx's N."""
-    cap = min(row.cap, ctx.default_precision)
-    precs, vals, scaled, base = row.precs, row.vals, row.scaled, row.base
-    return [_scaled_residue(ctx, sum(map(mul, scaled, col.scaled)), base + col.base,
-                            min(min(map(add, precs, col.vals)), min(map(add, col.precs, vals)),
-                                col.cap, cap))
-            for col in columns]
-
-
-def _least_valuation(entries):
-    """The least valuation of a nonzero entry; 0 when all are zero markers."""
-    nonzero = [x.v for x in entries if x.v is not None]
-    return min(nonzero) if nonzero else 0
 
 
 def _run_kernel(kernel, m, e, prec):

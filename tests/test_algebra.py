@@ -30,6 +30,7 @@ from padic_simpson.algebra import (
 )
 from padic_simpson.context import PrimeContext
 from padic_simpson.errors import (
+    ContextMismatch,
     NotAUnit,
     NotConnected,
     NotSurjective,
@@ -41,6 +42,7 @@ from padic_simpson.errors import (
 from padic_simpson.components import connected_components, idempotents
 from padic_simpson.generate import gen_higgs
 from padic_simpson.higgs import spectral_algebra
+from padic_simpson.matrix import PadicMatrix
 from padic_simpson.scalar import PadicScalar, big_exp, exp_scalar
 from padic_simpson import unitgroup
 from padic_simpson.unitgroup import (
@@ -771,6 +773,25 @@ def test_zero_marker_coordinate_caps_operator_and_image():
     assert [[c.prec for c in row] for row in M.entries] == [[32, 32], [5, 32]]
     f = Morphism(A, A, (A.unit(), A.basis_element(1)))
     assert [c.prec for c in f.apply(x).coords] == [32, 5]
+
+
+def test_products_refuse_a_scalar_of_another_prime():
+    # 5 of Q_5 in a row over Q_3 is refused where a product reads it, as
+    # elimination refuses it, not read as a 3-adic digit string
+    five, one = PadicScalar.from_int(C5, 5), PadicScalar.from_int(C3, 1)
+    ident = PadicMatrix.identity(C3, 2)
+    for a, b in ((PadicMatrix.from_rows(C3, [[five, one]]), ident),
+                 (ident, PadicMatrix.from_rows(C3, [[five], [one]]))):
+        with pytest.raises(ContextMismatch):
+            a @ b
+    A = dual_numbers(C3)
+    x = A.element([five, one])
+    with pytest.raises(ContextMismatch):
+        A.mult_operator(x)
+    with pytest.raises(ContextMismatch):
+        Morphism(A, A, (A.unit(), A.basis_element(1))).apply(x)
+    with pytest.raises(ContextMismatch):
+        x * A.unit()
 
 
 # -- per-algebra invariants, computed once -----------------------------------

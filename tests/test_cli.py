@@ -153,6 +153,47 @@ def test_malformed_instance_exit_2(tmp_path, capsys, kind, rank, matrices):
     assert capsys.readouterr().err.startswith("invalid input: ")
     assert not out.exists()
 
+@pytest.mark.parametrize("kind", ["higgs", "rep"])
+def test_gen_rank_zero_exit_2(tmp_path, capsys, kind):
+    path = tmp_path / "g.json"
+    assert run_cli("gen", "--kind", kind, "--p", "3", "--d", "1", "--rank", "0",
+                   "--out", str(path)) == 2
+    assert "the rank must be at least 1" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("kind, commands", [
+    ("higgs", ["to-rep", "cohomology", "compare", "spectral"]),
+    ("rep", ["to-higgs", "cohomology"]),
+])
+def test_rank_zero_instance_exit_2(tmp_path, capsys, kind, commands):
+    # a file of 0 x 0 components, as gen --rank 0 once wrote
+    field = {"higgs": "theta", "rep": "rho"}[kind]
+    obj = {"format": 1, "kind": kind, "p": 3, "precision": 32, "d": 1, "rank": 0,
+           field: [[]]}
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(json.dumps(obj))
+    for command in commands:
+        argv = [command, str(path)]
+        if command not in ("cohomology", "compare"):
+            argv += ["--out", str(out)]
+        assert run_cli(*argv) == 2, command
+        assert "the rank must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--p", "3", "--d", "1", "--rank", "2"],
+    ["verify", "--count", "1"],
+], ids=["gen", "verify"])
+def test_precision_zero_exit_2(tmp_path, capsys, argv):
+    # 0 is refused like any precision below the minimum, not read as unset
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--precision", "0", "--out", str(out)) == 2
+    assert "precision 0 below the minimum" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestCohomologyCommands:
     def test_trivial_shape(self, tmp_path, capsys):
         path = tmp_path / "h.json"

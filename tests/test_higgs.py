@@ -326,12 +326,13 @@ class TestFunctoriality:
             direct_sum(a, b)
 
     def test_components_of_one_square_size(self):
-        # a component of another size, or a non-square one, is refused
-        # where the module is made, before validation or conversion
+        # a component of another size, a non-square one or one of rank 0
+        # is refused where the module is made, before validation or
+        # conversion
         two, three = PadicMatrix.zeros(C5, 2), PadicMatrix.zeros(C5, 3)
-        wide = PadicMatrix.zeros(C5, 1, 2)
+        wide, empty = PadicMatrix.zeros(C5, 1, 2), PadicMatrix.zeros(C5, 0)
         for cls in (HiggsModule, SmallRep):
-            for mats in ([two, three], [three, two], [wide], [two, wide]):
+            for mats in ([two, three], [three, two], [wide], [two, wide], [empty, empty]):
                 with pytest.raises(DimensionMismatch):
                     cls.create(C5, mats)
             assert cls.create(C5, [two, two]).rank == 2

@@ -3,8 +3,12 @@
 PadicScalar, AlgElement and PadicMatrix are plain slotted classes, so
 nothing stops an assignment to a field at run time; the immutability the
 rest of the package relies on is checked here instead, once, over the
-source.  Equality is precision-relative (7 mod 5^10 equals 7 mod 5^32), so
-no hash can agree with it and the values refuse one.
+source.  The same check covers linalg.Row, the integer form of a row of
+scalars: the Rows an algebra keeps for its constants and a morphism for
+its images are shared by every product made with them, so neither a field
+nor an entry of one of its lists may be written.  Equality is
+precision-relative (7 mod 5^10 equals 7 mod 5^32), so no hash can agree
+with it and the values refuse one.
 """
 
 import ast
@@ -19,8 +23,10 @@ from padic_simpson.scalar import PadicScalar
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "padic_simpson"
 
-# the fields of the value classes (and the ctx of every other value)
-VALUE_FIELDS = frozenset({"ctx", "v", "u", "prec", "algebra", "coords", "entries"})
+# the fields of the value classes and of linalg.Row (and the ctx of every
+# other value)
+VALUE_FIELDS = frozenset({"ctx", "v", "u", "prec", "algebra", "coords", "entries",
+                          "res", "amb", "ctxs", "base", "pw"})
 
 
 def test_values_are_unhashable():
@@ -36,19 +42,24 @@ def test_values_are_unhashable():
 
 def field_writes(tree):
     """(line, text) of every write to a field in VALUE_FIELDS: an assignment,
-    augmented or annotated assignment or del of an attribute, and every
-    setattr or __setattr__ call whose name is such a field or not a literal.
-    Writes to self.<field> inside an __init__ are allowed."""
+    augmented or annotated assignment or del of an attribute or of a
+    subscript of one (x.res[k] = ...), and every setattr or __setattr__
+    call whose name is such a field or not a literal.  Writes to
+    self.<field> inside an __init__ are allowed."""
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
-                and node.attr in VALUE_FIELDS):
-            own = isinstance(node.value, ast.Name) and node.value.id == "self"
-            if not (own and func == "__init__"):
-                found.append((node.lineno, ast.unparse(node)))
+        if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(
+                node.ctx, (ast.Store, ast.Del)):
+            target = node
+            while isinstance(target, ast.Subscript):
+                target = target.value
+            if isinstance(target, ast.Attribute) and target.attr in VALUE_FIELDS:
+                own = isinstance(target.value, ast.Name) and target.value.id == "self"
+                if not (own and func == "__init__"):
+                    found.append((node.lineno, ast.unparse(node)))
         if isinstance(node, ast.Call) and len(node.args) >= 2:
             f = node.func
             named = ((isinstance(f, ast.Name) and f.id == "setattr")
@@ -83,6 +94,16 @@ def test_value_fields_are_never_written():
     "def f(x):\n    object.__setattr__(x, 'algebra', None)\n",
     "class C:\n    def reset(self):\n        self.prec = 0\n",
     "class C:\n    def __init__(self, x):\n        x.prec = 0\n",
+    "def f(x):\n    x.res = []\n",
+    "def f(x):\n    x.amb += [1]\n",
+    "def f(x):\n    x.ctxs: list = []\n",
+    "def f(x):\n    a, x.base = 1, 2\n",
+    "def f(x):\n    setattr(x, 'pw', None)\n",
+    "def f(x):\n    x.res[0] = 1\n",
+    "def f(x):\n    x.prec[0] += 1\n",
+    "def f(x):\n    del x.ctxs[1:]\n",
+    "def f(x):\n    x.pw[2][0], y = 1, 2\n",
+    "class C:\n    def reset(self):\n        self.amb[0] = 0\n",
 ])
 def test_field_writes_are_found(source):
     assert len(field_writes(ast.parse(source))) == 1
@@ -90,5 +111,7 @@ def test_field_writes_are_found(source):
 
 def test_own_fields_set_in_init_are_allowed():
     source = ("class C:\n    def __init__(self, ops):\n        self.ctx = ops[0].ctx\n"
-              "        self.precs = []\n        setattr(self, 'width', 1)\n")
+              "        self.precs = []\n        setattr(self, 'width', 1)\n"
+              "        self.res = [0]\n        self.res[0] = 1\n        res = [1]\n"
+              "        res[0] = 2\n")
     assert field_writes(ast.parse(source)) == []
