@@ -106,23 +106,32 @@ class FinAlgebra:
         return alg
 
     def _validate(self, full=True):
+        """Commutativity, the unit law and (when full) associativity, decided
+        on the integer tensor as the scalar checks c[i][j][k] == c[j][i][k],
+        1 * e_i == e_i and M_{e_i} M_{e_j} == M_{e_i e_j} decide them, the
+        products of elements with the ledger of AlgElement.__mul__."""
         m = self.dim
+        ctx = self.ctx
+        flat = self._constants.flat
+        res, prec, pw = flat.res, flat.prec, flat.pw
         for i in range(m):
             for j in range(i):
                 for k in range(m):
-                    if not self.mul[i][j][k] == self.mul[j][i][k]:
+                    a, b = (i * m + j) * m + k, (j * m + i) * m + k
+                    if (res[a] - res[b]) % pw[min(prec[a], prec[b]) - flat.base]:
                         raise PadicError(
                             "structure constants not commutative at (%d,%d,%d)" % (i, j, k)
                         )
-        one = self.element(self.one)
+        one = linalg.Row.of(self.one, ctx.p)
+        units = [linalg.Row.unit(ctx, m, i) for i in range(m)]
         for i in range(m):
-            if not one * self.basis_element(i) == self.basis_element(i):
+            if not linalg.congruent(_times_basis(self, one, i), units[i]):
                 raise PadicError("unit vector is not an identity at basis %d" % i)
         if full:
-            ops = [self.mult_operator(self.basis_element(i)) for i in range(m)]
+            ops = [self._operator(e) for e in units]
             for i in range(m):
                 for j in range(i + 1):
-                    prod_op = self.mult_operator(self.basis_element(i) * self.basis_element(j))
+                    prod_op = self._operator(_times_basis(self, units[i], j))
                     if not (ops[i] @ ops[j]) == prod_op:
                         raise PadicError("structure constants not associative at (%d,%d)" % (i, j))
 
@@ -185,9 +194,12 @@ class FinAlgebra:
     def mult_operator(self, x: "AlgElement") -> PadicMatrix:
         """Matrix of multiplication by x in the given basis: entry (k, j)
         is the sum of x_i * c[i][j][k] over every x_i."""
+        return self._operator(_coordinate_row(self, x))
+
+    def _operator(self, x: linalg.Row) -> PadicMatrix:
+        """mult_operator of the element with coordinates x."""
         m = self.dim
-        entries = _coordinate_row(self, x).dot(self.ctx, self._constants.columns)
-        return PadicMatrix.from_rows(self.ctx, [entries[k * m:(k + 1) * m] for k in range(m)])
+        return PadicMatrix(self.ctx, m, m, x.dot(self.ctx, self._constants.columns))
 
     # -- convenient constructors -------------------------------------------
 
@@ -315,7 +327,7 @@ class AlgElement:
         return out
 
     def inv(self) -> "AlgElement":
-        sols = linalg.solve(self.algebra.mult_operator(self).rows(), [list(self.algebra.one)])
+        sols = linalg.solve(self.algebra.mult_operator(self).int_rows(), [list(self.algebra.one)])
         if sols is None:
             raise NotAUnit("element is not invertible to precision")
         return AlgElement(self.algebra, tuple(sols[0]))
@@ -395,14 +407,15 @@ class Morphism:
     def _columns(self):
         """The image coordinates as integers, one Row per target
         coordinate k over the images[i][k]."""
-        p = self.target.ctx.p
-        return [linalg.Row.of(coords, p) for coords in zip(*(img.coords for img in self.images))]
+        t = self.target.dim
+        flat = linalg.Row.of([c for img in self.images for c in img.coords], self.target.ctx.p)
+        return [flat.slice(k, None, t) for k in range(t)]
 
     def apply(self, x: AlgElement) -> AlgElement:
         """Coordinate k of the image is the sum of x_i * images[i][k] over
         every x_i."""
         return AlgElement(self.target, tuple(
-            _coordinate_row(self.source, x).dot(self.target.ctx, self._columns)))
+            _coordinate_row(self.source, x).dot(self.target.ctx, self._columns).scalars()))
 
     def is_surjective(self) -> bool:
         rows = [[img.coords[i] for img in self.images] for i in range(self.target.dim)]
@@ -415,25 +428,49 @@ class Morphism:
 
 
 class _Constants:
-    """A structure-constant tensor as integers.  columns[k * m + j] is the
-    Row over the c[i][j][k], the column of entry (k, j) of the
-    multiplication operators; terms[i][j] lists the nonzero c[i][j][k] as
-    (k, valuation, precision, ambient precision, scaled residue), read off
-    the Row of the whole tensor, so each residue is scaled to p^base with
-    base the least valuation of a nonzero constant."""
+    """A structure-constant tensor as integers.  flat is the Row of the
+    whole tensor, c[i][j][k] at i * m^2 + j * m + k, on base the least
+    valuation of a nonzero constant; columns[k * m + j] is its slice over
+    the c[i][j][k], the column of entry (k, j) of the multiplication
+    operators; terms[i][j] lists the nonzero c[i][j][k] as (k, valuation,
+    precision, ambient precision, scaled residue)."""
 
-    __slots__ = ("base", "columns", "terms")
+    __slots__ = ("flat", "base", "columns", "terms")
 
     def __init__(self, mul, p):
         m = len(mul)
-        self.columns = [linalg.Row.of([mul[i][j][k] for i in range(m)], p)
-                        for k in range(m) for j in range(m)]
-        flat = linalg.Row.of([c for plane in mul for row in plane for c in row], p)
+        flat = self.flat = linalg.Row.of([c for plane in mul for row in plane for c in row], p)
+        self.columns = [flat.slice(j * m + k, None, m * m) for k in range(m) for j in range(m)]
         self.base = flat.base
         live = [(t % m, v, q, n, r)
                 for t, (v, q, n, r) in enumerate(zip(flat.vals(), flat.prec, flat.amb, flat.res))]
         rows = [tuple(c for c in live[s:s + m] if c[4]) for s in range(0, m ** 3, m)]
         self.terms = [rows[i * m:(i + 1) * m] for i in range(m)]
+
+
+def _times_basis(A: FinAlgebra, x: linalg.Row, j: int) -> linalg.Row:
+    """The coordinates of x * e_j as AlgElement.__mul__ makes them, for x
+    the coordinates of an element of A: the sum of x_i * c[i][j][k] over
+    the nonzero x_i and c[i][j][k], each term with the ledger of
+    (x_i * 1) * c[i][j][k]."""
+    ctx = A.ctx
+    N = ctx.default_precision
+    constants = A._constants
+    precs = [N] * A.dim
+    sums = [0] * A.dim
+    for i, (sa, va, pa, na) in enumerate(zip(x.res, x.vals(), x.prec, x.amb)):
+        if not sa:
+            continue
+        pab = min(pa, N + va, na, N)
+        for k, vc, pc, nc, sc in constants.terms[i][j]:
+            prec = min(pab + vc, pc + va, na, nc)
+            if prec < precs[k]:
+                precs[k] = prec
+            sums[k] += sa * sc
+    base = x.base + constants.base
+    pw = x.pw
+    return linalg.Row(pw, base, [r % pw[q - base] for r, q in zip(sums, precs)], precs,
+                      [N] * A.dim, [ctx] * A.dim, N)
 
 
 def _coordinate_row(A: FinAlgebra, x: AlgElement) -> linalg.Row:
@@ -545,12 +582,12 @@ def _finite_series(nu: AlgElement, kind: str) -> AlgElement:
     return out
 
 
-def _lift_scalar(c: PadicScalar, wctx: PrimeContext, shift: int = 0) -> PadicScalar:
-    """p^shift times the canonical exact lift of a residue into a wider
-    working context."""
+def _lift_scalar(c: PadicScalar, wctx: PrimeContext) -> PadicScalar:
+    """The canonical exact lift of a residue into a wider working
+    context."""
     if c.is_zero:
         return PadicScalar.zero(wctx)
-    return PadicScalar.from_val_unit(wctx, c.v + shift, c.u)
+    return PadicScalar.from_val_unit(wctx, c.v, c.u)
 
 
 def _lift_algebra(A: FinAlgebra, wctx: PrimeContext) -> FinAlgebra:
@@ -597,16 +634,14 @@ def _krylov_basis(m: PadicMatrix) -> PadicMatrix | None:
     v = m.min_valuation()
     if v is None or v >= ctx.e0:
         return None
-    step = PadicMatrix.from_rows(ctx, [[_lift_scalar(c, ctx, -ctx.e0) for c in row]
-                                       for row in m.entries])
+    step = m.lifted(ctx, -ctx.e0)
     power = PadicMatrix.identity(ctx, m.nrows)
-    gens = list(power.entries)
+    gens = power.int_rows()
     for _ in range(m.nrows - 1):
         power = step @ power
-        gens += zip(*power.entries)
-    cols = linalg.triangular_lattice_basis(gens)
-    return PadicMatrix.from_rows(ctx, zip(*([_lift_scalar(c, ctx) for c in col]
-                                            for col in cols)))
+        gens += power.int_columns()
+    cols = linalg.triangular_lattice_rows(gens)
+    return PadicMatrix.stack(ctx, cols, m.nrows).transpose().lifted(ctx)
 
 
 def _operator_series(m: PadicMatrix, one, kind: str) -> list:
@@ -634,7 +669,7 @@ def _operator_series(m: PadicMatrix, one, kind: str) -> list:
     image = op @ col
     if basis is not None:
         image = basis @ image
-    return [row[0] for row in image.entries]
+    return image.grid.scalars()
 
 
 def _exp_log(x: AlgElement, kind: str) -> AlgElement:
@@ -653,10 +688,7 @@ def _exp_log(x: AlgElement, kind: str) -> AlgElement:
         # the ledger of M_x and of 1 bounds the result; the wider context
         # keeps the products with P from being capped at N
         wctx = ctx.widen(N + 32)
-        out = _operator_series(
-            PadicMatrix.from_rows(wctx, [[_rehome(c, wctx) for c in row]
-                                         for row in m_x.entries]),
-            [_rehome(c, wctx) for c in A.one], kind)
+        out = _operator_series(m_x.rehomed(wctx), [_rehome(c, wctx) for c in A.one], kind)
         return A.element([_rehome(c, ctx) for c in out])
     headroom = N + 32
     for _ in range(4):

@@ -220,7 +220,7 @@ class _Order:
         inverse = elim.inverse()
         if inverse is None:
             raise IntegralStructureFailure("lattice basis is singular to precision")
-        self._inverse = PadicMatrix.from_rows(S.ctx, inverse)
+        self._inverse = PadicMatrix.stack(S.ctx, inverse, m)
         # val_p(det of the basis matrix): the unreduced elimination picks
         # the same pivots, and each pivot inverse has valuation -v(pivot).
         # A strictly smaller value means a strictly larger lattice.
@@ -230,7 +230,7 @@ class _Order:
         """Lattice coordinates of each element of xs: the inverse basis
         matrix times the column of its S-coordinates."""
         cols = PadicMatrix.from_rows(self.S.ctx, zip(*(x.coords for x in xs)))
-        return [list(c) for c in zip(*(self._inverse @ cols).entries)]
+        return [c.scalars() for c in (self._inverse @ cols).int_columns()]
 
     def element(self, lat_coords) -> AlgElement:
         out = self.S.zero()

@@ -157,12 +157,12 @@ def _validate(X) -> ValidationReport:
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
             if not comm.is_zero_to_precision():
                 report.commutation.append((i, j, comm.min_valuation()))
+    n = X.rank
     for i, op in enumerate(X.operators()):
-        for r in range(X.rank):
-            for c in range(X.rank):
-                x = op[r, c]
-                if not x.is_zero and x.v < e0:
-                    report.smallness.append((i, r, c, x.v))
+        g = op.grid
+        for t, (r, v) in enumerate(zip(g.res, g.vals())):
+            if r and v < e0:
+                report.smallness.append((i, t // n, t % n, v))
     return report
 
 
@@ -249,24 +249,26 @@ def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:
     n = H.rank
     basis = [PadicMatrix.identity(ctx, n)]
     span = _IncrementalSpan()
-    span.add(_flatten(basis[0]))
+    span.add(basis[0].grid)
     frontier = [basis[0]]
     while frontier:
         next_frontier = []
         for mat in frontier:
             for t in H.theta:
                 cand = mat @ t
-                if span.add(_flatten(cand)):
+                if span.add(cand.grid):
                     basis.append(cand)
                     next_frontier.append(cand)
         frontier = next_frontier
         if len(basis) > n * n:
             raise PrecisionExhausted("span closure exceeded the dimension bound")
     dim = len(basis)
-    basis_mat = [[b.entries[i // n][i % n] for b in basis] for i in range(n * n)]
+    # the span's rows: entry i of every basis matrix, the grids being
+    # the matrices' entries in row-major order
+    span_rows = linalg.transpose([b.grid for b in basis])
     # every product and every theta_i, solved on one factorisation of the span
-    cols = [_flatten(a @ b) for a in basis for b in basis] + [_flatten(t) for t in H.theta]
-    sols = linalg.eliminate(basis_mat, reduce_above=True).solve(cols)
+    cols = [(a @ b).grid for a in basis for b in basis] + [t.grid for t in H.theta]
+    sols = linalg.eliminate(span_rows, reduce_above=True).solve(cols)
     if sols is None:
         raise PrecisionExhausted("a product or a component escaped the closed span")
     mul = [sols[i * dim:(i + 1) * dim] for i in range(dim)]
@@ -281,10 +283,6 @@ def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:
             raise PrecisionExhausted(str(exc)) from exc
     tau = [B.element(c) for c in sols[dim * dim:]]
     return SpectralAlgebra(B, tuple(basis), tuple(tau))
-
-
-def _flatten(m: PadicMatrix):
-    return [x for row in m.entries for x in row]
 
 
 class _IncrementalSpan:

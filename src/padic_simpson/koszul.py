@@ -29,7 +29,6 @@ from .errors import (
 )
 from .higgs import HiggsModule, SmallRep, higgs_to_rep, require_valid, validate_higgs, validate_rep
 from .matrix import PadicMatrix, expm1_quotient
-from .scalar import PadicScalar
 
 
 @dataclass(frozen=True)
@@ -88,36 +87,45 @@ class KoszulComplex:
                 raise PadicError("d o d != 0 at degree %d" % k)
 
     def _differential(self, k):
+        """The grid of d^k: each block holds +-op_i, each entry as the
+        scalar sum O(p^N) + (+-e) of the complex's context makes it, at
+        precision min(N, prec e); the other entries are zero markers
+        O(p^N).  A zero entry of an operator is kept with the precision
+        to which the operator knows it."""
         src = self.subsets[k]
         dst = self.subsets[k + 1]
         dst_index = {s: t for t, s in enumerate(dst)}
-        zero = PadicScalar.zero(self.ctx)
-        rows = [[zero] * (self.n * len(src)) for _ in range(self.n * len(dst))]
+        n, ctx = self.n, self.ctx
+        N = ctx.default_precision
+        grids = [op.grid for op in self.operators]
+        pw = grids[0].pw
+        base = min(g.base for g in grids)
+        ncols = n * len(src)
+        size = n * len(dst) * ncols
+        res, prec = [0] * size, [N] * size
         for s_idx, S in enumerate(src):
             for i in range(self.d):
                 if i in S:
                     continue
                 T = tuple(sorted(S + (i,)))
                 sign = (-1) ** sum(1 for l in S if l < i)
-                t_idx = dst_index[T]
-                op = self.operators[i]
-                for r in range(self.n):
-                    for c in range(self.n):
-                        # a zero entry is added too: it carries the
-                        # precision to which the operator knows it
-                        e = op[r, c]
-                        val = -e if sign < 0 else e
-                        row = t_idx * self.n + r
-                        col = s_idx * self.n + c
-                        rows[row][col] = rows[row][col] + val
-        return PadicMatrix.from_rows(self.ctx, rows)
+                g = grids[i]
+                scale = sign * pw[g.base - base]
+                for e, (r, q) in enumerate(zip(g.res, g.prec)):
+                    if N < q:
+                        q = N
+                    at = (dst_index[T] * n + e // n) * ncols + s_idx * n + e % n
+                    prec[at] = q
+                    res[at] = r * scale % pw[q - base]
+        return PadicMatrix(ctx, n * len(dst), ncols,
+                           linalg.Row(pw, base, res, prec, [N] * size, [ctx] * size, N))
 
     def cohomology(self, min_margin=DEFAULT_SLACK):
         """h^k = dim C^k - rank d^k - rank d^(k-1), with margins."""
         ranks = []
         margins = []
         for diff in self.differentials:
-            r, m = linalg.rank_with_margin(diff.rows(), min_margin)
+            r, m = linalg.rank_with_margin(diff.int_rows(), min_margin)
             ranks.append(r)
             margins.append(m)
         h = []
@@ -156,11 +164,9 @@ def _cohomology(X, report, side, min_margin) -> CohomologyReport:
 
 def _check_ends(ops, n, h, min_margin):
     """H^0 = joint kernel and H^top = joint cokernel, computed directly."""
-    stacked = []
-    for op in ops:
-        stacked.extend(op.rows())
+    stacked = [row for op in ops for row in op.int_rows()]
     joint_kernel = len(linalg.kernel_basis(stacked, min_margin))
-    side_by_side = [sum((op.rows()[i] for op in ops), []) for i in range(n)]
+    side_by_side = linalg.transpose([col for op in ops for col in op.int_columns()])
     rank_images, _ = linalg.rank_with_margin(side_by_side, min_margin)
     cokernel = n - rank_images
     if h[0] != joint_kernel or h[-1] != cokernel:

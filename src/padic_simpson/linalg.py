@@ -10,20 +10,26 @@ PrecisionExhausted instead of guessing a rank.
 
 Elimination works on integers.  Every row is a Row: parallel lists of
 residues scaled to one base valuation, absolute precisions, valuations,
-ambient precisions and contexts, one entry per column.  A row operation
-x - f*y is one pass over those lists with the ledger of the scalar
-expression x + (-(f*y)) (see scalar.py), and a pivot row is scaled by
-the pivot inverse with the ledger of the scalar product; valuations are
+ambient precisions and contexts, one entry per column, and the least
+ambient precision, kept when the row is made.  A row operation x - f*y
+is one pass over those lists with the ledger of the scalar expression
+x + (-(f*y)) (see scalar.py), and a pivot row is scaled by the pivot
+inverse with the ledger of the scalar product; valuations are
 recomputed only where the pivot search, a margin or a later step reads
-them.  PadicScalars are built at the surface alone, in normal form, on
-the entries callers read: Elimination.rows, solutions, inverses, kernel
-vectors, lattice columns and the recorded pivot inverses.
+them.  eliminate, Elimination.solve and triangular_lattice_rows take
+rows (or columns) of PadicScalars or Rows.  PadicScalars are built at
+the surface alone, in normal form, on the entries callers read:
+Elimination.rows, solutions, inverses, kernel vectors, lattice columns
+and the recorded pivot inverses.
 
-Row is the one integer form of a row of scalars in the package.  Row.dot
-is the one product kernel: PadicMatrix @, multiplication operators and
-morphism images (algebra.py) are dot products of Rows, each output entry
-one integer pass with the ledger of the scalar fold; AlgElement.__mul__
-reads its operands and structure constants from Rows as well.
+Row is the one integer form of a row of scalars in the package, and a
+PadicMatrix is one Row of its entries in row-major order (matrix.py),
+its rows and columns slices of it.  Row.dot is the one product
+kernel: PadicMatrix @, multiplication operators and morphism images
+(algebra.py) are dot products of a Row with column Rows on one base,
+each output entry one integer pass with the ledger of the scalar fold,
+and their results are Rows; AlgElement.__mul__ reads its operands and
+structure constants from Rows as well.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .errors import (
     IntegralStructureFailure,
     PrecisionExhausted,
 )
-from .scalar import PadicScalar, _scaled_residue
+from .scalar import PadicScalar
 
 
 class _Powers(dict):
@@ -87,27 +93,41 @@ class Row:
     modulo p^(prec[k] - base), so res[k] is 0 exactly for a zero marker.
     vals() holds each entry's valuation, a zero marker's being its
     precision; amb[k] is the ambient precision N of the entry's context
-    ctxs[k].  A row is never changed after construction; its valuations
-    are computed when first read, unless the operation that made the row
-    knew them.  The passes over a row are plain loops: rows are often
-    short, and one loop costs less per call than a comprehension per list.
+    ctxs[k], and cap the least of them (None for an empty row), kept when
+    the row is made.  A row is never changed after construction; its
+    valuations are computed when first read, unless the operation that
+    made the row knew them.  The passes over a row are plain loops: rows
+    are often short, and one loop costs less per call than a
+    comprehension per list.
     """
 
-    __slots__ = ("pw", "base", "res", "prec", "amb", "ctxs", "_val")
+    __slots__ = ("pw", "base", "res", "prec", "amb", "ctxs", "cap", "_val")
 
-    def __init__(self, pw, base, res, prec, amb, ctxs, val=None):
+    def __init__(self, pw, base, res, prec, amb, ctxs, cap, val=None):
         self.pw = pw  # the powers of p
         self.base = base
         self.res = res
         self.prec = prec
         self.amb = amb
         self.ctxs = ctxs
+        self.cap = cap
         self._val = val
+
+    def __len__(self):
+        return len(self.res)
+
+    def __iter__(self):
+        """The entries as PadicScalars, built on demand."""
+        return iter(self.scalars())
 
     @staticmethod
     def of(entries, p=None) -> "Row":
         """The row of the scalars entries, all of the prime p (by default
-        the prime of the first entry)."""
+        the prime of the first entry).  A Row is its own row."""
+        if isinstance(entries, Row):
+            if p is not None and entries.pw is not None and entries.pw.p != p:
+                raise ContextMismatch("mixed primes %d and %d" % (p, entries.pw.p))
+            return entries
         res, prec, amb, ctxs, val = [], [], [], [], []
         base = last = None
         pw = _powers(p) if p is not None else None
@@ -135,14 +155,40 @@ class Row:
                 base = v
             res.append(e.u * pw[v - base])
             val.append(v)
-        return Row(pw, 0 if base is None else base, res, prec, amb, ctxs, val)
+        return Row(pw, 0 if base is None else base, res, prec, amb, ctxs,
+                   min(amb) if amb else None, val)
 
     @staticmethod
     def unit(ctx: PrimeContext, n: int, k: int) -> "Row":
         """Row k of the n x n identity matrix of ctx."""
         N = ctx.default_precision
         return Row(_powers(ctx.p), 0, [int(j == k) for j in range(n)], [N] * n, [N] * n,
-                   [ctx] * n, [0 if j == k else N for j in range(n)])
+                   [ctx] * n, N, [0 if j == k else N for j in range(n)])
+
+    @staticmethod
+    def of_ints(ctx: PrimeContext, xs, prec=None) -> "Row":
+        """The integers xs known modulo p^prec (by default N) in ctx."""
+        pw = _powers(ctx.p)
+        N = ctx.default_precision
+        q = N if prec is None else prec
+        mod = pw[q]
+        n = len(xs)
+        return Row(pw, 0, [x % mod for x in xs], [q] * n, [N] * n, [ctx] * n, N if n else None)
+
+    @staticmethod
+    def zeros(ctx: PrimeContext, n: int) -> "Row":
+        """n zero markers O(p^N) of ctx."""
+        N = ctx.default_precision
+        return Row(_powers(ctx.p), 0, [0] * n, [N] * n, [N] * n, [ctx] * n, N, [N] * n)
+
+    def slice(self, start, stop=None, step=1) -> "Row":
+        """The entries start, start + step, .. before stop, as a Row on the
+        same base: a row or a column of a grid."""
+        amb = self.amb[start:stop:step]
+        val = self._val
+        return Row(self.pw, self.base, self.res[start:stop:step], self.prec[start:stop:step],
+                   amb, self.ctxs[start:stop:step], min(amb) if amb else None,
+                   None if val is None else val[start:stop:step])
 
     def vals(self) -> list:
         if self._val is None:
@@ -211,11 +257,12 @@ class Row:
                 q = n
             prec.append(q)
             res.append((r * s - g * t) % pw[q - base])
-        return Row(pw, base, res, prec, self.amb, self.ctxs)
+        return Row(pw, base, res, prec, self.amb, self.ctxs, self.cap)
 
     def scaled(self, s, ctx: PrimeContext | None = None) -> "Row":
-        """Every entry times the nonzero scalar s = (v, u, prec, amb), with
-        the ledger of PadicScalar.__mul__; the products lie in ctx when it
+        """Every entry times the scalar s = (v, u, prec, amb) as parts()
+        gives it (a zero marker's valuation its precision), with the
+        ledger of PadicScalar.__mul__; the products lie in ctx when it
         is given (s * x, s of ctx), else in each entry's own context
         (x * s)."""
         sv, su, sprec, samb = s
@@ -238,25 +285,75 @@ class Row:
             v += sv
             val.append(v if r and v < q else q)
         if ctx is None:
-            return Row(pw, base, res, prec, self.amb, self.ctxs, val)
+            return Row(pw, base, res, prec, self.amb, self.ctxs, self.cap, val)
         n = len(res)
-        return Row(pw, base, res, prec, [samb] * n, [ctx] * n, val)
+        return Row(pw, base, res, prec, [samb] * n, [ctx] * n, samb, val)
 
-    def dot(self, ctx: PrimeContext, columns) -> list:
-        """The dot products of this row with each Row of columns, as
-        scalars of ctx: the value and precision of adding the products
-        a*b one by one to a zero marker of ctx.  That precision is the
-        least of ctx's N and, over the terms, min(prec a + v b, prec b + v a,
-        N a, N b), a zero marker's valuation counting as its precision;
-        each product is exact modulo its own precision, so the exact sum of
-        the scaled residues, reduced mod p^prec, has the digits of the fold.
-        """
-        res, prec, vals, base = self.res, self.prec, self._val or self.vals(), self.base
-        cap = min(ctx.default_precision, *self.amb)
-        return [_scaled_residue(ctx, sum(map(mul, res, col.res)), base + col.base,
-                                min(min(map(add, prec, col._val or col.vals())),
-                                    min(map(add, col.prec, vals)), min(col.amb), cap))
-                for col in columns]
+    def dot(self, ctx: PrimeContext, columns) -> "Row":
+        """The dot products of this nonempty row with each Row of columns,
+        all columns on one base, as a Row of ctx: the value and precision
+        of adding the products a*b one by one to a zero marker of ctx.
+        That precision is the least of ctx's N and, over the terms,
+        min(prec a + v b, prec b + v a, N a, N b), a zero marker's
+        valuation counting as its precision; each product is exact modulo
+        its own precision, so the exact sum of the scaled residues,
+        reduced mod p^(precision - base), has the digits of the fold."""
+        res, prec, vals, pw = self.res, self.prec, self._val or self.vals(), self.pw
+        N = ctx.default_precision
+        cap = self.cap if self.cap < N else N
+        base = self.base + (columns[0].base if columns else 0)
+        out_res, out_prec = [], []
+        for col in columns:
+            q = min(min(map(add, prec, col._val or col.vals())), min(map(add, col.prec, vals)),
+                    col.cap, cap)
+            out_prec.append(q)
+            out_res.append(sum(map(mul, res, col.res)) % pw[q - base])
+        n = len(out_res)
+        return Row(pw, base, out_res, out_prec, [N] * n, [ctx] * n, N)
+
+
+def congruent(a: Row, b: Row, prec=None) -> bool:
+    """Whether every entry of a equals the same entry of b modulo p^prec,
+    by default modulo the lesser of their precisions, as PadicScalar
+    equality decides it; False on mixed primes or lengths."""
+    if len(a.res) != len(b.res):
+        return False
+    if not a.res:
+        return True
+    pw = a.pw
+    if b.pw is not pw:
+        return False
+    base = min(a.base, b.base)
+    s, t = pw[a.base - base], pw[b.base - base]
+    for r, q, x, w in zip(a.res, a.prec, b.res, b.prec):
+        if prec is not None:
+            q = prec
+        elif w < q:
+            q = w
+        if (r * s - x * t) % pw[q - base]:
+            return False
+    return True
+
+
+def transpose(cols) -> list:
+    """The Rows across the Rows cols, all of one prime and one length: row
+    t holds entry t of every column, rescaled to the least base among
+    them."""
+    if not cols:
+        return []
+    pw = cols[0].pw
+    if any(c.pw is not pw for c in cols):
+        raise ContextMismatch("mixed primes in the columns of one matrix")
+    base = min(c.base for c in cols)
+    res = [c.res if c.base == base else [r * pw[c.base - base] for r in c.res] for c in cols]
+    known = all(c._val is not None for c in cols)
+    out = []
+    for t in range(len(cols[0].res)):
+        amb = [c.amb[t] for c in cols]
+        out.append(Row(pw, base, [r[t] for r in res], [c.prec[t] for c in cols], amb,
+                       [c.ctxs[t] for c in cols], min(amb),
+                       [c._val[t] for c in cols] if known else None))
+    return out
 
 
 def _inverse(pw, b):
@@ -320,8 +417,9 @@ class Elimination:
         return [row.scalars() for row in self.int_rows]
 
     def solve(self, rhs_cols):
-        """Solve mat @ X = rhs for each right-hand-side column; returns the
-        solution columns, or None if the system is inconsistent to precision.
+        """Solve mat @ X = rhs for each right-hand-side column (a list of
+        PadicScalars or a Row); returns the solution columns, or None if
+        the system is inconsistent to precision.
 
         The columns go through the recorded row operations, which is the
         arithmetic they would see as extra columns of the elimination, and
@@ -341,17 +439,21 @@ class Elimination:
         p = self.ctx.p if self.ctx is not None else None
         # one Row per matrix row, across the columns, so every recorded
         # operation is a row operation
-        rows = self._replay([Row.of(r, p) for r in zip(*rhs_cols)])
+        if isinstance(rhs_cols[0], Row):
+            rows = transpose([Row.of(c, p) for c in rhs_cols])
+        else:
+            rows = [Row.of(r, p) for r in zip(*rhs_cols)]
+        rows = self._replay(rows)
         if rows is None:
             return None
         if not self.ncols:
             return [[] for _ in rhs_cols]
-        return list(map(list, zip(*self._unknowns(rows, len(rhs_cols)))))
+        return list(map(list, zip(*(r.scalars() for r in self._unknowns(rows, len(rhs_cols))))))
 
     def inverse(self):
-        """Rows of the inverse of the eliminated square matrix: solve() on
-        the identity columns; None when the matrix is singular to
-        precision."""
+        """The rows of the inverse of the eliminated square matrix as Rows:
+        solve() on the identity columns; None when the matrix is singular
+        to precision."""
         n = self.nrows
         rows = self._replay([Row.unit(self.ctx, n, i) for i in range(n)])
         if rows is None:
@@ -379,17 +481,12 @@ class Elimination:
         return rows
 
     def _unknowns(self, rows, count):
-        """Per unknown, its values across the count replayed columns: the
-        pivot row of its column as PadicScalars, or zeros for a free
+        """Per unknown, a Row of its values across the count replayed
+        columns: the pivot row of its column, or zeros for a free
         unknown."""
         pivot_of_col = self.pivot_of_col
-        out = []
-        for j in range(self.ncols):
-            if j in pivot_of_col:
-                out.append(rows[pivot_of_col[j]].scalars())
-            else:
-                out.append([PadicScalar.zero(self.ctx)] * count)
-        return out
+        return [rows[pivot_of_col[j]] if j in pivot_of_col else Row.zeros(self.ctx, count)
+                for j in range(self.ncols)]
 
 
 def reduce_vector(vec: Row, pivot_rows) -> Row:
@@ -411,15 +508,20 @@ def eliminate(mat, reduce_above=False, min_margin=DEFAULT_SLACK):
 
     reduce_above additionally clears pivot columns upwards and normalises
     pivots to 1, yielding a reduced echelon form, and records the row
-    operations for Elimination.solve.
+    operations for Elimination.solve.  mat is a list of rows, each a
+    list of PadicScalars or a Row.
     """
-    mat = list(mat)
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    ctx = mat[0][0].ctx if nrows and ncols else None
-    p = ctx.p if ctx is not None else None
+    work = []
+    p = None
+    for row in mat:
+        row = Row.of(row, p)
+        if p is None and row.res:
+            p = row.pw.p
+        work.append(row)
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
+    ctx = work[0].ctxs[0] if nrows and ncols else None
     pw = _powers(p) if p is not None else None
-    work = [Row.of(row, p) for row in mat]
     free_rows = list(range(nrows))
     free_cols = list(range(ncols))
     pivots = []
@@ -497,8 +599,8 @@ def kernel_basis(mat, min_margin=DEFAULT_SLACK):
     """Basis of {x : mat @ x = 0} (right kernel), via reduced echelon form."""
     if not mat:
         return []
-    ncols = len(mat[0])
     e = eliminate(mat, reduce_above=True, min_margin=min_margin)
+    ncols, ctx = e.ncols, e.ctx
     pivot_of_col = e.pivot_of_col
     free = [j for j in range(ncols) if j not in pivot_of_col]
     basis = []
@@ -506,11 +608,11 @@ def kernel_basis(mat, min_margin=DEFAULT_SLACK):
         vec = [None] * ncols
         for j in range(ncols):
             if j == f:
-                vec[j] = PadicScalar.from_int(mat[0][0].ctx, 1)
+                vec[j] = PadicScalar.from_int(ctx, 1)
             elif j in pivot_of_col:
                 vec[j] = -e.int_rows[pivot_of_col[j]].scalar(f)
             else:
-                vec[j] = PadicScalar.zero(mat[0][0].ctx)
+                vec[j] = PadicScalar.zero(ctx)
         basis.append(vec)
     return basis
 
@@ -527,17 +629,25 @@ def solve(mat, rhs_cols, min_margin=DEFAULT_SLACK):
 
 
 def invert(mat, min_margin=DEFAULT_SLACK):
-    """Matrix inverse via the reduced elimination applied to the identity;
-    None when the matrix is singular to precision."""
-    return eliminate(mat, reduce_above=True, min_margin=min_margin).inverse()
+    """Matrix inverse via the reduced elimination applied to the identity,
+    as rows of PadicScalars; None when the matrix is singular to
+    precision."""
+    rows = eliminate(mat, reduce_above=True, min_margin=min_margin).inverse()
+    return None if rows is None else [r.scalars() for r in rows]
 
 
 def triangular_lattice_basis(cols):
+    """The columns of triangular_lattice_rows as PadicScalars."""
+    return [col.scalars() for col in triangular_lattice_rows(cols)]
+
+
+def triangular_lattice_rows(cols) -> list:
     """Hermite-style column reduction of generating columns to a
     triangular basis of the Z_p-lattice they span, using only unimodular
     operations over Z_p (scaling by units, subtracting p-power multiples):
     column r of the result vanishes to precision above row r and holds the
-    pure power p^v at row r."""
+    pure power p^v at row r.  Each column is a list of PadicScalars or a
+    Row; the basis columns are Rows."""
     cols = [Row.of(c) for c in cols]
     out = []
     for row in range(len(cols[0].res)):
@@ -564,4 +674,4 @@ def triangular_lattice_basis(cols):
             # integral since the pivot has minimal valuation
             cols[ci] = other.sub_mul(_times(pw, other.parts(row), pivot_inv), col)
         out.append(col)
-    return [col.scalars() for col in out]
+    return out

@@ -1,14 +1,30 @@
 """Matrices of p-adic scalars, and the matrix exponential/logarithm.
 
+A PadicMatrix is one integer grid in the layout of linalg.Row: its shape
+(nrows x ncols) and a Row of the nrows * ncols entries in row-major order,
+on one base valuation, with per entry a residue, a precision, a valuation
+(computed when first read), an ambient precision N and a context.  One
+precision is kept per entry, not per matrix, as in the per-entry-precision
+linear algebra of Caruso, Roe and Vaccon (p-adic stability in linear
+algebra, ISSAC 2015).  Rows and columns are slices of the grid
+(int_rows, int_columns), so elimination and the product kernel read them
+without building scalars.
+
+Arithmetic works on the grid, each entry with the ledger of the scalar
+expression it replaces (scalar.py): + and - that of PadicScalar + and -
+(in the left operand's contexts), scale and kron that of the products
+c*a and a*b, and @ that of summing the entry products a*b one by one,
+each output entry one dot product of a row and a column (Row.dot), in
+the context of the first entry of its row of the left factor.  ==,
+agrees and the precision queries decide on residues as PadicScalar ==,
+agrees, is_zero and v do.  The scalars of entries, m[i, j] and rows()
+are built on demand, in the normal form of scalar._scaled_residue.
+
 Matrix exp/log are the workhorses of the local correspondence, so they lift
 entries to integer residues and run the exact mod-p^W kernels rather than
 summing PadicScalar terms; the wrappers re-wrap results at the precision the
 input supports (exp and log preserve absolute precision on their domains),
 and refuse with PrecisionExhausted an input known to no digit.
-
-PadicMatrix @, multiplication operators and morphism images (algebra.py)
-share one product kernel, linalg.Row.dot: each output entry is the dot
-product of two integer Rows, with the ledger of the scalar fold.
 
 PadicMatrix, like PadicScalar, is a plain slotted class that is never
 written to after construction (checked over the sources by
@@ -28,6 +44,7 @@ from .errors import (
     NotAUnit,
     OutsideExpDomain,
     OutsideLogDomain,
+    PadicError,
     PrecisionExhausted,
 )
 from .scalar import PadicScalar
@@ -36,19 +53,23 @@ from .scalar import PadicScalar
 @dataclass(slots=True)
 class PadicMatrix:
     ctx: PrimeContext
-    entries: tuple  # tuple of tuples of PadicScalar
+    nrows: int
+    ncols: int
+    grid: linalg.Row  # the entries in row-major order
 
     # -- construction ----------------------------------------------------
 
     @staticmethod
     def from_rows(ctx: PrimeContext, rows) -> "PadicMatrix":
-        return PadicMatrix(ctx, tuple(tuple(r) for r in rows))
+        """The matrix of rows of PadicScalars, all of ctx's prime."""
+        n, m, flat = _row_major(rows)
+        return PadicMatrix(ctx, n, m, linalg.Row.of(flat, ctx.p))
 
     @staticmethod
     def from_ints(ctx: PrimeContext, rows, prec: int | None = None) -> "PadicMatrix":
-        return PadicMatrix.from_rows(
-            ctx, [[PadicScalar.from_int(ctx, x, prec) for x in r] for r in rows]
-        )
+        """The matrix of integers known mod p^prec (default N) in ctx."""
+        n, m, flat = _row_major(rows)
+        return PadicMatrix(ctx, n, m, linalg.Row.of_ints(ctx, flat, prec))
 
     @staticmethod
     def identity(ctx: PrimeContext, n: int) -> "PadicMatrix":
@@ -57,26 +78,44 @@ class PadicMatrix:
     @staticmethod
     def zeros(ctx: PrimeContext, n: int, m: int | None = None) -> "PadicMatrix":
         m = n if m is None else m
-        return PadicMatrix.from_rows(
-            ctx, [[PadicScalar.zero(ctx) for _ in range(m)] for _ in range(n)]
-        )
+        return PadicMatrix(ctx, n, m, linalg.Row.zeros(ctx, n * m))
 
-    # -- shape -----------------------------------------------------------
+    def _like(self, grid: linalg.Row) -> "PadicMatrix":
+        return PadicMatrix(self.ctx, self.nrows, self.ncols, grid)
 
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
+    # -- the scalar surface and the integer views ---------------------------
 
     @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+    def entries(self) -> tuple:
+        """The entries as a tuple of rows of PadicScalars, built on each
+        read."""
+        flat, m = self.grid.scalars(), self.ncols
+        return tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(self.nrows))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError("entry (%d, %d) of a %d x %d matrix"
+                             % (i, j, self.nrows, self.ncols))
+        return self.grid.scalar(i * self.ncols + j)
 
     def rows(self):
         return [list(r) for r in self.entries]
+
+    def int_rows(self) -> list:
+        """The rows as Rows, slices of the grid."""
+        grid, m = self._grid_with_vals(), self.ncols
+        return [grid.slice(i * m, (i + 1) * m) for i in range(self.nrows)]
+
+    def int_columns(self) -> list:
+        """The columns as Rows, slices of the grid."""
+        grid, m = self._grid_with_vals(), self.ncols
+        return [grid.slice(j, None, m) for j in range(m)]
+
+    def _grid_with_vals(self) -> linalg.Row:
+        """The grid, its valuations computed once for all its slices."""
+        self.grid.vals()
+        return self.grid
 
     def __repr__(self):
         body = "; ".join(" ".join(x.to_string() for x in row) for row in self.entries)
@@ -94,47 +133,73 @@ class PadicMatrix:
             raise DimensionMismatch("%s of a %d x %d and a %d x %d matrix"
                                     % (op, self.nrows, self.ncols, other.nrows, other.ncols))
 
+    def _combine(self, other: "PadicMatrix", sign: int) -> "PadicMatrix":
+        """self + sign * other entry by entry, with the ledger of
+        PadicScalar + (and of -, which adds the negation): precision
+        min(prec a, prec b), in a's context."""
+        a, b = self.grid, other.grid
+        pw = a.pw
+        base = min(a.base, b.base)
+        s, t = pw[a.base - base], sign * pw[b.base - base]
+        res, prec = [], []
+        for r, q, x, w in zip(a.res, a.prec, b.res, b.prec):
+            if w < q:
+                q = w
+            prec.append(q)
+            res.append((r * s + x * t) % pw[q - base])
+        return self._like(linalg.Row(pw, base, res, prec, a.amb, a.ctxs, a.cap))
+
     def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check_shape(other, "sum")
-        return PadicMatrix.from_rows(
-            self.ctx,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check_shape(other, "difference")
-        return PadicMatrix.from_rows(
-            self.ctx,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "PadicMatrix":
-        return PadicMatrix.from_rows(self.ctx, [[-a for a in r] for r in self.entries])
+        g = self.grid
+        pw, base = g.pw, g.base
+        res = [(-r) % pw[q - base] for r, q in zip(g.res, g.prec)]
+        return self._like(linalg.Row(pw, base, res, g.prec, g.amb, g.ctxs, g.cap, g._val))
 
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
         """Product with the precision ledger of summing the entry products
-        a*b one by one: one Row.dot per row of self against the columns of
+        a*b one by one: one dot product per row of self and column of
         other, entry (i, j) in the context of row i's first entry, as the
-        fold's result is."""
+        fold's result is; with no terms, zero markers O(p^N) of self.ctx."""
         self._check(other)
-        if self.ncols != other.nrows:
+        n, k, m = self.nrows, self.ncols, other.ncols
+        if k != other.nrows:
             raise DimensionMismatch("product of a %d x %d and a %d x %d matrix"
-                                    % (self.nrows, self.ncols, other.nrows, other.ncols))
-        p = self.ctx.p
-        columns = [linalg.Row.of(col, p) for col in zip(*other.entries)]
-        return PadicMatrix.from_rows(self.ctx, [linalg.Row.of(row, p).dot(row[0].ctx, columns)
-                                                for row in self.entries])
+                                    % (n, k, other.nrows, m))
+        if not k:
+            return PadicMatrix.zeros(self.ctx, n, m)
+        columns = other.int_columns()
+        res, prec, amb, ctxs = [], [], [], []
+        for row in self.int_rows():
+            out = row.dot(row.ctxs[0], columns)
+            res += out.res
+            prec += out.prec
+            amb += out.amb
+            ctxs += out.ctxs
+        return PadicMatrix(self.ctx, n, m, _grid(out.pw, out.base, res, prec, amb, ctxs))
 
     def scale(self, c: PadicScalar) -> "PadicMatrix":
-        return PadicMatrix.from_rows(self.ctx, [[c * a for a in r] for r in self.entries])
+        """c * a for every entry a, with the ledger of PadicScalar * in
+        c's context."""
+        if c.ctx.p != self.ctx.p:
+            raise ContextMismatch("mixed primes %d, %d" % (c.ctx.p, self.ctx.p))
+        v = c.prec if c.v is None else c.v
+        return self._like(self.grid.scaled((v, c.u, c.prec, c.ctx.default_precision), c.ctx))
 
     def transpose(self) -> "PadicMatrix":
-        return PadicMatrix.from_rows(self.ctx, zip(*self.entries))
+        return PadicMatrix.stack(self.ctx, self.int_columns(), self.nrows)
 
     def trace(self) -> PadicScalar:
-        acc = self.entries[0][0]
+        acc = self[0, 0]
         for i in range(1, self.nrows):
-            acc = acc + self.entries[i][i]
+            acc = acc + self[i, i]
         return acc
 
     def __pow__(self, k: int) -> "PadicMatrix":
@@ -151,66 +216,122 @@ class PadicMatrix:
         return out
 
     def inverse(self) -> "PadicMatrix":
-        rows = linalg.invert(self.rows())
+        rows = linalg.eliminate(self.int_rows(), reduce_above=True).inverse()
         if rows is None:
             raise NotAUnit("matrix is singular to precision")
-        return PadicMatrix.from_rows(self.ctx, rows)
+        return PadicMatrix.stack(self.ctx, rows, self.ncols)
+
+    @staticmethod
+    def stack(ctx: PrimeContext, rows, ncols: int) -> "PadicMatrix":
+        """The matrix of the Rows rows, each of ncols entries, on their
+        least base."""
+        if not rows:
+            return PadicMatrix.zeros(ctx, 0, ncols)
+        pw = rows[0].pw
+        base = min(r.base for r in rows)
+        res, prec, amb, ctxs = [], [], [], []
+        for r in rows:
+            if r.pw is not pw:
+                raise ContextMismatch("mixed primes in the rows of one matrix")
+            res += r.res if r.base == base else [x * pw[r.base - base] for x in r.res]
+            prec += r.prec
+            amb += r.amb
+            ctxs += r.ctxs
+        return PadicMatrix(ctx, len(rows), ncols, _grid(pw, base, res, prec, amb, ctxs))
 
     def kron(self, other: "PadicMatrix") -> "PadicMatrix":
-        """Kronecker product (tensor of operators in the standard basis)."""
+        """Kronecker product (tensor of operators in the standard basis),
+        each entry a*b with the ledger of PadicScalar * in a's context."""
         self._check(other)
-        out = []
-        for ra in self.entries:
-            for rb in other.entries:
-                out.append([a * b for a in ra for b in rb])
-        return PadicMatrix.from_rows(self.ctx, out)
+        a, b = self.grid, other.grid
+        pw = a.pw
+        base = a.base + b.base
+        av, bv = a._val or a.vals(), b._val or b.vals()
+        n, m, r, s = self.nrows, self.ncols, other.nrows, other.ncols
+        res, prec, amb, ctxs = [], [], [], []
+        for i in range(n):
+            for k in range(r):
+                for j in range(i * m, (i + 1) * m):
+                    x, va, qa, na, ca = a.res[j], av[j], a.prec[j], a.amb[j], a.ctxs[j]
+                    for t in range(k * s, (k + 1) * s):
+                        q = min(qa + bv[t], b.prec[t] + va, na, b.amb[t])
+                        prec.append(q)
+                        res.append(x * b.res[t] % pw[q - base])
+                        amb.append(na)
+                        ctxs.append(ca)
+        return PadicMatrix(self.ctx, n * r, m * s, _grid(pw, base, res, prec, amb, ctxs))
 
     @staticmethod
     def block_diag(a: "PadicMatrix", b: "PadicMatrix") -> "PadicMatrix":
+        """The block matrix with a top left, b bottom right and zero markers
+        O(p^N) of a.ctx elsewhere."""
         a._check(b)
-        n, m = a.nrows, b.nrows
-        z = PadicScalar.zero(a.ctx)
-        out = []
-        for i in range(n):
-            out.append(list(a.entries[i]) + [z] * m)
-        for i in range(m):
-            out.append([z] * n + list(b.entries[i]))
-        return PadicMatrix.from_rows(a.ctx, out)
+        pw = a.grid.pw
+        base = min(a.grid.base, b.grid.base)
+        N, k, m = a.ctx.default_precision, a.ncols, b.ncols
+        res, prec, amb, ctxs = [], [], [], []
+        for x, left, right in ((a, 0, m), (b, k, 0)):
+            g, w = x.grid, x.ncols
+            s = pw[g.base - base]
+            for i in range(x.nrows):
+                cut = slice(i * w, (i + 1) * w)
+                res += [0] * left + [r * s for r in g.res[cut]] + [0] * right
+                prec += [N] * left + g.prec[cut] + [N] * right
+                amb += [N] * left + g.amb[cut] + [N] * right
+                ctxs += [a.ctx] * left + g.ctxs[cut] + [a.ctx] * right
+        return PadicMatrix(a.ctx, a.nrows + b.nrows, k + m, _grid(pw, base, res, prec, amb, ctxs))
+
+    def rehomed(self, ctx: PrimeContext) -> "PadicMatrix":
+        """Every entry as a scalar of ctx, capped at its N."""
+        g = self.grid
+        pw, base, N = g.pw, g.base, ctx.default_precision
+        prec = [q if q < N else N for q in g.prec]
+        res = [r % pw[q - base] for r, q in zip(g.res, prec)]
+        n = len(res)
+        return PadicMatrix(ctx, self.nrows, self.ncols, linalg.Row(
+            pw, base, res, prec, [N] * n, [ctx] * n, N if n else None))
+
+    def lifted(self, ctx: PrimeContext, shift: int = 0) -> "PadicMatrix":
+        """p^shift times the exact lift of every entry's residue into ctx,
+        known modulo its p^N: a zero marker lifts to O(p^N)."""
+        g = self.grid
+        pw, base, N = g.pw, g.base + shift, ctx.default_precision
+        mod = pw[N - base]
+        res = [r % mod for r in g.res]
+        n = len(res)
+        return PadicMatrix(ctx, self.nrows, self.ncols, linalg.Row(
+            pw, base, res, [N] * n, [N] * n, [ctx] * n, N if n else None))
 
     # -- precision and comparisons ----------------------------------------
 
     def min_precision(self) -> int:
-        return min(x.prec for row in self.entries for x in row)
+        return min(self.grid.prec)
 
     def min_valuation(self) -> int | None:
         """Smallest entry valuation; None when the whole matrix vanishes to
         precision."""
-        vals = [x.v for row in self.entries for x in row if not x.is_zero]
+        g = self.grid
+        vals = [v for r, v in zip(g.res, g.vals()) if r]
         return min(vals) if vals else None
 
     def is_zero_to_precision(self) -> bool:
-        return all(x.is_zero for row in self.entries for x in row)
+        return not any(self.grid.res)
 
     def agrees(self, other: "PadicMatrix", prec: int) -> bool:
         """Entrywise equality mod p^prec; False on a shape mismatch."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False
-        return all(
-            a.agrees(b, prec)
-            for ra, rb in zip(self.entries, other.entries)
-            for a, b in zip(ra, rb)
-        )
+        a, b = self.grid, other.grid
+        if min(a.prec, default=prec) < prec or min(b.prec, default=prec) < prec:
+            return False
+        return linalg.congruent(a, b, prec)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PadicMatrix):
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False
-        return all(
-            a == b
-            for ra, rb in zip(self.entries, other.entries)
-            for a, b in zip(ra, rb)
-        )
+        return linalg.congruent(self.grid, other.grid)
 
     __hash__ = None
 
@@ -219,10 +340,48 @@ class PadicMatrix:
 
     def residues(self, prec: int):
         """Integer residue grid mod p^prec (entries must be integral)."""
-        return [[x.residue(min(prec, x.prec)) for x in row] for row in self.entries]
+        g = self.grid
+        pw, base = g.pw, g.base
+        flat = []
+        for r, q, v in zip(g.res, g.prec, g._val or g.vals()):
+            if not r:
+                flat.append(0)
+            elif v < 0:
+                raise PadicError("value with valuation %d has no integer residue" % v)
+            else:
+                k = q if q < prec else prec
+                flat.append((r * pw[base] if base >= 0 else r // pw[-base]) % pw[k])
+        m = self.ncols
+        return [flat[i * m:(i + 1) * m] for i in range(self.nrows)]
 
     def reduced(self, prec: int) -> "PadicMatrix":
-        return PadicMatrix.from_rows(self.ctx, [[x.reduce(prec) for x in row] for row in self.entries])
+        g = self.grid
+        pw, base = g.pw, g.base
+        res, precs = [], []
+        for r, q in zip(g.res, g.prec):
+            if prec < q:
+                q = prec
+                r %= pw[q - base]
+            res.append(r)
+            precs.append(q)
+        return self._like(linalg.Row(pw, base, res, precs, g.amb, g.ctxs, g.cap))
+
+
+def _row_major(rows):
+    """(rows, columns, entries in row-major order) of a list of rows,
+    refusing rows of different lengths."""
+    rows = [list(r) for r in rows]
+    m = len(rows[0]) if rows else 0
+    for r in rows:
+        if len(r) != m:
+            raise DimensionMismatch("rows of lengths %d and %d" % (m, len(r)))
+    return len(rows), m, [x for r in rows for x in r]
+
+
+def _grid(pw, base, res, prec, amb, ctxs) -> linalg.Row:
+    """The Row of entries assembled here, with its least ambient
+    precision."""
+    return linalg.Row(pw, base, res, prec, amb, ctxs, min(amb) if amb else None)
 
 
 def mat_exp(m: PadicMatrix) -> PadicMatrix:
@@ -289,6 +448,4 @@ def _run_kernel(kernel, m, e, prec):
     ctx = m.ctx
     if prec <= 0:
         raise PrecisionExhausted("matrix series on entries known only mod %d^%d" % (ctx.p, prec))
-    grid = kernel(m.residues(prec), ctx.p, e, prec)
-    return PadicMatrix.from_rows(
-        ctx, [[PadicScalar.from_residue(ctx, x, prec) for x in row] for row in grid])
+    return PadicMatrix.from_ints(ctx, kernel(m.residues(prec), ctx.p, e, prec), prec)

@@ -16,13 +16,13 @@ Precision rules (the documented ledger):
             at a widened internal modulus so no digits are lost)
 
 Every value made from an integer residue r * p^base known mod p^prec
-(from_residue, from_fraction, from_val_unit, reduce, add, mul, the one
-product kernel linalg.Row.dot and AlgElement.__mul__) ends in one
-normaliser, _scaled_residue, so it has one normal form whatever made it.
-Products and elimination work on linalg.Row, the one integer form of a
-row of scalars, instead of on scalars.  Elimination keeps each residue
-reduced with its valuation, so the scalars it hands out are built in that
-normal form directly, once per entry read.
+(from_residue, from_fraction, from_val_unit, reduce, add, mul and
+AlgElement.__mul__) ends in one normaliser, _scaled_residue, so it has
+one normal form whatever made it.  Matrices, products and elimination
+work on linalg.Row, the one integer form of a row of scalars, instead
+of on scalars.  A Row keeps each residue reduced with its valuation, so
+the scalars it hands out are built in that normal form directly, once
+per entry read.
 
 PadicScalar is a plain slotted class: every kernel builds one per output
 entry, so construction is kept to setting four slots, with no frozen-field

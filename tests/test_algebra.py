@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from padic_simpson.algebra import (
     FinAlgebra,
     _lift_algebra,
+    _times_basis,
     Morphism,
     alg_exp,
     alg_log,
@@ -42,6 +43,7 @@ from padic_simpson.errors import (
 from padic_simpson.components import connected_components, idempotents
 from padic_simpson.generate import gen_higgs
 from padic_simpson.higgs import spectral_algebra
+from padic_simpson.linalg import Row
 from padic_simpson.matrix import PadicMatrix
 from padic_simpson.scalar import PadicScalar, big_exp, exp_scalar
 from padic_simpson import unitgroup
@@ -777,13 +779,14 @@ def test_zero_marker_coordinate_caps_operator_and_image():
 
 def test_products_refuse_a_scalar_of_another_prime():
     # 5 of Q_5 in a row over Q_3 is refused where a product reads it, as
-    # elimination refuses it, not read as a 3-adic digit string
+    # elimination refuses it, not read as a 3-adic digit string; a matrix
+    # is one integer grid of one prime, so it is refused where it is built
     five, one = PadicScalar.from_int(C5, 5), PadicScalar.from_int(C3, 1)
     ident = PadicMatrix.identity(C3, 2)
-    for a, b in ((PadicMatrix.from_rows(C3, [[five, one]]), ident),
-                 (ident, PadicMatrix.from_rows(C3, [[five], [one]]))):
-        with pytest.raises(ContextMismatch):
-            a @ b
+    with pytest.raises(ContextMismatch):
+        PadicMatrix.from_rows(C3, [[five, one]]) @ ident
+    with pytest.raises(ContextMismatch):
+        ident @ PadicMatrix.from_rows(C3, [[five], [one]])
     A = dual_numbers(C3)
     x = A.element([five, one])
     with pytest.raises(ContextMismatch):
@@ -1297,3 +1300,104 @@ def test_cold_and_warm_solve_derived_algebras_agree(p, d, n, density, seed):
         z = alg_log(y)
         assert ledger(y.coords) == ledger(cold_y.coords)
         assert ledger(z.coords) == ledger(cold_z.coords)
+
+
+def fold_rows_product(a, b):
+    """The product of two matrices given as rows of scalars, summed scalar
+    by scalar."""
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(len(b[0])):
+            acc = row[0] * b[0][j]
+            for t in range(1, len(row)):
+                acc = acc + row[t] * b[t][j]
+            out[-1].append(acc)
+    return out
+
+
+def ref_validate(A, full=True):
+    """FinAlgebra._validate as it stood on scalar tuples: the constants
+    compared by scalar ==, 1 * e_i by the fold of AlgElement.__mul__, and
+    M_{e_i} M_{e_j} against M_{e_i e_j} by scalar folds."""
+    m = A.dim
+    for i in range(m):
+        for j in range(i):
+            for k in range(m):
+                if not A.mul[i][j][k] == A.mul[j][i][k]:
+                    raise PadicError(
+                        "structure constants not commutative at (%d,%d,%d)" % (i, j, k))
+    one = A.element(A.one)
+    for i in range(m):
+        e = A.basis_element(i)
+        if not all(a == b for a, b in zip(fold_product(one, e), e.coords)):
+            raise PadicError("unit vector is not an identity at basis %d" % i)
+    if full:
+        ops = [fold_operator(A, A.basis_element(i)) for i in range(m)]
+        for i in range(m):
+            for j in range(i + 1):
+                prod = A.element(fold_product(A.basis_element(i), A.basis_element(j)))
+                lhs, rhs = fold_rows_product(ops[i], ops[j]), fold_operator(A, prod)
+                if not all(a == b for r, s in zip(lhs, rhs) for a, b in zip(r, s)):
+                    raise PadicError("structure constants not associative at (%d,%d)" % (i, j))
+
+
+@st.composite
+def near_algebras(draw):
+    """K[x]/(g) for a drawn monic g of degree 1 to 3, with structure
+    constants and unit coordinates kept, known to fewer digits, or
+    redrawn, and the constants made symmetric: tensors that pass or fail
+    each of the three checks."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    ctx = PrimeContext(p, draw(st.integers(8, 12)))
+    s = draw(st.sampled_from([1, 2, 3, 3]))
+    A = FinAlgebra.from_power_relation(ctx, [draw(st.integers(-p ** 3, p ** 3))
+                                             for _ in range(s)])
+    entry = algebra_scalars(p)
+
+    def near(c):
+        kind = draw(st.integers(0, 5))
+        if kind <= 2:
+            return c
+        if kind == 3:
+            return c.reduce(draw(st.integers(-2, ctx.default_precision)))
+        if kind == 4:
+            return c + PadicScalar.zero(ctx, draw(st.integers(-2, ctx.default_precision)))
+        return draw(entry)
+
+    # half the time the unit and its products are kept, so that the
+    # associativity check is reached
+    keep = draw(st.booleans())
+    mul = [[[c if keep and not (i and j) else near(c) for c in A.mul[i][j]]
+            for j in range(s)] for i in range(s)]
+    if keep or draw(st.booleans()):
+        mul = [[mul[min(i, j)][max(i, j)] for j in range(s)] for i in range(s)]
+    one = A.one if keep else [near(c) for c in A.one]
+    return FinAlgebra.create(ctx, mul, one, validate=False)
+
+
+def validation_outcome(fn, A, full):
+    try:
+        fn(A, full)
+    except PadicError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@KERNEL_SETTINGS
+@given(near_algebras(), st.booleans())
+def test_validation_matches_scalar_checks(A, full):
+    assert (validation_outcome(FinAlgebra._validate, A, full)
+            == validation_outcome(ref_validate, A, full))
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_basis_products_match_scalar_fold(data):
+    # the products x * e_j that validation makes on integers carry the
+    # ledger of AlgElement.__mul__
+    A = data.draw(ledger_algebras())
+    x = A.element([data.draw(algebra_scalars(A.ctx.p)) for _ in range(A.dim)])
+    for j in range(A.dim):
+        got = _times_basis(A, Row.of(x.coords, A.ctx.p), j).scalars()
+        assert ledger(got) == ledger(fold_product(x, A.basis_element(j)))

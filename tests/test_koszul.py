@@ -9,6 +9,8 @@ kernel/cokernel of a single matrix, computed by hand below.
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from padic_simpson.context import PrimeContext
 from padic_simpson.errors import CommutationFailure, PrecisionExhausted
@@ -23,6 +25,7 @@ from padic_simpson.koszul import (
 )
 from padic_simpson.matrix import PadicMatrix
 from padic_simpson.scalar import PadicScalar
+from test_matrix import ledger_scalars
 
 C5 = PrimeContext(5, 32)
 C3 = PrimeContext(3, 32)
@@ -199,3 +202,45 @@ class TestPrecisionBehaviour:
             h32 = compare_cohomology(gen_higgs(5, d=2, rank=3, seed=seed, precision=32))
             h64 = compare_cohomology(gen_higgs(5, d=2, rank=3, seed=seed, precision=64))
             assert h32.higgs.h == h64.higgs.h
+
+
+def ref_differential(kos, k):
+    """d^k summed scalar by scalar as it stood on scalar tuples: each entry
+    O(p^N) of the complex's context plus its signed operator entry."""
+    src, dst = kos.subsets[k], kos.subsets[k + 1]
+    dst_index = {s: t for t, s in enumerate(dst)}
+    zero = PadicScalar.zero(kos.ctx)
+    rows = [[zero] * (kos.n * len(src)) for _ in range(kos.n * len(dst))]
+    for s_idx, S in enumerate(src):
+        for i in range(kos.d):
+            if i in S:
+                continue
+            sign = (-1) ** sum(1 for l in S if l < i)
+            t_idx = dst_index[tuple(sorted(S + (i,)))]
+            for r, row in enumerate(kos.operators[i].entries):
+                for c, e in enumerate(row):
+                    at = rows[t_idx * kos.n + r]
+                    at[s_idx * kos.n + c] = at[s_idx * kos.n + c] + (-e if sign < 0 else e)
+    return rows
+
+
+@st.composite
+def koszul_operators(draw):
+    """Commuting operators around one drawn square matrix a, whose entries
+    mix contexts wider than the complex's, zero markers and valuations
+    below 0: (a,), (0, a) and (a, a, 0)."""
+    ctx = PrimeContext(draw(st.sampled_from([2, 3, 5])), draw(st.integers(8, 12)))
+    n = draw(st.integers(1, 3))
+    entry = ledger_scalars(ctx)
+    a = PadicMatrix.from_rows(ctx, [[draw(entry) for _ in range(n)] for _ in range(n)])
+    zero = PadicMatrix.zeros(ctx, n)
+    return draw(st.sampled_from([(a,), (zero, a), (a, a, zero)]))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(koszul_operators())
+def test_differential_matches_scalar_sums(ops):
+    kos = KoszulComplex(ops)
+    for k, diff in enumerate(kos.differentials):
+        assert [[(x.v, x.u, x.prec, x.ctx) for x in row] for row in diff.entries] == \
+            [[(x.v, x.u, x.prec, x.ctx) for x in row] for row in ref_differential(kos, k)]

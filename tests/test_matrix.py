@@ -17,6 +17,7 @@ from padic_simpson.context import PrimeContext
 from padic_simpson.errors import (
     DimensionMismatch,
     OutsideExpDomain,
+    PadicError,
     OutsideLogDomain,
     PrecisionExhausted,
 )
@@ -354,3 +355,236 @@ def test_matmul_checks_inner_dimension():
     wide = PadicMatrix.from_ints(ctx, [[1, 2, 3], [4, 5, 6]])
     assert (wide @ wide.transpose()).entries == PadicMatrix.from_ints(
         ctx, [[14, 32], [32, 77]]).entries
+
+
+def test_empty_shapes_are_kept():
+    # an n x 0 by 0 x m product is the fold of no terms: zero markers
+    # O(p^N) of the left factor's context
+    c = PrimeContext(3, 8)
+    tall = PadicMatrix.from_rows(c, [[], []])
+    assert (tall.nrows, tall.ncols) == (2, 0)
+    square = tall @ PadicMatrix.from_rows(c, [])
+    assert (square.nrows, square.ncols, square.entries) == (2, 0, ((), ()))
+    wide = PadicMatrix.zeros(c, 0, 3)
+    assert (wide.nrows, wide.ncols) == (0, 3)
+    assert (tall.transpose().nrows, tall.transpose().ncols) == (0, 2)
+    product = tall @ wide
+    assert [[(x.v, x.u, x.prec, x.ctx) for x in row] for row in product.entries] == \
+        [[(None, 0, 8, c)] * 3] * 2
+    with pytest.raises(DimensionMismatch):
+        wide @ tall
+
+
+# -- the integer grid against the scalar tuples it replaced ------------------
+#
+# Each reference below is the operation as it stood when a PadicMatrix held
+# a tuple of tuples of PadicScalars: one scalar expression per entry.
+
+
+def ledger_rows(rows):
+    return [[(x.v, x.u, x.prec, x.ctx) for x in row] for row in rows]
+
+
+def ledger_of(m: PadicMatrix):
+    return (m.nrows, m.ncols, ledger_rows(m.entries))
+
+
+def ref_matrix(rows, ncols):
+    rows = [list(r) for r in rows]
+    return (len(rows), ncols, ledger_rows(rows))
+
+
+def ref_add(a, b):
+    return ref_matrix([[x + y for x, y in zip(ra, rb)]
+                       for ra, rb in zip(a.entries, b.entries)], a.ncols)
+
+
+def ref_sub(a, b):
+    return ref_matrix([[x - y for x, y in zip(ra, rb)]
+                       for ra, rb in zip(a.entries, b.entries)], a.ncols)
+
+
+def ref_neg(a):
+    return ref_matrix([[-x for x in r] for r in a.entries], a.ncols)
+
+
+def ref_scale(a, c):
+    return ref_matrix([[c * x for x in r] for r in a.entries], a.ncols)
+
+
+def ref_transpose(a):
+    return ref_matrix(zip(*a.entries), a.nrows)
+
+
+def ref_kron(a, b):
+    out = []
+    for ra in a.entries:
+        for rb in b.entries:
+            out.append([x * y for x in ra for y in rb])
+    return ref_matrix(out, a.ncols * b.ncols)
+
+
+def ref_block_diag(a, b):
+    n, m = a.nrows, b.nrows
+    z = PadicScalar.zero(a.ctx)
+    out = [list(a.entries[i]) + [z] * m for i in range(n)]
+    out += [[z] * n + list(b.entries[i]) for i in range(m)]
+    return ref_matrix(out, n + m)
+
+
+def ref_eq(a, b):
+    return all(x == y for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb))
+
+
+def ref_agrees(a, b, prec):
+    return all(x.agrees(y, prec) for ra, rb in zip(a.entries, b.entries)
+               for x, y in zip(ra, rb))
+
+
+def ref_is_zero(rows):
+    return all(x.is_zero for row in rows for x in row)
+
+
+def ref_min_valuation(a):
+    vals = [x.v for row in a.entries for x in row if not x.is_zero]
+    return min(vals) if vals else None
+
+
+def ref_min_precision(a):
+    return min(x.prec for row in a.entries for x in row)
+
+
+def ref_commutes(a, b):
+    ab, ba = fold_matmul(a, b).entries, fold_matmul(b, a).entries
+    return ref_is_zero([[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)])
+
+
+def ref_residues(a, prec):
+    return [[x.residue(min(prec, x.prec)) for x in row] for row in a.entries]
+
+
+def ref_reduced(a, prec):
+    return ref_matrix([[x.reduce(prec) for x in row] for row in a.entries], a.ncols)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PadicError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def near(draw, x, ctx):
+    """x itself, x known to fewer digits, x plus a zero marker, or a fresh
+    draw: so that equalities and agreements hold as often as they fail."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return x
+    if kind == 1:
+        return x.reduce(draw(st.integers(-2, ctx.default_precision)))
+    if kind == 2:
+        return x + PadicScalar.zero(ctx, draw(st.integers(-2, ctx.default_precision)))
+    return draw(ledger_scalars(ctx))
+
+
+@st.composite
+def grid_operands(draw, square=False):
+    """Two matrices of one shape (always square with square, else half
+    the time), the second near the first, a scalar and a precision."""
+    ctx = PrimeContext(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(8, 12)))
+    n = draw(st.integers(1, 4))
+    m = n if square or draw(st.booleans()) else draw(st.integers(1, 4))
+    entry = ledger_scalars(ctx)
+    a = PadicMatrix.from_rows(ctx, [[draw(entry) for _ in range(m)] for _ in range(n)])
+    b = PadicMatrix.from_rows(ctx, [[draw(near(x, ctx)) for x in row] for row in a.entries])
+    return a, b, draw(entry), draw(st.integers(-2, ctx.default_precision + 2))
+
+
+GRID_SETTINGS = settings(max_examples=200, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+@GRID_SETTINGS
+@given(grid_operands())
+def test_entrywise_arithmetic_matches_scalar_tuples(operands):
+    a, b, c, _ = operands
+    assert ledger_of(a + b) == ref_add(a, b)
+    assert ledger_of(a - b) == ref_sub(a, b)
+    assert ledger_of(-a) == ref_neg(a)
+    assert ledger_of(a.scale(c)) == ref_scale(a, c)
+    assert ledger_of(a.transpose()) == ref_transpose(a)
+    assert ledger_of(a.kron(b.transpose())) == ref_kron(a, b.transpose())
+
+
+@GRID_SETTINGS
+@given(grid_operands(square=True))
+def test_block_diag_matches_scalar_tuples(operands):
+    a, b, _, _ = operands
+    for x, y in ((a, b), (a.kron(b), a), (a, a.kron(b))):
+        assert ledger_of(PadicMatrix.block_diag(x, y)) == ref_block_diag(x, y)
+
+
+@GRID_SETTINGS
+@given(grid_operands())
+def test_comparisons_match_scalar_tuples(operands):
+    a, b, _, prec = operands
+    assert (a == b) == ref_eq(a, b)
+    assert (b == a) == ref_eq(b, a)
+    assert a.agrees(b, prec) == ref_agrees(a, b, prec)
+    for m in (a, b, a - b, a.reduced(prec)):
+        assert m.is_zero_to_precision() == ref_is_zero(m.entries)
+        assert m.min_valuation() == ref_min_valuation(m)
+        assert m.min_precision() == ref_min_precision(m)
+    if a.nrows == a.ncols:
+        for other in (b, a @ a, a.scale(b[0, 0])):
+            assert a.commutes_with(other) == ref_commutes(a, other)
+
+
+@GRID_SETTINGS
+@given(grid_operands())
+def test_residues_and_reduction_match_scalar_tuples(operands):
+    a, b, _, prec = operands
+    # a residue mod p^k for k < 0 is no request the library makes, and
+    # PadicScalar.residue answers it with a float
+    k = max(prec, 0)
+    # a difference or a reduction can vanish where its base was set
+    for m in (a, b, a - b, a.reduced(prec)):
+        assert outcome(m.residues, k) == outcome(ref_residues, m, k)
+        assert ledger_of(m.reduced(prec)) == ref_reduced(m, prec)
+
+
+def test_hot_paths_build_no_scalars(monkeypatch):
+    # @, commutes_with, == and - on 6 x 6 matrices, a Koszul complex and
+    # the validation of a spectral tensor work on integer grids alone;
+    # reading entries builds one scalar per entry
+    from padic_simpson.algebra import FinAlgebra
+    from padic_simpson.generate import gen_higgs
+    from padic_simpson.higgs import spectral_algebra
+    from padic_simpson.koszul import KoszulComplex
+
+    ctx = PrimeContext(5, 32)
+    rng = random.Random(18)
+    a, b = (PadicMatrix.from_ints(ctx, [[rng.randrange(5 ** 6) for _ in range(6)]
+                                        for _ in range(6)]) for _ in range(2))
+    H = gen_higgs(3, 2, 4, 0.6, seed=11)
+    S = spectral_algebra(H)
+    B = FinAlgebra.create(S.algebra.ctx, S.algebra.mul, S.algebra.one, validate=False,
+                          exact_structure=False)
+    built = []
+    init = PadicScalar.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(PadicScalar, "__init__", counting)
+    product = a @ b
+    a.commutes_with(b)
+    assert not a == b
+    a - b
+    KoszulComplex(H.theta)
+    B._validate()
+    assert built == []
+    product.entries
+    assert len(built) == 36

@@ -4,9 +4,11 @@ PadicScalar, AlgElement and PadicMatrix are plain slotted classes, so
 nothing stops an assignment to a field at run time; the immutability the
 rest of the package relies on is checked here instead, once, over the
 source.  The same check covers linalg.Row, the integer form of a row of
-scalars: the Rows an algebra keeps for its constants and a morphism for
-its images are shared by every product made with them, so neither a field
-nor an entry of one of its lists may be written.  Equality is
+scalars, and the shape and grid of a PadicMatrix, which is one Row: the
+Rows an algebra keeps for its constants and a morphism for its images,
+and the grids and the row and column slices of matrices, are shared by
+every product made with them, so neither a field nor an entry of one of
+its lists may be written.  Equality is
 precision-relative (7 mod 5^10 equals 7 mod 5^32), so no hash can agree
 with it and the values refuse one.
 """
@@ -26,7 +28,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "padic_simpson"
 # the fields of the value classes and of linalg.Row (and the ctx of every
 # other value)
 VALUE_FIELDS = frozenset({"ctx", "v", "u", "prec", "algebra", "coords", "entries",
-                          "res", "amb", "ctxs", "base", "pw"})
+                          "nrows", "ncols", "grid",
+                          "res", "amb", "ctxs", "base", "pw", "cap"})
 
 
 def test_values_are_unhashable():
@@ -104,6 +107,9 @@ def test_value_fields_are_never_written():
     "def f(x):\n    del x.ctxs[1:]\n",
     "def f(x):\n    x.pw[2][0], y = 1, 2\n",
     "class C:\n    def reset(self):\n        self.amb[0] = 0\n",
+    "def f(m):\n    m.grid = None\n",
+    "def f(m):\n    m.nrows, m2 = 0, 1\n",
+    "def f(x):\n    x.cap -= 1\n",
 ])
 def test_field_writes_are_found(source):
     assert len(field_writes(ast.parse(source))) == 1
