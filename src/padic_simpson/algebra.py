@@ -2,11 +2,14 @@
 constants.
 
 An algebra of dimension m is the data of an m x m x m tensor c with
-e_i * e_j = sum_k c[i][j][k] e_k, plus the coordinates of 1.  Commutativity,
-associativity and the unit law are checked at construction (associativity
-via M_{e_i} M_{e_j} = M_{e_i e_j} on multiplication operators); internal
-constructions whose tensors are read off from actual endomorphism algebras
-may skip the quadratic checks above the documented size gate.
+e_i * e_j = sum_k c[i][j][k] e_k, plus the coordinates of 1.  The tensor
+is stored once, as one linalg.Row with c[i][j][k] at (i * m + j) * m + k;
+the nested scalar tuples of FinAlgebra.mul are built from it on each read.
+Commutativity, associativity and the unit law are checked at construction
+(associativity via M_{e_i} M_{e_j} = M_{e_i e_j} on multiplication
+operators); internal constructions whose tensors are read off from actual
+endomorphism algebras may skip the quadratic checks above the documented
+size gate.
 
 Element products, multiplication operators and morphism images are
 bilinear sums of scalar products, each output coordinate or entry
@@ -19,13 +22,16 @@ is the exact sum of the scaled residues reduced mod p^prec.  Each
 operand is read as a linalg.Row, which refuses a scalar of another prime
 with ContextMismatch.  Operators and images are made by the one product
 kernel, Row.dot, as dot products of the coordinates of x with
-Rows kept per algebra (one per operator entry) and per morphism (one per
-target coordinate), so their terms run over every x_i, c[i][j][k] and
-image coordinate, zero markers included: a zero marker x_i caps the
-entry at min(prec x_i + v c, prec c + prec x_i, N) and adds nothing to
-its value.  An element product keeps its own term loop over the Rows of
-its operands and of the whole tensor, whose terms (a_i * b_j) * c[i][j][k]
-run over the nonzero a_i, b_j and c[i][j][k].
+Rows kept per algebra (one per operator entry, slices of the tensor) and
+per morphism (one per target coordinate, also the rows of the image
+matrix that surjectivity, kernels and unit lifts eliminate), so their
+terms run over every x_i, c[i][j][k] and image coordinate, zero markers
+included: a zero marker x_i caps the entry at min(prec x_i + v c,
+prec c + prec x_i, N) and adds nothing to its value.  Element products
+have their own term loop, _product, over the Rows of the operands and of
+the tensor, whose terms (a_i * b_j) * c[i][j][k] run over the nonzero
+a_i, b_j and c[i][j][k]; validation makes its products x * e_j with it,
+e_j the unit Row.
 
 AlgElement is a plain slotted class, never written to after construction
 (tests/test_values.py checks the sources) and unhashable; FinAlgebra is
@@ -33,12 +39,12 @@ a frozen dataclass with its own equality and no hash.
 
 An algebra computes its structural invariants once, on first use, and
 keeps them for its lifetime (functools.cached_property on the frozen
-FinAlgebra, like the integer constants): the nilradical, the primitive
-idempotents and connected components (components.py), and, for an exact
-tensor, its lifts to wider working precisions, one per precision.  Only
-results are kept: a computation that raises stores nothing and raises
-again on the next call.  Public functions return fresh lists of the
-immutable kept values.
+FinAlgebra, like the operator columns and product terms of the tensor):
+the nilradical, the primitive idempotents and connected components
+(components.py), and, for an exact tensor, its lifts to wider working
+precisions, one per precision.  Only results are kept: a computation
+that raises stores nothing and raises again on the next call.  Public
+functions return fresh lists of the immutable kept values.
 
 exp(x) and log(1 + x) have one engine (_operator_series): mat_exp(M'),
 or mat_log(1 + M'), applied to the coordinates of 1, for M' the
@@ -84,7 +90,7 @@ _FULL_CHECK_DIM = 12
 class FinAlgebra:
     ctx: PrimeContext
     dim: int
-    mul: tuple  # mul[i][j] = coordinate tuple of e_i * e_j
+    tensor: linalg.Row  # c[i][j][k] at (i * dim + j) * dim + k
     one: tuple  # coordinates of the unit
     # whether the stored residues ARE the exact structure constants (true
     # for hand-built and parsed tensors); solve-derived tensors (quotients,
@@ -95,12 +101,13 @@ class FinAlgebra:
 
     @staticmethod
     def create(ctx, mul, one, validate=True, exact_structure=True):
+        """The algebra with mul[i][j] the coordinates of e_i * e_j, as
+        PadicScalars of ctx's prime."""
         m = len(mul)
-        mul_t = tuple(tuple(tuple(row) for row in plane) for plane in mul)
-        one_t = tuple(one)
         if m > MAX_DIM:
             raise PadicError("algebra dimension %d exceeds the soft limit %d" % (m, MAX_DIM))
-        alg = FinAlgebra(ctx, m, mul_t, one_t, exact_structure)
+        tensor = linalg.Row.of([c for plane in mul for row in plane for c in row], ctx.p)
+        alg = FinAlgebra(ctx, m, tensor, tuple(one), exact_structure)
         if validate:
             alg._validate(full=(m <= _FULL_CHECK_DIM))
         return alg
@@ -112,7 +119,7 @@ class FinAlgebra:
         products of elements with the ledger of AlgElement.__mul__."""
         m = self.dim
         ctx = self.ctx
-        flat = self._constants.flat
+        flat = self.tensor
         res, prec, pw = flat.res, flat.prec, flat.pw
         for i in range(m):
             for j in range(i):
@@ -125,13 +132,13 @@ class FinAlgebra:
         one = linalg.Row.of(self.one, ctx.p)
         units = [linalg.Row.unit(ctx, m, i) for i in range(m)]
         for i in range(m):
-            if not linalg.congruent(_times_basis(self, one, i), units[i]):
+            if not linalg.congruent(_product(self, one, units[i]), units[i]):
                 raise PadicError("unit vector is not an identity at basis %d" % i)
         if full:
             ops = [self._operator(e) for e in units]
             for i in range(m):
                 for j in range(i + 1):
-                    prod_op = self._operator(_times_basis(self, units[i], j))
+                    prod_op = self._operator(_product(self, units[i], units[j]))
                     if not (ops[i] @ ops[j]) == prod_op:
                         raise PadicError("structure constants not associative at (%d,%d)" % (i, j))
 
@@ -163,9 +170,34 @@ class FinAlgebra:
     def from_ints(self, coords) -> "AlgElement":
         return self.element([PadicScalar.from_int(self.ctx, n) for n in coords])
 
+    @property
+    def mul(self) -> tuple:
+        """mul[i][j] = the coordinate tuple of e_i * e_j, as PadicScalars
+        built on each read."""
+        flat, m = self.tensor.scalars(), self.dim
+        return tuple(tuple(tuple(flat[(i * m + j) * m:(i * m + j + 1) * m]) for j in range(m))
+                     for i in range(m))
+
     @cached_property
-    def _constants(self) -> "_Constants":
-        return _Constants(self.mul, self.ctx.p)
+    def _columns(self) -> list:
+        """columns[k * m + j] is the slice of the tensor over the
+        c[i][j][k], the column of entry (k, j) of the multiplication
+        operators."""
+        m = self.dim
+        flat = self.tensor
+        flat.vals()  # computed once for all the slices
+        return [flat.slice(j * m + k, None, m * m) for k in range(m) for j in range(m)]
+
+    @cached_property
+    def _terms(self) -> list:
+        """terms[i][j] lists the nonzero c[i][j][k] as (k, valuation,
+        precision, ambient precision, scaled residue)."""
+        m = self.dim
+        flat = self.tensor
+        live = [(t % m, v, q, n, r)
+                for t, (v, q, n, r) in enumerate(zip(flat.vals(), flat.prec, flat.amb, flat.res))]
+        rows = [tuple(c for c in live[s:s + m] if c[4]) for s in range(0, m ** 3, m)]
+        return [rows[i * m:(i + 1) * m] for i in range(m)]
 
     # -- structural invariants, each computed once on first use -------------
 
@@ -199,7 +231,7 @@ class FinAlgebra:
     def _operator(self, x: linalg.Row) -> PadicMatrix:
         """mult_operator of the element with coordinates x."""
         m = self.dim
-        return PadicMatrix(self.ctx, m, m, x.dot(self.ctx, self._constants.columns))
+        return PadicMatrix(self.ctx, m, m, x.dot(self.ctx, self._columns))
 
     # -- convenient constructors -------------------------------------------
 
@@ -249,7 +281,7 @@ class FinAlgebra:
             return True
         if (self.ctx.p, self.dim) != (other.ctx.p, other.dim):
             return False
-        return self.mul == other.mul and self.one == other.one
+        return linalg.congruent(self.tensor, other.tensor) and self.one == other.one
 
     __hash__ = None
 
@@ -282,32 +314,10 @@ class AlgElement:
         self._check(other)
         A = self.algebra
         ctx = A.ctx
-        constants = A._constants
-        precs = [ctx.default_precision] * A.dim
-        sums = [0] * A.dim
-        a = linalg.Row.of(self.coords, ctx.p)
-        b = linalg.Row.of(other.coords, ctx.p)
-        b_live = [(j, vb, pb, nb, sb)
-                  for j, (sb, vb, pb, nb) in enumerate(zip(b.res, b.vals(), b.prec, b.amb)) if sb]
-        for i, (sa, va, pa, na) in enumerate(zip(a.res, a.vals(), a.prec, a.amb)):
-            if not sa:
-                continue
-            terms = constants.terms[i]
-            for j, vb, pb, nb, sb in b_live:
-                # the precision of a*b; when a*b is a zero marker (its
-                # valuation then counts as pab), pab + vc < pc + pab is the
-                # smaller bound anyway, since c is nonzero
-                pab = min(pa + vb, pb + va, na, nb)
-                vab = va + vb
-                sab = sa * sb
-                for k, vc, pc, nc, sc in terms[j]:
-                    prec = min(pab + vc, pc + vab, na, nc)
-                    if prec < precs[k]:
-                        precs[k] = prec
-                    sums[k] += sab * sc
-        base = a.base + b.base + constants.base
+        out = _product(A, linalg.Row.of(self.coords, ctx.p), linalg.Row.of(other.coords, ctx.p))
+        base = out.base
         return AlgElement(A, tuple(_scaled_residue(ctx, r, base, prec)
-                                   for r, prec in zip(sums, precs)))
+                                   for r, prec in zip(out.res, out.prec)))
 
     def __rmul__(self, other):
         if isinstance(other, PadicScalar):
@@ -418,57 +428,44 @@ class Morphism:
             _coordinate_row(self.source, x).dot(self.target.ctx, self._columns).scalars()))
 
     def is_surjective(self) -> bool:
-        rows = [[img.coords[i] for img in self.images] for i in range(self.target.dim)]
-        rank, _ = linalg.rank_with_margin(rows)
+        rank, _ = linalg.rank_with_margin(self._columns)
         return rank == self.target.dim
 
     def kernel_basis(self):
-        rows = [[img.coords[i] for img in self.images] for i in range(self.target.dim)]
-        return [self.source.element(v) for v in linalg.kernel_basis(rows)]
+        return [self.source.element(v) for v in linalg.kernel_basis(self._columns)]
 
 
-class _Constants:
-    """A structure-constant tensor as integers.  flat is the Row of the
-    whole tensor, c[i][j][k] at i * m^2 + j * m + k, on base the least
-    valuation of a nonzero constant; columns[k * m + j] is its slice over
-    the c[i][j][k], the column of entry (k, j) of the multiplication
-    operators; terms[i][j] lists the nonzero c[i][j][k] as (k, valuation,
-    precision, ambient precision, scaled residue)."""
-
-    __slots__ = ("flat", "base", "columns", "terms")
-
-    def __init__(self, mul, p):
-        m = len(mul)
-        flat = self.flat = linalg.Row.of([c for plane in mul for row in plane for c in row], p)
-        self.columns = [flat.slice(j * m + k, None, m * m) for k in range(m) for j in range(m)]
-        self.base = flat.base
-        live = [(t % m, v, q, n, r)
-                for t, (v, q, n, r) in enumerate(zip(flat.vals(), flat.prec, flat.amb, flat.res))]
-        rows = [tuple(c for c in live[s:s + m] if c[4]) for s in range(0, m ** 3, m)]
-        self.terms = [rows[i * m:(i + 1) * m] for i in range(m)]
-
-
-def _times_basis(A: FinAlgebra, x: linalg.Row, j: int) -> linalg.Row:
-    """The coordinates of x * e_j as AlgElement.__mul__ makes them, for x
-    the coordinates of an element of A: the sum of x_i * c[i][j][k] over
-    the nonzero x_i and c[i][j][k], each term with the ledger of
-    (x_i * 1) * c[i][j][k]."""
+def _product(A: FinAlgebra, a: linalg.Row, b: linalg.Row) -> linalg.Row:
+    """The coordinates of the product of the elements of A with
+    coordinates a and b, as a Row of A's context: the sum of
+    (a_i * b_j) * c[i][j][k] over the nonzero a_i, b_j and c[i][j][k],
+    with the ledger of adding those products one by one to a zero marker
+    of A's context."""
     ctx = A.ctx
     N = ctx.default_precision
-    constants = A._constants
+    terms = A._terms
     precs = [N] * A.dim
     sums = [0] * A.dim
-    for i, (sa, va, pa, na) in enumerate(zip(x.res, x.vals(), x.prec, x.amb)):
+    b_live = [(j, vb, pb, nb, sb)
+              for j, (sb, vb, pb, nb) in enumerate(zip(b.res, b.vals(), b.prec, b.amb)) if sb]
+    for i, (sa, va, pa, na) in enumerate(zip(a.res, a.vals(), a.prec, a.amb)):
         if not sa:
             continue
-        pab = min(pa, N + va, na, N)
-        for k, vc, pc, nc, sc in constants.terms[i][j]:
-            prec = min(pab + vc, pc + va, na, nc)
-            if prec < precs[k]:
-                precs[k] = prec
-            sums[k] += sa * sc
-    base = x.base + constants.base
-    pw = x.pw
+        terms_i = terms[i]
+        for j, vb, pb, nb, sb in b_live:
+            # the precision of a*b; when a*b is a zero marker (its
+            # valuation then counts as pab), pab + vc < pc + pab is the
+            # smaller bound anyway, since c is nonzero
+            pab = min(pa + vb, pb + va, na, nb)
+            vab = va + vb
+            sab = sa * sb
+            for k, vc, pc, nc, sc in terms_i[j]:
+                prec = min(pab + vc, pc + vab, na, nc)
+                if prec < precs[k]:
+                    precs[k] = prec
+                sums[k] += sab * sc
+    base = a.base + b.base + A.tensor.base
+    pw = a.pw
     return linalg.Row(pw, base, [r % pw[q - base] for r, q in zip(sums, precs)], precs,
                       [N] * A.dim, [ctx] * A.dim, N)
 
@@ -493,11 +490,12 @@ def nilradical(A: FinAlgebra):
 
 def _trace_form_radical(A: FinAlgebra):
     m = A.dim
+    mul = A.mul
     traces = []
     for l in range(m):
         t = PadicScalar.zero(A.ctx)
         for j in range(m):
-            t = t + A.mul[l][j][j]
+            t = t + mul[l][j][j]
         traces.append(t)
     gram = []
     for i in range(m):
@@ -505,7 +503,7 @@ def _trace_form_radical(A: FinAlgebra):
         for j in range(m):
             g = PadicScalar.zero(A.ctx)
             for l in range(m):
-                c = A.mul[i][j][l]
+                c = mul[i][j][l]
                 if not c.is_zero:
                     g = g + c * traces[l]
             row.append(g)
@@ -547,13 +545,7 @@ def quotient_by_ideal(A: FinAlgebra, ideal_basis):
     proj = Morphism.create(
         A, S, [S.element(project(A.basis_element(i).coords)) for i in range(m)], validate=False
     )
-    zero = A.zero_scalar()
-    section_images = []
-    for t in range(s):
-        coords = [zero] * m
-        coords[free_cols[t]] = A.scalar(1)
-        section_images.append(A.element(coords))
-    section = Morphism(S, A, tuple(section_images))  # linear only, not validated
+    section = Morphism(S, A, tuple(reps))  # linear only, not validated
     return S, proj, section
 
 
@@ -582,25 +574,14 @@ def _finite_series(nu: AlgElement, kind: str) -> AlgElement:
     return out
 
 
-def _lift_scalar(c: PadicScalar, wctx: PrimeContext) -> PadicScalar:
-    """The canonical exact lift of a residue into a wider working
-    context."""
-    if c.is_zero:
-        return PadicScalar.zero(wctx)
-    return PadicScalar.from_val_unit(wctx, c.v, c.u)
-
-
 def _lift_algebra(A: FinAlgebra, wctx: PrimeContext) -> FinAlgebra:
-    """The canonical residue lift of the exact tensor A into the wider
-    working context, made once per working precision and kept by A."""
+    """The exact residue lift (Row.lifted) of the exact tensor A and of
+    its unit into the wider working context, made once per working
+    precision and kept by A."""
     Aw = A._lifts.get(wctx.default_precision)
     if Aw is None:
-        mul = [
-            [[_lift_scalar(c, wctx) for c in A.mul[i][j]] for j in range(A.dim)]
-            for i in range(A.dim)
-        ]
-        one = [_lift_scalar(c, wctx) for c in A.one]
-        Aw = FinAlgebra.create(wctx, mul, one, validate=False)
+        one = linalg.Row.of(A.one, A.ctx.p).lifted(wctx).scalars()
+        Aw = FinAlgebra(wctx, A.dim, A.tensor.lifted(wctx), tuple(one))
         A._lifts[wctx.default_precision] = Aw
     return Aw
 
@@ -694,7 +675,7 @@ def _exp_log(x: AlgElement, kind: str) -> AlgElement:
     for _ in range(4):
         wctx = ctx.widen(headroom)
         Aw = _lift_algebra(A, wctx)
-        xw = Aw.element([_lift_scalar(c, wctx) for c in x.coords])
+        xw = Aw.element(linalg.Row.of(x.coords, ctx.p).lifted(wctx).scalars())
         if xw.is_nilpotent():  # exactly, not only mod p^N
             return _finite_series(x, kind)
         acc = Aw.element(_operator_series(Aw.mult_operator(xw), Aw.one, kind))

@@ -60,11 +60,12 @@ def build_parser():
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=False):
+    def common(p, needs_out=False, slack=False):
         p.add_argument("--precision", type=int, default=None,
                        help="override the file's working precision")
-        p.add_argument("--slack", type=int, default=DEFAULT_SLACK,
-                       help="minimum digits of evidence behind rank decisions")
+        if slack:  # only the commands that decide ranks read it
+            p.add_argument("--slack", type=int, default=DEFAULT_SLACK,
+                           help="minimum digits of evidence behind rank decisions")
         if needs_out:
             p.add_argument("--out", required=True, help="output path")
 
@@ -78,11 +79,11 @@ def build_parser():
 
     p = sub.add_parser("cohomology", help="per-degree dimensions of one instance")
     p.add_argument("input")
-    common(p)
+    common(p, slack=True)
 
     p = sub.add_parser("compare", help="Higgs vs group cohomology of a higgs file")
     p.add_argument("input")
-    common(p)
+    common(p, slack=True)
 
     p = sub.add_parser("spectral", help="spectral algebra of a higgs file")
     p.add_argument("input")

@@ -222,9 +222,9 @@ class _Order:
             raise IntegralStructureFailure("lattice basis is singular to precision")
         self._inverse = PadicMatrix.stack(S.ctx, inverse, m)
         # val_p(det of the basis matrix): the unreduced elimination picks
-        # the same pivots, and each pivot inverse has valuation -v(pivot).
-        # A strictly smaller value means a strictly larger lattice.
-        self.index_valuation = -sum(pinv.v for _, _, pinv, _ in elim.steps)
+        # the same pivots, and each pivot inverse has valuation -v(pivot)
+        # (parts[0]).  A strictly smaller value means a strictly larger lattice.
+        self.index_valuation = -sum(pinv[0] for _, _, _, pinv in elim.steps)
 
     def coords(self, xs):
         """Lattice coordinates of each element of xs: the inverse basis

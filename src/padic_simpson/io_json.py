@@ -122,10 +122,16 @@ def rep_from_json(obj, precision=None) -> SmallRep:
 
 
 def _tensor_to_json(A: FinAlgebra):
+    """The tensor's strings as PadicScalar.to_string writes them, read off
+    the parts of its Row: "v:u", or "0" for a zero marker."""
+    m, flat = A.dim, A.tensor
+    text = []
+    for k in range(m ** 3):
+        v, u, _, _ = flat.parts(k)
+        text.append("%d:%d" % (v, u) if u else "0")
     return {
-        "dim": A.dim,
-        "mul": [[[c.to_string() for c in A.mul[i][j]] for j in range(A.dim)]
-                for i in range(A.dim)],
+        "dim": m,
+        "mul": [[text[(i * m + j) * m:(i * m + j + 1) * m] for j in range(m)] for i in range(m)],
         "one": [c.to_string() for c in A.one],
     }
 

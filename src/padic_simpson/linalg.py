@@ -19,17 +19,19 @@ recomputed only where the pivot search, a margin or a later step reads
 them.  eliminate, Elimination.solve and triangular_lattice_rows take
 rows (or columns) of PadicScalars or Rows.  PadicScalars are built at
 the surface alone, in normal form, on the entries callers read:
-Elimination.rows, solutions, inverses, kernel vectors, lattice columns
-and the recorded pivot inverses.
+Elimination.rows, solutions, inverses, kernel vectors and lattice
+columns.
 
-Row is the one integer form of a row of scalars in the package, and a
-PadicMatrix is one Row of its entries in row-major order (matrix.py),
-its rows and columns slices of it.  Row.dot is the one product
-kernel: PadicMatrix @, multiplication operators and morphism images
-(algebra.py) are dot products of a Row with column Rows on one base,
-each output entry one integer pass with the ledger of the scalar fold,
-and their results are Rows; AlgElement.__mul__ reads its operands and
-structure constants from Rows as well.
+Row is the one integer form of a row of scalars in the package: a
+PadicMatrix is one Row of its entries in row-major order (matrix.py) and a
+FinAlgebra one Row of its structure constants (algebra.py), their rows and
+columns slices of it.  Row.dot is the one product kernel of matrices:
+PadicMatrix @, multiplication operators and morphism images are dot
+products of a Row with column Rows on one base, each output entry one
+integer pass with the ledger of the scalar fold.  Element products, and
+the products x * e_j of algebra validation, read the operands and the
+tensor as Rows too (algebra._product).  Row.lifted is the one exact lift
+of residues into a wider context.
 """
 
 from __future__ import annotations
@@ -229,6 +231,15 @@ class Row:
                        else PadicScalar(c, None, 0, q))
         return out
 
+    def lifted(self, ctx: PrimeContext, shift: int = 0) -> "Row":
+        """p^shift times the exact lift of every entry's residue into ctx,
+        known modulo its p^N: a zero marker lifts to O(p^N)."""
+        pw, base, N = self.pw, self.base + shift, ctx.default_precision
+        mod = pw[N - base]
+        n = len(self.res)
+        return Row(pw, base, [r % mod for r in self.res], [N] * n, [N] * n, [ctx] * n,
+                   N if n else None)
+
     def sub_mul(self, f, y: "Row") -> "Row":
         """self - f*y entry by entry, for f = (v, u, prec, amb) as parts()
         gives them: the value, precision and context of x + (-(f * y)),
@@ -400,9 +411,9 @@ class Elimination:
     ncols: int
     min_margin: int  # evidence required of every zero decision
     ctx: PrimeContext | None  # context of the first entry; None when empty
-    # per pivot step (pivot row, [(target row, factor parts)], pivot
-    # inverse as a PadicScalar, and as parts); None unless the elimination
-    # was reduced
+    # per pivot step (pivot row, [(target row, factor parts)], the
+    # pivot's context, the parts of the pivot inverse); None unless the
+    # elimination was reduced
     steps: list | None
     pivot_of_col: dict = field(repr=False)  # pivot column -> its row
     free_rows: list = field(repr=False)  # rows without a pivot, in order
@@ -463,11 +474,11 @@ class Elimination:
     def _replay(self, rows):
         """rows through the recorded row operations; None when a row
         without a pivot keeps a nonzero entry."""
-        for pi, targets, pinv, scale in self.steps:
+        for pi, targets, pctx, pinv in self.steps:
             y = rows[pi]
             for i, f in targets:
                 rows[i] = rows[i].sub_mul(f, y)
-            rows[pi] = y.scaled(scale, pinv.ctx)
+            rows[pi] = y.scaled(pinv, pctx)
         # consistency: non-pivot rows must have vanishing right-hand sides
         for i in self.free_rows:
             for r, q in zip(rows[i].res, rows[i].prec):
@@ -567,7 +578,7 @@ def eliminate(mat, reduce_above=False, min_margin=DEFAULT_SLACK):
                 pivot_inv = _inverse(pw, pivot)
             pctx = y.ctxs[pj]
             work[pi] = y.scaled(pivot_inv, pctx)
-            steps.append((pi, updated, PadicScalar(pctx, *pivot_inv[:3]), pivot_inv))
+            steps.append((pi, updated, pctx, pivot_inv))
 
     # every remaining candidate entry vanished to precision; record how
     # confidently, and refuse to decide on thin evidence

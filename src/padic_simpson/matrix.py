@@ -294,13 +294,7 @@ class PadicMatrix:
     def lifted(self, ctx: PrimeContext, shift: int = 0) -> "PadicMatrix":
         """p^shift times the exact lift of every entry's residue into ctx,
         known modulo its p^N: a zero marker lifts to O(p^N)."""
-        g = self.grid
-        pw, base, N = g.pw, g.base + shift, ctx.default_precision
-        mod = pw[N - base]
-        res = [r % mod for r in g.res]
-        n = len(res)
-        return PadicMatrix(ctx, self.nrows, self.ncols, linalg.Row(
-            pw, base, res, [N] * n, [N] * n, [ctx] * n, N if n else None))
+        return PadicMatrix(ctx, self.nrows, self.ncols, self.grid.lifted(ctx, shift))
 
     # -- precision and comparisons ----------------------------------------
 

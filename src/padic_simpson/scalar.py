@@ -126,8 +126,8 @@ class PadicScalar:
     # -- representation --------------------------------------------------
 
     def residue(self, k: int | None = None) -> int:
-        """Integer representative of the value mod p^k (k <= prec).
-        Only defined for integral values."""
+        """Integer representative of the value mod p^k (k <= prec), 0 for
+        k <= 0.  Only defined for integral values."""
         k = self.prec if k is None else k
         if k > self.prec:
             raise PadicError("residue mod p^%d requested at precision %d" % (k, self.prec))
@@ -135,6 +135,8 @@ class PadicScalar:
             return 0
         if self.v < 0:
             raise PadicError("value with valuation %d has no integer residue" % self.v)
+        if k <= 0:  # every integer is 0 mod p^k
+            return 0
         return (self.u * self.ctx.p ** self.v) % self.ctx.p ** k
 
     def to_string(self) -> str:

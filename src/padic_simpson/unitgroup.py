@@ -496,14 +496,14 @@ def _pullback_unit(f_live: Morphism, s: AlgElement, rc: RootClass, slack: int):
 def _unit_lifter(f: Morphism):
     """lift(w): a unit of the source mapping to the unit w, or None; any
     linear preimage works when the kernel is nilpotent (connected onto
-    connected).  The image matrix is eliminated once, at the first call."""
+    connected).  The image matrix, whose rows are the Rows f keeps for
+    apply, is eliminated once, at the first call."""
     elim = None
 
     def lift(w: AlgElement):
         nonlocal elim
         if elim is None:
-            rows = [[img.coords[i] for img in f.images] for i in range(f.target.dim)]
-            elim = linalg.eliminate(rows, reduce_above=True)
+            elim = linalg.eliminate(f._columns, reduce_above=True)
         sols = elim.solve([list(w.coords)])
         if sols is None:
             return None

@@ -19,9 +19,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from padic_simpson.algebra import (
+    AlgElement,
     FinAlgebra,
     _lift_algebra,
-    _times_basis,
+    _product,
     Morphism,
     alg_exp,
     alg_log,
@@ -46,7 +47,7 @@ from padic_simpson.higgs import spectral_algebra
 from padic_simpson.linalg import Row
 from padic_simpson.matrix import PadicMatrix
 from padic_simpson.scalar import PadicScalar, big_exp, exp_scalar
-from padic_simpson import unitgroup
+from padic_simpson import linalg, unitgroup
 from padic_simpson.unitgroup import (
     RootClass,
     _pullback_unit,
@@ -797,6 +798,17 @@ def test_products_refuse_a_scalar_of_another_prime():
         x * A.unit()
 
 
+def test_tensor_of_another_prime_refused_at_construction():
+    # the tensor is one Row of one prime, so a constant of Q_5 in an
+    # algebra over Q_3 is refused where the algebra is made, validated or
+    # not
+    mul = [[list(row) for row in plane] for plane in dual_numbers(C3).mul]
+    mul[1][1][0] = PadicScalar.from_int(C5, 5)
+    for validate in (True, False):
+        with pytest.raises(ContextMismatch):
+            FinAlgebra.create(C3, mul, dual_numbers(C3).one, validate=validate)
+
+
 # -- per-algebra invariants, computed once -----------------------------------
 
 
@@ -1399,5 +1411,156 @@ def test_basis_products_match_scalar_fold(data):
     A = data.draw(ledger_algebras())
     x = A.element([data.draw(algebra_scalars(A.ctx.p)) for _ in range(A.dim)])
     for j in range(A.dim):
-        got = _times_basis(A, Row.of(x.coords, A.ctx.p), j).scalars()
+        got = _product(A, Row.of(x.coords, A.ctx.p), Row.unit(A.ctx, A.dim, j)).scalars()
         assert ledger(got) == ledger(fold_product(x, A.basis_element(j)))
+
+
+# -- the stored tensor and the image Rows against their scalar forms --------
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_mul_view_returns_the_constants_given(data):
+    # the view that ref_eq reads is the nested tuple create once stored
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    m = data.draw(st.integers(1, 3))
+    entry = algebra_scalars(p)
+    mul = [[[data.draw(entry) for _ in range(m)] for _ in range(m)] for _ in range(m)]
+    A = FinAlgebra.create(PrimeContext(p, 10), mul, [data.draw(entry) for _ in range(m)],
+                          validate=False)
+    assert [[len(row) for row in plane] for plane in A.mul] == [[m] * m] * m
+    assert ([ledger(row) for plane in A.mul for row in plane]
+            == [ledger(row) for plane in mul for row in plane])
+
+
+def ref_eq(A, B):
+    """FinAlgebra == as it stood on nested scalar tuples."""
+    if (A.ctx.p, A.dim) != (B.ctx.p, B.dim):
+        return False
+    return A.mul == B.mul and tuple(A.one) == tuple(B.one)
+
+
+@st.composite
+def near_pairs(draw):
+    """Two algebras drawn by near_algebras, or one of them and a copy of it
+    with constants kept, known to fewer digits, moved in one digit or
+    redrawn, in its own context or another one of the same prime."""
+    A = draw(near_algebras())
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return A, draw(near_algebras())
+    if kind == 1:
+        return A, A
+    p = A.ctx.p
+    ctx = A.ctx if draw(st.booleans()) else PrimeContext(p, draw(st.integers(8, 12)))
+    top = A.ctx.default_precision
+
+    def near(c):
+        change = draw(st.integers(0, 4))
+        if change <= 1:
+            return c
+        if change == 2:
+            return c.reduce(draw(st.integers(-2, top)))
+        if change == 3:
+            return c + PadicScalar.from_int(ctx, p ** draw(st.integers(0, top)))
+        return draw(algebra_scalars(p))
+
+    mul = [[[near(c) for c in row] for row in plane] for plane in A.mul]
+    return A, FinAlgebra.create(ctx, mul, [near(c) for c in A.one], validate=False)
+
+
+@KERNEL_SETTINGS
+@given(near_pairs())
+def test_equality_matches_scalar_tuples(pair):
+    A, B = pair
+    assert (A == B) == ref_eq(A, B)
+    assert (B == A) == ref_eq(B, A)
+
+
+def ref_lift(c, wctx):
+    """The per-scalar lift _lift_algebra made before the tensor was one
+    Row."""
+    if c.is_zero:
+        return PadicScalar.zero(wctx)
+    return PadicScalar.from_val_unit(wctx, c.v, c.u)
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_lift_matches_per_scalar_lift(data):
+    A = data.draw(ledger_algebras())
+    wctx = PrimeContext(A.ctx.p, data.draw(st.integers(8, 48)))
+    Aw = _lift_algebra(A, wctx)
+    assert Aw.ctx is wctx and Aw.dim == A.dim and Aw.exact_structure
+    flat = [c for plane in A.mul for row in plane for c in row]
+    assert ledger(Aw.tensor.scalars()) == ledger(ref_lift(c, wctx) for c in flat)
+    assert ledger(Aw.one) == ledger(ref_lift(c, wctx) for c in A.one)
+
+
+def image_rows(f):
+    """The image matrix of f as rows of scalars, row i over the images'
+    coordinate i, as is_surjective, kernel_basis and the unit lifter built
+    it before reading the Rows that apply keeps."""
+    return [[img.coords[i] for img in f.images] for i in range(f.target.dim)]
+
+
+def ref_unit_lifter(f):
+    elim = linalg.eliminate(image_rows(f), reduce_above=True)
+
+    def lift(w):
+        sols = elim.solve([list(w.coords)])
+        if sols is None:
+            return None
+        cand = f.source.element(sols[0])
+        try:
+            unitgroup._require_unit(cand)
+        except NotAUnit:
+            return None
+        return cand
+
+    return lift
+
+
+def outcome(fn):
+    """fn()'s value, or the type and message of the PadicError it raised."""
+    try:
+        return fn()
+    except PadicError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def image_morphisms(draw):
+    """Unvalidated morphisms between ledger_algebras of one prime whose
+    images are drawn by algebra_scalars, or repeat an earlier image so
+    that the image matrix has a kernel."""
+    A = draw(ledger_algebras())
+    T = draw(ledger_algebras(A.ctx.p))
+    entry = algebra_scalars(A.ctx.p)
+    images = []
+    for i in range(A.dim):
+        if images and draw(st.booleans()):
+            images.append(images[draw(st.integers(0, i - 1))])
+        else:
+            images.append(T.element([draw(entry) for _ in range(T.dim)]))
+    return Morphism(A, T, tuple(images))
+
+
+@KERNEL_SETTINGS
+@given(image_morphisms(), st.data())
+def test_image_matrix_matches_scalar_rows(f, data):
+    rows = image_rows(f)
+    assert (outcome(f.is_surjective)
+            == outcome(lambda: linalg.rank_with_margin(rows)[0] == f.target.dim))
+    got = outcome(lambda: [ledger(x.coords) for x in f.kernel_basis()])
+    want = outcome(lambda: [ledger(v) for v in linalg.kernel_basis(rows)])
+    assert got == want
+    entry = algebra_scalars(f.target.ctx.p)
+    w = f.target.element([data.draw(entry) for _ in range(f.target.dim)])
+    got = outcome(lambda: unitgroup._unit_lifter(f)(w))
+    want = outcome(lambda: ref_unit_lifter(f)(w))
+    if isinstance(got, AlgElement):
+        got = ledger(got.coords)
+    if isinstance(want, AlgElement):
+        want = ledger(want.coords)
+    assert got == want

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from padic_simpson import io_json
-from padic_simpson.cli import main
+from padic_simpson.cli import build_parser, main
 from padic_simpson.context import PrimeContext
 from padic_simpson.generate import gen_higgs
 from padic_simpson.higgs import HiggsModule, SmallRep
@@ -192,6 +192,29 @@ def test_precision_zero_exit_2(tmp_path, capsys, argv):
     assert run_cli(*argv, "--precision", "0", "--out", str(out)) == 2
     assert "precision 0 below the minimum" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["to-rep", "H.json", "--out", "V.json"],
+    ["to-higgs", "V.json", "--out", "H.json"],
+    ["spectral", "H.json", "--out", "B.json"],
+    ["gen", "--p", "3", "--d", "1", "--rank", "2", "--out", "H.json"],
+], ids=["to-rep", "to-higgs", "spectral", "gen"])
+def test_slack_refused_where_no_rank_is_decided(tmp_path, capsys, argv):
+    # only cohomology, compare and verify read --slack; elsewhere argparse
+    # refuses it before any file is read or written
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--slack", "3")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --slack 3" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_slack_accepted_where_ranks_are_decided():
+    parser = build_parser()
+    for argv in (["cohomology", "H.json"], ["compare", "H.json"], ["verify"]):
+        assert parser.parse_args(argv + ["--slack", "3"]).slack == 3
 
 
 class TestCohomologyCommands:

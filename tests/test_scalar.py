@@ -206,6 +206,15 @@ class TestArithmetic:
         assert x ** 5 == x * x * x * x * x
         assert (x ** -2) * x * x == s(C5, 1)
 
+    def test_residue_mod_p_to_a_nonpositive_power_is_zero(self):
+        # every integer is 0 mod p^k for k <= 0
+        x = PadicScalar.from_int(PrimeContext(3, 8), 5)
+        for k in (0, -1, -5):
+            got = x.residue(k)
+            assert got == 0 and type(got) is int
+        with pytest.raises(PadicError, match="no integer residue"):
+            PadicScalar.from_fraction(C5, Fraction(1, 5)).residue(-1)
+
     def test_residue_known_to_no_digit_is_a_zero_marker(self):
         for prec in (0, -1, -3):
             x = PadicScalar.from_residue(C5, 7, prec)

@@ -27,7 +27,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "padic_simpson"
 
 # the fields of the value classes and of linalg.Row (and the ctx of every
 # other value)
-VALUE_FIELDS = frozenset({"ctx", "v", "u", "prec", "algebra", "coords", "entries",
+VALUE_FIELDS = frozenset({"ctx", "v", "u", "prec", "algebra", "coords", "entries", "tensor",
                           "nrows", "ncols", "grid",
                           "res", "amb", "ctxs", "base", "pw", "cap"})
 
