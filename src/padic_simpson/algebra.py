@@ -3,13 +3,22 @@ constants.
 
 An algebra of dimension m is the data of an m x m x m tensor c with
 e_i * e_j = sum_k c[i][j][k] e_k, plus the coordinates of 1.  The tensor
-is stored once, as one linalg.Row with c[i][j][k] at (i * m + j) * m + k;
-the nested scalar tuples of FinAlgebra.mul are built from it on each read.
-Commutativity, associativity and the unit law are checked at construction
-(associativity via M_{e_i} M_{e_j} = M_{e_i e_j} on multiplication
-operators); internal constructions whose tensors are read off from actual
-endomorphism algebras may skip the quadratic checks above the documented
-size gate.
+is stored once, as one linalg.Row with c[i][j][k] at (i * m + j) * m + k,
+and so is the unit; the nested scalar tuples of FinAlgebra.mul are built
+from the tensor on each read.  Commutativity, associativity and the unit
+law are checked at construction (associativity via M_{e_i} M_{e_j} =
+M_{e_i e_j} on multiplication operators); internal constructions whose
+tensors are read off from actual endomorphism algebras may skip the
+quadratic checks above the documented size gate.
+
+An AlgElement is its algebra and one linalg.Row of its coordinates: a
+plain slotted class, never written to after construction
+(tests/test_values.py checks the sources) and unhashable, whose coords
+are built from the Row on each read.  FinAlgebra.element reads scalars
+of its prime or a Row.  Sums, differences, negation, scalar products, ==,
+agrees and the precision queries have one body each on Row, shared with
+PadicMatrix.  FinAlgebra is a frozen dataclass with its own equality and
+no hash.
 
 Element products, multiplication operators and morphism images are
 bilinear sums of scalar products, each output coordinate or entry
@@ -18,24 +27,19 @@ products a*b one by one to a zero marker of the result's context (the
 algebra's; for a morphism, the target's): its precision is the least of
 that context's N and, over the terms, min(prec a + v b, prec b + v a,
 N a, N b), a zero marker's valuation counting as its precision; its value
-is the exact sum of the scaled residues reduced mod p^prec.  Each
-operand is read as a linalg.Row, which refuses a scalar of another prime
-with ContextMismatch.  Operators and images are made by the one product
-kernel, Row.dot, as dot products of the coordinates of x with
-Rows kept per algebra (one per operator entry, slices of the tensor) and
-per morphism (one per target coordinate, also the rows of the image
-matrix that surjectivity, kernels and unit lifts eliminate), so their
-terms run over every x_i, c[i][j][k] and image coordinate, zero markers
-included: a zero marker x_i caps the entry at min(prec x_i + v c,
-prec c + prec x_i, N) and adds nothing to its value.  Element products
-have their own term loop, _product, over the Rows of the operands and of
-the tensor, whose terms (a_i * b_j) * c[i][j][k] run over the nonzero
-a_i, b_j and c[i][j][k]; validation makes its products x * e_j with it,
-e_j the unit Row.
-
-AlgElement is a plain slotted class, never written to after construction
-(tests/test_values.py checks the sources) and unhashable; FinAlgebra is
-a frozen dataclass with its own equality and no hash.
+is the exact sum of the scaled residues reduced mod p^prec.  Each returns
+a Row, rebased to the least valuation of its nonzero entries.
+Operators and images are made by the one product kernel, Row.dot, as dot
+products of the coordinates of x with Rows kept per algebra (one per
+operator entry, slices of the tensor) and per morphism (one per target
+coordinate, also the rows of the image matrix that surjectivity, kernels
+and unit lifts eliminate), so their terms run over every x_i, c[i][j][k]
+and image coordinate, zero markers included: a zero marker x_i caps the
+entry at min(prec x_i + v c, prec c + prec x_i, N) and adds nothing to
+its value.  Element products have their own term loop, _product, over the
+Rows of the operands and of the tensor, whose terms (a_i * b_j) *
+c[i][j][k] run over the nonzero a_i, b_j and c[i][j][k]; validation makes
+its products x * e_j with it, e_j the unit Row.
 
 An algebra computes its structural invariants once, on first use, and
 keeps them for its lifetime (functools.cached_property on the frozen
@@ -80,7 +84,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .matrix import PadicMatrix, mat_exp, mat_log
-from .scalar import PadicScalar, _scaled_residue, big_exp
+from .scalar import PadicScalar, big_exp, power
 
 MAX_DIM = 64  # soft limit; keeps the m^5 validation desk-scale
 _FULL_CHECK_DIM = 12
@@ -91,7 +95,7 @@ class FinAlgebra:
     ctx: PrimeContext
     dim: int
     tensor: linalg.Row  # c[i][j][k] at (i * dim + j) * dim + k
-    one: tuple  # coordinates of the unit
+    one: linalg.Row  # coordinates of the unit
     # whether the stored residues ARE the exact structure constants (true
     # for hand-built and parsed tensors); solve-derived tensors (quotients,
     # components, spectral algebras and reloaded twists) only approximate
@@ -101,13 +105,14 @@ class FinAlgebra:
 
     @staticmethod
     def create(ctx, mul, one, validate=True, exact_structure=True):
-        """The algebra with mul[i][j] the coordinates of e_i * e_j, as
-        PadicScalars of ctx's prime."""
+        """The algebra with mul[i][j] the coordinates of e_i * e_j and one
+        those of its unit, as PadicScalars of ctx's prime (one may also be
+        a Row)."""
         m = len(mul)
         if m > MAX_DIM:
             raise PadicError("algebra dimension %d exceeds the soft limit %d" % (m, MAX_DIM))
         tensor = linalg.Row.of([c for plane in mul for row in plane for c in row], ctx.p)
-        alg = FinAlgebra(ctx, m, tensor, tuple(one), exact_structure)
+        alg = FinAlgebra(ctx, m, tensor, linalg.Row.of(one, ctx.p), exact_structure)
         if validate:
             alg._validate(full=(m <= _FULL_CHECK_DIM))
         return alg
@@ -129,10 +134,9 @@ class FinAlgebra:
                         raise PadicError(
                             "structure constants not commutative at (%d,%d,%d)" % (i, j, k)
                         )
-        one = linalg.Row.of(self.one, ctx.p)
         units = [linalg.Row.unit(ctx, m, i) for i in range(m)]
         for i in range(m):
-            if not linalg.congruent(_product(self, one, units[i]), units[i]):
+            if not linalg.congruent(_product(self, self.one, units[i]), units[i]):
                 raise PadicError("unit vector is not an identity at basis %d" % i)
         if full:
             ops = [self._operator(e) for e in units]
@@ -145,30 +149,24 @@ class FinAlgebra:
     # -- elements ---------------------------------------------------------
 
     def element(self, coords) -> "AlgElement":
-        return AlgElement(self, tuple(coords))
+        """The element with coordinates coords: PadicScalars of the
+        algebra's prime, or a Row."""
+        return AlgElement(self, linalg.Row.of(coords, self.ctx.p))
 
     def basis_element(self, i) -> "AlgElement":
-        return self.element(
-            [self.scalar(1) if j == i else self.zero_scalar() for j in range(self.dim)]
-        )
+        return AlgElement(self, linalg.Row.unit(self.ctx, self.dim, i))
 
     def unit(self) -> "AlgElement":
-        return self.element(self.one)
+        return AlgElement(self, self.one)
 
     def zero(self) -> "AlgElement":
-        return self.element([self.zero_scalar() for _ in range(self.dim)])
-
-    def scalar(self, n) -> PadicScalar:
-        return PadicScalar.from_int(self.ctx, n)
-
-    def zero_scalar(self) -> PadicScalar:
-        return PadicScalar.zero(self.ctx)
+        return AlgElement(self, linalg.Row.zeros(self.ctx, self.dim))
 
     def scalar_element(self, c: PadicScalar) -> "AlgElement":
-        return self.element([c * x for x in self.one])
+        return AlgElement(self, self.one.times(c))
 
     def from_ints(self, coords) -> "AlgElement":
-        return self.element([PadicScalar.from_int(self.ctx, n) for n in coords])
+        return AlgElement(self, linalg.Row.of_ints(self.ctx, list(coords)))
 
     @property
     def mul(self) -> tuple:
@@ -226,12 +224,13 @@ class FinAlgebra:
     def mult_operator(self, x: "AlgElement") -> PadicMatrix:
         """Matrix of multiplication by x in the given basis: entry (k, j)
         is the sum of x_i * c[i][j][k] over every x_i."""
-        return self._operator(_coordinate_row(self, x))
+        _check(self, x)
+        return self._operator(x.row)
 
     def _operator(self, x: linalg.Row) -> PadicMatrix:
         """mult_operator of the element with coordinates x."""
         m = self.dim
-        return PadicMatrix(self.ctx, m, m, x.dot(self.ctx, self._columns))
+        return PadicMatrix(self.ctx, m, m, linalg.Row.dot([(x, self.ctx)], self._columns))
 
     # -- convenient constructors -------------------------------------------
 
@@ -281,7 +280,8 @@ class FinAlgebra:
             return True
         if (self.ctx.p, self.dim) != (other.ctx.p, other.dim):
             return False
-        return linalg.congruent(self.tensor, other.tensor) and self.one == other.one
+        return (linalg.congruent(self.tensor, other.tensor)
+                and linalg.congruent(self.one, other.one))
 
     __hash__ = None
 
@@ -289,35 +289,29 @@ class FinAlgebra:
 @dataclass(slots=True)
 class AlgElement:
     algebra: FinAlgebra
-    coords: tuple
+    row: linalg.Row  # the coordinates
 
-    def _check(self, other: "AlgElement"):
-        if self.algebra.ctx.p != other.algebra.ctx.p:
-            raise ContextMismatch("mixed primes")
-        if self.algebra.dim != other.algebra.dim:
-            raise PadicError("elements of different algebras")
+    @property
+    def coords(self) -> tuple:
+        """The coordinates as a tuple of PadicScalars, built on each read."""
+        return tuple(self.row.scalars())
 
     def __add__(self, other):
-        self._check(other)
-        return AlgElement(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        _check(self.algebra, other)
+        return AlgElement(self.algebra, self.row.combined(other.row, 1))
 
     def __sub__(self, other):
-        self._check(other)
-        return AlgElement(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        _check(self.algebra, other)
+        return AlgElement(self.algebra, self.row.combined(other.row, -1))
 
     def __neg__(self):
-        return AlgElement(self.algebra, tuple(-a for a in self.coords))
+        return AlgElement(self.algebra, self.row.negated())
 
     def __mul__(self, other):
         if isinstance(other, PadicScalar):
-            return AlgElement(self.algebra, tuple(other * a for a in self.coords))
-        self._check(other)
-        A = self.algebra
-        ctx = A.ctx
-        out = _product(A, linalg.Row.of(self.coords, ctx.p), linalg.Row.of(other.coords, ctx.p))
-        base = out.base
-        return AlgElement(A, tuple(_scaled_residue(ctx, r, base, prec)
-                                   for r, prec in zip(out.res, out.prec)))
+            return AlgElement(self.algebra, self.row.times(other))
+        _check(self.algebra, other)
+        return AlgElement(self.algebra, _product(self.algebra, self.row, other.row))
 
     def __rmul__(self, other):
         if isinstance(other, PadicScalar):
@@ -327,42 +321,33 @@ class AlgElement:
     def __pow__(self, k: int):
         if k < 0:
             return self.inv() ** (-k)
-        out = self.algebra.unit()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, self.algebra.unit())
 
     def inv(self) -> "AlgElement":
-        sols = linalg.solve(self.algebra.mult_operator(self).int_rows(), [list(self.algebra.one)])
+        A = self.algebra
+        sols = linalg.solve(A.mult_operator(self).int_rows(), [A.one])
         if sols is None:
             raise NotAUnit("element is not invertible to precision")
-        return AlgElement(self.algebra, tuple(sols[0]))
+        return A.element(sols[0])
 
     def is_zero_to_precision(self) -> bool:
-        return all(c.is_zero for c in self.coords)
+        return not any(self.row.res)
 
     def __eq__(self, other):
         if not isinstance(other, AlgElement):
             return NotImplemented
-        return len(self.coords) == len(other.coords) and all(
-            a == b for a, b in zip(self.coords, other.coords))
+        return linalg.congruent(self.row, other.row)
 
     __hash__ = None
 
     def agrees(self, other: "AlgElement", prec: int) -> bool:
-        return len(self.coords) == len(other.coords) and all(
-            a.agrees(b, prec) for a, b in zip(self.coords, other.coords))
+        return self.row.agrees(other.row, prec)
 
     def min_valuation(self) -> int | None:
-        vals = [c.v for c in self.coords if not c.is_zero]
-        return min(vals) if vals else None
+        return self.row.min_valuation()
 
     def min_precision(self) -> int:
-        return min(c.prec for c in self.coords)
+        return min(self.row.prec)
 
     def __repr__(self):
         return "AlgElement[%s]" % ", ".join(c.to_string() for c in self.coords)
@@ -370,17 +355,15 @@ class AlgElement:
     def min_poly(self):
         """Monic minimal polynomial as a coefficient list [a_0..a_{s-1}, 1]
         with a_s = 1, via the Krylov sequence 1, x, x^2, ..."""
-        m = self.algebra.dim
-        powers = [self.algebra.unit().coords]
         cur = self.algebra.unit()
-        for _ in range(m):
+        powers = [cur.row]
+        for _ in range(self.algebra.dim):
             cur = cur * self
-            rows = [list(p) for p in powers]
-            sols = linalg.solve([[rows[i][j] for i in range(len(rows))] for j in range(m)], [list(cur.coords)])
+            sols = linalg.solve(linalg.transpose(powers), [cur.row])
             if sols is not None:
                 # x^s = sum sols[0][i] x^i ; monic poly is T^s - sum c_i T^i
                 return [-c for c in sols[0]] + [PadicScalar.from_int(self.algebra.ctx, 1)]
-            powers.append(cur.coords)
+            powers.append(cur.row)
         raise PrecisionExhausted("minimal polynomial not found below the dimension bound")
 
     def is_nilpotent(self) -> bool:
@@ -417,15 +400,13 @@ class Morphism:
     def _columns(self):
         """The image coordinates as integers, one Row per target
         coordinate k over the images[i][k]."""
-        t = self.target.dim
-        flat = linalg.Row.of([c for img in self.images for c in img.coords], self.target.ctx.p)
-        return [flat.slice(k, None, t) for k in range(t)]
+        return linalg.transpose([img.row for img in self.images])
 
     def apply(self, x: AlgElement) -> AlgElement:
         """Coordinate k of the image is the sum of x_i * images[i][k] over
         every x_i."""
-        return AlgElement(self.target, tuple(
-            _coordinate_row(self.source, x).dot(self.target.ctx, self._columns).scalars()))
+        _check(self.source, x)
+        return AlgElement(self.target, linalg.Row.dot([(x.row, self.target.ctx)], self._columns))
 
     def is_surjective(self) -> bool:
         rank, _ = linalg.rank_with_margin(self._columns)
@@ -466,16 +447,17 @@ def _product(A: FinAlgebra, a: linalg.Row, b: linalg.Row) -> linalg.Row:
                 sums[k] += sab * sc
     base = a.base + b.base + A.tensor.base
     pw = a.pw
-    return linalg.Row(pw, base, [r % pw[q - base] for r, q in zip(sums, precs)], precs,
-                      [N] * A.dim, [ctx] * A.dim, N)
+    base, res = linalg._rebased(pw, base, [r % pw[q - base] for r, q in zip(sums, precs)],
+                                precs)
+    return linalg.Row(pw, base, res, precs, [N] * A.dim, [ctx] * A.dim, N)
 
 
-def _coordinate_row(A: FinAlgebra, x: AlgElement) -> linalg.Row:
-    """The coordinates of x as a Row, refusing an element of an algebra of
-    another dimension."""
-    if len(x.coords) != A.dim:
+def _check(A: FinAlgebra, x: AlgElement):
+    """Refuse x unless its algebra has A's prime and dimension."""
+    if A.ctx.p != x.algebra.ctx.p:
+        raise ContextMismatch("mixed primes")
+    if A.dim != len(x.row):
         raise PadicError("elements of different algebras")
-    return linalg.Row.of(x.coords, A.ctx.p)
 
 
 # -- nilradical and quotients ----------------------------------------------
@@ -522,7 +504,7 @@ def quotient_by_ideal(A: FinAlgebra, ideal_basis):
     """Quotient algebra A/I together with the projection morphism and a
     linear section of it (used to lift idempotents back)."""
     m = A.dim
-    rows = [list(x.coords) for x in ideal_basis]
+    rows = [x.row for x in ideal_basis]
     if not rows:
         ident = Morphism.create(A, A, [A.basis_element(i) for i in range(m)], validate=False)
         return A, ident, ident
@@ -533,29 +515,23 @@ def quotient_by_ideal(A: FinAlgebra, ideal_basis):
     if s == 0:
         raise PadicError("quotient by the unit ideal")
 
-    def project(coords):
-        work = linalg.reduce_vector(linalg.Row.of(coords), pivot_rows)
+    def project(row):
+        work = linalg.reduce_vector(row, pivot_rows)
         return [work.scalar(j) for j in free_cols]
 
     reps = [A.basis_element(j) for j in free_cols]
-    mul = [[project((reps[i] * reps[j]).coords) for j in range(s)] for i in range(s)]
+    mul = [[project((reps[i] * reps[j]).row) for j in range(s)] for i in range(s)]
     one = project(A.one)
     S = FinAlgebra.create(A.ctx, mul, one, validate=(s <= _FULL_CHECK_DIM),
                           exact_structure=False)
     proj = Morphism.create(
-        A, S, [S.element(project(A.basis_element(i).coords)) for i in range(m)], validate=False
+        A, S, [S.element(project(A.basis_element(i).row)) for i in range(m)], validate=False
     )
     section = Morphism(S, A, tuple(reps))  # linear only, not validated
     return S, proj, section
 
 
 # -- exponential and logarithm ----------------------------------------------
-
-
-def _rehome(c: PadicScalar, ctx) -> PadicScalar:
-    """c as a scalar of ctx, capped at its N."""
-    return _scaled_residue(ctx, c.u, c.prec if c.v is None else c.v,
-                           min(c.prec, ctx.default_precision))
 
 
 def _finite_series(nu: AlgElement, kind: str) -> AlgElement:
@@ -580,8 +556,7 @@ def _lift_algebra(A: FinAlgebra, wctx: PrimeContext) -> FinAlgebra:
     precision and kept by A."""
     Aw = A._lifts.get(wctx.default_precision)
     if Aw is None:
-        one = linalg.Row.of(A.one, A.ctx.p).lifted(wctx).scalars()
-        Aw = FinAlgebra(wctx, A.dim, A.tensor.lifted(wctx), tuple(one))
+        Aw = FinAlgebra(wctx, A.dim, A.tensor.lifted(wctx), A.one.lifted(wctx))
         A._lifts[wctx.default_precision] = Aw
     return Aw
 
@@ -625,16 +600,16 @@ def _krylov_basis(m: PadicMatrix) -> PadicMatrix | None:
     return PadicMatrix.stack(ctx, cols, m.nrows).transpose().lifted(ctx)
 
 
-def _operator_series(m: PadicMatrix, one, kind: str) -> list:
-    """exp(M), or log(1 + M), applied to the column one, as coordinates in
-    the context of M: mat_exp(M'), or mat_log(1 + M'), for M' = P^-1 M P
+def _operator_series(m: PadicMatrix, one: linalg.Row, kind: str) -> linalg.Row:
+    """exp(M), or log(1 + M), applied to the column one, as the Row of its
+    coordinates: mat_exp(M'), or mat_log(1 + M'), for M' = P^-1 M P
     with P the basis of _krylov_basis, conjugated back.  A conjugated
     entry below e0 means an eigen-scalar of M below e0: the domain
     refusal.  The products with P and P^-1 keep the ledger of M and of
     one; the matrix kernels keep the least precision of M'."""
     ctx = m.ctx
     basis = _krylov_basis(m)
-    col = PadicMatrix.from_rows(ctx, [[c] for c in one])
+    col = PadicMatrix(ctx, len(one), 1, one)
     if basis is not None:
         inverse = basis.inverse()
         m = inverse @ m @ basis
@@ -650,7 +625,7 @@ def _operator_series(m: PadicMatrix, one, kind: str) -> list:
     image = op @ col
     if basis is not None:
         image = basis @ image
-    return image.grid.scalars()
+    return image.grid
 
 
 def _exp_log(x: AlgElement, kind: str) -> AlgElement:
@@ -662,26 +637,26 @@ def _exp_log(x: AlgElement, kind: str) -> AlgElement:
     N = min(x.min_precision(), ctx.default_precision)
     if x.is_zero_to_precision():
         base = A.unit() if kind == "exp" else A.zero()
-        return A.element([c.reduce(N) for c in base.coords])
+        return AlgElement(A, base.row.reduced(N))
     m_x = A.mult_operator(x)
     v = m_x.min_valuation()
     if not A.exact_structure or v is None or v >= ctx.e0:
         # the ledger of M_x and of 1 bounds the result; the wider context
         # keeps the products with P from being capped at N
         wctx = ctx.widen(N + 32)
-        out = _operator_series(m_x.rehomed(wctx), [_rehome(c, wctx) for c in A.one], kind)
-        return A.element([_rehome(c, ctx) for c in out])
+        out = _operator_series(m_x.rehomed(wctx), A.one.rehomed(wctx), kind)
+        return AlgElement(A, out.rehomed(ctx))
     headroom = N + 32
     for _ in range(4):
         wctx = ctx.widen(headroom)
         Aw = _lift_algebra(A, wctx)
-        xw = Aw.element(linalg.Row.of(x.coords, ctx.p).lifted(wctx).scalars())
+        xw = AlgElement(Aw, x.row.lifted(wctx))
         if xw.is_nilpotent():  # exactly, not only mod p^N
             return _finite_series(x, kind)
-        acc = Aw.element(_operator_series(Aw.mult_operator(xw), Aw.one, kind))
+        acc = AlgElement(Aw, _operator_series(Aw.mult_operator(xw), Aw.one, kind))
         level = _exp_cap(N, acc) if kind == "exp" else _log_cap(N, Aw.unit() + xw)
         if acc.min_precision() >= level:
-            return A.element([_rehome(c.reduce(level), ctx) for c in acc.coords])
+            return AlgElement(A, acc.row.reduced(level).rehomed(ctx))
         headroom *= 2
     raise PrecisionExhausted("exp/log headroom did not stabilise")
 

@@ -215,8 +215,8 @@ class _Order:
         self.S = S
         self.basis = list(basis)
         m = S.dim
-        mat = [[b.coords[i] for b in self.basis] for i in range(m)]
-        elim = linalg.eliminate(mat, reduce_above=True)
+        elim = linalg.eliminate(linalg.transpose([b.row for b in self.basis]),
+                                reduce_above=True)
         inverse = elim.inverse()
         if inverse is None:
             raise IntegralStructureFailure("lattice basis is singular to precision")
@@ -229,16 +229,15 @@ class _Order:
     def coords(self, xs):
         """Lattice coordinates of each element of xs: the inverse basis
         matrix times the column of its S-coordinates."""
-        cols = PadicMatrix.from_rows(self.S.ctx, zip(*(x.coords for x in xs)))
+        cols = PadicMatrix.stack(self.S.ctx, linalg.transpose([x.row for x in xs]), len(xs))
         return [c.scalars() for c in (self._inverse @ cols).int_columns()]
 
     def element(self, lat_coords) -> AlgElement:
+        """The element with the integer lattice coordinates lat_coords."""
         out = self.S.zero()
         for c, b in zip(lat_coords, self.basis):
-            if isinstance(c, int):
-                c = PadicScalar.from_int(self.S.ctx, c)
-            if not c.is_zero:
-                out = out + b * c
+            if c:
+                out = out + b * PadicScalar.from_int(self.S.ctx, c)
         return out
 
     def reduction(self) -> _FpAlgebra:
@@ -267,8 +266,7 @@ def _initial_order(S: FinAlgebra) -> _Order:
     chosen = [S.unit()]
     for i in range(m):
         cand = S.basis_element(i)
-        rows_now = [list(x.coords) for x in chosen]
-        if linalg.rank_with_margin(rows_now + [list(cand.coords)])[0] > len(chosen):
+        if linalg.rank_with_margin([x.row for x in chosen] + [cand.row])[0] > len(chosen):
             chosen.append(cand)
         if len(chosen) == m:
             break
@@ -318,7 +316,7 @@ def _saturate(order: _Order) -> _Order:
 
 def _lattice_basis(S: FinAlgebra, gens):
     """A triangular basis of the lattice the elements gens span."""
-    return [S.element(c) for c in linalg.triangular_lattice_basis([g.coords for g in gens])]
+    return [S.element(c) for c in linalg.triangular_lattice_rows([g.row for g in gens])]
 
 
 # -- public entry points ------------------------------------------------------
@@ -412,17 +410,17 @@ class Component:
 
 def component_quotient(A: FinAlgebra, e: AlgElement) -> Component:
     m = A.dim
-    cols = [(e * A.basis_element(i)).coords for i in range(m)]
-    rows = [[cols[j][i] for j in range(m)] for i in range(m)]
-    elim = linalg.eliminate(rows)
+    cols = [e * A.basis_element(i) for i in range(m)]
+    elim = linalg.eliminate(linalg.transpose([c.row for c in cols]))
     chosen = sorted(j for (_, j) in elim.pivots)
-    basis = [A.element(cols[j]) for j in chosen]
+    basis = [cols[j] for j in chosen]
     s = len(basis)
-    basis_mat = [[b.coords[i] for b in basis] for i in range(m)]
-    span = linalg.eliminate(basis_mat, reduce_above=True)
+    # the basis as columns: m rows even when the basis is empty
+    span = linalg.eliminate(PadicMatrix.stack(A.ctx, [b.row for b in basis], m).int_columns(),
+                            reduce_above=True)
 
     def coords_of(x: AlgElement):
-        sols = span.solve([list(x.coords)])
+        sols = span.solve([x.row])
         if sols is None:
             raise PrecisionExhausted("element does not lie in the component span")
         return sols[0]

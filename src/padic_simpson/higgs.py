@@ -31,7 +31,6 @@ from .errors import (
     ValidationError,
 )
 from .matrix import PadicMatrix, mat_exp, mat_log
-from .scalar import PadicScalar
 
 
 class _Side:
@@ -272,8 +271,8 @@ def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:
     if sols is None:
         raise PrecisionExhausted("a product or a component escaped the closed span")
     mul = [sols[i * dim:(i + 1) * dim] for i in range(dim)]
-    one = [PadicScalar.from_int(ctx, 1)] + [PadicScalar.zero(ctx)] * (dim - 1)
-    B = FinAlgebra.create(ctx, mul, one, validate=False, exact_structure=False)
+    B = FinAlgebra.create(ctx, mul, linalg.Row.unit(ctx, dim, 0), validate=False,
+                          exact_structure=False)
     if dim <= _FULL_CHECK_DIM:
         try:
             B._validate()

@@ -121,18 +121,22 @@ def rep_from_json(obj, precision=None) -> SmallRep:
     return _side_from_json(SmallRep, obj, precision, "generator")
 
 
-def _tensor_to_json(A: FinAlgebra):
-    """The tensor's strings as PadicScalar.to_string writes them, read off
-    the parts of its Row: "v:u", or "0" for a zero marker."""
-    m, flat = A.dim, A.tensor
+def _row_strings(row) -> list:
+    """The entries of a linalg.Row as PadicScalar.to_string writes them,
+    read off its parts: "v:u", or "0" for a zero marker."""
     text = []
-    for k in range(m ** 3):
-        v, u, _, _ = flat.parts(k)
+    for k in range(len(row)):
+        v, u, _, _ = row.parts(k)
         text.append("%d:%d" % (v, u) if u else "0")
+    return text
+
+
+def _tensor_to_json(A: FinAlgebra):
+    m, text = A.dim, _row_strings(A.tensor)
     return {
         "dim": m,
         "mul": [[text[(i * m + j) * m:(i * m + j + 1) * m] for j in range(m)] for i in range(m)],
-        "one": [c.to_string() for c in A.one],
+        "one": _row_strings(A.one),
     }
 
 
@@ -165,9 +169,9 @@ def algebra_from_json(obj, precision=None) -> FinAlgebra:
 def twist_to_json(B: FinAlgebra, tau, units=None, metadata=None):
     out = _base_header("twist", B.ctx, metadata)
     out["algebra"] = _tensor_to_json(B)
-    out["tau"] = [[c.to_string() for c in t.coords] for t in tau]
+    out["tau"] = [_row_strings(t.row) for t in tau]
     if units is not None:
-        out["units"] = [[c.to_string() for c in u.coords] for u in units]
+        out["units"] = [_row_strings(u.row) for u in units]
     return out
 
 

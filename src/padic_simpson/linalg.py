@@ -23,15 +23,18 @@ Elimination.rows, solutions, inverses, kernel vectors and lattice
 columns.
 
 Row is the one integer form of a row of scalars in the package: a
-PadicMatrix is one Row of its entries in row-major order (matrix.py) and a
-FinAlgebra one Row of its structure constants (algebra.py), their rows and
-columns slices of it.  Row.dot is the one product kernel of matrices:
-PadicMatrix @, multiplication operators and morphism images are dot
-products of a Row with column Rows on one base, each output entry one
-integer pass with the ledger of the scalar fold.  Element products, and
-the products x * e_j of algebra validation, read the operands and the
-tensor as Rows too (algebra._product).  Row.lifted is the one exact lift
-of residues into a wider context.
+PadicMatrix is one Row of its entries in row-major order (matrix.py), a
+FinAlgebra one Row of its structure constants and one of its unit, and an
+AlgElement one Row of its coordinates (algebra.py).  The grid operations
+of matrices and elements have one body each, here: combined (+, -),
+negated, times, rehomed, reduced, agrees, min_valuation and congruent
+(==).  Row.dot is the one product kernel of matrices: PadicMatrix @,
+multiplication operators and morphism images are dot products of rows
+with column Rows on one base, each output entry one integer pass with the
+ledger of the scalar fold.  Element products, and the products x * e_j of
+algebra validation, read the operands and the tensor as Rows too
+(algebra._product).  Both kernels rebase their output (_rebased).
+Row.lifted is the one exact lift of residues into a wider context.
 """
 
 from __future__ import annotations
@@ -300,27 +303,109 @@ class Row:
         n = len(res)
         return Row(pw, base, res, prec, [samb] * n, [ctx] * n, samb, val)
 
-    def dot(self, ctx: PrimeContext, columns) -> "Row":
-        """The dot products of this nonempty row with each Row of columns,
-        all columns on one base, as a Row of ctx: the value and precision
-        of adding the products a*b one by one to a zero marker of ctx.
-        That precision is the least of ctx's N and, over the terms,
-        min(prec a + v b, prec b + v a, N a, N b), a zero marker's
-        valuation counting as its precision; each product is exact modulo
-        its own precision, so the exact sum of the scaled residues,
-        reduced mod p^(precision - base), has the digits of the fold."""
-        res, prec, vals, pw = self.res, self.prec, self._val or self.vals(), self.pw
-        N = ctx.default_precision
-        cap = self.cap if self.cap < N else N
-        base = self.base + (columns[0].base if columns else 0)
-        out_res, out_prec = [], []
-        for col in columns:
-            q = min(min(map(add, prec, col._val or col.vals())), min(map(add, col.prec, vals)),
-                    col.cap, cap)
-            out_prec.append(q)
-            out_res.append(sum(map(mul, res, col.res)) % pw[q - base])
-        n = len(out_res)
-        return Row(pw, base, out_res, out_prec, [N] * n, [ctx] * n, N)
+    def times(self, c: PadicScalar) -> "Row":
+        """c * x for every entry x, with the ledger of PadicScalar * in c's
+        context; a scalar of another prime is refused."""
+        if c.ctx.p != self.pw.p:
+            raise ContextMismatch("mixed primes %d and %d" % (c.ctx.p, self.pw.p))
+        return self.scaled((c.prec if c.v is None else c.v, c.u, c.prec,
+                            c.ctx.default_precision), c.ctx)
+
+    def combined(self, other: "Row", sign: int) -> "Row":
+        """self + sign * other entry by entry, with the ledger of
+        PadicScalar + (and of -, which adds the negation): precision
+        min(prec a, prec b), in self's contexts."""
+        pw = self.pw
+        base = min(self.base, other.base)
+        s, t = pw[self.base - base], sign * pw[other.base - base]
+        res, prec = [], []
+        for r, q, x, w in zip(self.res, self.prec, other.res, other.prec):
+            if w < q:
+                q = w
+            prec.append(q)
+            res.append((r * s + x * t) % pw[q - base])
+        return Row(pw, base, res, prec, self.amb, self.ctxs, self.cap)
+
+    def negated(self) -> "Row":
+        pw, base = self.pw, self.base
+        res = [(-r) % pw[q - base] for r, q in zip(self.res, self.prec)]
+        return Row(pw, base, res, self.prec, self.amb, self.ctxs, self.cap, self._val)
+
+    def rehomed(self, ctx: PrimeContext) -> "Row":
+        """Every entry as a scalar of ctx: reduced to its N."""
+        N, out = ctx.default_precision, self.reduced(ctx.default_precision)
+        n = len(out.res)
+        return Row(out.pw, out.base, out.res, out.prec, [N] * n, [ctx] * n, N if n else None)
+
+    def reduced(self, prec: int) -> "Row":
+        """Every entry with the digits beyond p^prec forgotten."""
+        pw, base = self.pw, self.base
+        res, precs = [], []
+        for r, q in zip(self.res, self.prec):
+            if prec < q:
+                q = prec
+                r %= pw[q - base]
+            res.append(r)
+            precs.append(q)
+        return Row(pw, base, res, precs, self.amb, self.ctxs, self.cap)
+
+    def agrees(self, other: "Row", prec: int) -> bool:
+        """Entrywise equality mod p^prec, False unless every entry of both
+        is known mod p^prec; False on mixed lengths (congruent)."""
+        if min(self.prec, default=prec) < prec or min(other.prec, default=prec) < prec:
+            return False
+        return congruent(self, other, prec)
+
+    def min_valuation(self) -> int | None:
+        """Least valuation of a nonzero entry; None when every entry is a
+        zero marker."""
+        vals = [v for r, v in zip(self.res, self.vals()) if r]
+        return min(vals) if vals else None
+
+    @staticmethod
+    def dot(rows, columns) -> "Row":
+        """The dot products of each (row, ctx) of rows, nonempty and on one
+        base, with each Row of columns, on one base and of the rows' prime,
+        as one rebased Row in row-major order: the value and precision of
+        adding the products a*b one by one to a zero marker of ctx.  That
+        precision is the least of ctx's N and, over the terms, min(prec a
+        + v b, prec b + v a, N a, N b), a zero marker's valuation counting
+        as its precision; each product is exact modulo its own precision,
+        so the exact sum of the scaled residues, reduced mod p^(precision -
+        base), has the digits of the fold."""
+        pw = rows[0][0].pw
+        if columns and columns[0].pw is not pw:
+            raise ContextMismatch("mixed primes %d and %d" % (pw.p, columns[0].pw.p))
+        base = rows[0][0].base + (columns[0].base if columns else 0)
+        cols = [(c.res, c.prec, c._val or c.vals(), c.cap) for c in columns]
+        out_res, out_prec, amb, ctxs = [], [], [], []
+        for row, ctx in rows:
+            res, prec, vals = row.res, row.prec, row._val or row.vals()
+            N = ctx.default_precision
+            cap = row.cap if row.cap < N else N
+            for cres, cprec, cvals, ccap in cols:
+                q = min(min(map(add, prec, cvals)), min(map(add, cprec, vals)), ccap, cap)
+                out_prec.append(q)
+                out_res.append(sum(map(mul, res, cres)) % pw[q - base])
+            amb += [N] * len(cols)
+            ctxs += [ctx] * len(cols)
+        base, out_res = _rebased(pw, base, out_res, out_prec)
+        return Row(pw, base, out_res, out_prec, amb, ctxs, min(amb, default=None))
+
+
+def _rebased(pw, base, res, prec):
+    """(base, res) moved to the least valuation of the nonzero entries, or
+    to the least precision when there is none, in the product kernels: a
+    product's base is the sum of its operands', so repeated products would
+    push it down."""
+    g = gcd(*res)
+    if not g:
+        return min(prec, default=base), res
+    if g % pw.p:
+        return base, res
+    t = _series.int_valuation(g, pw.p)
+    s = pw[t]
+    return base + t, [r // s for r in res]
 
 
 def congruent(a: Row, b: Row, prec=None) -> bool:
@@ -450,11 +535,7 @@ class Elimination:
         p = self.ctx.p if self.ctx is not None else None
         # one Row per matrix row, across the columns, so every recorded
         # operation is a row operation
-        if isinstance(rhs_cols[0], Row):
-            rows = transpose([Row.of(c, p) for c in rhs_cols])
-        else:
-            rows = [Row.of(r, p) for r in zip(*rhs_cols)]
-        rows = self._replay(rows)
+        rows = self._replay(transpose([Row.of(c, p) for c in rhs_cols]))
         if rows is None:
             return None
         if not self.ncols:

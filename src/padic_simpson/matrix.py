@@ -17,8 +17,10 @@ c*a and a*b, and @ that of summing the entry products a*b one by one,
 each output entry one dot product of a row and a column (Row.dot), in
 the context of the first entry of its row of the left factor.  ==,
 agrees and the precision queries decide on residues as PadicScalar ==,
-agrees, is_zero and v do.  The scalars of entries, m[i, j] and rows()
-are built on demand, in the normal form of scalar._scaled_residue.
+agrees, is_zero and v do.  +, -, negation, scale, rehomed, reduced,
+agrees and min_valuation are the bodies on Row that algebra elements
+share (linalg.py).  The scalars of entries, m[i, j] and rows() are built
+on demand, in the normal form of scalar._scaled_residue.
 
 Matrix exp/log are the workhorses of the local correspondence, so they lift
 entries to integer residues and run the exact mod-p^W kernels rather than
@@ -34,6 +36,7 @@ precision-relative.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import _series, linalg
@@ -47,7 +50,7 @@ from .errors import (
     PadicError,
     PrecisionExhausted,
 )
-from .scalar import PadicScalar
+from .scalar import PadicScalar, power
 
 
 @dataclass(slots=True)
@@ -104,18 +107,15 @@ class PadicMatrix:
 
     def int_rows(self) -> list:
         """The rows as Rows, slices of the grid."""
-        grid, m = self._grid_with_vals(), self.ncols
+        grid, m = self.grid, self.ncols
+        grid.vals()  # computed once for all the slices
         return [grid.slice(i * m, (i + 1) * m) for i in range(self.nrows)]
 
     def int_columns(self) -> list:
         """The columns as Rows, slices of the grid."""
-        grid, m = self._grid_with_vals(), self.ncols
+        grid, m = self.grid, self.ncols
+        grid.vals()
         return [grid.slice(j, None, m) for j in range(m)]
-
-    def _grid_with_vals(self) -> linalg.Row:
-        """The grid, its valuations computed once for all its slices."""
-        self.grid.vals()
-        return self.grid
 
     def __repr__(self):
         body = "; ".join(" ".join(x.to_string() for x in row) for row in self.entries)
@@ -133,35 +133,16 @@ class PadicMatrix:
             raise DimensionMismatch("%s of a %d x %d and a %d x %d matrix"
                                     % (op, self.nrows, self.ncols, other.nrows, other.ncols))
 
-    def _combine(self, other: "PadicMatrix", sign: int) -> "PadicMatrix":
-        """self + sign * other entry by entry, with the ledger of
-        PadicScalar + (and of -, which adds the negation): precision
-        min(prec a, prec b), in a's context."""
-        a, b = self.grid, other.grid
-        pw = a.pw
-        base = min(a.base, b.base)
-        s, t = pw[a.base - base], sign * pw[b.base - base]
-        res, prec = [], []
-        for r, q, x, w in zip(a.res, a.prec, b.res, b.prec):
-            if w < q:
-                q = w
-            prec.append(q)
-            res.append((r * s + x * t) % pw[q - base])
-        return self._like(linalg.Row(pw, base, res, prec, a.amb, a.ctxs, a.cap))
-
     def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check_shape(other, "sum")
-        return self._combine(other, 1)
+        return self._like(self.grid.combined(other.grid, 1))
 
     def __sub__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check_shape(other, "difference")
-        return self._combine(other, -1)
+        return self._like(self.grid.combined(other.grid, -1))
 
     def __neg__(self) -> "PadicMatrix":
-        g = self.grid
-        pw, base = g.pw, g.base
-        res = [(-r) % pw[q - base] for r, q in zip(g.res, g.prec)]
-        return self._like(linalg.Row(pw, base, res, g.prec, g.amb, g.ctxs, g.cap, g._val))
+        return self._like(self.grid.negated())
 
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
         """Product with the precision ledger of summing the entry products
@@ -173,25 +154,15 @@ class PadicMatrix:
         if k != other.nrows:
             raise DimensionMismatch("product of a %d x %d and a %d x %d matrix"
                                     % (n, k, other.nrows, m))
-        if not k:
+        if not (n and k):
             return PadicMatrix.zeros(self.ctx, n, m)
-        columns = other.int_columns()
-        res, prec, amb, ctxs = [], [], [], []
-        for row in self.int_rows():
-            out = row.dot(row.ctxs[0], columns)
-            res += out.res
-            prec += out.prec
-            amb += out.amb
-            ctxs += out.ctxs
-        return PadicMatrix(self.ctx, n, m, _grid(out.pw, out.base, res, prec, amb, ctxs))
+        return PadicMatrix(self.ctx, n, m, linalg.Row.dot(
+            [(row, row.ctxs[0]) for row in self.int_rows()], other.int_columns()))
 
     def scale(self, c: PadicScalar) -> "PadicMatrix":
         """c * a for every entry a, with the ledger of PadicScalar * in
         c's context."""
-        if c.ctx.p != self.ctx.p:
-            raise ContextMismatch("mixed primes %d, %d" % (c.ctx.p, self.ctx.p))
-        v = c.prec if c.v is None else c.v
-        return self._like(self.grid.scaled((v, c.u, c.prec, c.ctx.default_precision), c.ctx))
+        return self._like(self.grid.times(c))
 
     def transpose(self) -> "PadicMatrix":
         return PadicMatrix.stack(self.ctx, self.int_columns(), self.nrows)
@@ -204,16 +175,8 @@ class PadicMatrix:
 
     def __pow__(self, k: int) -> "PadicMatrix":
         if k < 0:
-            inv = self.inverse()
-            return inv ** (-k)
-        out = PadicMatrix.identity(self.ctx, self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base
-            k >>= 1
-        return out
+            return self.inverse() ** (-k)
+        return power(self, k, PadicMatrix.identity(self.ctx, self.nrows), operator.matmul)
 
     def inverse(self) -> "PadicMatrix":
         rows = linalg.eliminate(self.int_rows(), reduce_above=True).inverse()
@@ -241,25 +204,15 @@ class PadicMatrix:
 
     def kron(self, other: "PadicMatrix") -> "PadicMatrix":
         """Kronecker product (tensor of operators in the standard basis),
-        each entry a*b with the ledger of PadicScalar * in a's context."""
+        each entry a*b with the ledger of PadicScalar * in a's context:
+        row k of other scaled by each entry a of row i of self, in turn,
+        makes row (i, k) of the product."""
         self._check(other)
-        a, b = self.grid, other.grid
-        pw = a.pw
-        base = a.base + b.base
-        av, bv = a._val or a.vals(), b._val or b.vals()
-        n, m, r, s = self.nrows, self.ncols, other.nrows, other.ncols
-        res, prec, amb, ctxs = [], [], [], []
-        for i in range(n):
-            for k in range(r):
-                for j in range(i * m, (i + 1) * m):
-                    x, va, qa, na, ca = a.res[j], av[j], a.prec[j], a.amb[j], a.ctxs[j]
-                    for t in range(k * s, (k + 1) * s):
-                        q = min(qa + bv[t], b.prec[t] + va, na, b.amb[t])
-                        prec.append(q)
-                        res.append(x * b.res[t] % pw[q - base])
-                        amb.append(na)
-                        ctxs.append(ca)
-        return PadicMatrix(self.ctx, n * r, m * s, _grid(pw, base, res, prec, amb, ctxs))
+        a, m, rows = self.grid, self.ncols, other.int_rows()
+        pieces = [row.scaled(a.parts(j), a.ctxs[j]) for i in range(self.nrows)
+                  for row in rows for j in range(i * m, (i + 1) * m)]
+        grid = PadicMatrix.stack(self.ctx, pieces, other.ncols).grid
+        return PadicMatrix(self.ctx, self.nrows * other.nrows, m * other.ncols, grid)
 
     @staticmethod
     def block_diag(a: "PadicMatrix", b: "PadicMatrix") -> "PadicMatrix":
@@ -283,13 +236,7 @@ class PadicMatrix:
 
     def rehomed(self, ctx: PrimeContext) -> "PadicMatrix":
         """Every entry as a scalar of ctx, capped at its N."""
-        g = self.grid
-        pw, base, N = g.pw, g.base, ctx.default_precision
-        prec = [q if q < N else N for q in g.prec]
-        res = [r % pw[q - base] for r, q in zip(g.res, prec)]
-        n = len(res)
-        return PadicMatrix(ctx, self.nrows, self.ncols, linalg.Row(
-            pw, base, res, prec, [N] * n, [ctx] * n, N if n else None))
+        return PadicMatrix(ctx, self.nrows, self.ncols, self.grid.rehomed(ctx))
 
     def lifted(self, ctx: PrimeContext, shift: int = 0) -> "PadicMatrix":
         """p^shift times the exact lift of every entry's residue into ctx,
@@ -304,9 +251,7 @@ class PadicMatrix:
     def min_valuation(self) -> int | None:
         """Smallest entry valuation; None when the whole matrix vanishes to
         precision."""
-        g = self.grid
-        vals = [v for r, v in zip(g.res, g.vals()) if r]
-        return min(vals) if vals else None
+        return self.grid.min_valuation()
 
     def is_zero_to_precision(self) -> bool:
         return not any(self.grid.res)
@@ -315,10 +260,7 @@ class PadicMatrix:
         """Entrywise equality mod p^prec; False on a shape mismatch."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False
-        a, b = self.grid, other.grid
-        if min(a.prec, default=prec) < prec or min(b.prec, default=prec) < prec:
-            return False
-        return linalg.congruent(a, b, prec)
+        return self.grid.agrees(other.grid, prec)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PadicMatrix):
@@ -349,16 +291,7 @@ class PadicMatrix:
         return [flat[i * m:(i + 1) * m] for i in range(self.nrows)]
 
     def reduced(self, prec: int) -> "PadicMatrix":
-        g = self.grid
-        pw, base = g.pw, g.base
-        res, precs = [], []
-        for r, q in zip(g.res, g.prec):
-            if prec < q:
-                q = prec
-                r %= pw[q - base]
-            res.append(r)
-            precs.append(q)
-        return self._like(linalg.Row(pw, base, res, precs, g.amb, g.ctxs, g.cap))
+        return self._like(self.grid.reduced(prec))
 
 
 def _row_major(rows):

@@ -16,11 +16,11 @@ Precision rules (the documented ledger):
             at a widened internal modulus so no digits are lost)
 
 Every value made from an integer residue r * p^base known mod p^prec
-(from_residue, from_fraction, from_val_unit, reduce, add, mul and
-AlgElement.__mul__) ends in one normaliser, _scaled_residue, so it has
-one normal form whatever made it.  Matrices, products and elimination
-work on linalg.Row, the one integer form of a row of scalars, instead
-of on scalars.  A Row keeps each residue reduced with its valuation, so
+(from_residue, from_fraction, from_val_unit, reduce, add and mul) ends
+in one normaliser, _scaled_residue, so it has one normal form whatever
+made it.  Matrices, algebra elements, products and elimination work on
+linalg.Row, the one integer form of a row of scalars, instead of on
+scalars.  A Row keeps each residue reduced with its valuation, so
 the scalars it hands out are built in that normal form directly, once
 per entry read.
 
@@ -33,6 +33,7 @@ precision-relative, so scalars are unhashable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -211,14 +212,8 @@ class PadicScalar:
     def __pow__(self, k: int) -> "PadicScalar":
         if k < 0:
             return self.inv() ** (-k)
-        out = PadicScalar.from_int(self.ctx, 1, self.prec if not self.is_zero else self.ctx.default_precision)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        N = self.ctx.default_precision
+        return power(self, k, PadicScalar.from_int(self.ctx, 1, N if self.is_zero else self.prec))
 
     def __eq__(self, other) -> bool:
         """Equality modulo p^min(precisions)."""
@@ -238,6 +233,19 @@ class PadicScalar:
         if self.prec < prec or other.prec < prec:
             return False
         return self.reduce(prec) == other.reduce(prec)
+
+
+def power(x, k, one, mul=operator.mul):
+    """x^k for k >= 0 by square and multiply from one, with the product
+    mul: the one power of scalars, algebra elements and matrices."""
+    out = one
+    while True:
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+        if not k:
+            return out
+        x = mul(x, x)
 
 
 def _scaled_residue(ctx, r, base, prec):

@@ -55,9 +55,10 @@ class _ValueTable:
     def key(self, x):
         if isinstance(x, PadicScalar):
             return (x.v, x.u, x.prec, x.ctx)
-        A = x.algebra
+        A, row = x.algebra, x.row
         self.algebras[id(A)] = A
-        return (id(A),) + tuple((c.v, c.u, c.prec, c.ctx) for c in x.coords)
+        # the parts of a Row are canonical whatever its base
+        return (id(A), tuple(map(row.parts, range(len(row)))), tuple(row.ctxs))
 
 
 _VALUES: ContextVar[_ValueTable | None] = ContextVar("unitgroup_values", default=None)
@@ -504,7 +505,7 @@ def _unit_lifter(f: Morphism):
         nonlocal elim
         if elim is None:
             elim = linalg.eliminate(f._columns, reduce_above=True)
-        sols = elim.solve([list(w.coords)])
+        sols = elim.solve([w.row])
         if sols is None:
             return None
         cand = f.source.element(sols[0])

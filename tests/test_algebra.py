@@ -789,7 +789,11 @@ def test_products_refuse_a_scalar_of_another_prime():
     with pytest.raises(ContextMismatch):
         ident @ PadicMatrix.from_rows(C3, [[five], [one]])
     A = dual_numbers(C3)
-    x = A.element([five, one])
+    with pytest.raises(ContextMismatch):
+        A.element([five, one])
+    # an element is one Row of one prime too: a legitimate 5-adic element
+    # is refused by the products of a 3-adic algebra
+    x = dual_numbers(C5).from_ints([5, 1])
     with pytest.raises(ContextMismatch):
         A.mult_operator(x)
     with pytest.raises(ContextMismatch):
@@ -1564,3 +1568,131 @@ def test_image_matrix_matches_scalar_rows(f, data):
     if isinstance(want, AlgElement):
         want = ledger(want.coords)
     assert got == want
+
+
+# -- the Row of an element against the scalar tuple it replaces ------------
+
+
+class RefElement:
+    """AlgElement as it stood on a tuple of PadicScalar coordinates: sums,
+    negation, scalar products, equality and the precision queries scalar
+    by scalar, element products by fold_product, the inverse by a solve
+    against fold_operator, and morphism images by ref_apply."""
+
+    def __init__(self, algebra, coords):
+        self.algebra = algebra
+        self.coords = tuple(coords)
+
+    def __add__(self, other):
+        return RefElement(self.algebra, (a + b for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        return RefElement(self.algebra, (a - b for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self):
+        return RefElement(self.algebra, (-a for a in self.coords))
+
+    def __mul__(self, other):
+        if isinstance(other, PadicScalar):
+            return RefElement(self.algebra, (other * a for a in self.coords))
+        return RefElement(self.algebra, fold_product(self, other))
+
+    def inv(self):
+        A = self.algebra
+        sols = linalg.solve(fold_operator(A, self), [list(A.one)])
+        if sols is None:
+            raise NotAUnit("element is not invertible to precision")
+        return RefElement(A, sols[0])
+
+    def __eq__(self, other):
+        return len(self.coords) == len(other.coords) and all(
+            a == b for a, b in zip(self.coords, other.coords))
+
+    def agrees(self, other, prec):
+        return len(self.coords) == len(other.coords) and all(
+            a.agrees(b, prec) for a, b in zip(self.coords, other.coords))
+
+    def min_valuation(self):
+        vals = [c.v for c in self.coords if not c.is_zero]
+        return min(vals) if vals else None
+
+    def min_precision(self):
+        return min(c.prec for c in self.coords)
+
+    def is_zero_to_precision(self):
+        return all(c.is_zero for c in self.coords)
+
+
+def ref_apply(f, x):
+    """f(x) on RefElements: out = out + img * x_i over every x_i."""
+    out = RefElement(f.target, f.target.zero().coords)
+    for xi, img in zip(x.coords, f.images):
+        out = out + RefElement(f.target, img.coords) * xi
+    return out
+
+
+def element_outcome(fn):
+    """The ledger of the element fn() returns, or its other value, or the
+    type and message of the PadicError it raised."""
+    value = outcome(fn)
+    if isinstance(value, (AlgElement, RefElement)):
+        return value.algebra, ledger(value.coords)
+    return value
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(near_algebras(), st.data())
+def test_element_ops_match_scalar_coordinates(A, data):
+    p = A.ctx.p
+    entry = algebra_scalars(p)
+    coords = [[data.draw(entry) for _ in range(A.dim)] for _ in range(2)]
+    x, y = (A.element(c) for c in coords)
+    rx, ry = (RefElement(A, c) for c in coords)
+    c = data.draw(entry)
+    prec = data.draw(st.integers(-2, 14))
+    T = data.draw(ledger_algebras(p))
+    f = Morphism(A, T, tuple(T.element([data.draw(entry) for _ in range(T.dim)])
+                             for _ in range(A.dim)))
+    ops = [
+        lambda a, b: a + b, lambda a, b: a - b, lambda a, b: -a, lambda a, b: a * c,
+        lambda a, b: a * b, lambda a, b: a == b, lambda a, b: a.agrees(b, prec),
+        lambda a, b: a.min_valuation(), lambda a, b: a.min_precision(),
+        lambda a, b: a.is_zero_to_precision(), lambda a, b: a.inv(),
+    ]
+    for op in ops:
+        assert element_outcome(lambda: op(x, y)) == element_outcome(lambda: op(rx, ry))
+    assert element_outcome(lambda: f.apply(x)) == element_outcome(lambda: ref_apply(f, rx))
+    # x against a copy known to fewer digits, the same value below them
+    thin = [a.reduce(data.draw(st.integers(-2, 14))) for a in coords[0]]
+    for a, b in ((x, A.element(thin)), (A.element(thin), x)):
+        ra, rb = RefElement(A, a.coords), RefElement(A, b.coords)
+        assert (a == b, a.agrees(b, prec)) == (ra == rb, ra.agrees(rb, prec))
+    # the elements an algebra makes without scalars
+    ints = [data.draw(st.integers(-p ** 12, p ** 12)) for _ in range(A.dim)]
+    made = [(A.unit(), A.one), (A.zero(), [PadicScalar.zero(A.ctx)] * A.dim),
+            (A.scalar_element(c), [c * e for e in A.one]),
+            (A.from_ints(ints), [PadicScalar.from_int(A.ctx, n) for n in ints])]
+    made += [(A.basis_element(i), [PadicScalar.from_int(A.ctx, int(i == j))
+                                   for j in range(A.dim)]) for i in range(A.dim)]
+    for got, want in made:
+        assert ledger(got.coords) == ledger(want)
+
+
+def test_repeated_squaring_keeps_the_base():
+    # e = t/3 is idempotent in Q_3[t]/(t^2 - 3t): each product adds the
+    # bases of its factors, and it is rebased to its least valuation, so
+    # sixteen squarings leave the base at -1 (not -2^16)
+    ctx = PrimeContext(3, 12)
+    A = spectral_like(ctx)
+    e = A.element([PadicScalar.zero(ctx), PadicScalar.from_fraction(ctx, Fraction(1, 3))])
+    x = e
+    for _ in range(16):
+        x = x * x
+    assert x == e
+    assert x.row.base == x.min_valuation() == -1
+    # t/3 squares to zero in Q_3[t]/(t^2): a product that vanishes to
+    # precision is based at its least precision
+    z = dual_numbers(ctx).element([PadicScalar.zero(ctx), e.coords[1]])
+    for _ in range(16):
+        z = z * z
+    assert z.is_zero_to_precision() and z.row.base == z.min_precision()

@@ -692,3 +692,15 @@ def test_empty_system_inverts_to_the_empty_matrix():
     assert linalg.invert([]) == []
     inverse = PadicMatrix.from_rows(ctx, []).inverse()
     assert (inverse.nrows, inverse.ncols) == (0, 0)
+
+
+def test_dot_refuses_columns_of_another_prime():
+    # as sub_mul refuses a row of another prime, the product kernel
+    # refuses columns of one, whatever the row and the columns hold
+    C3, C5 = PrimeContext(3, 8), PrimeContext(5, 8)
+    row = Row.of_ints(C3, [1, 2])
+    for column in (Row.of_ints(C5, [1, 2]), Row.zeros(C5, 2)):
+        with pytest.raises(ContextMismatch):
+            Row.dot([(row, C3)], [column])
+    assert Row.dot([(row, C3)], [Row.of_ints(C3, [1, 2])]).scalars() == [
+        PadicScalar.from_int(C3, 5)]

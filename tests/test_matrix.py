@@ -555,10 +555,11 @@ def test_residues_and_reduction_match_scalar_tuples(operands):
 
 
 def test_hot_paths_build_no_scalars(monkeypatch):
-    # @, commutes_with, == and - on 6 x 6 matrices, a Koszul complex and
-    # the validation of a spectral tensor work on integer grids alone;
-    # reading entries builds one scalar per entry
-    from padic_simpson.algebra import FinAlgebra
+    # @, commutes_with, == and - on 6 x 6 matrices, a Koszul complex, the
+    # validation of a spectral tensor, and element products, sums, scalar
+    # products and morphism images in a 4-dimensional algebra work on
+    # integer grids alone; reading entries builds one scalar per entry
+    from padic_simpson.algebra import FinAlgebra, Morphism
     from padic_simpson.generate import gen_higgs
     from padic_simpson.higgs import spectral_algebra
     from padic_simpson.koszul import KoszulComplex
@@ -571,6 +572,10 @@ def test_hot_paths_build_no_scalars(monkeypatch):
     S = spectral_algebra(H)
     B = FinAlgebra.create(S.algebra.ctx, S.algebra.mul, S.algebra.one, validate=False,
                           exact_structure=False)
+    A = FinAlgebra.from_power_relation(ctx, [1, 5, 2, 3])
+    x, y = (A.from_ints([rng.randrange(5 ** 6) for _ in range(4)]) for _ in range(2))
+    c = PadicScalar.from_fraction(ctx, Fraction(2, 5))
+    f = Morphism(A, A, (A.unit(), y, x, x * y))
     built = []
     init = PadicScalar.__init__
 
@@ -585,6 +590,30 @@ def test_hot_paths_build_no_scalars(monkeypatch):
     a - b
     KoszulComplex(H.theta)
     B._validate()
+    x * y
+    x + y
+    x * c
+    f.apply(x)
     assert built == []
     product.entries
     assert len(built) == 36
+
+
+def test_repeated_squaring_keeps_the_base():
+    # E = [[1, 3^-1], [0, 0]] is idempotent: each X @ X adds the bases of
+    # its factors, and the product is rebased to its least valuation, so
+    # sixteen squarings leave the base at -1 (not -2^16) and take no time
+    ctx = PrimeContext(3, 12)
+    third = PadicScalar.from_fraction(ctx, Fraction(1, 3))
+    zero = PadicScalar.zero(ctx)
+    E = PadicMatrix.from_rows(ctx, [[PadicScalar.from_int(ctx, 1), third], [zero, zero]])
+    X = E
+    for _ in range(16):
+        X = X @ X
+    assert X == E
+    assert X.grid.base == X.min_valuation() == -1
+    # a product that vanishes to precision is based at its least precision
+    Z = PadicMatrix.from_rows(ctx, [[zero, third], [zero, zero]])
+    for _ in range(16):
+        Z = Z @ Z
+    assert Z.is_zero_to_precision() and Z.grid.base == Z.min_precision()

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from padic_simpson._series import int_valuation
-from padic_simpson.algebra import FinAlgebra, _rehome
+from padic_simpson.algebra import FinAlgebra
 from padic_simpson.context import PrimeContext
 from padic_simpson.errors import (
     ContextMismatch,
@@ -27,6 +27,7 @@ from padic_simpson.errors import (
 )
 from padic_simpson.generate import gen_higgs
 from padic_simpson.higgs import HiggsModule, SmallRep, higgs_to_rep
+from padic_simpson.linalg import Row
 from padic_simpson.matrix import PadicMatrix
 from padic_simpson.scalar import (
     PadicScalar,
@@ -337,8 +338,10 @@ def ref_rehome(c, ctx):
 @given(st.data())
 def test_shared_normaliser_matches_each_site(data):
     # __add__, __mul__, from_residue, from_fraction, from_val_unit, reduce
-    # and algebra._rehome end in one normaliser; each keeps the value,
-    # precision, normal form, context and exceptions of its own former body
+    # end in one normaliser, and linalg.Row.rehomed (the rehoming of
+    # algebra exp/log) builds its scalars in that normal form; each keeps
+    # the value, precision, normal form, context and exceptions of its own
+    # former body
     operand = ledger_operands(data.draw(st.sampled_from([2, 3, 5, 7])))
     x, y = data.draw(operand), data.draw(operand)
     ctx = x.ctx
@@ -361,7 +364,8 @@ def test_shared_normaliser_matches_each_site(data):
     assert (_ledger_outcome(lambda: PadicScalar.from_fraction(ctx, q, prec))
             == _ledger_outcome(lambda: ref_from_fraction(ctx, q, prec)))
     home = PrimeContext(ctx.p, data.draw(st.integers(8, 16)))
-    assert _ledger_outcome(lambda: _rehome(x, home)) == _ledger_outcome(lambda: ref_rehome(x, home))
+    assert (_ledger_outcome(lambda: Row.of([x]).rehomed(home).scalar(0))
+            == _ledger_outcome(lambda: ref_rehome(x, home)))
 
 
 class TestAgrees:

@@ -4,11 +4,12 @@ PadicScalar, AlgElement and PadicMatrix are plain slotted classes, so
 nothing stops an assignment to a field at run time; the immutability the
 rest of the package relies on is checked here instead, once, over the
 source.  The same check covers linalg.Row, the integer form of a row of
-scalars, and the shape and grid of a PadicMatrix, which is one Row: the
-Rows an algebra keeps for its constants and a morphism for its images,
-and the grids and the row and column slices of matrices, are shared by
-every product made with them, so neither a field nor an entry of one of
-its lists may be written.  Equality is
+scalars, the shape and grid of a PadicMatrix and the row of an
+AlgElement, each one Row: the Rows an algebra keeps for its constants and
+unit and a morphism for its images, the rows of elements, and the grids
+and the row and column slices of matrices, are shared by every product
+made with them, so neither a field nor an entry of one of its lists may
+be written.  Equality is
 precision-relative (7 mod 5^10 equals 7 mod 5^32), so no hash can agree
 with it and the values refuse one.
 """
@@ -28,7 +29,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "padic_simpson"
 # the fields of the value classes and of linalg.Row (and the ctx of every
 # other value)
 VALUE_FIELDS = frozenset({"ctx", "v", "u", "prec", "algebra", "coords", "entries", "tensor",
-                          "nrows", "ncols", "grid",
+                          "nrows", "ncols", "grid", "row",
                           "res", "amb", "ctxs", "base", "pw", "cap"})
 
 
@@ -110,6 +111,7 @@ def test_value_fields_are_never_written():
     "def f(m):\n    m.grid = None\n",
     "def f(m):\n    m.nrows, m2 = 0, 1\n",
     "def f(x):\n    x.cap -= 1\n",
+    "def f(x):\n    x.row = None\n",
 ])
 def test_field_writes_are_found(source):
     assert len(field_writes(ast.parse(source))) == 1
