@@ -6,8 +6,9 @@ e_i * e_j = sum_k c[i][j][k] e_k, plus the coordinates of 1.  The tensor
 is stored once, as one linalg.Row with c[i][j][k] at (i * m + j) * m + k,
 and so is the unit; the nested scalar tuples of FinAlgebra.mul are built
 from the tensor on each read.  Commutativity, associativity and the unit
-law are checked at construction (associativity via M_{e_i} M_{e_j} =
-M_{e_i e_j} on multiplication operators); internal constructions whose
+law are checked at construction (the unit law on the columns of M_1,
+associativity via M_{e_i} M_{e_j} = M_{e_i e_j} on multiplication
+operators, with e_i e_j read off the tensor); internal constructions whose
 tensors are read off from actual endomorphism algebras may skip the
 quadratic checks above the documented size gate.
 
@@ -37,9 +38,11 @@ and unit lifts eliminate), so their terms run over every x_i, c[i][j][k]
 and image coordinate, zero markers included: a zero marker x_i caps the
 entry at min(prec x_i + v c, prec c + prec x_i, N) and adds nothing to
 its value.  Element products have their own term loop, _product, over the
-Rows of the operands and of the tensor, whose terms (a_i * b_j) *
-c[i][j][k] run over the nonzero a_i, b_j and c[i][j][k]; validation makes
-its products x * e_j with it, e_j the unit Row.
+Rows of the operands and of the tensor, with the same ledger: its terms
+(a_i * b_j) * c[i][j][k] run over every a_i, b_j and c[i][j][k], zero
+markers included.  The Gram matrix of the trace form is one Row.dot too,
+of the traces with the slices c[i][j] of the tensor.  No sum skips a
+term.
 
 An algebra computes its structural invariants once, on first use, and
 keeps them for its lifetime (functools.cached_property on the frozen
@@ -62,8 +65,8 @@ at valuation >= e0 (then P = 1).  An exact tensor with an entry of M_x
 below e0 needs P, whose denominators would cost digits, so the engine
 runs on the exact lift of the algebra to a wider precision instead,
 capped at the sensitivity of exp/log to a p^N change of x and widened
-until every digit reaches the cap; an x nilpotent on that lift takes
-its finite series.
+until every digit reaches the cap.  A nilpotent x has every eigen-scalar
+at 0 and takes the same routes: there is no finite series.
 """
 
 from __future__ import annotations
@@ -120,8 +123,9 @@ class FinAlgebra:
     def _validate(self, full=True):
         """Commutativity, the unit law and (when full) associativity, decided
         on the integer tensor as the scalar checks c[i][j][k] == c[j][i][k],
-        1 * e_i == e_i and M_{e_i} M_{e_j} == M_{e_i e_j} decide them, the
-        products of elements with the ledger of AlgElement.__mul__."""
+        M_1 e_i == e_i and M_{e_i} M_{e_j} == M_{e_i e_j} decide them, the
+        operators with the ledger of mult_operator; e_i * e_j is, by
+        definition, the stored slice c[i][j]."""
         m = self.dim
         ctx = self.ctx
         flat = self.tensor
@@ -135,14 +139,15 @@ class FinAlgebra:
                             "structure constants not commutative at (%d,%d,%d)" % (i, j, k)
                         )
         units = [linalg.Row.unit(ctx, m, i) for i in range(m)]
+        one_op = self._operator(self.one).grid
         for i in range(m):
-            if not linalg.congruent(_product(self, self.one, units[i]), units[i]):
+            if not linalg.congruent(one_op.slice(i, None, m), units[i]):
                 raise PadicError("unit vector is not an identity at basis %d" % i)
         if full:
             ops = [self._operator(e) for e in units]
             for i in range(m):
                 for j in range(i + 1):
-                    prod_op = self._operator(_product(self, units[i], units[j]))
+                    prod_op = self._operator(flat.slice((i * m + j) * m, (i * m + j + 1) * m))
                     if not (ops[i] @ ops[j]) == prod_op:
                         raise PadicError("structure constants not associative at (%d,%d)" % (i, j))
 
@@ -188,13 +193,13 @@ class FinAlgebra:
 
     @cached_property
     def _terms(self) -> list:
-        """terms[i][j] lists the nonzero c[i][j][k] as (k, valuation,
-        precision, ambient precision, scaled residue)."""
+        """terms[i][j] lists every c[i][j][k], zero markers included, as
+        (k, valuation, precision, ambient precision, scaled residue)."""
         m = self.dim
         flat = self.tensor
-        live = [(t % m, v, q, n, r)
-                for t, (v, q, n, r) in enumerate(zip(flat.vals(), flat.prec, flat.amb, flat.res))]
-        rows = [tuple(c for c in live[s:s + m] if c[4]) for s in range(0, m ** 3, m)]
+        every = [(t % m, v, q, n, r)
+                 for t, (v, q, n, r) in enumerate(zip(flat.vals(), flat.prec, flat.amb, flat.res))]
+        rows = [tuple(every[s:s + m]) for s in range(0, m ** 3, m)]
         return [rows[i * m:(i + 1) * m] for i in range(m)]
 
     # -- structural invariants, each computed once on first use -------------
@@ -419,24 +424,21 @@ class Morphism:
 def _product(A: FinAlgebra, a: linalg.Row, b: linalg.Row) -> linalg.Row:
     """The coordinates of the product of the elements of A with
     coordinates a and b, as a Row of A's context: the sum of
-    (a_i * b_j) * c[i][j][k] over the nonzero a_i, b_j and c[i][j][k],
-    with the ledger of adding those products one by one to a zero marker
-    of A's context."""
+    (a_i * b_j) * c[i][j][k] over every a_i, b_j and c[i][j][k], zero
+    markers included, with the ledger of adding those products one by
+    one to a zero marker of A's context (that of Row.dot)."""
     ctx = A.ctx
     N = ctx.default_precision
     terms = A._terms
     precs = [N] * A.dim
     sums = [0] * A.dim
-    b_live = [(j, vb, pb, nb, sb)
-              for j, (sb, vb, pb, nb) in enumerate(zip(b.res, b.vals(), b.prec, b.amb)) if sb]
+    b_parts = list(enumerate(zip(b.res, b.vals(), b.prec, b.amb)))
     for i, (sa, va, pa, na) in enumerate(zip(a.res, a.vals(), a.prec, a.amb)):
-        if not sa:
-            continue
         terms_i = terms[i]
-        for j, vb, pb, nb, sb in b_live:
-            # the precision of a*b; when a*b is a zero marker (its
-            # valuation then counts as pab), pab + vc < pc + pab is the
-            # smaller bound anyway, since c is nonzero
+        for j, (sb, vb, pb, nb) in b_parts:
+            # the precision of a*b; when a*b is a zero marker its
+            # valuation counts as pab <= vab, and then pab + vc is the
+            # least bound of the term anyway
             pab = min(pa + vb, pb + va, na, nb)
             vab = va + vb
             sab = sa * sb
@@ -472,24 +474,18 @@ def nilradical(A: FinAlgebra):
 
 def _trace_form_radical(A: FinAlgebra):
     m = A.dim
-    mul = A.mul
+    flat = A.tensor
+    flat.vals()  # computed once for all the slices
     traces = []
     for l in range(m):
         t = PadicScalar.zero(A.ctx)
-        for j in range(m):
-            t = t + mul[l][j][j]
+        for c in flat.slice(l * m * m, (l + 1) * m * m, m + 1).scalars():  # the c[l][j][j]
+            t = t + c
         traces.append(t)
-    gram = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            g = PadicScalar.zero(A.ctx)
-            for l in range(m):
-                c = mul[i][j][l]
-                if not c.is_zero:
-                    g = g + c * traces[l]
-            row.append(g)
-        gram.append(row)
+    # gram[i][j] = the sum of c[i][j][l] * tr(e_l) over every l
+    grid = linalg.Row.dot([(linalg.Row.of(traces), A.ctx)],
+                          [flat.slice(s, s + m) for s in range(0, m ** 3, m)])
+    gram = [grid.slice(i * m, (i + 1) * m) for i in range(m)]
     basis = [A.element(v) for v in linalg.kernel_basis(gram)]
     for x in basis:
         if not (x ** m).is_zero_to_precision():
@@ -532,22 +528,6 @@ def quotient_by_ideal(A: FinAlgebra, ideal_basis):
 
 
 # -- exponential and logarithm ----------------------------------------------
-
-
-def _finite_series(nu: AlgElement, kind: str) -> AlgElement:
-    """exp(nu), or log(1 + nu), for nilpotent nu: the series stops within
-    dim terms, at the first power that vanishes to precision."""
-    A = nu.algebra
-    out = A.unit() if kind == "exp" else A.zero()
-    term = A.unit()
-    denom = 1
-    for n in range(1, A.dim + 1):
-        term = term * nu
-        if term.is_zero_to_precision():
-            break
-        denom = denom * n if kind == "exp" else (-1) ** (n + 1) * n
-        out = out + term * PadicScalar.from_fraction(A.ctx, Fraction(1, denom))
-    return out
 
 
 def _lift_algebra(A: FinAlgebra, wctx: PrimeContext) -> FinAlgebra:
@@ -651,8 +631,6 @@ def _exp_log(x: AlgElement, kind: str) -> AlgElement:
         wctx = ctx.widen(headroom)
         Aw = _lift_algebra(A, wctx)
         xw = AlgElement(Aw, x.row.lifted(wctx))
-        if xw.is_nilpotent():  # exactly, not only mod p^N
-            return _finite_series(x, kind)
         acc = AlgElement(Aw, _operator_series(Aw.mult_operator(xw), Aw.one, kind))
         level = _exp_cap(N, acc) if kind == "exp" else _log_cap(N, Aw.unit() + xw)
         if acc.min_precision() >= level:
@@ -665,9 +643,7 @@ def alg_exp(x: AlgElement) -> AlgElement:
     """Exponential in a finite-dimensional commutative algebra.
 
     Domain: every eigen-scalar of x has valuation >= e0.  The value is
-    exp(M_x) applied to 1, through the lattice basis of _operator_series;
-    on an exact tensor, an x nilpotent on its exact lift whose operator
-    has an entry below e0 takes the finite series instead.
+    exp(M_x) applied to 1, through the lattice basis of _operator_series.
     """
     return _exp_log(x, "exp")
 

@@ -21,7 +21,7 @@ from . import linalg
 from ._series import mat_mul
 from .errors import IntegralStructureFailure, PrecisionExhausted
 from .matrix import PadicMatrix
-from .scalar import PadicScalar
+from .scalar import PadicScalar, power
 
 _SATURATION_ROUNDS = 64
 
@@ -99,20 +99,11 @@ class _FpAlgebra:
                     out[k] = (out[k] + f * row[k]) % p
         return out
 
-    def power(self, a, e):
-        acc = self.one
-        sq = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, sq)
-            sq = self.mul(sq, sq)
-            e >>= 1
-        return acc
-
     def frobenius(self):
         """Matrix of the F_p-linear map x -> x^p, columns = images of basis."""
         m = self.dim
-        cols = [self.power([1 if t == i else 0 for t in range(m)], self.p) for i in range(m)]
+        cols = [power([1 if t == i else 0 for t in range(m)], self.p, self.one, self.mul)
+                for i in range(m)]
         return [[cols[j][i] for j in range(m)] for i in range(m)]
 
     def radical(self):

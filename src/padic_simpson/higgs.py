@@ -18,6 +18,7 @@ exp(tau_i) recovers the representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import linalg
 from .algebra import _FULL_CHECK_DIM, AlgElement, FinAlgebra, alg_exp
@@ -229,14 +230,17 @@ class SpectralAlgebra:
     basis_matrices: tuple
     tau: tuple
 
+    @cached_property
+    def _entries(self) -> list:
+        """Row t holds entry t, in row-major order, of every basis matrix."""
+        return linalg.transpose([b.grid for b in self.basis_matrices])
+
     def embed(self, x: AlgElement) -> PadicMatrix:
+        """The sum of x_i * basis_matrices[i] over every x_i, zero markers
+        included: entry t is the dot product of x with row t of _entries."""
         ctx = self.algebra.ctx
         n = self.basis_matrices[0].nrows
-        acc = PadicMatrix.zeros(ctx, n)
-        for c, mat in zip(x.coords, self.basis_matrices):
-            if not c.is_zero:
-                acc = acc + mat.scale(c)
-        return acc
+        return PadicMatrix(ctx, n, n, linalg.Row.dot([(x.row, ctx)], self._entries))
 
 
 def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:

@@ -29,11 +29,12 @@ AlgElement one Row of its coordinates (algebra.py).  The grid operations
 of matrices and elements have one body each, here: combined (+, -),
 negated, times, rehomed, reduced, agrees, min_valuation and congruent
 (==).  Row.dot is the one product kernel of matrices: PadicMatrix @,
-multiplication operators and morphism images are dot products of rows
-with column Rows on one base, each output entry one integer pass with the
-ledger of the scalar fold.  Element products, and the products x * e_j of
-algebra validation, read the operands and the tensor as Rows too
-(algebra._product).  Both kernels rebase their output (_rebased).
+multiplication operators, morphism images, spectral embeddings and the
+trace-form Gram matrix are dot products of rows with column Rows on one
+base, each output entry one integer pass with the ledger of the scalar
+fold over every term, zero markers included.  Element products read the
+operands and the tensor as Rows too, with the same ledger over every
+term (algebra._product).  Both kernels rebase their output (_rebased).
 Row.lifted is the one exact lift of residues into a wider context.
 """
 
@@ -726,11 +727,6 @@ def invert(mat, min_margin=DEFAULT_SLACK):
     precision."""
     rows = eliminate(mat, reduce_above=True, min_margin=min_margin).inverse()
     return None if rows is None else [r.scalars() for r in rows]
-
-
-def triangular_lattice_basis(cols):
-    """The columns of triangular_lattice_rows as PadicScalars."""
-    return [col.scalars() for col in triangular_lattice_rows(cols)]
 
 
 def triangular_lattice_rows(cols) -> list:

@@ -5,7 +5,7 @@ of a connected quotient.
 
 The decomposition behind everything: a unit of a connected algebra factors
 as u = c * (1 + n) with c a nonzero scalar and n nilpotent; the unipotent
-factor 1 + n is uniquely p-divisible (via the finite exp/log of nilpotents),
+factor 1 + n is uniquely p-divisible (via exp/log, defined on nilpotents),
 and the scalar factor decomposes through Teichmuller representatives.
 
 While cart_square_check runs it keeps a value table, one per call and per
@@ -181,7 +181,7 @@ def root_class_mul(a: RootClass, b: RootClass) -> RootClass:
 
 def unipotent_root(u: AlgElement, k: int) -> AlgElement:
     """The unique p^k-th root of a unipotent unit u = 1 + n (n nilpotent):
-    exp(log(u)/p^k), both series finite."""
+    exp(log(u)/p^k)."""
     if k == 0:
         return u
     scale = PadicScalar.from_val_unit(u.algebra.ctx, -k, 1)

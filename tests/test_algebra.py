@@ -82,6 +82,16 @@ def quadratic_field(ctx, c):
     return FinAlgebra.from_power_relation(ctx, [c, 0])
 
 
+def fraction_valuation(q, p):
+    """The p-adic valuation of the nonzero Fraction q."""
+    v, num, den = 0, q.numerator, q.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
 def cubic_nilpotents(ctx):
     """K[x]/(x^3)"""
     return FinAlgebra.from_power_relation(ctx, [0, 0, 0])
@@ -175,6 +185,16 @@ class TestNilradical:
                 x = A.from_ints([a, b])
                 if not x.is_zero_to_precision():
                     assert not x.is_nilpotent() or (a == 0 and b == 0)
+
+    def test_rank_decided_on_every_gram_term(self):
+        # e_1 * e_1 = O(5) e_1: the Gram entry (1, 1) is O(5) * tr(e_1) =
+        # O(5) * O(5), known mod 5^2 only, too thin to decide the rank
+        ctx = PrimeContext(5, 12)
+        o, z = PadicScalar.from_int(ctx, 1), PadicScalar.zero(ctx)
+        A = FinAlgebra.create(ctx, [[[o, z], [z, o]], [[z, o], [z, PadicScalar.zero(ctx, 1)]]],
+                              [o, z])
+        with pytest.raises(PrecisionExhausted, match="mod p\\^2"):
+            nilradical(A)
 
     def test_quotient_by_nilradical(self):
         A = cubic_nilpotents(C5)
@@ -352,7 +372,15 @@ class TestRootClasses:
         A = cubic_nilpotents(C5)
         u = A.unit() + A.basis_element(1)
         r = unipotent_root(u, 2)
-        assert (r ** 25).agrees(u, 28)
+        # the exact root (1 + x)^(1/25) = 1 + x/25 - 12 x^2/625, at every
+        # digit r claims
+        exact = [Fraction(1), Fraction(1, 25), Fraction(-12, 625)]
+        assert [c.prec for c in r.coords] == [26, 26, 26]
+        for c, want in zip(r.coords, exact):
+            got = 0 if c.is_zero else Fraction(c.u) * Fraction(5) ** c.v
+            assert got == want or fraction_valuation(got - want, 5) >= c.prec, (c, want)
+        power = r ** 25
+        assert power.agrees(u, power.min_precision())
 
 
 class TestAlgExpLog:
@@ -394,6 +422,15 @@ class TestAlgExpLog:
         x = A.from_ints([128, 1])
         assert alg_exp(x).agrees(A.from_ints([129, 129]), 8)
         assert alg_log(A.unit() + x).agrees(A.from_ints([128, 129]), 8)
+
+    def test_exact_nilpotent_keeps_the_terms_past_its_vanishing_power(self):
+        # x = 16 t + t^2 in exact K[t]/(t^3) at p = 2, N = 8: x^2 = 256 t^2
+        # vanishes mod 2^8 but x^2/2 = 128 t^2 does not, so exp(x) and
+        # log(1 + x) have 1 + 128 = 129 at t^2
+        A = cubic_nilpotents(PrimeContext(2, 8))
+        x = A.from_ints([0, 16, 1])
+        assert alg_exp(x).agrees(A.from_ints([1, 16, 129]), 8)
+        assert alg_log(A.unit() + x).agrees(A.from_ints([0, 16, 129]), 8)
 
     def test_nilpotent_any_valuation(self):
         # nilpotent arguments need no valuation bound: series is finite
@@ -638,20 +675,16 @@ class TestMorphism:
 
 
 def fold_product(x, y):
-    """x * y summed scalar by scalar, out[k] = out[k] + (a*b)*c: the
-    reference for the kernel behind AlgElement.__mul__."""
+    """x * y summed scalar by scalar, out[k] = out[k] + (a*b)*c, zero
+    coordinates and zero constants included: the reference for the kernel
+    behind AlgElement.__mul__."""
     A = x.algebra
     out = [PadicScalar.zero(A.ctx) for _ in range(A.dim)]
     for i, a in enumerate(x.coords):
-        if a.is_zero:
-            continue
         for j, b in enumerate(y.coords):
-            if b.is_zero:
-                continue
             ab = a * b
             for k, c in enumerate(A.mul[i][j]):
-                if not c.is_zero:
-                    out[k] = out[k] + ab * c
+                out[k] = out[k] + ab * c
     return out
 
 
@@ -776,6 +809,16 @@ def test_zero_marker_coordinate_caps_operator_and_image():
     assert [[c.prec for c in row] for row in M.entries] == [[32, 32], [5, 32]]
     f = Morphism(A, A, (A.unit(), A.basis_element(1)))
     assert [c.prec for c in f.apply(x).coords] == [32, 5]
+
+
+def test_zero_marker_coordinate_caps_element_product():
+    # y = [1, O(5^5)] in K[x]/(x^2): coordinate 1 of y * y is 2 * 1 * O(5^5),
+    # known mod 5^5 only
+    A = dual_numbers(C5)
+    y = A.element([PadicScalar.from_int(C5, 1), PadicScalar.zero(C5, 5)])
+    got = (y * y).coords
+    assert got[0] == PadicScalar.from_int(C5, 1) and got[0].prec == 32
+    assert got[1].is_zero and got[1].prec == 5
 
 
 def test_products_refuse_a_scalar_of_another_prime():
@@ -1333,9 +1376,10 @@ def fold_rows_product(a, b):
 
 
 def ref_validate(A, full=True):
-    """FinAlgebra._validate as it stood on scalar tuples: the constants
-    compared by scalar ==, 1 * e_i by the fold of AlgElement.__mul__, and
-    M_{e_i} M_{e_j} against M_{e_i e_j} by scalar folds."""
+    """FinAlgebra._validate on scalar tuples: the constants compared by
+    scalar ==, 1 * e_i read off the columns of the scalar fold of M_1, and
+    M_{e_i} M_{e_j} against M_{e_i e_j} by scalar folds, e_i * e_j read
+    off the constants."""
     m = A.dim
     for i in range(m):
         for j in range(i):
@@ -1343,16 +1387,16 @@ def ref_validate(A, full=True):
                 if not A.mul[i][j][k] == A.mul[j][i][k]:
                     raise PadicError(
                         "structure constants not commutative at (%d,%d,%d)" % (i, j, k))
-    one = A.element(A.one)
+    one_op = fold_operator(A, A.element(A.one))
     for i in range(m):
         e = A.basis_element(i)
-        if not all(a == b for a, b in zip(fold_product(one, e), e.coords)):
+        if not all(row[i] == b for row, b in zip(one_op, e.coords)):
             raise PadicError("unit vector is not an identity at basis %d" % i)
     if full:
         ops = [fold_operator(A, A.basis_element(i)) for i in range(m)]
         for i in range(m):
             for j in range(i + 1):
-                prod = A.element(fold_product(A.basis_element(i), A.basis_element(j)))
+                prod = A.element(A.mul[i][j])
                 lhs, rhs = fold_rows_product(ops[i], ops[j]), fold_operator(A, prod)
                 if not all(a == b for r, s in zip(lhs, rhs) for a, b in zip(r, s)):
                     raise PadicError("structure constants not associative at (%d,%d)" % (i, j))
@@ -1410,8 +1454,8 @@ def test_validation_matches_scalar_checks(A, full):
 @KERNEL_SETTINGS
 @given(st.data())
 def test_basis_products_match_scalar_fold(data):
-    # the products x * e_j that validation makes on integers carry the
-    # ledger of AlgElement.__mul__
+    # the products x * e_j on integer Rows carry the ledger of
+    # AlgElement.__mul__
     A = data.draw(ledger_algebras())
     x = A.element([data.draw(algebra_scalars(A.ctx.p)) for _ in range(A.dim)])
     for j in range(A.dim):

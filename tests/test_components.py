@@ -2,10 +2,12 @@
 connected components of exact power-relation algebras and of spectral
 algebras, for p in {2, 3, 5, 7} and N in {8, 12, 20, 32}.
 
-The digests below were recorded before the lattice search (_Order) kept
-one factorisation of its basis and folded coordinates as matrix products;
-every coordinate's (v, u, prec, ctx) and every refusal (exception type and
-message) must stay as it was.
+The digests below were re-recorded when every product-like sum of the
+algebra layer came to count every term, zero markers included (element
+products, the trace-form Gram matrix, validation's reading of e_i * e_j
+and spectral embeddings); CHANGES.md lists each record that moved.  Every
+coordinate's (v, u, prec, ctx) and every refusal (exception type and
+message) must stay as it is.
 """
 
 import hashlib
@@ -68,19 +70,19 @@ def components_grid_digest(p, n):
     return digest.hexdigest()[:16]
 
 
-# (3, 8) holds the refusal of spectral_algebra(gen_higgs(3, 2, 6, 0.6, 5,
-# precision=8)) as a PrecisionExhausted, "structure constants not
-# associative at (4,4)"; with that record typed PadicError, as the refusal
-# was raised before, the entry read "490911d9796dfee8"
+# at N = 8, the component quotients of spectral_algebra(gen_higgs(2, 2, 4,
+# 0.5, 2)) and of spectral_algebra(gen_higgs(3, 2, 3, 0.6, 1)) are refused
+# as PrecisionExhausted: a product of their basis lies in the span on 2
+# (and 3) digits only
 COMPONENTS_GRID = {
-    (2, 8): "fd121051b3161840", (2, 12): "cd7403c6b2677110",
-    (2, 20): "f23e8d6a005cd704", (2, 32): "b26531e70b5bac8d",
-    (3, 8): "95c9a5bbea20ed73", (3, 12): "886abf2f85674cd8",
-    (3, 20): "deabc21a31c80e8b", (3, 32): "17e71dcc6d4cf953",
-    (5, 8): "5229b9820728b851", (5, 12): "5dca42a7dc4d7026",
-    (5, 20): "e6df5f944e34478c", (5, 32): "ce68047fcb6fb450",
-    (7, 8): "35175194b7cffa42", (7, 12): "a083845294446f2d",
-    (7, 20): "1daad72ac96cf34a", (7, 32): "8d005d53683e1834",
+    (2, 8): "1b3d715200dce4f4", (2, 12): "67079cac127f7e75",
+    (2, 20): "00c4aa642cd856bc", (2, 32): "827dca8bd4f86a51",
+    (3, 8): "44706834e3f8f732", (3, 12): "489855c0c3a60c57",
+    (3, 20): "f6d08afd4a5a546e", (3, 32): "45bb2052bf31bfe9",
+    (5, 8): "d4c9ad746c023dac", (5, 12): "066ab0037c3b9d4a",
+    (5, 20): "aa137c149d8a4fe9", (5, 32): "c448e680b28f9899",
+    (7, 8): "4881b96e752ea1ad", (7, 12): "116868e78fa0143b",
+    (7, 20): "b7d7f2387def7a2d", (7, 32): "0d171420e7e02ed7",
 }
 
 

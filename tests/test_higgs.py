@@ -189,6 +189,22 @@ class TestSpectralAlgebra:
                 assert S.embed(ti) == th
             assert S.algebra.dim <= H.rank ** 2
 
+    def test_embed_counts_zero_marker_coordinates(self):
+        # x = [1, O(3^5), O(3^5)]: the basis matrices B_1 and B_2 have
+        # entries of valuation 1 to 6, so x_1 * B_1 + x_2 * B_2 is known to
+        # 6 to 9 digits in every entry, not to the 32 of x_0 * B_0
+        S = spectral_algebra(gen_higgs(3, 1, 3, 0.6, seed=1))
+        ctx = S.algebra.ctx
+        x = S.algebra.element([PadicScalar.from_int(ctx, 1), PadicScalar.zero(ctx, 5),
+                               PadicScalar.zero(ctx, 5)])
+        assert {c.prec for row in S.embed(x).entries for c in row} == {6, 7, 8, 9}
+
+    def test_thin_constants_validate_on_the_stored_tensor(self):
+        # at precision 8 the basis products are read off the solved tensor
+        # itself, and this B_theta passes associativity
+        S = spectral_algebra(gen_higgs(3, 2, 5, 0.6, 3, precision=8))
+        assert S.algebra.dim == 5
+
     def test_embedding_kernel_trivial(self):
         # the basis matrices are linearly independent by construction
         H = gen_higgs(5, d=2, rank=3, seed=9)
