@@ -201,13 +201,7 @@ def log_residue(u: int, p: int, v_min: int, prec: int) -> int:
 
 
 def teichmuller_residue(a: int, p: int, prec: int) -> int:
-    """The unique (p-1)-st root of unity congruent to a mod p, via iterating
-    x -> x^p (each step gains a digit; the map contracts on units)."""
-    mod = p ** prec
-    x = a % mod
-    for _ in range(prec + 1):
-        y = pow(x, p, mod)
-        if y == x:
-            break
-        x = y
-    return x
+    """The unique (p-1)-st root of unity congruent to the unit a mod p, mod
+    p^prec (prec >= 1): a^(p^(prec-1)).  Write a = w * e with w that root
+    and e = 1 mod p; w^p = w, and e^(p^(prec-1)) = 1 mod p^prec."""
+    return pow(a, p ** (prec - 1), p ** prec)

@@ -18,8 +18,10 @@ plain slotted class, never written to after construction
 are built from the Row on each read.  FinAlgebra.element reads scalars
 of its prime or a Row.  Sums, differences, negation, scalar products, ==,
 agrees and the precision queries have one body each on Row, shared with
-PadicMatrix.  FinAlgebra is a frozen dataclass with its own equality and
-no hash.
+PadicMatrix.  The inverse stays on Rows too: M_x is eliminated and its
+row operations are replayed on the Row of 1 (Elimination.solve_row), so
+no scalar is built.  FinAlgebra is a frozen dataclass with its own
+equality and no hash.
 
 Element products, multiplication operators and morphism images are
 bilinear sums of scalar products, each output coordinate or entry
@@ -329,11 +331,14 @@ class AlgElement:
         return power(self, k, self.algebra.unit())
 
     def inv(self) -> "AlgElement":
+        """The solution of M_x y = 1: M_x eliminated and its row operations
+        replayed on the Row of 1 (Elimination.solve_row)."""
         A = self.algebra
-        sols = linalg.solve(A.mult_operator(self).int_rows(), [A.one])
-        if sols is None:
+        sol = linalg.eliminate(A.mult_operator(self).int_rows(),
+                               reduce_above=True).solve_row(A.one)
+        if sol is None:
             raise NotAUnit("element is not invertible to precision")
-        return A.element(sols[0])
+        return AlgElement(A, sol)
 
     def is_zero_to_precision(self) -> bool:
         return not any(self.row.res)
@@ -426,7 +431,8 @@ def _product(A: FinAlgebra, a: linalg.Row, b: linalg.Row) -> linalg.Row:
     coordinates a and b, as a Row of A's context: the sum of
     (a_i * b_j) * c[i][j][k] over every a_i, b_j and c[i][j][k], zero
     markers included, with the ledger of adding those products one by
-    one to a zero marker of A's context (that of Row.dot)."""
+    one to a zero marker of A's context (that of Row.dot).  A term whose
+    product vanishes is counted in the precision alone."""
     ctx = A.ctx
     N = ctx.default_precision
     terms = A._terms
@@ -436,17 +442,33 @@ def _product(A: FinAlgebra, a: linalg.Row, b: linalg.Row) -> linalg.Row:
     for i, (sa, va, pa, na) in enumerate(zip(a.res, a.vals(), a.prec, a.amb)):
         terms_i = terms[i]
         for j, (sb, vb, pb, nb) in b_parts:
-            # the precision of a*b; when a*b is a zero marker its
-            # valuation counts as pab <= vab, and then pab + vc is the
-            # least bound of the term anyway
-            pab = min(pa + vb, pb + va, na, nb)
+            # the precision of a*b, min(pa + vb, pb + va, na, nb); when a*b
+            # is a zero marker its valuation counts as pab <= vab, and then
+            # pab + vc is the least bound of the term anyway
+            pab = pa + vb
+            q = pb + va
+            if q < pab:
+                pab = q
+            if na < pab:
+                pab = na
+            if nb < pab:
+                pab = nb
             vab = va + vb
             sab = sa * sb
             for k, vc, pc, nc, sc in terms_i[j]:
-                prec = min(pab + vc, pc + vab, na, nc)
+                # min(pab + vc, pc + vab, na, nc)
+                prec = pab + vc
+                q = pc + vab
+                if q < prec:
+                    prec = q
+                if na < prec:
+                    prec = na
+                if nc < prec:
+                    prec = nc
                 if prec < precs[k]:
                     precs[k] = prec
-                sums[k] += sab * sc
+                if sab and sc:
+                    sums[k] += sab * sc
     base = a.base + b.base + A.tensor.base
     pw = a.pw
     base, res = linalg._rebased(pw, base, [r % pw[q - base] for r, q in zip(sums, precs)],

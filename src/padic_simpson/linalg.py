@@ -20,7 +20,9 @@ them.  eliminate, Elimination.solve and triangular_lattice_rows take
 rows (or columns) of PadicScalars or Rows.  PadicScalars are built at
 the surface alone, in normal form, on the entries callers read:
 Elimination.rows, solutions, inverses, kernel vectors and lattice
-columns.
+columns.  Elimination.solve_row hands one solution back as a Row, for
+callers that stay on Rows (AlgElement.inv, unit lifts).  Row.key is the
+hashable form of a row's values, whatever its base.
 
 Row is the one integer form of a row of scalars in the package: a
 PadicMatrix is one Row of its entries in row-major order (matrix.py), a
@@ -107,7 +109,7 @@ class Row:
     comprehension per list.
     """
 
-    __slots__ = ("pw", "base", "res", "prec", "amb", "ctxs", "cap", "_val")
+    __slots__ = ("pw", "base", "res", "prec", "amb", "ctxs", "cap", "_val", "_key")
 
     def __init__(self, pw, base, res, prec, amb, ctxs, cap, val=None):
         self.pw = pw  # the powers of p
@@ -118,6 +120,7 @@ class Row:
         self.ctxs = ctxs
         self.cap = cap
         self._val = val
+        self._key = None
 
     def __len__(self):
         return len(self.res)
@@ -215,6 +218,22 @@ class Row:
         if r % pw.p:
             return self.base
         return self.base + pw.logs[gcd(r, pw[q - self.base])]
+
+    def key(self) -> tuple:
+        """The entries' values as one hashable tuple: the residues rebased
+        to the least valuation of a nonzero entry (_rebased; the base is
+        None when every entry is a zero marker), the precisions and the
+        contexts.  Two Rows have equal keys exactly when each entry has the
+        same (parts(), context), whatever their bases.  Computed when first
+        read, and kept."""
+        key = self._key
+        if key is None:
+            res = self.res
+            base = None
+            if any(res):
+                base, res = _rebased(self.pw, self.base, res, self.prec)
+            key = self._key = (base, tuple(res), tuple(self.prec), tuple(self.ctxs))
+        return key
 
     def parts(self, k):
         """(valuation, unit, precision, ambient) of entry k, valuation and
@@ -542,6 +561,16 @@ class Elimination:
         if not self.ncols:
             return [[] for _ in rhs_cols]
         return list(map(list, zip(*(r.scalars() for r in self._unknowns(rows, len(rhs_cols))))))
+
+    def solve_row(self, col: Row) -> Row | None:
+        """The solution of mat @ x = col for one Row col of length nrows,
+        as one Row over the unknowns (ncols >= 1): solve() on one column,
+        with no scalar built.  None when the system is inconsistent to
+        precision."""
+        rows = self._replay(transpose([col]))
+        if rows is None:
+            return None
+        return transpose(self._unknowns(rows, 1))[0]
 
     def inverse(self):
         """The rows of the inverse of the eliminated square matrix as Rows:

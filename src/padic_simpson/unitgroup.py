@@ -9,13 +9,19 @@ factor 1 + n is uniquely p-divisible (via exp/log, defined on nilpotents),
 and the scalar factor decomposes through Teichmuller representatives.
 
 While cart_square_check runs it keeps a value table, one per call and per
-thread (a ContextVar, reset when the check returns or raises): the unit
-tests, the powers x^(p^k) of root-class representatives, unipotent_root,
-scalar_pk_root and decompose_unit are then computed once per distinct
-argument, keyed by the algebra's identity and each coordinate's
-(v, u, prec, ctx).  A computation that raises is never kept, so it raises
-again where it did.  Outside a check nothing is kept and every function
-computes as it always did.
+thread (a ContextVar, reset when the check returns or raises).  It keeps
+the values of the unit tests, the powers x^(p^k) of root-class
+representatives, unipotent_root, scalar_pk_root and decompose_unit, and
+the outcomes of the check's loop bodies: the pullback reconstruction of
+each (unit of R, level) and the pushout factorisation of each unit of S
+at every level, an outcome being its count and its failure strings in
+their order.  Each is computed once per distinct argument, keyed by the
+algebra's identity and the Row.key of the element's coordinates (equal
+exactly when every coordinate has the same (v, u, prec, ctx)), or by a
+scalar's (v, u, prec, ctx); a unit that recurs in the batteries replays
+the recorded outcome.  A computation that raises is never kept, so it
+raises again where it did.  Outside a check nothing is kept and every
+function computes as it always did.
 """
 
 from __future__ import annotations
@@ -55,10 +61,9 @@ class _ValueTable:
     def key(self, x):
         if isinstance(x, PadicScalar):
             return (x.v, x.u, x.prec, x.ctx)
-        A, row = x.algebra, x.row
+        A = x.algebra
         self.algebras[id(A)] = A
-        # the parts of a Row are canonical whatever its base
-        return (id(A), tuple(map(row.parts, range(len(row)))), tuple(row.ctxs))
+        return (id(A), x.row.key())
 
 
 _VALUES: ContextVar[_ValueTable | None] = ContextVar("unitgroup_values", default=None)
@@ -316,11 +321,12 @@ def cart_square_check(
 
     The check keeps a value table for its own duration (see the module
     docstring): each unit test, power of a representative, p-power root
-    and decomposition is computed once per distinct argument, across
-    levels and battery units alike, and the table is dropped when the
-    check returns or raises.  The pushout loop also lifts and decomposes
-    each unit of S at its first level, then reports the outcome at every
-    level, counts and failure strings as if it were redone."""
+    and decomposition, and the outcome of each loop body, is computed
+    once per distinct argument, across levels and battery units alike,
+    and the table is dropped when the check returns or raises.  A unit
+    that recurs in a battery replays its recorded outcome, counts and
+    failure strings as if it were redone; the pushout body lifts and
+    decomposes its unit of S once for all levels."""
     token = _VALUES.set(_ValueTable())
     try:
         return _cart_square_check(R, quotient, levels, seed, slack)
@@ -360,9 +366,9 @@ def _cart_square_check(R, quotient, levels, seed, slack):
     s_units = r_images + unit_battery(S, seed + 1)
     lift_unit = _unit_lifter(f_live)
 
-    def root_class(i, k):
-        # the class of t^(p^k) at level k for battery unit i
-        return RootClass(R_live, _power(r_units[i], p ** k), k)
+    def root_class(t, k):
+        # the class of t^(p^k) at level k
+        return RootClass(R_live, _power(t, p ** k), k)
 
     # pullback, general form: a unit of R is determined by its image in S
     # together with its root class, i.e. the pairs (f(t), class(t^(p^k)))
@@ -376,23 +382,26 @@ def _cart_square_check(R, quotient, levels, seed, slack):
                 continue
             for k in levels:
                 report.pullback_checked += 1
-                if root_class_equal(root_class(ia, k), root_class(ib, k), slack):
+                if root_class_equal(root_class(t, k), root_class(tb, k), slack):
                     report.failures.append(
                         "pullback collision at level %d: %r vs %r" % (k, t, tb)
                     )
 
     # pullback, scalar form (available when R's units split as scalar times
     # unipotent): reconstruct t from the pair alone
-    for i, (t, s) in enumerate(zip(r_units, r_images)):
+    def pullback_outcome(t, s, k):
+        u, available = _pullback_unit(f_live, s, root_class(t, k), slack)
+        if not available:
+            return 0, ()
+        if u is None or not u.agrees(t, prec_goal):
+            return 1, ("pullback pair (level %d) did not reconstruct %r" % (k, t),)
+        return 1, ()
+
+    for t, s in zip(r_units, r_images):
         for k in levels:
-            u, available = _pullback_unit(f_live, s, root_class(i, k), slack)
-            if not available:
-                continue
-            report.pullback_checked += 1
-            if u is None or not u.agrees(t, prec_goal):
-                report.failures.append(
-                    "pullback pair (level %d) did not reconstruct %r" % (k, t)
-                )
+            count, failures = _recall("pullback", t, k, lambda: pullback_outcome(t, s, k))
+            report.pullback_checked += count
+            report.failures.extend(failures)
 
     # uniqueness: the only unit with trivial image and trivial root class is 1
     # (the kernel of the unit-group map is unipotent, hence torsion-free)
@@ -413,34 +422,38 @@ def _cart_square_check(R, quotient, levels, seed, slack):
 
     # pushout: every root class of S is reached by the two summands
     one_s = S.unit()
-    for u in s_units:
-        witness = None
+
+    def pushout_outcome(u):
+        n = len(levels)
+        if not n:
+            return 0, ()
+        dec, failure = _pushout_witness(f_live, lift_unit, u, prec_goal)
+        if failure is not None:
+            return n, (failure,) * n
+        if dec is None:
+            return n, ()  # eigen-scalar not in Q_p; the general witness stands
+        # decomposition witness (scalar residue field): nilpotent factor
+        # from S at level 0 via unique p-divisibility, scalar class from R
+        unipotent = one_s + dec.nilpotent_part
+        failures = []
         for k in levels:
-            report.pushout_checked += 1
-            if witness is None:
-                witness = _pushout_witness(f_live, lift_unit, u, prec_goal)
-            dec, failure = witness
-            if failure is not None:
-                report.failures.append(failure)
-                continue
-            if dec is None:
-                continue  # eigen-scalar not in Q_p; the general witness stands
-            # decomposition witness (scalar residue field): nilpotent factor
-            # from S at level 0 via unique p-divisibility, scalar class from R
-            unipotent = one_s + dec.nilpotent_part
             w = unipotent_root(unipotent, k)
             Wn = lift_unit(w)
             if Wn is None or not f_live.apply(Wn).agrees(w, prec_goal):
-                report.failures.append("unipotent factor has no unit lift to R")
+                failures.append("unipotent factor has no unit lift to R")
                 continue
             product = root_class_mul(
                 RootClass(S, f_live.apply(Wn), 0),
                 RootClass(S, S.scalar_element(dec.scalar_part), k),
             )
             if not root_class_equal(RootClass(S, u, k), product, slack):
-                report.failures.append(
-                    "pushout factorisation missed (level %d) for %r" % (k, u)
-                )
+                failures.append("pushout factorisation missed (level %d) for %r" % (k, u))
+        return n, tuple(failures)
+
+    for u in s_units:
+        count, failures = _recall("pushout", u, None, lambda: pushout_outcome(u))
+        report.pushout_checked += count
+        report.failures.extend(failures)
     return report
 
 
@@ -498,17 +511,18 @@ def _unit_lifter(f: Morphism):
     """lift(w): a unit of the source mapping to the unit w, or None; any
     linear preimage works when the kernel is nilpotent (connected onto
     connected).  The image matrix, whose rows are the Rows f keeps for
-    apply, is eliminated once, at the first call."""
+    apply, is eliminated once, at the first call, and each lift is one
+    Row (Elimination.solve_row)."""
     elim = None
 
     def lift(w: AlgElement):
         nonlocal elim
         if elim is None:
             elim = linalg.eliminate(f._columns, reduce_above=True)
-        sols = elim.solve([w.row])
-        if sols is None:
+        sol = elim.solve_row(w.row)
+        if sol is None:
             return None
-        cand = f.source.element(sols[0])
+        cand = AlgElement(f.source, sol)
         try:
             _require_unit(cand)
         except NotAUnit:

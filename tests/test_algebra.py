@@ -33,6 +33,7 @@ from padic_simpson.algebra import (
 from padic_simpson.context import PrimeContext
 from padic_simpson.errors import (
     ContextMismatch,
+    DivisionByZeroToPrecision,
     NotAUnit,
     NotConnected,
     NotSurjective,
@@ -1080,6 +1081,37 @@ def test_pushout_failures_reported_at_every_level():
     assert counts["unipotent factor has no unit lift to R"] == 32
 
 
+def test_square_check_runs_each_body_once_per_distinct_unit(monkeypatch):
+    # K[x]/(x^2) -> K at p = 5: R's battery holds 12 units of 11 distinct
+    # values, and the units of S 21 of 13; the pushout witness runs once
+    # per distinct unit of S and the pullback reconstruction once per
+    # distinct (unit of R, level), and the report is the pinned one
+    R, f = cartdiag_cases(C5)[1]
+    levels = (0, 1, 2)
+    witnesses, pullbacks = [], []
+    witness, pullback = unitgroup._pushout_witness, unitgroup._pullback_unit
+
+    def counted_witness(f_live, lift_unit, u, prec):
+        witnesses.append(u.row.key())
+        return witness(f_live, lift_unit, u, prec)
+
+    def counted_pullback(f_live, s, rc, slack):
+        pullbacks.append((s.row.key(), rc.representative.row.key(), rc.level))
+        return pullback(f_live, s, rc, slack)
+
+    monkeypatch.setattr(unitgroup, "_pushout_witness", counted_witness)
+    monkeypatch.setattr(unitgroup, "_pullback_unit", counted_pullback)
+    report = cart_square_check(R, f, levels=levels, seed=0)
+    assert report.ok and (report.pullback_checked, report.pushout_checked) == (51, 63)
+    r_units = unit_battery(R, 0)
+    s_units = [f.apply(t) for t in r_units] + unit_battery(f.target, 1)
+    distinct_t = {t.row.key() for t in r_units}
+    distinct_u = {u.row.key() for u in s_units}
+    assert (len(r_units), len(distinct_t), len(s_units), len(distinct_u)) == (12, 11, 21, 13)
+    assert len(witnesses) == len(set(witnesses)) and set(witnesses) == distinct_u
+    assert len(pullbacks) == len(set(pullbacks)) == len(distinct_t) * len(levels)
+
+
 # cart_square_check per cartdiag case at seed 0 on low precisions, failure
 # paths included: (counts, number of failures, sha256 prefix of the failure
 # strings joined by newlines) per case, or (exception type, message) where
@@ -1720,6 +1752,53 @@ def test_element_ops_match_scalar_coordinates(A, data):
                                    for j in range(A.dim)]) for i in range(A.dim)]
     for got, want in made:
         assert ledger(got.coords) == ledger(want)
+
+
+def solve_route_inv(x):
+    """AlgElement.inv as it stood: linalg.solve on the rows of M_x against
+    the unit, the solution read back through scalars and Row.of."""
+    A = x.algebra
+    sols = linalg.solve(A.mult_operator(x).int_rows(), [A.one])
+    if sols is None:
+        raise NotAUnit("element is not invertible to precision")
+    return A.element(sols[0])
+
+
+@KERNEL_SETTINGS
+@given(near_algebras(), st.data())
+def test_inv_matches_solve_route(A, data):
+    # drawn, thin, and near-singular elements (coordinates of high
+    # valuation, so that M_x is singular to few digits): every coordinate's
+    # (v, u, prec, ctx), or the type and message of the refusal
+    p = A.ctx.p
+    entry = algebra_scalars(p)
+    x = A.element([data.draw(entry) for _ in range(A.dim)])
+    thin = A.element([c.reduce(data.draw(st.integers(-2, 14))) for c in x.coords])
+    near = A.from_ints([p ** data.draw(st.integers(0, 14)) * data.draw(st.integers(-p, p))
+                        for _ in range(A.dim)])
+    for y in (x, thin, near, A.unit() + near):
+        assert element_outcome(y.inv) == element_outcome(lambda: solve_route_inv(y))
+
+
+C5_8 = PrimeContext(5, 8)
+
+
+@pytest.mark.parametrize("coords, error", [
+    # nilpotent: M_x has rank 1 and 1 is not in its image
+    ([PadicScalar.zero(C5_8), PadicScalar.from_int(C5_8, 1)], NotAUnit),
+    # the pivot 5^-8 has no digit of its inverse below p^N
+    ([PadicScalar.from_val_unit(C5_8, -8, 1)], DivisionByZeroToPrecision),
+    # 5 known mod 5: a zero decided on one digit
+    ([PadicScalar.from_int(C5_8, 5, 1)], PrecisionExhausted),
+])
+def test_inv_refusals_match_solve_route(coords, error):
+    A = (FinAlgebra.field if len(coords) == 1 else dual_numbers)(C5_8)
+    x = A.element(coords)
+    with pytest.raises(error) as got:
+        x.inv()
+    with pytest.raises(error) as want:
+        solve_route_inv(x)
+    assert str(got.value) == str(want.value)
 
 
 def test_repeated_squaring_keeps_the_base():

@@ -704,3 +704,78 @@ def test_dot_refuses_columns_of_another_prime():
             Row.dot([(row, C3)], [column])
     assert Row.dot([(row, C3)], [Row.of_ints(C3, [1, 2])]).scalars() == [
         PadicScalar.from_int(C3, 5)]
+
+
+# -- Row.key --------------------------------------------------------------
+
+
+def _entries(row):
+    """Per entry, the (parts, context) that Row.key stands for."""
+    return [(row.parts(k), row.ctxs[k]) for k in range(len(row))]
+
+
+def _moved(row, s):
+    """row on a base s lower: the same entries, residues scaled by p^s."""
+    pw = row.pw
+    return Row(pw, row.base - s, [r * pw[s] for r in row.res], row.prec, row.amb, row.ctxs,
+               row.cap)
+
+
+@st.composite
+def key_rows(draw):
+    """Rows of one prime made several ways from one draw of scalars: by
+    Row.of, moved to a lower base, as a rebased product with 1 when the
+    scalars share a context, and with one entry changed in value,
+    precision (zero markers included) or context."""
+    ctx = CONTEXTS[draw(st.sampled_from(sorted(CONTEXTS)))]
+    p = ctx.p
+    xs = [draw(scalars(ctx)) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):  # one context for all
+        xs = [x.reduce(ctx.default_precision) for x in xs]
+        xs = [PadicScalar(ctx, x.v, x.u, x.prec) for x in xs]
+    row = Row.of(xs)
+    rows = [row, _moved(row, draw(st.integers(1, 3))), Row.of(list(xs))]
+    if all(x.ctx is ctx for x in xs):
+        one = Row.of([PadicScalar.from_int(ctx.widen(8), 1)])
+        rows.append(Row.dot([(one, ctx)], [row.slice(k, k + 1) for k in range(len(xs))]))
+    k = draw(st.integers(0, len(xs) - 1))
+    x = xs[k]
+    changed = draw(st.sampled_from([
+        PadicScalar.zero(x.ctx, max(1, x.prec - 1)),
+        PadicScalar.zero(x.ctx, x.prec),
+        PadicScalar(x.ctx.widen(1), x.v, x.u, x.prec),
+        x + PadicScalar.from_val_unit(x.ctx, max(x.prec - 1, -1), 1),
+        x.reduce(x.prec - 1),
+    ]))
+    other = Row.of(xs[:k] + [changed] + xs[k + 1:])
+    rows += [other, _moved(other, 2)]
+    # every nonzero entry at one valuation higher, same unit and precision
+    # where that fits: the rebased residues may agree, the values do not
+    rows.append(Row.of([PadicScalar(x.ctx, x.v + 1, x.u, x.prec)
+                        if x.v is not None and x.u < p ** (x.prec - x.v - 1) else x
+                        for x in xs]))
+    assert all(r.pw.p == p for r in rows)
+    return rows
+
+
+@SETTINGS
+@given(key_rows())
+def test_row_key_is_the_entries_values(rows):
+    # equal keys exactly where every entry has equal parts and context,
+    # whatever the base; the key is kept and hashable
+    for a in rows:
+        assert a.key() is a.key()
+        hash(a.key())
+        for b in rows:
+            assert (a.key() == b.key()) == (_entries(a) == _entries(b))
+    assert rows[0].key() == rows[1].key() == rows[2].key()
+
+
+def test_row_key_keeps_the_base_of_values_only():
+    # 3 * [1, 2] and [1, 2] rebase to the same residues on different
+    # bases; zero markers have no base to keep
+    ctx = PrimeContext(3, 8)
+    assert Row.of_ints(ctx, [3, 6]).key() != Row.of_ints(ctx, [1, 2]).key()
+    zeros = Row.zeros(ctx, 2)
+    assert _moved(zeros, 3).key() == zeros.key() != Row.of_ints(ctx, [0, 0], 7).key()
+    assert Row.zeros(PrimeContext(3, 9), 2).key() != zeros.key()

@@ -147,3 +147,30 @@ def test_series_products_grow_like_sqrt_of_terms(monkeypatch, kernel, terms):
         t = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)]
     kernel(t, 3, 1, 32)
     assert 0 < len(calls) <= 2 * (isqrt(terms) + 1) < terms
+
+
+# -- Teichmuller residues --------------------------------------------------------
+
+def ref_teichmuller_residue(a, p, prec):
+    """The kernel as it stood: x -> x^p iterated from a mod p^prec until it
+    stops moving, at most prec + 1 times."""
+    mod = p ** prec
+    x = a % mod
+    for _ in range(prec + 1):
+        y = pow(x, p, mod)
+        if y == x:
+            break
+        x = y
+    return x
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_teichmuller_residue_matches_iteration(p):
+    # every unit residue class a mod p, lifted by a few multiples of p so
+    # that a is not already a root of unity, at every precision 1..70
+    for prec in range(1, 71):
+        for a in range(1, p):
+            for lift in (a, a + p, a + 7 * p, a + p ** 2 * 11):
+                got = _series.teichmuller_residue(lift, p, prec)
+                assert got == ref_teichmuller_residue(lift, p, prec), (lift, prec)
+                assert pow(got, p, p ** prec) == got and (got - a) % p == 0
