@@ -184,14 +184,12 @@ class FinAlgebra:
                      for i in range(m))
 
     @cached_property
-    def _columns(self) -> list:
+    def _columns(self) -> tuple:
         """columns[k * m + j] is the slice of the tensor over the
         c[i][j][k], the column of entry (k, j) of the multiplication
         operators."""
         m = self.dim
-        flat = self.tensor
-        flat.vals()  # computed once for all the slices
-        return [flat.slice(j * m + k, None, m * m) for k in range(m) for j in range(m)]
+        return self.tensor.slices([j * m + k for k in range(m) for j in range(m)], m, m * m)
 
     @cached_property
     def _terms(self) -> list:
@@ -497,7 +495,6 @@ def nilradical(A: FinAlgebra):
 def _trace_form_radical(A: FinAlgebra):
     m = A.dim
     flat = A.tensor
-    flat.vals()  # computed once for all the slices
     traces = []
     for l in range(m):
         t = PadicScalar.zero(A.ctx)
@@ -505,9 +502,8 @@ def _trace_form_radical(A: FinAlgebra):
             t = t + c
         traces.append(t)
     # gram[i][j] = the sum of c[i][j][l] * tr(e_l) over every l
-    grid = linalg.Row.dot([(linalg.Row.of(traces), A.ctx)],
-                          [flat.slice(s, s + m) for s in range(0, m ** 3, m)])
-    gram = [grid.slice(i * m, (i + 1) * m) for i in range(m)]
+    grid = linalg.Row.dot([(linalg.Row.of(traces), A.ctx)], flat.slices(range(0, m ** 3, m), m))
+    gram = grid.slices(range(0, m * m, m), m)
     basis = [A.element(v) for v in linalg.kernel_basis(gram)]
     for x in basis:
         if not (x ** m).is_zero_to_precision():

@@ -6,7 +6,9 @@ as lambda_i * 1 + q_i(N) for one shared strictly upper-triangular nilpotent
 N per block and random polynomials q_i without constant term (hence
 simultaneously upper-triangular and commuting in a common basis), then the
 whole family is conjugated by one random unimodular integral matrix.
-Density 0 yields the zero Higgs field.
+Density 0 yields the zero Higgs field; a density is a probability, so one
+outside [0, 1] (or NaN) is refused rather than read as the nearest law
+under another seed.
 
 All draws go through random.Random seeded with a string (hashed with
 sha512 by the stdlib), so results are stable across processes and runs.
@@ -18,6 +20,7 @@ import random
 
 from ._series import mat_mul
 from .context import PrimeContext
+from .errors import PadicError
 from .higgs import HiggsModule, SmallRep, higgs_to_rep
 from .matrix import PadicMatrix
 from .scalar import PadicScalar
@@ -49,6 +52,8 @@ def gen_higgs(p, d, rank, density=0.6, seed=0, precision=32) -> HiggsModule:
     """A valid Higgs module: d commuting small rank x rank matrices,
     deterministic in (p, d, rank, density, seed, precision)."""
     ctx = PrimeContext(p, precision)
+    if not 0 <= density <= 1:  # NaN included
+        raise PadicError("the density must lie in [0, 1], got %r" % density)
     e0 = ctx.e0
     # precision is deliberately not part of the seed: the same seed at a
     # higher precision is a refinement of the same instance

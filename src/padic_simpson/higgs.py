@@ -151,7 +151,7 @@ def _validate(X) -> ValidationReport:
     entry at valuation >= e0)."""
     report = ValidationReport(X.kind)
     e0 = X.ctx.e0
-    mats = X.matrices
+    mats = _detached(X.matrices)
     for i in range(X.d):
         for j in range(i + 1, X.d):
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
@@ -164,6 +164,14 @@ def _validate(X) -> ValidationReport:
             if r and v < e0:
                 report.smallness.append((i, t // n, t % n, v))
     return report
+
+
+def _detached(mats) -> list:
+    """Matrices on the grids of mats.  A matrix keeps the row and column
+    views its products slice from it (matrix.py); taken on these, the
+    views of a check on the caller's matrices last as long as the check,
+    not as long as the caller holds mats."""
+    return [PadicMatrix(m.ctx, m.nrows, m.ncols, m.grid) for m in mats]
 
 
 def validate_higgs(H: HiggsModule) -> ValidationReport:
@@ -254,10 +262,11 @@ def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:
     span = _IncrementalSpan()
     span.add(basis[0].grid)
     frontier = [basis[0]]
+    theta = _detached(H.theta)
     while frontier:
         next_frontier = []
         for mat in frontier:
-            for t in H.theta:
+            for t in theta:
                 cand = mat @ t
                 if span.add(cand.grid):
                     basis.append(cand)

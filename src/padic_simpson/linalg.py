@@ -22,7 +22,9 @@ the surface alone, in normal form, on the entries callers read:
 Elimination.rows, solutions, inverses, kernel vectors and lattice
 columns.  Elimination.solve_row hands one solution back as a Row, for
 callers that stay on Rows (AlgElement.inv, unit lifts).  Row.key is the
-hashable form of a row's values, whatever its base.
+hashable form of a row's values, whatever its base.  Row.slices cuts the
+rows or the columns of a grid at once, sharing among them each list of
+precisions, ambient precisions or contexts that holds one value.
 
 Row is the one integer form of a row of scalars in the package: a
 PadicMatrix is one Row of its entries in row-major order (matrix.py), a
@@ -34,9 +36,15 @@ negated, times, rehomed, reduced, agrees, min_valuation and congruent
 multiplication operators, morphism images, spectral embeddings and the
 trace-form Gram matrix are dot products of rows with column Rows on one
 base, each output entry one integer pass with the ledger of the scalar
-fold over every term, zero markers included.  Element products read the
-operands and the tensor as Rows too, with the same ledger over every
-term (algebra._product).  Both kernels rebase their output (_rebased).
+fold over every term, zero markers included.  That ledger's halves, the
+least prec a + v b and the least prec b + v a over the terms, are read
+from the operands' minima (Row.minima: the least valuation, and the one
+precision when all entries share it, kept per Row) whenever that side
+has one precision P, for min(P + v b) is P + min(v b) exactly; only a
+row or column of mixed precisions pays the per-term pass.  Element
+products read the operands and the tensor as Rows too, with the same
+ledger over every term (algebra._product).  Both kernels rebase their
+output (_rebased).
 Row.lifted is the one exact lift of residues into a wider context.
 """
 
@@ -109,7 +117,7 @@ class Row:
     comprehension per list.
     """
 
-    __slots__ = ("pw", "base", "res", "prec", "amb", "ctxs", "cap", "_val", "_key")
+    __slots__ = ("pw", "base", "res", "prec", "amb", "ctxs", "cap", "_val", "_key", "_mins")
 
     def __init__(self, pw, base, res, prec, amb, ctxs, cap, val=None):
         self.pw = pw  # the powers of p
@@ -121,6 +129,7 @@ class Row:
         self.cap = cap
         self._val = val
         self._key = None
+        self._mins = None
 
     def __len__(self):
         return len(self.res)
@@ -199,6 +208,31 @@ class Row:
                    amb, self.ctxs[start:stop:step], min(amb) if amb else None,
                    None if val is None else val[start:stop:step])
 
+    def slices(self, starts, size, step=1) -> tuple:
+        """The Rows of the size entries start, start + step, .. for each
+        start in starts, on this row's base: the rows or the columns of a
+        grid.  When this row has one precision, or one context (and so
+        one ambient precision), every slice shares one list of it, so the
+        views a matrix or an algebra keeps cost little more than their
+        residues and valuations."""
+        pw, base, res, prec, amb, ctxs = self.pw, self.base, self.res, self.prec, self.amb, self.ctxs
+        val = self._val or self.vals()
+        span = (size - 1) * step + 1 if size else 0
+        one_prec = prec and prec.count(prec[0]) == len(prec)
+        one_ctx = ctxs and ctxs.count(ctxs[0]) == len(ctxs)
+        q, a, c = prec[:size], amb[:size], ctxs[:size]
+        cap = min(a) if a else None
+        out = []
+        for s in starts:
+            e = s + span
+            if not one_prec:
+                q = prec[s:e:step]
+            if not one_ctx:
+                a, c = amb[s:e:step], ctxs[s:e:step]
+                cap = min(a) if a else None
+            out.append(Row(pw, base, res[s:e:step], q, a, c, cap, val[s:e:step]))
+        return tuple(out)
+
     def vals(self) -> list:
         if self._val is None:
             pw, base = self.pw, self.base
@@ -218,6 +252,22 @@ class Row:
         if r % pw.p:
             return self.base
         return self.base + pw.logs[gcd(r, pw[q - self.base])]
+
+    def minima(self) -> tuple:
+        """(least valuation, the one precision of every entry or None when
+        the precisions differ), a zero marker's valuation counting as its
+        precision; (None, None) for an empty row.  Computed when first
+        read, and kept: Row.dot reads one half of its ledger from them."""
+        mins = self._mins
+        if mins is None:
+            prec = self.prec
+            if not prec:
+                mins = self._mins = (None, None)
+            else:
+                q = prec[0]
+                mins = self._mins = (min(self._val or self.vals()),
+                                     q if prec.count(q) == len(prec) else None)
+        return mins
 
     def key(self) -> tuple:
         """The entries' values as one hashable tuple: the residues rebased
@@ -385,26 +435,42 @@ class Row:
     @staticmethod
     def dot(rows, columns) -> "Row":
         """The dot products of each (row, ctx) of rows, nonempty and on one
-        base, with each Row of columns, on one base and of the rows' prime,
-        as one rebased Row in row-major order: the value and precision of
-        adding the products a*b one by one to a zero marker of ctx.  That
-        precision is the least of ctx's N and, over the terms, min(prec a
-        + v b, prec b + v a, N a, N b), a zero marker's valuation counting
-        as its precision; each product is exact modulo its own precision,
-        so the exact sum of the scaled residues, reduced mod p^(precision -
-        base), has the digits of the fold."""
+        base, with each Row of columns, on one base, of the rows' length
+        and of the rows' prime, as one rebased Row in row-major order: the
+        value and precision of adding the products a*b one by one to a zero
+        marker of ctx.  That precision is the least of ctx's N and, over
+        the terms, min(prec a + v b, prec b + v a, N a, N b), a zero
+        marker's valuation counting as its precision; each product is
+        exact modulo its own precision, so the exact sum of the scaled
+        residues, reduced mod p^(precision - base), has the digits of the
+        fold.
+
+        The ledger is taken in halves, min over the terms of prec a + v b
+        and of prec b + v a.  When every entry of the row has one
+        precision P, min(P + v b) is P + min(v b) exactly, and likewise
+        for a column of one precision, so that half is read from the
+        operands' minima (Row.minima, kept per Row) instead of a pass over
+        the terms."""
         pw = rows[0][0].pw
         if columns and columns[0].pw is not pw:
             raise ContextMismatch("mixed primes %d and %d" % (pw.p, columns[0].pw.p))
         base = rows[0][0].base + (columns[0].base if columns else 0)
-        cols = [(c.res, c.prec, c._val or c.vals(), c.cap) for c in columns]
+        cols = [(c.res, c.prec, c._val or c.vals(), c.cap) + c.minima() for c in columns]
         out_res, out_prec, amb, ctxs = [], [], [], []
         for row, ctx in rows:
             res, prec, vals = row.res, row.prec, row._val or row.vals()
+            least, same = row.minima()
             N = ctx.default_precision
             cap = row.cap if row.cap < N else N
-            for cres, cprec, cvals, ccap in cols:
-                q = min(min(map(add, prec, cvals)), min(map(add, cprec, vals)), ccap, cap)
+            for cres, cprec, cvals, ccap, cleast, csame in cols:
+                q = same + cleast if same is not None else min(map(add, prec, cvals))
+                w = csame + least if csame is not None else min(map(add, cprec, vals))
+                if w < q:
+                    q = w
+                if ccap < q:
+                    q = ccap
+                if cap < q:
+                    q = cap
                 out_prec.append(q)
                 out_res.append(sum(map(mul, res, cres)) % pw[q - base])
             amb += [N] * len(cols)

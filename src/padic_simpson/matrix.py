@@ -8,7 +8,13 @@ precision is kept per entry, not per matrix, as in the per-entry-precision
 linear algebra of Caruso, Roe and Vaccon (p-adic stability in linear
 algebra, ISSAC 2015).  Rows and columns are slices of the grid
 (int_rows, int_columns), so elimination and the product kernel read them
-without building scalars.
+without building scalars; each view is made once per matrix, on first
+read, and kept as a tuple, so a matrix that enters many products is
+sliced once and no caller can grow a kept view.  The slices share one
+list of each of the precisions, ambient precisions and contexts that is
+one value throughout the grid (Row.slices), and a view lives as long as
+its matrix: a check on matrices a caller holds takes its products on
+fresh matrices over the same grids (higgs._detached).
 
 Arithmetic works on the grid, each entry with the ledger of the scalar
 expression it replaces (scalar.py): + and - that of PadicScalar + and -
@@ -28,16 +34,16 @@ summing PadicScalar terms; the wrappers re-wrap results at the precision the
 input supports (exp and log preserve absolute precision on their domains),
 and refuse with PrecisionExhausted an input known to no digit.
 
-PadicMatrix, like PadicScalar, is a plain slotted class that is never
-written to after construction (checked over the sources by
-tests/test_values.py) and is unhashable, its equality being
-precision-relative.
+PadicMatrix, like PadicScalar, is a plain slotted class whose fields are
+never written to after construction (checked over the sources by
+tests/test_values.py; only the two kept views are filled in later) and is
+unhashable, its equality being precision-relative.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import _series, linalg
 from .context import PrimeContext
@@ -59,6 +65,9 @@ class PadicMatrix:
     nrows: int
     ncols: int
     grid: linalg.Row  # the entries in row-major order
+    # the rows and columns as Rows, made on first read and kept
+    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- construction ----------------------------------------------------
 
@@ -105,17 +114,23 @@ class PadicMatrix:
     def rows(self):
         return [list(r) for r in self.entries]
 
-    def int_rows(self) -> list:
-        """The rows as Rows, slices of the grid."""
-        grid, m = self.grid, self.ncols
-        grid.vals()  # computed once for all the slices
-        return [grid.slice(i * m, (i + 1) * m) for i in range(self.nrows)]
+    def int_rows(self) -> tuple:
+        """The rows as Rows, slices of the grid, made on first read and
+        kept."""
+        rows = self._rows
+        if rows is None:
+            m = self.ncols
+            rows = self._rows = self.grid.slices([i * m for i in range(self.nrows)], m)
+        return rows
 
-    def int_columns(self) -> list:
-        """The columns as Rows, slices of the grid."""
-        grid, m = self.grid, self.ncols
-        grid.vals()
-        return [grid.slice(j, None, m) for j in range(m)]
+    def int_columns(self) -> tuple:
+        """The columns as Rows, slices of the grid, made on first read and
+        kept."""
+        cols = self._columns
+        if cols is None:
+            m = self.ncols
+            cols = self._columns = self.grid.slices(range(m), self.nrows, m)
+        return cols
 
     def __repr__(self):
         body = "; ".join(" ".join(x.to_string() for x in row) for row in self.entries)

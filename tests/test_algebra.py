@@ -48,7 +48,7 @@ from padic_simpson.higgs import spectral_algebra
 from padic_simpson.linalg import Row
 from padic_simpson.matrix import PadicMatrix
 from padic_simpson.scalar import PadicScalar, big_exp, exp_scalar
-from padic_simpson import linalg, unitgroup
+from padic_simpson import algebra, linalg, unitgroup
 from padic_simpson.unitgroup import (
     RootClass,
     _pullback_unit,
@@ -717,16 +717,24 @@ def ledger(scalars):
 
 
 @st.composite
-def algebra_scalars(draw, p):
-    """A scalar of a context of its own (N from 8 to 12, widened by up to 4
-    half the time), so that it may be narrower or wider than the algebra's:
-    a zero marker one time in four, a valuation from -3 up, and a precision
-    from -2 up that is the context's N half the time."""
+def scalar_contexts(draw, p):
+    """(context, precision): a context of its own (N from 8 to 12, widened
+    by up to 4 half the time), so that it may be narrower or wider than
+    the algebra's, and a precision from -2 up that is the context's N half
+    the time."""
     ctx = PrimeContext(p, draw(st.integers(8, 12)))
     if draw(st.booleans()):
         ctx = ctx.widen(draw(st.integers(1, 4)))
     top = ctx.default_precision
-    prec = top if draw(st.booleans()) else draw(st.integers(-2, top))
+    return ctx, top if draw(st.booleans()) else draw(st.integers(-2, top))
+
+
+@st.composite
+def algebra_scalars(draw, p, at=None):
+    """A scalar at a (context, precision) drawn by scalar_contexts, or at
+    at when it is given: a zero marker one time in four, else a valuation
+    from -3 up."""
+    ctx, prec = draw(scalar_contexts(p)) if at is None else at
     if draw(st.integers(0, 3)) == 0:
         return PadicScalar.zero(ctx, prec)
     v = draw(st.integers(-3, prec - 1))
@@ -735,15 +743,27 @@ def algebra_scalars(draw, p):
 
 
 @st.composite
+def algebra_lines(draw, p, n):
+    """n algebra_scalars, half the time all at one drawn context and
+    precision: coordinates, or a column of constants or of images, whose
+    ledger half Row.dot reads from its minima rather than term by
+    term."""
+    at = draw(scalar_contexts(p)) if draw(st.booleans()) else None
+    return [draw(algebra_scalars(p, at)) for _ in range(n)]
+
+
+@st.composite
 def ledger_algebras(draw, p=None):
     """Unvalidated tensors (neither associative nor commutative in general)
-    with constants and unit drawn by algebra_scalars."""
+    with constants and unit drawn by algebra_scalars, each column
+    c[.][j][k] of the multiplication operators, and the unit, drawn as one
+    algebra_lines."""
     p = draw(st.sampled_from([2, 3, 5, 7])) if p is None else p
     ctx = PrimeContext(p, draw(st.integers(8, 12)))
     m = draw(st.integers(1, 3))
-    entry = algebra_scalars(p)
-    mul = [[[draw(entry) for _ in range(m)] for _ in range(m)] for _ in range(m)]
-    return FinAlgebra.create(ctx, mul, [draw(entry) for _ in range(m)], validate=False)
+    cols = {(j, k): draw(algebra_lines(p, m)) for j in range(m) for k in range(m)}
+    mul = [[[cols[j, k][i] for k in range(m)] for j in range(m)] for i in range(m)]
+    return FinAlgebra.create(ctx, mul, draw(algebra_lines(p, m)), validate=False)
 
 
 KERNEL_SETTINGS = settings(max_examples=300, deadline=None,
@@ -765,8 +785,7 @@ def test_product_kernel_matches_scalar_fold(data):
 @given(st.data())
 def test_operator_kernel_matches_scalar_fold(data):
     A = data.draw(ledger_algebras())
-    entry = algebra_scalars(A.ctx.p)
-    x = A.element([data.draw(entry) for _ in range(A.dim)])
+    x = A.element(data.draw(algebra_lines(A.ctx.p, A.dim)))
     got = A.mult_operator(x)
     assert got.ctx is A.ctx
     assert [ledger(row) for row in got.entries] == [ledger(row) for row in fold_operator(A, x)]
@@ -776,12 +795,12 @@ def test_operator_kernel_matches_scalar_fold(data):
 @given(st.data())
 def test_apply_kernel_matches_scalar_fold(data):
     A = data.draw(ledger_algebras())
-    entry = algebra_scalars(A.ctx.p)
     T = data.draw(ledger_algebras(A.ctx.p))
-    images = [T.element([data.draw(entry) for _ in range(T.dim)])
-              for _ in range(A.dim)]
+    # column k of the image matrix, images[.][k], is one algebra_lines
+    cols = [data.draw(algebra_lines(A.ctx.p, A.dim)) for _ in range(T.dim)]
+    images = [T.element([col[i] for col in cols]) for i in range(A.dim)]
     f = Morphism(A, T, tuple(images))
-    x = A.element([data.draw(entry) for _ in range(A.dim)])
+    x = A.element(data.draw(algebra_lines(A.ctx.p, A.dim)))
     got, want = f.apply(x), fold_apply(f, x)
     assert got.algebra is T and want.algebra is T
     assert ledger(got.coords) == ledger(want.coords)
@@ -974,6 +993,37 @@ def test_exact_explog_grid_digits_are_earned(p, n):
                 assert all(a.agrees(b, a.prec) for a, b in zip(got.coords, want.coords)), (
                     rel, coords, got, want)
     assert outside == 3
+
+
+def test_lattice_route_leaves_kept_views_unchanged(monkeypatch):
+    # _krylov_basis gathers the rows of the identity and the columns of the
+    # powers of M into one list of generators; every matrix keeps its
+    # views, so gathering them must not grow a view some product reads
+    operands, bases = [], []
+    matmul, krylov = PadicMatrix.__matmul__, algebra._krylov_basis
+
+    def recorded_matmul(a, b):
+        operands.extend((a, b))
+        return matmul(a, b)
+
+    def recorded_krylov(m):
+        bases.append(krylov(m))
+        return bases[-1]
+
+    monkeypatch.setattr(PadicMatrix, "__matmul__", recorded_matmul)
+    monkeypatch.setattr(algebra, "_krylov_basis", recorded_krylov)
+    ctx = PrimeContext(5, 12)
+    A = FinAlgebra.from_power_relation(ctx, [5 ** 4, 0])
+    x = grid_element(A, [5 * 6, Fraction(6, 5)])  # an operator entry below e0
+    alg_exp(x)
+    assert A.exact_structure and any(b is not None for b in bases)
+    for m in operands:
+        rows, cols = m.int_rows(), m.int_columns()
+        assert (len(rows), len(cols)) == (m.nrows, m.ncols)
+        assert [r.key() for r in rows] == [
+            m.grid.slice(i * m.ncols, (i + 1) * m.ncols).key() for i in range(m.nrows)]
+        assert [c.key() for c in cols] == [
+            m.grid.slice(j, None, m.ncols).key() for j in range(m.ncols)]
 
 
 def test_returned_lists_are_fresh():

@@ -162,6 +162,17 @@ def test_gen_rank_zero_exit_2(tmp_path, capsys, kind):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("density", ["1.5", "-0.5", "nan"])
+def test_gen_density_outside_unit_interval_exit_2(tmp_path, capsys, density):
+    # a density is a probability: above 1 it would be the law of 1 under
+    # another seed (the generator is seeded with repr(density))
+    path = tmp_path / "g.json"
+    assert run_cli("gen", "--p", "3", "--d", "1", "--rank", "2", "--density", density,
+                   "--out", str(path)) == 2
+    assert "the density must lie in [0, 1], got %s" % density in capsys.readouterr().err
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("kind, commands", [
     ("higgs", ["to-rep", "cohomology", "compare", "spectral"]),
     ("rep", ["to-higgs", "cohomology"]),

@@ -147,6 +147,16 @@ class TestCorrespondence:
 
 
 class TestSpectralAlgebra:
+    def test_checks_keep_no_views_on_the_callers_matrices(self):
+        # a matrix keeps the row and column views its products slice;
+        # validation and the span closure take theirs on matrices of their
+        # own, so a module the caller holds does not grow by being checked
+        H = gen_higgs(5, 3, 4, seed=3)
+        validate_higgs(H)
+        S = spectral_algebra(H)
+        assert S.algebra.dim > 1
+        assert all(t._rows is None and t._columns is None for t in H.theta)
+
     def test_zero_field(self):
         S = spectral_algebra(HiggsModule.trivial(C5, 2, rank=3))
         assert S.algebra.dim == 1

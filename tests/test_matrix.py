@@ -300,13 +300,21 @@ def fold_matmul(a: PadicMatrix, b: PadicMatrix) -> PadicMatrix:
 
 
 @st.composite
-def ledger_scalars(draw, ctx):
-    """Zero markers, valuations from -3 up, any precision up to the
-    context's, and entries of contexts widened by up to 4 digits."""
+def ledger_contexts(draw, ctx):
+    """(context, precision): ctx widened by up to 4 digits half the time,
+    and any precision up to that context's N."""
     if draw(st.booleans()):
         ctx = ctx.widen(draw(st.integers(1, 4)))
-    p, top = ctx.p, ctx.default_precision
-    prec = draw(st.integers(-2, top))
+    return ctx, draw(st.integers(-2, ctx.default_precision))
+
+
+@st.composite
+def ledger_scalars(draw, ctx, at=None):
+    """Zero markers, valuations from -3 up, any precision up to the
+    context's, and entries of contexts widened by up to 4 digits; at the
+    (context, precision) at when it is given."""
+    ctx, prec = draw(ledger_contexts(ctx)) if at is None else at
+    p = ctx.p
     if draw(st.integers(0, 3)) == 0:
         return PadicScalar.zero(ctx, prec)
     v = draw(st.integers(-3, prec - 1))
@@ -316,12 +324,23 @@ def ledger_scalars(draw, ctx):
 
 
 @st.composite
+def ledger_lines(draw, ctx, n):
+    """n ledger_scalars, half the time all at one drawn context and
+    precision: a row or column whose ledger half Row.dot reads from its
+    minima rather than term by term."""
+    at = draw(ledger_contexts(ctx)) if draw(st.booleans()) else None
+    return [draw(ledger_scalars(ctx, at)) for _ in range(n)]
+
+
+@st.composite
 def matmul_operands(draw):
+    """a (n x k) and b (k x m), each row of a and each column of b at one
+    context and precision about half the time."""
     ctx = PrimeContext(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(8, 12)))
     n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
-    entry = ledger_scalars(ctx)
-    a = PadicMatrix.from_rows(ctx, [[draw(entry) for _ in range(k)] for _ in range(n)])
-    b = PadicMatrix.from_rows(ctx, [[draw(entry) for _ in range(m)] for _ in range(k)])
+    a = PadicMatrix.from_rows(ctx, [draw(ledger_lines(ctx, k)) for _ in range(n)])
+    cols = [draw(ledger_lines(ctx, k)) for _ in range(m)]
+    b = PadicMatrix.from_rows(ctx, [[col[t] for col in cols] for t in range(k)])
     return a, b
 
 
@@ -373,6 +392,22 @@ def test_empty_shapes_are_kept():
         [[(None, 0, 8, c)] * 3] * 2
     with pytest.raises(DimensionMismatch):
         wide @ tall
+
+
+def test_views_are_kept_tuples():
+    # a matrix slices its rows and its columns once, on first read, and
+    # hands out the same tuples from then on
+    c = PrimeContext(5, 8)
+    m = PadicMatrix.from_ints(c, [[1, 2, 3], [4, 5, 6]])
+    rows, cols = m.int_rows(), m.int_columns()
+    assert type(rows) is tuple and type(cols) is tuple
+    assert m.int_rows() is rows and m.int_columns() is cols
+    assert [r.scalars() for r in rows] == [list(r) for r in m.entries]
+    assert [col.scalars() for col in cols] == [list(r) for r in m.transpose().entries]
+    # a product reads the views it keeps, and the operands' views stay
+    product = m @ m.transpose()
+    assert m.int_rows() is rows and m.int_columns() is cols
+    assert product.int_rows() is product.int_rows()
 
 
 # -- the integer grid against the scalar tuples it replaced ------------------
