@@ -12,12 +12,17 @@ so a term x^n/n! with val(x) >= e0 has valuation >= n*e0 - val_p(n!), and a
 term (u-1)^n/n with val(u-1) >= v has valuation >= n*v - floor(log_p n).
 
 The three matrix series (exp, the expm1 quotient and log) are one integer
-polynomial in t over one common denominator, evaluated by one engine
-(_poly_eval, Paterson-Stockmeyer, about 2*sqrt(M) matrix products for M
-terms) and divided once (_divided_sum).  The exp series sum_k t^k/(k+s)!
-uses (M+s)!, with coefficients (M+s)!/(k+s)!; log(1+t) uses lcm(1..M),
-with coefficients +-lcm(1..M)/k.  The p-part of the denominator is the
-modulus headroom: val_p((M+s)!) digits for exp, floor(log_p M) for log.
+polynomial in t over one common denominator, evaluated by one engine and
+divided once (_divided_sum).  The exp series sum_k t^k/(k+s)! uses (M+s)!,
+with coefficients (M+s)!/(k+s)!; log(1+t) uses lcm(1..M), with
+coefficients +-lcm(1..M)/k.  The p-part of the denominator is the modulus
+headroom: val_p((M+s)!) digits for exp, floor(log_p M) for log.  Each
+series' table (its coefficients reduced mod p^(prec + headroom), the
+headroom and the inverse of the denominator's unit part) is built once per
+(kind, p, valuation, prec, s) and kept (_table).  An n x n argument with
+n >= 2 is evaluated by Paterson-Stockmeyer (_poly_eval, about 2*sqrt(M)
+matrix products for M terms); a 1 x 1 argument, where that saves no
+product worth saving, by Horner on its one integer.
 """
 
 from functools import cache
@@ -98,21 +103,55 @@ def _poly_eval(t, coefs, mod):
     return acc
 
 
-def _divided_sum(t, coefs, denom, p, prec):
-    """sum_k coefs[k] * t^k / denom mod p^prec, for integer coefficients
-    whose sum is an integer matrix divisible by p^val_p(denom).
+@cache
+def _table(kind: str, p: int, e: int, prec: int, s: int):
+    """(coefficients mod p^(prec + w), p^w, p^prec, the inverse mod p^prec
+    of the denominator's unit part) for one series, w = val_p(denominator);
+    kept per argument tuple.
 
-    The sum is evaluated mod p^(prec + w), w = val_p(denom), divided
-    exactly by p^w and multiplied by the inverse of denom's unit part.
+    kind "exp" is sum_{k>=0} t^k/(k+s)! for t divisible by p^e: from
+    M = exp_terms_needed(e, p, prec, s) on every term vanishes mod p^prec,
+    and over the common denominator (M+s)! the coefficient of t^k is the
+    integer (M+s)!/(k+s)!.  kind "log" is log(1+t) for t divisible by p^e
+    (s = 0): with M = log_terms_needed(e, p, prec) and the common
+    denominator D = lcm(1..M), the coefficient of t^k is the integer +-D/k;
+    val_p(D) = floor(log_p M), and every term is divisible by p^val_p(D)
+    since k*e > val_p(k).
     """
-    w = int_valuation(denom, p)
-    pw = p ** w
+    if kind == "log":
+        m_terms = log_terms_needed(e, p, prec)
+        denom = lcm(*range(1, m_terms + 1))
+        coefs = [0] + [(denom if k % 2 else -denom) // k for k in range(1, m_terms + 1)]
+    else:
+        coefs = [1]
+        for k in range(exp_terms_needed(e, p, prec, s) + s, s, -1):
+            coefs.append(coefs[-1] * k)
+        coefs.reverse()
+        denom = coefs[0] * factorial(s)
+    pw = p ** int_valuation(denom, p)
     target = p ** prec
     mod = target * pw
-    acc = _poly_eval(t, [c % mod for c in coefs], mod)
-    unit_inv = pow(denom // pw, -1, target)
+    return tuple(c % mod for c in coefs), pw, target, pow(denom // pw, -1, target)
+
+
+def _divided_sum(t, table):
+    """sum_k coefs[k] * t^k / denom mod p^prec for the series of table
+    (_table), whose sum is an integer matrix divisible by p^w.
+
+    The sum is evaluated mod p^(prec + w), divided exactly by p^w and
+    multiplied by the inverse of denom's unit part.
+    """
+    coefs, pw, target, unit_inv = table
+    mod = target * pw
+    if len(t) == 1:
+        x, acc = t[0][0] % mod, 0
+        for c in reversed(coefs):
+            acc = (acc * x + c) % mod
+        sums = [[acc]]
+    else:
+        sums = _poly_eval(t, coefs, mod)
     out = []
-    for row in acc:
+    for row in sums:
         orow = []
         for x in row:
             q, r = divmod(x, pw)
@@ -126,7 +165,7 @@ def _divided_sum(t, coefs, denom, p, prec):
 def exp_matrix(t, p: int, e0: int, prec: int):
     """exp of a square integer matrix with all entries divisible by p^e0,
     as residues mod p^prec."""
-    return _factorial_series(t, p, e0, prec, 0)
+    return _divided_sum(t, _table("exp", p, e0, prec, 0))
 
 
 def expm1_quotient_matrix(t, p: int, e0: int, prec: int):
@@ -136,7 +175,7 @@ def expm1_quotient_matrix(t, p: int, e0: int, prec: int):
     This is the matrix form of log(T+1)/T being a unit: u is congruent to
     the identity mod p and commutes with t.
     """
-    return _factorial_series(t, p, e0, prec, 1)
+    return _divided_sum(t, _table("exp", p, e0, prec, 1))
 
 
 @cache
@@ -157,39 +196,13 @@ def exp_terms_needed(e0: int, p: int, prec: int, s: int = 0) -> int:
     return m
 
 
-def _factorial_series(t, p: int, e0: int, prec: int, s: int):
-    """sum_{k>=0} t^k/(k+s)! mod p^prec, for an integer matrix t with all
-    entries divisible by p^e0.
-
-    From M = exp_terms_needed(e0, p, prec, s) on every term vanishes mod
-    p^prec.  With the common denominator (M+s)!, the coefficient of t^k is
-    the integer (M+s)!/(k+s)!.
-    """
-    m_terms = exp_terms_needed(e0, p, prec, s)
-    coefs = [1]
-    for k in range(m_terms + s, s, -1):
-        coefs.append(coefs[-1] * k)
-    coefs.reverse()
-    fact = coefs[0] * factorial(s)
-    return _divided_sum(t, coefs, fact, p, prec)
-
-
 def log_matrix(u, p: int, v_min: int, prec: int):
     """log of a square integer matrix congruent to 1 mod p^v_min, as
     residues mod p^prec.  The series converges for every v_min >= 1, for
-    p = 2 as well.
-
-    With M = log_terms_needed(v_min, p, prec) and the common denominator
-    D = lcm(1..M), the coefficient of (u-1)^k is the integer +-D/k;
-    val_p(D) = floor(log_p M), and every term is divisible by p^val_p(D)
-    since k*v_min > val_p(k).
-    """
+    p = 2 as well."""
     n = len(u)
-    m_terms = log_terms_needed(v_min, p, prec)
     t = [[u[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    denom = lcm(*range(1, m_terms + 1))
-    coefs = [0] + [(denom if k % 2 else -denom) // k for k in range(1, m_terms + 1)]
-    return _divided_sum(t, coefs, denom, p, prec)
+    return _divided_sum(t, _table("log", p, v_min, prec, 0))
 
 
 def exp_residue(t: int, p: int, e0: int, prec: int) -> int:

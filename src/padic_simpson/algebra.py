@@ -19,9 +19,10 @@ are built from the Row on each read.  FinAlgebra.element reads scalars
 of its prime or a Row.  Sums, differences, negation, scalar products, ==,
 agrees and the precision queries have one body each on Row, shared with
 PadicMatrix.  The inverse stays on Rows too: M_x is eliminated and its
-row operations are replayed on the Row of 1 (Elimination.solve_row), so
-no scalar is built.  FinAlgebra is a frozen dataclass with its own
-equality and no hash.
+row operations are replayed on the Row of 1 (Elimination.solve_row), or,
+on a 1-dimensional algebra, the Row of 1 is scaled by the pivot inverse
+that elimination would take, so no scalar is built.  FinAlgebra is a
+frozen dataclass with its own equality and no hash.
 
 Element products, multiplication operators and morphism images are
 bilinear sums of scalar products, each output coordinate or entry
@@ -330,10 +331,21 @@ class AlgElement:
 
     def inv(self) -> "AlgElement":
         """The solution of M_x y = 1: M_x eliminated and its row operations
-        replayed on the Row of 1 (Elimination.solve_row)."""
+        replayed on the Row of 1 (Elimination.solve_row).
+
+        On a 1-dimensional algebra whose 1 x 1 operator (m) is not a zero
+        marker, that elimination is one pivot step, so y = m^-1 * 1 is read
+        from the pivot inverse (linalg._inverse, then Row.scaled on the
+        Row of 1) with no elimination made: the same Row, and the same
+        refusal of a pivot whose inverse keeps no digit.  A zero marker
+        takes the elimination for its refusals: the zero decision below
+        the margin, or 1 outside the image."""
         A = self.algebra
-        sol = linalg.eliminate(A.mult_operator(self).int_rows(),
-                               reduce_above=True).solve_row(A.one)
+        m = A.mult_operator(self)
+        grid = m.grid
+        if A.dim == 1 and grid.res[0]:
+            return AlgElement(A, A.one.scaled(linalg._inverse(grid.pw, grid.parts(0)), A.ctx))
+        sol = linalg.eliminate(m.int_rows(), reduce_above=True).solve_row(A.one)
         if sol is None:
             raise NotAUnit("element is not invertible to precision")
         return AlgElement(A, sol)

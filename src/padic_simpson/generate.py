@@ -54,6 +54,8 @@ def gen_higgs(p, d, rank, density=0.6, seed=0, precision=32) -> HiggsModule:
     ctx = PrimeContext(p, precision)
     if not 0 <= density <= 1:  # NaN included
         raise PadicError("the density must lie in [0, 1], got %r" % density)
+    if rank < 1:
+        raise PadicError("the rank must be at least 1, got %d" % rank)
     e0 = ctx.e0
     # precision is deliberately not part of the seed: the same seed at a
     # higher precision is a refinement of the same instance

@@ -42,7 +42,7 @@ from .errors import (
 )
 from . import linalg
 from .components import connected_components, idempotents
-from .scalar import PadicScalar, teichmuller
+from .scalar import PadicScalar, exp_scalar, log_scalar, teichmuller
 
 
 # -- the value table of a running square check ----------------------------------
@@ -225,8 +225,6 @@ def _scalar_pk_root(c: PadicScalar, k: int) -> PadicScalar | None:
     diff = eta - PadicScalar.from_int(ctx, 1)
     if not diff.is_zero and diff.v < k + ctx.e0:
         return None
-    from .scalar import exp_scalar, log_scalar
-
     eta_root = exp_scalar(log_scalar(eta) * PadicScalar.from_val_unit(ctx, -k, 1))
     root = PadicScalar.from_val_unit(ctx, root_val, 1) * omega_root * eta_root
     return root

@@ -1840,6 +1840,8 @@ C5_8 = PrimeContext(5, 8)
     ([PadicScalar.from_val_unit(C5_8, -8, 1)], DivisionByZeroToPrecision),
     # 5 known mod 5: a zero decided on one digit
     ([PadicScalar.from_int(C5_8, 5, 1)], PrecisionExhausted),
+    # a zero decided on 8 >= 4 digits: 1 is not in the image of M_x = (0)
+    ([PadicScalar.zero(C5_8)], NotAUnit),
 ])
 def test_inv_refusals_match_solve_route(coords, error):
     A = (FinAlgebra.field if len(coords) == 1 else dual_numbers)(C5_8)

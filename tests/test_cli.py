@@ -156,10 +156,11 @@ def test_malformed_instance_exit_2(tmp_path, capsys, kind, rank, matrices):
 @pytest.mark.parametrize("kind", ["higgs", "rep"])
 def test_gen_rank_zero_exit_2(tmp_path, capsys, kind):
     path = tmp_path / "g.json"
-    assert run_cli("gen", "--kind", kind, "--p", "3", "--d", "1", "--rank", "0",
-                   "--out", str(path)) == 2
-    assert "the rank must be at least 1" in capsys.readouterr().err
-    assert not path.exists()
+    for rank in ("0", "-1"):
+        assert run_cli("gen", "--kind", kind, "--p", "3", "--d", "1", "--rank", rank,
+                       "--out", str(path)) == 2
+        assert "the rank must be at least 1" in capsys.readouterr().err
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("density", ["1.5", "-0.5", "nan"])

@@ -2,6 +2,7 @@
 the expm1 quotient and log against the term-by-term sums it replaced, and
 its matrix-product count."""
 
+import random
 from fractions import Fraction
 from math import factorial, isqrt
 
@@ -124,7 +125,41 @@ def test_exp_keeps_the_terms_past_a_valuation_dip(p, t, prec):
         assert kernel([[t]], p, e0, prec) == [[want]], (s, p, prec)
 
 
+def test_kept_tables_are_keyed_on_every_argument():
+    # calls that differ in the kind, p, e, prec or s alone are interleaved,
+    # each seen twice, so a coefficient table kept under too few of these
+    # arguments is read for another series; 1 x 1 and 2 x 2 arguments read
+    # the same tables
+    rng = random.Random(25)
+    cases = [(kind, p, e, prec) for kind in ("exp", "expm1", "log") for p in (2, 3, 5)
+             for e in (1, 2) for prec in (8, 9, 21) if kind == "log" or (p, e) != (2, 1)]
+    rng.shuffle(cases)
+    for kind, p, e, prec in cases * 2:
+        for n in (1, 2):
+            t = [[p ** e * rng.randrange(p ** prec) for _ in range(n)] for _ in range(n)]
+            if kind == "log":
+                u = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)]
+                assert _series.log_matrix(u, p, e, prec) == ref_log_matrix(u, p, e, prec)
+            else:
+                s = int(kind == "expm1")
+                kernel = _series.expm1_quotient_matrix if s else _series.exp_matrix
+                assert kernel(t, p, e, prec) == ref_factorial_series(t, p, e, prec, s)
+
+
 # -- work count ---------------------------------------------------------------
+
+def counted_products(monkeypatch):
+    """The sizes of the matrices _series.mat_mul is called on, from now."""
+    calls = []
+    inner = _series.mat_mul
+
+    def counted(a, b, mod):
+        calls.append(len(a))
+        return inner(a, b, mod)
+
+    monkeypatch.setattr(_series, "mat_mul", counted)
+    return calls
+
 
 @pytest.mark.parametrize("kernel, terms", [
     (_series.exp_matrix, _series.exp_terms_needed(1, 3, 32)),
@@ -134,19 +169,23 @@ def test_exp_keeps_the_terms_past_a_valuation_dip(p, t, prec):
 def test_series_products_grow_like_sqrt_of_terms(monkeypatch, kernel, terms):
     """At p = 3, N = 32 and valuation 1 the series run M = 59, 60 and 35
     terms; each makes at most 2*ceil(sqrt(M+1)) matrix products."""
-    calls = []
-    inner = _series.mat_mul
-
-    def counted(a, b, mod):
-        calls.append(len(a))
-        return inner(a, b, mod)
-
-    monkeypatch.setattr(_series, "mat_mul", counted)
+    calls = counted_products(monkeypatch)
     t = [[3 * (5 * i + 7 * j + 1) for j in range(4)] for i in range(4)]
     if kernel is _series.log_matrix:
         t = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)]
     kernel(t, 3, 1, 32)
     assert 0 < len(calls) <= 2 * (isqrt(terms) + 1) < terms
+
+
+@pytest.mark.parametrize("kernel", [
+    _series.exp_matrix, _series.expm1_quotient_matrix, _series.log_matrix,
+])
+def test_one_by_one_argument_makes_no_matrix_product(monkeypatch, kernel):
+    # a 1 x 1 argument is summed by Horner on its one integer, on the same
+    # 59, 60 and 35 terms
+    calls = counted_products(monkeypatch)
+    kernel([[3 * 12345 + (kernel is _series.log_matrix)]], 3, 1, 32)
+    assert not calls
 
 
 # -- Teichmuller residues --------------------------------------------------------
