@@ -249,6 +249,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a negative slack would ask for fewer digits than a decision rests on
+        if getattr(args, "slack", 0) < 0:
+            raise ParseError("the slack must be at least 0, got %d" % args.slack)
         return _COMMANDS[args.command](args)
     except ComparisonFailure as exc:
         print("comparison failure: %s" % exc, file=sys.stderr)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from .algebra import _FULL_CHECK_DIM, AlgElement, FinAlgebra, Morphism, quotient_by_ideal
 from . import linalg
 from ._series import mat_mul
-from .errors import IntegralStructureFailure, PrecisionExhausted
+from .context import DEFAULT_SLACK
+from .errors import IntegralStructureFailure, PadicError, PrecisionExhausted
 from .matrix import PadicMatrix
 from .scalar import PadicScalar, power
 
@@ -123,7 +124,11 @@ class _FpAlgebra:
     def primitive_idempotents(self):
         """Split along Frobenius-fixed elements: a fixed element generates a
         split etale subalgebra, so its Lagrange interpolants are exactly
-        idempotent, and iterating splits down to the primitive ones."""
+        idempotent, and iterating splits down to the primitive ones.
+
+        An associative reduction has at most dim orthogonal idempotents, so
+        more than dim pieces mean the tensor mod p is not associative: its
+        digits ran short, and the splitting would never end."""
         p, m = self.p, self.dim
         frob = self.frobenius()
         eye = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -133,6 +138,11 @@ class _FpAlgebra:
         work = [self.one]
         out = []
         while work:
+            if len(out) + len(work) > m:
+                raise PrecisionExhausted(
+                    "idempotent splitting mod %d passed %d pieces in dimension %d"
+                    % (p, len(out) + len(work), m)
+                )
             E = work.pop()
             efix = [self.mul(E, f) for f in fixed]
             span = [v for v in efix if any(v)]
@@ -241,9 +251,17 @@ class _Order:
 
 
 def _residue_mod_p(c: PadicScalar, p: int) -> int:
+    """The residue mod p of a lattice coordinate.  A coordinate of negative
+    valuation means the lattice is not closed, unless fewer than
+    DEFAULT_SLACK digits back it: then the digits ran short."""
     if c.is_zero or c.v >= 1:
         return 0
     if c.v < 0:
+        if c.prec - c.v < DEFAULT_SLACK:
+            raise PrecisionExhausted(
+                "lattice coordinate of valuation %d rests on %d digits (< %d)"
+                % (c.v, c.prec - c.v, DEFAULT_SLACK)
+            )
         raise IntegralStructureFailure(
             "order is not multiplicatively closed (coordinate valuation %d)" % c.v
         )
@@ -325,7 +343,15 @@ def idempotents(A: FinAlgebra):
 def _primitive_idempotents(A: FinAlgebra):
     if A.dim == 1:
         return [A.unit()]
-    S, _, section = quotient_by_ideal(A, A._nilradical)
+    try:
+        S, _, section = quotient_by_ideal(A, A._nilradical)
+    except PadicError as exc:
+        if type(exc) is not PadicError:
+            raise
+        # the nilradical is a proper ideal of A, so A/nil(A) is an algebra:
+        # a quotient that fails a ring axiom, or the unit ideal, means the
+        # digits ran short
+        raise PrecisionExhausted(str(exc)) from exc
     if S.dim == 1:
         return [A.unit()]
     order = _saturate(_initial_order(S))

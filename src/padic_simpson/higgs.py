@@ -254,23 +254,42 @@ class SpectralAlgebra:
 def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:
     """Close {1, theta_1..theta_d} under products by iterating
     multiply-and-span until stable; the result is the image of the
-    symmetric algebra on the dual differentials inside End(E)."""
+    symmetric algebra on the dual differentials inside End(E).
+
+    Each new basis matrix b_j is b_parent * theta_i for a recorded word
+    (parent, i), and the closure forms every b_j * theta_i.  Those d * dim
+    products, and the theta_i for tau, are solved on one factorisation of
+    the span: the solution of b_j * theta_i is column j of L_i, the
+    matrix of multiplication by theta_i on B_theta (the multiplication
+    matrices of FGLM).  The multiplication operators follow without any
+    n x n product: M_{b_0} = 1, M_{b_j} = L_i for a word (0, i), and
+    M_{b_j} = L_i M_{b_parent} otherwise.  c[i][j] = c[j][i] is column i
+    of M_{b_j} and column j of M_{b_i}; the tensor keeps, per pair, the
+    one with more digits, so it is symmetric.  The tensor is
+    solve-derived, so its ring axioms are checked, and a failure there is
+    a precision shortfall."""
     require_valid(validate_higgs(H))
     ctx = H.ctx
-    n = H.rank
+    n, d = H.rank, H.d
     basis = [PadicMatrix.identity(ctx, n)]
+    words = []  # (parent, i) per basis[j], j >= 1: basis[parent] @ theta_i
+    products = []  # products[j][i] = basis[j] @ theta_i, as a grid
     span = _IncrementalSpan()
     span.add(basis[0].grid)
-    frontier = [basis[0]]
+    frontier = [0]
     theta = _detached(H.theta)
     while frontier:
         next_frontier = []
-        for mat in frontier:
-            for t in theta:
-                cand = mat @ t
+        for j in frontier:
+            row = []
+            for i, t in enumerate(theta):
+                cand = basis[j] @ t
+                row.append(cand.grid)
                 if span.add(cand.grid):
+                    next_frontier.append(len(basis))
                     basis.append(cand)
-                    next_frontier.append(cand)
+                    words.append((j, i))
+            products.append(row)
         frontier = next_frontier
         if len(basis) > n * n:
             raise PrecisionExhausted("span closure exceeded the dimension bound")
@@ -278,14 +297,27 @@ def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:
     # the span's rows: entry i of every basis matrix, the grids being
     # the matrices' entries in row-major order
     span_rows = linalg.transpose([b.grid for b in basis])
-    # every product and every theta_i, solved on one factorisation of the span
-    cols = [(a @ b).grid for a in basis for b in basis] + [t.grid for t in H.theta]
-    sols = linalg.eliminate(span_rows, reduce_above=True).solve(cols)
+    # per unknown k, one Row: row k of [L_0 | .. | L_(d-1) | tau]
+    cols = [products[j][i] for i in range(d) for j in range(dim)] + [t.grid for t in H.theta]
+    sols = linalg.eliminate(span_rows, reduce_above=True).solve_rows(cols)
     if sols is None:
         raise PrecisionExhausted("a product or a component escaped the closed span")
-    mul = [sols[i * dim:(i + 1) * dim] for i in range(dim)]
-    B = FinAlgebra.create(ctx, mul, linalg.Row.unit(ctx, dim, 0), validate=False,
-                          exact_structure=False)
+    action = [PadicMatrix.stack(ctx, [s.slice(i * dim, (i + 1) * dim) for s in sols], dim)
+              for i in range(d)]
+    ops = [PadicMatrix.identity(ctx, dim)]
+    for parent, i in words:
+        ops.append(action[i] if parent == 0 else action[i] @ ops[parent])
+    columns = [op.int_columns() for op in ops]
+
+    def constants(i, j):
+        # c[i][j] = c[j][i] is column i of M_{b_j} and column j of M_{b_i}:
+        # the one of the two whose products kept more digits
+        i, j = min(i, j), max(i, j)
+        return max(columns[j][i], columns[i][j], key=lambda col: sum(col.prec))
+
+    tensor = PadicMatrix.stack(ctx, [constants(i, j) for i in range(dim) for j in range(dim)],
+                               dim).grid
+    B = FinAlgebra(ctx, dim, tensor, linalg.Row.unit(ctx, dim, 0), exact_structure=False)
     if dim <= _FULL_CHECK_DIM:
         try:
             B._validate()
@@ -293,7 +325,7 @@ def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:
             # B_theta is a subalgebra of End(E): its solve-derived tensor
             # fails a ring axiom only when the digits ran short
             raise PrecisionExhausted(str(exc)) from exc
-    tau = [B.element(c) for c in sols[dim * dim:]]
+    tau = [B.element(c) for c in linalg.transpose([s.slice(d * dim) for s in sols])]
     return SpectralAlgebra(B, tuple(basis), tuple(tau))
 
 

@@ -20,8 +20,10 @@ them.  eliminate, Elimination.solve and triangular_lattice_rows take
 rows (or columns) of PadicScalars or Rows.  PadicScalars are built at
 the surface alone, in normal form, on the entries callers read:
 Elimination.rows, solutions, inverses, kernel vectors and lattice
-columns.  Elimination.solve_row hands one solution back as a Row, for
-callers that stay on Rows (AlgElement.inv, unit lifts).  Row.key is the
+columns.  Elimination.solve_rows hands the solutions back as Rows, one
+per unknown across the right-hand sides, and solve_row one solution as
+a Row, for callers that stay on Rows (spectral_algebra, AlgElement.inv,
+unit lifts); solve is the scalar view of solve_rows.  Row.key is the
 hashable form of a row's values, whatever its base.  Row.slices cuts the
 rows or the columns of a grid at once, sharing among them each list of
 precisions, ambient precisions or contexts that holds one value.
@@ -600,8 +602,21 @@ class Elimination:
 
     def solve(self, rhs_cols):
         """Solve mat @ X = rhs for each right-hand-side column (a list of
-        PadicScalars or a Row); returns the solution columns, or None if
-        the system is inconsistent to precision.
+        PadicScalars or a Row); returns the solution columns as
+        PadicScalars, or None if the system is inconsistent to precision:
+        the scalar view of solve_rows."""
+        rhs_cols = list(rhs_cols)
+        rows = self.solve_rows(rhs_cols)
+        if rows is None:
+            return None
+        if not self.ncols:
+            return [[] for _ in rhs_cols]
+        return list(map(list, zip(*(r.scalars() for r in rows))))
+
+    def solve_rows(self, rhs_cols):
+        """Solve mat @ X = rhs for one or more right-hand-side columns (lists
+        of PadicScalars or Rows): per unknown, one Row of its values across
+        the columns, or None if the system is inconsistent to precision.
 
         The columns go through the recorded row operations, which is the
         arithmetic they would see as extra columns of the elimination, and
@@ -609,9 +624,8 @@ class Elimination:
         """
         if self.steps is None:
             raise ValueError("solve needs a reduced elimination (reduce_above=True)")
-        rhs_cols = list(rhs_cols)
         if not rhs_cols:
-            return []
+            return [Row.zeros(self.ctx, 0) for _ in range(self.ncols)]
         for col in rhs_cols:
             if len(col) != self.nrows:
                 raise DimensionMismatch(
@@ -624,19 +638,15 @@ class Elimination:
         rows = self._replay(transpose([Row.of(c, p) for c in rhs_cols]))
         if rows is None:
             return None
-        if not self.ncols:
-            return [[] for _ in rhs_cols]
-        return list(map(list, zip(*(r.scalars() for r in self._unknowns(rows, len(rhs_cols))))))
+        return self._unknowns(rows, len(rhs_cols))
 
     def solve_row(self, col: Row) -> Row | None:
         """The solution of mat @ x = col for one Row col of length nrows,
-        as one Row over the unknowns (ncols >= 1): solve() on one column,
-        with no scalar built.  None when the system is inconsistent to
-        precision."""
-        rows = self._replay(transpose([col]))
-        if rows is None:
-            return None
-        return transpose(self._unknowns(rows, 1))[0]
+        as one Row over the unknowns (ncols >= 1): solve_rows on one
+        column, with no scalar built.  None when the system is
+        inconsistent to precision."""
+        rows = self.solve_rows([col])
+        return None if rows is None else transpose(rows)[0]
 
     def inverse(self):
         """The rows of the inverse of the eliminated square matrix as Rows:

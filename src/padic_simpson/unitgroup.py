@@ -11,7 +11,8 @@ and the scalar factor decomposes through Teichmuller representatives.
 While cart_square_check runs it keeps a value table, one per call and per
 thread (a ContextVar, reset when the check returns or raises).  It keeps
 the values of the unit tests, the powers x^(p^k) of root-class
-representatives, unipotent_root, scalar_pk_root and decompose_unit, and
+representatives, the log(u) behind unipotent_root (one per u for every
+level) and its roots, scalar_pk_root and decompose_unit, and
 the outcomes of the check's loop bodies: the pullback reconstruction of
 each (unit of R, level) and the pushout factorisation of each unit of S
 at every level, an outcome being its count and its failure strings in
@@ -186,11 +187,13 @@ def root_class_mul(a: RootClass, b: RootClass) -> RootClass:
 
 def unipotent_root(u: AlgElement, k: int) -> AlgElement:
     """The unique p^k-th root of a unipotent unit u = 1 + n (n nilpotent):
-    exp(log(u)/p^k)."""
+    exp(log(u)/p^k).  log(u) is one value for every k, kept under its own
+    kind while a square check runs."""
     if k == 0:
         return u
     scale = PadicScalar.from_val_unit(u.algebra.ctx, -k, 1)
-    return _recall("unipotent_root", u, k, lambda: alg_exp(alg_log(u) * scale))
+    return _recall("unipotent_root", u, k,
+                   lambda: alg_exp(_recall("log", u, None, lambda: alg_log(u)) * scale))
 
 
 def scalar_pk_root(c: PadicScalar, k: int) -> PadicScalar | None:

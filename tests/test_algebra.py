@@ -1357,6 +1357,30 @@ def test_failure_inside_a_check_is_not_kept():
         unitgroup._VALUES.reset(token)
 
 
+def test_unipotent_roots_share_one_log(monkeypatch):
+    # inside a check, log(u) is taken once for every level k of u's roots;
+    # outside one, each root takes its own; the roots are the same
+    A = cubic_nilpotents(C5)
+    u = A.unit() + A.basis_element(1)
+    logs = []
+    alg_log = unitgroup.alg_log
+
+    def counted(x):
+        logs.append(x)
+        return alg_log(x)
+
+    monkeypatch.setattr(unitgroup, "alg_log", counted)
+    outside = [ledger(unipotent_root(u, k).coords) for k in (1, 2, 3)]
+    assert len(logs) == 3
+    token = unitgroup._VALUES.set(unitgroup._ValueTable())
+    try:
+        inside = [ledger(unipotent_root(u, k).coords) for k in (1, 2, 3, 2)]
+    finally:
+        unitgroup._VALUES.reset(token)
+    assert len(logs) == 4
+    assert inside == outside + [outside[1]]
+
+
 def test_keys_tell_precisions_apart():
     # an element or scalar differing only in precision has its own entry,
     # so inside a table each value is what it is outside

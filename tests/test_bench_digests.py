@@ -21,7 +21,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 DIGESTS = {
     "pipeline": "7adbd885fe378017a0024e7d13eeaf14482cfc5ca64951ab1a9ca31aa69d6c4a",
     "spectral": "c02518acf1347b07399850f42a3551ec18bb4247ae5603666641b89bd7d18aa9",
-    "algebra": "3400ff0b2d5d52523a62fa9d7f8af842489d983e24720acc4204b9ef970d481f",
+    "algebra": "5c53f8ca2f186e0ef36e20f8f6d98b89bb5a234429c58bdd6ff14827be3b7ffb",
 }
 
 

@@ -223,6 +223,20 @@ def test_slack_refused_where_no_rank_is_decided(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["cohomology", "compare", "verify"])
+def test_negative_slack_exit_2(tmp_path, monkeypatch, capsys, command):
+    # a negative slack would lower the evidence a rank decision rests on
+    # below nothing (cohomology, compare) or ask for N + 1 digits of a
+    # suite (verify); it is refused before any file is read or written
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "h.json"
+    write_higgs(path, gen_higgs(3, d=1, rank=2, seed=0))
+    argv = ["verify", "--count", "1"] if command == "verify" else [command, str(path)]
+    assert run_cli(*argv, "--slack", "-1") == 2
+    assert "the slack must be at least 0, got -1" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["h.json"]
+
+
 def test_slack_accepted_where_ranks_are_decided():
     parser = build_parser()
     for argv in (["cohomology", "H.json"], ["compare", "H.json"], ["verify"]):

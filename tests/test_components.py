@@ -2,22 +2,21 @@
 connected components of exact power-relation algebras and of spectral
 algebras, for p in {2, 3, 5, 7} and N in {8, 12, 20, 32}.
 
-The digests below were re-recorded when every product-like sum of the
-algebra layer came to count every term, zero markers included (element
-products, the trace-form Gram matrix, validation's reading of e_i * e_j
-and spectral embeddings); CHANGES.md lists each record that moved.  Every
-coordinate's (v, u, prec, ctx) and every refusal (exception type and
-message) must stay as it is.
+The digests below were re-recorded when the spectral tensor came to be
+read off the multiplication matrices of the theta_i; CHANGES.md lists
+each record that moved.  Every coordinate's (v, u, prec, ctx) and every
+refusal (exception type and message) must stay as it is.
 """
 
 import hashlib
+import time
 
 import pytest
 
 from padic_simpson.algebra import FinAlgebra
 from padic_simpson.components import connected_components, idempotents
 from padic_simpson.context import PrimeContext
-from padic_simpson.errors import PadicError
+from padic_simpson.errors import PadicError, PrecisionExhausted
 from padic_simpson.generate import gen_higgs
 from padic_simpson.higgs import spectral_algebra
 
@@ -70,22 +69,51 @@ def components_grid_digest(p, n):
     return digest.hexdigest()[:16]
 
 
-# at N = 8, the component quotients of spectral_algebra(gen_higgs(2, 2, 4,
-# 0.5, 2)) and of spectral_algebra(gen_higgs(3, 2, 3, 0.6, 1)) are refused
-# as PrecisionExhausted: a product of their basis lies in the span on 2
-# (and 3) digits only
+# re-recorded when spectral_algebra came to read its tensor off the
+# multiplication matrices L_i: 52 records moved, every one a spectral
+# algebra's (CHANGES.md lists them).  At N = 8, spectral_algebra(gen_higgs(3, 2, 6,
+# 0.6, 5)) is refused with IntegralStructureFailure on a lattice coordinate
+# of valuation -1 known to 4 digits, and passes at N = 32
 COMPONENTS_GRID = {
-    (2, 8): "1b3d715200dce4f4", (2, 12): "67079cac127f7e75",
-    (2, 20): "00c4aa642cd856bc", (2, 32): "827dca8bd4f86a51",
-    (3, 8): "44706834e3f8f732", (3, 12): "489855c0c3a60c57",
-    (3, 20): "f6d08afd4a5a546e", (3, 32): "45bb2052bf31bfe9",
-    (5, 8): "d4c9ad746c023dac", (5, 12): "066ab0037c3b9d4a",
-    (5, 20): "aa137c149d8a4fe9", (5, 32): "c448e680b28f9899",
-    (7, 8): "4881b96e752ea1ad", (7, 12): "116868e78fa0143b",
-    (7, 20): "b7d7f2387def7a2d", (7, 32): "0d171420e7e02ed7",
+    (2, 8): "60fe684d081a0bbd", (2, 12): "31ef4e5051ebb444",
+    (2, 20): "f4f2941daa1f3229", (2, 32): "06373478b71dd45c",
+    (3, 8): "a5dbeaf15b578ba9", (3, 12): "dbf65546d2abfbe5",
+    (3, 20): "9bc2c4cdcb1be20c", (3, 32): "1c902722f557c5fa",
+    (5, 8): "a0564928e6545779", (5, 12): "a00df7ed81744034",
+    (5, 20): "807c9c709fbae79c", (5, 32): "2618fdaba919d184",
+    (7, 8): "22e4a8c73b1c764a", (7, 12): "1c9e1df994419ff5",
+    (7, 20): "8433e64385b10cb6", (7, 32): "ca6243477e6c1345",
 }
 
 
 @pytest.mark.parametrize("p, n", sorted(COMPONENTS_GRID))
 def test_components_grid_pinned(p, n):
     assert components_grid_digest(p, n) == COMPONENTS_GRID[p, n]
+
+
+# gen_higgs (p, d, rank, density, seed) whose components search runs out of
+# digits at N = 8 and succeeds at N = 32
+SHORTFALLS = [
+    (3, 1, 6, 0.6, 3),  # a lattice coordinate of valuation -1 known to 1 digit
+    (5, 3, 6, 0.6, 1),  # the same
+    (5, 1, 6, 0.6, 2),  # A / nil(A) fails associativity
+    (7, 3, 6, 0.6, 3),  # the reduction mod 7 is not associative
+]
+
+
+@pytest.mark.parametrize("args", SHORTFALLS, ids=[str(a) for a in SHORTFALLS])
+def test_shortfall_is_precision_exhausted(args):
+    A = spectral_algebra(gen_higgs(*args, precision=8)).algebra
+    start = time.perf_counter()
+    with pytest.raises(PrecisionExhausted):
+        connected_components(A)
+    assert time.perf_counter() - start < 1.0
+    assert connected_components(spectral_algebra(gen_higgs(*args, precision=32)).algebra)
+
+
+def test_splitting_mod_p_is_bounded_by_the_dimension():
+    # at N = 8 this order's reduction mod 7 has non-associative triples,
+    # and splitting along Frobenius-fixed elements never ran out of pieces
+    A = spectral_algebra(gen_higgs(7, 3, 6, 0.6, 3, precision=8)).algebra
+    with pytest.raises(PrecisionExhausted, match="splitting mod 7 passed 5 pieces"):
+        idempotents(A)

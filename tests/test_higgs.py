@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from padic_simpson import linalg
 from padic_simpson.context import PrimeContext
 from padic_simpson.errors import (
     AlgebraMismatch,
@@ -210,8 +211,9 @@ class TestSpectralAlgebra:
         assert {c.prec for row in S.embed(x).entries for c in row} == {6, 7, 8, 9}
 
     def test_thin_constants_validate_on_the_stored_tensor(self):
-        # at precision 8 the basis products are read off the solved tensor
-        # itself, and this B_theta passes associativity
+        # at precision 8 validation reads e_i * e_j off the stored tensor,
+        # made from the multiplication matrices, and this B_theta passes
+        # associativity
         S = spectral_algebra(gen_higgs(3, 2, 5, 0.6, 3, precision=8))
         assert S.algebra.dim == 5
 
@@ -229,41 +231,120 @@ class TestSpectralAlgebra:
         assert rank == S.algebra.dim
 
 
+# (d, n, seed) of the spectral grid: gen_higgs(p, d, n, 0.6, seed)
+PINS_GRID = [(d, n, seed) for d in (1, 2, 3) for n in (2, 3, 4, 5) for seed in (0, 1, 2)]
+
+
 def spectral_digest(p):
     """The dimension of B_theta for each spectral_algebra(gen_higgs(p, d,
-    n, 0.6, seed)), d in 1..3, n in 2..5, seed in 0..2, as one digit each,
-    and a sha256 prefix of (v, u, prec, ctx) of every structure constant
-    and every tau coordinate."""
+    n, 0.6, seed)) over PINS_GRID, as one digit each, and a sha256 prefix
+    of (v, u, prec, ctx) of every structure constant and every tau
+    coordinate."""
     dims = ""
     digest = hashlib.sha256()
-    for d in (1, 2, 3):
-        for n in (2, 3, 4, 5):
-            for seed in (0, 1, 2):
-                S = spectral_algebra(gen_higgs(p, d, n, 0.6, seed))
-                dims += str(S.algebra.dim)
-                for coords in [c for plane in S.algebra.mul for c in plane] + \
-                        [t.coords for t in S.tau]:
-                    digest.update(repr([(c.v, c.u, c.prec, c.ctx) for c in coords]).encode())
+    for d, n, seed in PINS_GRID:
+        S = spectral_algebra(gen_higgs(p, d, n, 0.6, seed))
+        dims += str(S.algebra.dim)
+        for coords in [c for plane in S.algebra.mul for c in plane] + \
+                [t.coords for t in S.tau]:
+            digest.update(repr([(c.v, c.u, c.prec, c.ctx) for c in coords]).encode())
     return dims, digest.hexdigest()[:16]
 
 
-# spectral_digest per p, recorded while the span and the solves still ran
-# their row operations as x - f * y scalar by scalar
+# spectral_digest per p, recorded when the tensor came to be read off the
+# multiplication matrices L_i instead of dim^2 solved basis products
 SPECTRAL_PINS = {
     2: ("111232232314212313333344222231334543",
-        "42dcc59d19fe8a4f"),
+        "0edbaf39226b4943"),
     3: ("122232342245222131234352122223433554",
-        "c5321003380ecb1c"),
+        "3c2282f42af0cda2"),
     5: ("121322314532122132233543222332334553",
-        "c39eb76f64455240"),
+        "48aaba0e49c9fc01"),
     7: ("112233342343222222242334212223433454",
-        "a1037850e75c2d7a"),
+        "ab02d981e95e9003"),
 }
 
 
 @pytest.mark.parametrize("p", sorted(SPECTRAL_PINS))
 def test_spectral_algebra_pinned(p):
     assert spectral_digest(p) == SPECTRAL_PINS[p]
+
+
+def ref_spectral_tensor(S):
+    """The structure constants of B_theta by the dim^2-product route: every
+    product of two basis matrices as an n x n matrix, solved as a column
+    on the one factorisation of the span; c[i][j] is column i * dim + j."""
+    basis = S.basis_matrices
+    span_rows = linalg.transpose([b.grid for b in basis])
+    cols = [(a @ b).grid for a in basis for b in basis]
+    sols = linalg.eliminate(span_rows, reduce_above=True).solve_rows(cols)
+    assert sols is not None
+    return linalg.transpose(sols)
+
+
+def tensor_rows(B):
+    """The slices c[i][j] of B's tensor, in the order i * dim + j."""
+    m = B.dim
+    return B.tensor.slices([t * m for t in range(m * m)], m)
+
+
+@pytest.mark.parametrize("p", sorted(SPECTRAL_PINS))
+def test_spectral_tensor_agrees_with_basis_products(p):
+    # the tensor read off the L_i and the one solved from the dim^2 basis
+    # products are the same constants at their common precision
+    for d, n, seed in PINS_GRID:
+        S = spectral_algebra(gen_higgs(p, d, n, 0.6, seed))
+        for new, ref in zip(tensor_rows(S.algebra), ref_spectral_tensor(S), strict=True):
+            assert linalg.congruent(new, ref), (p, d, n, seed)
+
+
+def over_claims(narrow, wide):
+    """The entries of the Row narrow that the Row wide, the same values
+    computed 40 digits wider, refutes: a claimed digit that differs, or a
+    wider entry known to fewer digits than the narrow one claims."""
+    return [k for k in range(len(narrow))
+            if wide.prec[k] < narrow.prec[k]
+            or not linalg.congruent(narrow.slice(k, k + 1), wide.slice(k, k + 1))]
+
+
+@pytest.mark.parametrize("p", sorted(SPECTRAL_PINS))
+def test_spectral_digits_are_earned(p):
+    # gen_higgs draws the same integers at every N, so B_theta at N = 72 is
+    # the same algebra in the same basis: every digit of every structure
+    # constant and tau coordinate claimed at N = 32 must agree with it
+    for d, n, seed in [(d, n, seed) for d in (1, 2, 3) for n in (2, 3, 4, 5, 6)
+                       for seed in (0, 1, 2, 3)]:
+        S, W = (spectral_algebra(gen_higgs(p, d, n, 0.6, seed, precision=N)) for N in (32, 72))
+        assert len(S.basis_matrices) == len(W.basis_matrices)
+        assert all(linalg.congruent(b.grid, w.grid)
+                   for b, w in zip(S.basis_matrices, W.basis_matrices))
+        for x, y in [(S.algebra.tensor, W.algebra.tensor)] + \
+                [(s.row, w.row) for s, w in zip(S.tau, W.tau)]:
+            assert over_claims(x, y) == [], (p, d, n, seed)
+
+
+def test_spectral_algebra_makes_no_basis_products(monkeypatch):
+    # B_theta of dim 5 < n = 6 from d = 2 components: the closure forms the
+    # d * dim products b_j @ theta_i, and the tensor is made from dim x dim
+    # multiplication operators; no product of two n x n basis matrices
+    H = gen_higgs(5, 2, 6, 0.6, 0)
+    thetas = {id(t.grid) for t in H.theta}
+    products = []
+    matmul = PadicMatrix.__matmul__
+
+    def counted(a, b):
+        products.append((a.nrows, id(a.grid) in thetas, id(b.grid) in thetas))
+        return matmul(a, b)
+
+    monkeypatch.setattr(PadicMatrix, "__matmul__", counted)
+    S = spectral_algebra(H)
+    dim, n, d = S.algebra.dim, H.rank, H.d
+    assert (dim, n) == (5, 6)
+    closure = products.count((n, False, True))
+    commutators = products.count((n, True, True))  # validation of H
+    assert (closure, commutators) == (d * dim, d * (d - 1))
+    # every other product is one of dim x dim operators
+    assert len(products) - closure - commutators == [rows for rows, _, _ in products].count(dim)
 
 
 class TestTwists:
