@@ -90,7 +90,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .matrix import PadicMatrix, mat_exp, mat_log
-from .scalar import PadicScalar, big_exp, power
+from .scalar import PadicScalar, _inverse, big_exp, power
 
 MAX_DIM = 64  # soft limit; keeps the m^5 validation desk-scale
 _FULL_CHECK_DIM = 12
@@ -112,12 +112,13 @@ class FinAlgebra:
     @staticmethod
     def create(ctx, mul, one, validate=True, exact_structure=True):
         """The algebra with mul[i][j] the coordinates of e_i * e_j and one
-        those of its unit, as PadicScalars of ctx's prime (one may also be
-        a Row)."""
+        those of its unit, each a list of PadicScalars of ctx's prime or a
+        Row."""
         m = len(mul)
         if m > MAX_DIM:
             raise PadicError("algebra dimension %d exceeds the soft limit %d" % (m, MAX_DIM))
-        tensor = linalg.Row.of([c for plane in mul for row in plane for c in row], ctx.p)
+        tensor = PadicMatrix.stack(ctx, [linalg.Row.of(row, ctx.p) for plane in mul
+                                         for row in plane], m).grid
         alg = FinAlgebra(ctx, m, tensor, linalg.Row.of(one, ctx.p), exact_structure)
         if validate:
             alg._validate(full=(m <= _FULL_CHECK_DIM))
@@ -335,7 +336,7 @@ class AlgElement:
 
         On a 1-dimensional algebra whose 1 x 1 operator (m) is not a zero
         marker, that elimination is one pivot step, so y = m^-1 * 1 is read
-        from the pivot inverse (linalg._inverse, then Row.scaled on the
+        from the pivot inverse (scalar._inverse, then Row.scaled on the
         Row of 1) with no elimination made: the same Row, and the same
         refusal of a pivot whose inverse keeps no digit.  A zero marker
         takes the elimination for its refusals: the zero decision below
@@ -344,7 +345,7 @@ class AlgElement:
         m = A.mult_operator(self)
         grid = m.grid
         if A.dim == 1 and grid.res[0]:
-            return AlgElement(A, A.one.scaled(linalg._inverse(grid.pw, grid.parts(0)), A.ctx))
+            return AlgElement(A, A.one.scaled(_inverse(grid.pw, grid.parts(0)), A.ctx))
         sol = linalg.eliminate(m.int_rows(), reduce_above=True).solve_row(A.one)
         if sol is None:
             raise NotAUnit("element is not invertible to precision")
@@ -543,7 +544,7 @@ def quotient_by_ideal(A: FinAlgebra, ideal_basis):
 
     def project(row):
         work = linalg.reduce_vector(row, pivot_rows)
-        return [work.scalar(j) for j in free_cols]
+        return linalg.transpose(work.slices(free_cols, 1))[0]
 
     reps = [A.basis_element(j) for j in free_cols]
     mul = [[project((reps[i] * reps[j]).row) for j in range(s)] for i in range(s)]

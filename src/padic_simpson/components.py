@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .algebra import _FULL_CHECK_DIM, AlgElement, FinAlgebra, Morphism, quotient_by_ideal
 from . import linalg
 from ._series import mat_mul
-from .context import DEFAULT_SLACK
 from .errors import IntegralStructureFailure, PadicError, PrecisionExhausted
 from .matrix import PadicMatrix
 from .scalar import PadicScalar, power
@@ -184,9 +183,9 @@ class _FpAlgebra:
             if (pow(lam, deg, p) - sum(c * pow(lam, i, p) for i, c in enumerate(coeffs))) % p == 0
         ]
         if len(roots) != deg:
-            raise IntegralStructureFailure(
-                "fixed-element polynomial did not split; order not maximal"
-            )
+            # the reduction of a closed order of an etale algebra is etale,
+            # so its fixed elements split: the digits ran short
+            raise PrecisionExhausted("fixed-element polynomial did not split")
         return roots
 
 
@@ -228,10 +227,10 @@ class _Order:
         self.index_valuation = -sum(pinv[0] for _, _, _, pinv in elim.steps)
 
     def coords(self, xs):
-        """Lattice coordinates of each element of xs: the inverse basis
-        matrix times the column of its S-coordinates."""
+        """Lattice coordinates of each element of xs, one Row each: the
+        inverse basis matrix times the column of its S-coordinates."""
         cols = PadicMatrix.stack(self.S.ctx, linalg.transpose([x.row for x in xs]), len(xs))
-        return [c.scalars() for c in (self._inverse @ cols).int_columns()]
+        return (self._inverse @ cols).int_columns()
 
     def element(self, lat_coords) -> AlgElement:
         """The element with the integer lattice coordinates lat_coords."""
@@ -245,27 +244,24 @@ class _Order:
         p = self.S.ctx.p
         m = self.S.dim
         coords = self.coords([a * b for a in self.basis for b in self.basis] + [self.S.unit()])
-        residues = [[_residue_mod_p(c, p) for c in x] for x in coords]
+        residues = [[_residue_mod_p(x, k) for k in range(m)] for x in coords]
         tensor = [residues[i * m:(i + 1) * m] for i in range(m)]
         return _FpAlgebra(tensor, residues[-1], p)
 
 
-def _residue_mod_p(c: PadicScalar, p: int) -> int:
-    """The residue mod p of a lattice coordinate.  A coordinate of negative
-    valuation means the lattice is not closed, unless fewer than
-    DEFAULT_SLACK digits back it: then the digits ran short."""
-    if c.is_zero or c.v >= 1:
+def _residue_mod_p(coords: linalg.Row, k: int) -> int:
+    """The residue mod p of lattice coordinate k of the Row coords.  Every
+    order reduced here is closed under multiplication by construction
+    (_initial_order, _saturate), so a coordinate of negative valuation
+    means the digits ran short."""
+    v, u, prec, _ = coords.parts(k)
+    if not u or v >= 1:
         return 0
-    if c.v < 0:
-        if c.prec - c.v < DEFAULT_SLACK:
-            raise PrecisionExhausted(
-                "lattice coordinate of valuation %d rests on %d digits (< %d)"
-                % (c.v, c.prec - c.v, DEFAULT_SLACK)
-            )
-        raise IntegralStructureFailure(
-            "order is not multiplicatively closed (coordinate valuation %d)" % c.v
+    if v < 0:
+        raise PrecisionExhausted(
+            "lattice coordinate of valuation %d rests on %d digits" % (v, prec - v)
         )
-    return c.residue(1)
+    return u % coords.pw.p
 
 
 def _initial_order(S: FinAlgebra) -> _Order:
@@ -284,9 +280,9 @@ def _initial_order(S: FinAlgebra) -> _Order:
     probe = _Order(S, chosen)
     worst = 0
     for x in probe.coords([chosen[i] * chosen[j] for i in range(m) for j in range(i + 1)]):
-        for c in x:
-            if not c.is_zero and c.v < worst:
-                worst = c.v
+        v = x.min_valuation()
+        if v is not None and v < worst:
+            worst = v
     if worst < 0:
         scale = PadicScalar.from_int(S.ctx, S.ctx.p ** (-worst))
         chosen = [chosen[0]] + [b * scale for b in chosen[1:]]
@@ -310,7 +306,7 @@ def _saturate(order: _Order) -> _Order:
         # x = sum z_i b_i / p lies in the multiplier iff for every generator
         # g of J the J-coordinates of x*g are integral, i.e. B z = 0 mod p
         prods = J.coords([b * g for g in J.basis for b in order.basis])
-        cond = [[_residue_mod_p(prods[gi * m + z][coord], p) for z in range(m)]
+        cond = [[_residue_mod_p(prods[gi * m + z], coord) for z in range(m)]
                 for gi in range(m) for coord in range(m)]
         kernel = _gf_kernel(cond, p)
         new_gens = list(order.basis) + [order.element(z) * p_inv for z in kernel]
@@ -437,10 +433,10 @@ def component_quotient(A: FinAlgebra, e: AlgElement) -> Component:
                             reduce_above=True)
 
     def coords_of(x: AlgElement):
-        sols = span.solve([x.row])
-        if sols is None:
+        sol = span.solve_row(x.row)
+        if sol is None:
             raise PrecisionExhausted("element does not lie in the component span")
-        return sols[0]
+        return sol
 
     mul = [[coords_of(basis[i] * basis[j]) for j in range(s)] for i in range(s)]
     one = coords_of(e)

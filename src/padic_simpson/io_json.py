@@ -4,7 +4,8 @@ One wire format for every kind ("higgs", "rep", "algebra", "twist"), all
 versioned with "format": 1.  Scalars serialise as "v:u" (valuation, unit
 part) or plain decimal integers or rationals "a/b" with b coprime to p;
 each file carries one global precision.  Canonical dumps are byte-stable:
-sorted keys, fixed separators, trailing newline.
+sorted keys, fixed separators, trailing newline.  One writer serves
+every kind, from the parts of Rows (_row_strings); reading parses.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ def canonical_dumps(obj) -> str:
 
 def file_hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _matrix_grid(m: PadicMatrix):
-    return [[x.to_string() for x in row] for row in m.entries]
 
 
 def _parse_matrix(ctx, grid, what, n):
@@ -84,7 +81,7 @@ def _side_to_json(X, metadata):
     out = _base_header(X.kind, X.ctx, metadata)
     out["d"] = X.d
     out["rank"] = X.rank
-    out[X.matrix_field] = [_matrix_grid(m) for m in X.matrices]
+    out[X.matrix_field] = [_cut(_row_strings(m.grid), m.nrows, m.ncols) for m in X.matrices]
     return out
 
 
@@ -131,11 +128,16 @@ def _row_strings(row) -> list:
     return text
 
 
+def _cut(items, count, size) -> list:
+    """The count rows, of size items each, of the row-major grid items."""
+    return [items[i * size:(i + 1) * size] for i in range(count)]
+
+
 def _tensor_to_json(A: FinAlgebra):
-    m, text = A.dim, _row_strings(A.tensor)
+    m = A.dim
     return {
         "dim": m,
-        "mul": [[text[(i * m + j) * m:(i * m + j + 1) * m] for j in range(m)] for i in range(m)],
+        "mul": _cut(_cut(_row_strings(A.tensor), m * m, m), m, m),
         "one": _row_strings(A.one),
     }
 

@@ -163,9 +163,9 @@ def _cohomology(X, report, side, min_margin) -> CohomologyReport:
 
 
 def _check_ends(ops, n, h, min_margin):
-    """H^0 = joint kernel and H^top = joint cokernel, computed directly."""
+    """H^0 = joint kernel (n - rank) and H^top = joint cokernel, computed directly."""
     stacked = [row for op in ops for row in op.int_rows()]
-    joint_kernel = len(linalg.kernel_basis(stacked, min_margin))
+    joint_kernel = n - linalg.rank_with_margin(stacked, min_margin)[0]
     side_by_side = linalg.transpose([col for op in ops for col in op.int_columns()])
     rank_images, _ = linalg.rank_with_margin(side_by_side, min_margin)
     cokernel = n - rank_images

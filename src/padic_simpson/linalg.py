@@ -14,19 +14,20 @@ ambient precisions and contexts, one entry per column, and the least
 ambient precision, kept when the row is made.  A row operation x - f*y
 is one pass over those lists with the ledger of the scalar expression
 x + (-(f*y)) (see scalar.py), and a pivot row is scaled by the pivot
-inverse with the ledger of the scalar product; valuations are
+inverse with the ledger of the scalar product (scalar._times and
+_inverse, the bodies of PadicScalar * and inv); valuations are
 recomputed only where the pivot search, a margin or a later step reads
 them.  eliminate, Elimination.solve and triangular_lattice_rows take
-rows (or columns) of PadicScalars or Rows.  PadicScalars are built at
-the surface alone, in normal form, on the entries callers read:
-Elimination.rows, solutions, inverses, kernel vectors and lattice
-columns.  Elimination.solve_rows hands the solutions back as Rows, one
-per unknown across the right-hand sides, and solve_row one solution as
-a Row, for callers that stay on Rows (spectral_algebra, AlgElement.inv,
-unit lifts); solve is the scalar view of solve_rows.  Row.key is the
-hashable form of a row's values, whatever its base.  Row.slices cuts the
-rows or the columns of a grid at once, sharing among them each list of
-precisions, ambient precisions or contexts that holds one value.
+rows (or columns) of PadicScalars or Rows.  Elimination.solve_rows hands
+the solutions back as Rows, one per unknown across the right-hand sides,
+and solve_row one solution as a Row; every caller in the package stays
+on them.  PadicScalars are built at the surface alone, in normal form:
+by parsing (io_json) and by the public accessors, Elimination.rows and
+solve, kernel_basis and invert here, entries and coords of matrices and
+elements.  Row.key is the hashable form of a row's values, whatever its
+base.  Row.slices cuts the rows or the columns of a grid at once,
+sharing among them each list of precisions, ambient precisions or
+contexts that holds one value.
 
 Row is the one integer form of a row of scalars in the package: a
 PadicMatrix is one Row of its entries in row-major order (matrix.py), a
@@ -62,46 +63,10 @@ from .context import DEFAULT_SLACK, PrimeContext
 from .errors import (
     ContextMismatch,
     DimensionMismatch,
-    DivisionByZeroToPrecision,
     IntegralStructureFailure,
     PrecisionExhausted,
 )
-from .scalar import PadicScalar
-
-
-class _Powers(dict):
-    """p^k by exponent k; 1 for k <= 0, so that r % pw[k] is 0 whenever
-    nothing is known below p^k.  logs maps a power p^k back to k.  Both
-    tables only ever gain entries, each a function of its key alone."""
-
-    def __init__(self, p):
-        super().__init__()
-        self.p = p
-        self.logs = _Logs(p)
-
-    def __missing__(self, k):
-        value = self[k] = self.p ** k if k > 0 else 1
-        return value
-
-
-class _Logs(dict):
-    def __init__(self, p):
-        super().__init__()
-        self.p = p
-
-    def __missing__(self, power):
-        value = self[power] = _series.int_valuation(power, self.p)
-        return value
-
-
-_POWERS = {}
-
-
-def _powers(p) -> _Powers:
-    pw = _POWERS.get(p)
-    if pw is None:
-        pw = _POWERS[p] = _Powers(p)
-    return pw
+from .scalar import PadicScalar, _inverse, _powers, _times
 
 
 class Row:
@@ -295,8 +260,7 @@ class Row:
         return v, r // self.pw[v - self.base] if r else 0, self.prec[k], self.amb[k]
 
     def scalar(self, k) -> PadicScalar:
-        v, u, q, _ = self.parts(k)
-        return PadicScalar(self.ctxs[k], v if u else None, u, q)
+        return PadicScalar.from_parts(self.ctxs[k], self.parts(k))
 
     def scalars(self) -> list:
         pw, base = self.pw, self.base
@@ -348,7 +312,7 @@ class Row:
     def scaled(self, s, ctx: PrimeContext | None = None) -> "Row":
         """Every entry times the scalar s = (v, u, prec, amb) as parts()
         gives it (a zero marker's valuation its precision), with the
-        ledger of PadicScalar.__mul__; the products lie in ctx when it
+        ledger of _times; the products lie in ctx when it
         is given (s * x, s of ctx), else in each entry's own context
         (x * s)."""
         sv, su, sprec, samb = s
@@ -380,8 +344,7 @@ class Row:
         context; a scalar of another prime is refused."""
         if c.ctx.p != self.pw.p:
             raise ContextMismatch("mixed primes %d and %d" % (c.ctx.p, self.pw.p))
-        return self.scaled((c.prec if c.v is None else c.v, c.u, c.prec,
-                            c.ctx.default_precision), c.ctx)
+        return self.scaled(c.parts(), c.ctx)
 
     def combined(self, other: "Row", sign: int) -> "Row":
         """self + sign * other entry by entry, with the ledger of
@@ -538,34 +501,6 @@ def transpose(cols) -> list:
                        [c.ctxs[t] for c in cols], min(amb),
                        [c._val[t] for c in cols] if known else None))
     return out
-
-
-def _inverse(pw, b):
-    """Parts of the inverse of the entry b = (v, u, prec, amb) of the prime
-    pw.p, with the ledger and the refusals of PadicScalar.inv; the inverse
-    lies in b's context."""
-    v, u, prec, amb = b
-    if not u:
-        raise DivisionByZeroToPrecision("inverse of O(%d^%d)" % (pw.p, prec))
-    iprec = min(prec - 2 * v, amb)
-    rel = iprec + v
-    if rel <= 0:
-        raise DivisionByZeroToPrecision(
-            "inverse at valuation %d loses all %d known digits" % (v, prec)
-        )
-    return -v, pow(u, -1, pw[rel]), iprec, amb
-
-
-def _times(pw, a, b):
-    """Parts of a * b for nonzero entries a and b, with the ledger of
-    PadicScalar.__mul__; the product lies in a's context."""
-    av, au, aprec, aamb = a
-    bv, bu, bprec, bamb = b
-    prec = min(aprec + bv, bprec + av, aamb, bamb)
-    v = av + bv
-    if v >= prec:
-        return prec, 0, prec, aamb
-    return v, (au * bu) % pw[prec - v], prec, aamb
 
 
 @dataclass
@@ -749,7 +684,7 @@ def eliminate(mat, reduce_above=False, min_margin=DEFAULT_SLACK):
         free_cols.remove(pj)
         targets = free_rows + done if reduce_above else free_rows
         done.append(pi)
-        pivot_inv = None  # PadicScalar.inv refuses only once it is used
+        pivot_inv = None  # _inverse refuses only once it is used
         updated = []
         for i in targets:
             x = work[i]

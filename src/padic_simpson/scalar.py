@@ -7,25 +7,27 @@ zero-to-precision marker (valuation None), never silently an exact zero.
 
 Precision rules (the documented ledger):
   add       min(prec_a, prec_b)
-  mul       min(prec_a + v_b, prec_b + v_a), capped at N
+  mul       min(prec_a + v_b, prec_b + v_a), capped at N          (_times)
   inv       prec - 2*val  (relative precision is preserved, so the absolute
-            precision drops by twice the valuation)
+            precision drops by twice the valuation)             (_inverse)
   row op    x - f*y (elimination, linalg.Row.sub_mul), with the ledger of
             x + (-(f*y)): min(prec_x, prec_f + v_y, prec_y + v_f, N_f, N_y)
   exp/log   preserved on their domains (isometries; the series kernels work
             at a widened internal modulus so no digits are lost)
 
-Every value made from an integer residue r * p^base known mod p^prec
-(from_residue, from_fraction, from_val_unit, reduce, add and mul) ends
-in one normaliser, _scaled_residue, so it has one normal form whatever
-made it.  Matrices, algebra elements, products and elimination work on
-linalg.Row, the one integer form of a row of scalars, instead of on
-scalars.  A Row keeps each residue reduced with its valuation, so
-the scalars it hands out are built in that normal form directly, once
-per entry read.
+The per-entry kernels live here: _times and _inverse are the one body of
+the product and of the inverse, on parts (v, u, prec, N; a zero marker's
+v is its prec and its u 0), and * and inv are their one-entry calls.
+The loops of linalg.Row, the integer rows that matrices, elements and
+elimination work on, are their vector forms; __add__ keeps its own body,
+the per-entry reference for Row.combined.  Every other value made from
+an integer residue r * p^base known mod p^prec (from_residue,
+from_fraction, from_val_unit, reduce, add) ends in one normaliser,
+_scaled_residue, so a scalar has one normal form whatever made it.
+Scalars are built at the surface: by parsing, and per entry read.
 
-PadicScalar is a plain slotted class: every kernel builds one per output
-entry, so construction is kept to setting four slots, with no frozen-field
+PadicScalar is a plain slotted class: a reader builds one per entry, so
+construction is kept to setting four slots, with no frozen-field
 guard.  A scalar is never written to after construction;
 tests/test_values.py checks the sources for such writes.  Equality is
 precision-relative, so scalars are unhashable.
@@ -109,6 +111,13 @@ class PadicScalar:
         return _scaled_residue(ctx, u, v, prec)
 
     @staticmethod
+    def from_parts(ctx: PrimeContext, parts) -> "PadicScalar":
+        """The scalar of ctx with the parts (v, u, prec, amb) of a kernel
+        or of Row.parts, in normal form; u = 0 is the marker O(p^prec)."""
+        v, u, prec, _ = parts
+        return PadicScalar(ctx, v if u else None, u, prec)
+
+    @staticmethod
     def parse(ctx: PrimeContext, text: str, prec: int | None = None) -> "PadicScalar":
         """Accepts "v:u" (valuation, decimal unit part), plain decimal
         integers, and rationals "a/b" with b coprime to p."""
@@ -139,6 +148,12 @@ class PadicScalar:
         if k <= 0:  # every integer is 0 mod p^k
             return 0
         return (self.u * self.ctx.p ** self.v) % self.ctx.p ** k
+
+    def parts(self) -> tuple:
+        """(valuation, unit, precision, ambient precision), a zero marker's
+        valuation being its precision: the operand of the kernels."""
+        v = self.prec if self.v is None else self.v
+        return v, self.u, self.prec, self.ctx.default_precision
 
     def to_string(self) -> str:
         if self.is_zero:
@@ -185,26 +200,11 @@ class PadicScalar:
 
     def __mul__(self, other: "PadicScalar") -> "PadicScalar":
         self._check(other)
-        cap = min(self.ctx.default_precision, other.ctx.default_precision)
-        va = self.prec if self.is_zero else self.v
-        vb = other.prec if other.is_zero else other.v
-        prec = min(self.prec + vb, other.prec + va, cap)
-        if self.is_zero or other.is_zero:
-            return PadicScalar(self.ctx, None, 0, prec)
-        return _scaled_residue(self.ctx, self.u * other.u, va + vb, prec)
+        return PadicScalar.from_parts(self.ctx,
+                                      _times(_powers(self.ctx.p), self.parts(), other.parts()))
 
     def inv(self) -> "PadicScalar":
-        if self.is_zero:
-            raise DivisionByZeroToPrecision(
-                "inverse of O(%d^%d)" % (self.ctx.p, self.prec)
-            )
-        prec = min(self.prec - 2 * self.v, self.ctx.default_precision)
-        rel = prec + self.v  # relative precision of the inverse
-        if rel <= 0:
-            raise DivisionByZeroToPrecision(
-                "inverse at valuation %d loses all %d known digits" % (self.v, self.prec)
-            )
-        return PadicScalar(self.ctx, -self.v, pow(self.u, -1, self.ctx.p ** rel), prec)
+        return PadicScalar.from_parts(self.ctx, _inverse(_powers(self.ctx.p), self.parts()))
 
     def __truediv__(self, other: "PadicScalar") -> "PadicScalar":
         return self * other.inv()
@@ -246,6 +246,70 @@ def power(x, k, one, mul=operator.mul):
         if not k:
             return out
         x = mul(x, x)
+
+
+class _Powers(dict):
+    """p^k by exponent k; 1 for k <= 0, so that r % pw[k] is 0 whenever
+    nothing is known below p^k.  logs maps a power p^k back to k.  Both
+    tables only ever gain entries, each a function of its key alone."""
+
+    def __init__(self, p):
+        super().__init__()
+        self.p = p
+        self.logs = _Logs(p)
+
+    def __missing__(self, k):
+        value = self[k] = self.p ** k if k > 0 else 1
+        return value
+
+
+class _Logs(dict):
+    def __init__(self, p):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, power):
+        value = self[power] = _series.int_valuation(power, self.p)
+        return value
+
+
+_POWERS = {}
+
+
+def _powers(p) -> _Powers:
+    pw = _POWERS.get(p)
+    if pw is None:
+        pw = _POWERS[p] = _Powers(p)
+    return pw
+
+
+def _times(pw, a, b):
+    """Parts of a * b for the parts a and b of entries of the prime pw.p:
+    precision min(prec a + v b, prec b + v a, N a, N b), a zero marker
+    when every known digit vanishes; the product lies in a's context."""
+    av, au, aprec, aamb = a
+    bv, bu, bprec, bamb = b
+    prec = min(aprec + bv, bprec + av, aamb, bamb)
+    v = av + bv
+    if v >= prec:
+        return prec, 0, prec, aamb
+    return v, (au * bu) % pw[prec - v], prec, aamb
+
+
+def _inverse(pw, b):
+    """Parts of the inverse of the entry b = (v, u, prec, amb) of the prime
+    pw.p, at precision min(prec - 2v, N); the inverse lies in b's context.
+    A zero marker, or an inverse that keeps no digit, is refused."""
+    v, u, prec, amb = b
+    if not u:
+        raise DivisionByZeroToPrecision("inverse of O(%d^%d)" % (pw.p, prec))
+    iprec = min(prec - 2 * v, amb)
+    rel = iprec + v
+    if rel <= 0:
+        raise DivisionByZeroToPrecision(
+            "inverse at valuation %d loses all %d known digits" % (v, prec)
+        )
+    return -v, pow(u, -1, pw[rel]), iprec, amb
 
 
 def _scaled_residue(ctx, r, base, prec):

@@ -16,7 +16,7 @@ import pytest
 from padic_simpson.algebra import FinAlgebra
 from padic_simpson.components import connected_components, idempotents
 from padic_simpson.context import PrimeContext
-from padic_simpson.errors import PadicError, PrecisionExhausted
+from padic_simpson.errors import DivisionByZeroToPrecision, PadicError, PrecisionExhausted
 from padic_simpson.generate import gen_higgs
 from padic_simpson.higgs import spectral_algebra
 
@@ -71,13 +71,15 @@ def components_grid_digest(p, n):
 
 # re-recorded when spectral_algebra came to read its tensor off the
 # multiplication matrices L_i: 52 records moved, every one a spectral
-# algebra's (CHANGES.md lists them).  At N = 8, spectral_algebra(gen_higgs(3, 2, 6,
-# 0.6, 5)) is refused with IntegralStructureFailure on a lattice coordinate
-# of valuation -1 known to 4 digits, and passes at N = 32
+# algebra's (CHANGES.md lists them).  (3, 8) was re-recorded when a lattice
+# coordinate of negative valuation came to be a precision shortfall: at
+# N = 8, spectral_algebra(gen_higgs(3, 2, 6, 0.6, 5)) is refused with
+# PrecisionExhausted on a coordinate of valuation -1 known to 4 digits,
+# where it was an IntegralStructureFailure, and passes at N = 32
 COMPONENTS_GRID = {
     (2, 8): "60fe684d081a0bbd", (2, 12): "31ef4e5051ebb444",
     (2, 20): "f4f2941daa1f3229", (2, 32): "06373478b71dd45c",
-    (3, 8): "a5dbeaf15b578ba9", (3, 12): "dbf65546d2abfbe5",
+    (3, 8): "1101dd994a8e97bb", (3, 12): "dbf65546d2abfbe5",
     (3, 20): "9bc2c4cdcb1be20c", (3, 32): "1c902722f557c5fa",
     (5, 8): "a0564928e6545779", (5, 12): "a00df7ed81744034",
     (5, 20): "807c9c709fbae79c", (5, 32): "2618fdaba919d184",
@@ -117,3 +119,31 @@ def test_splitting_mod_p_is_bounded_by_the_dimension():
     A = spectral_algebra(gen_higgs(7, 3, 6, 0.6, 3, precision=8)).algebra
     with pytest.raises(PrecisionExhausted, match="splitting mod 7 passed 5 pieces"):
         idempotents(A)
+
+
+def _components_of(p, d, n, seed, precision):
+    return connected_components(
+        spectral_algebra(gen_higgs(p, d, n, 0.6, seed, precision=precision)).algebra)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_refusals_of_a_shortfall_name_it(p):
+    # every refusal at N = 8 of an instance that passes at N = 32 is a
+    # precision shortfall, so it must say so (and exit 4 from the CLI),
+    # never blame the input; and the search refuses fast
+    for d in (1, 2, 3):
+        for n in (3, 4, 5, 6):
+            for seed in range(6):
+                start = time.perf_counter()
+                try:
+                    _components_of(p, d, n, seed, 8)
+                except (PrecisionExhausted, DivisionByZeroToPrecision):
+                    pass
+                except PadicError as exc:
+                    try:
+                        _components_of(p, d, n, seed, 32)
+                    except PadicError:
+                        continue  # a structural refusal at both precisions
+                    pytest.fail("%s at N = 8 on %r, which passes at N = 32: %s"
+                                % (type(exc).__name__, (p, d, n, 0.6, seed), exc))
+                assert time.perf_counter() - start < 1.0, (p, d, n, seed)

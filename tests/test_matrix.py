@@ -591,13 +591,17 @@ def test_residues_and_reduction_match_scalar_tuples(operands):
 
 def test_hot_paths_build_no_scalars(monkeypatch):
     # @, commutes_with, == and - on 6 x 6 matrices, a Koszul complex, the
-    # validation of a spectral tensor, and element products, sums, scalar
-    # products and morphism images in a 4-dimensional algebra work on
+    # validation of a spectral tensor, element products, sums, scalar
+    # products and morphism images in a 4-dimensional algebra, the writers
+    # of every kind, both cohomologies of a module with a nonzero joint
+    # kernel, component quotients and a quotient by the nilradical work on
     # integer grids alone; reading entries builds one scalar per entry
-    from padic_simpson.algebra import FinAlgebra, Morphism
+    from padic_simpson.algebra import FinAlgebra, Morphism, nilradical, quotient_by_ideal
+    from padic_simpson.components import component_quotient, idempotents
     from padic_simpson.generate import gen_higgs
-    from padic_simpson.higgs import spectral_algebra
-    from padic_simpson.koszul import KoszulComplex
+    from padic_simpson.higgs import HiggsModule, higgs_to_rep, spectral_algebra
+    from padic_simpson.io_json import higgs_to_json, rep_to_json, twist_to_json
+    from padic_simpson.koszul import KoszulComplex, compare_cohomology
 
     ctx = PrimeContext(5, 32)
     rng = random.Random(18)
@@ -611,6 +615,12 @@ def test_hot_paths_build_no_scalars(monkeypatch):
     x, y = (A.from_ints([rng.randrange(5 ** 6) for _ in range(4)]) for _ in range(2))
     c = PadicScalar.from_fraction(ctx, Fraction(2, 5))
     f = Morphism(A, A, (A.unit(), y, x, x * y))
+    T = HiggsModule.trivial(ctx, 2, 3)
+    V = higgs_to_rep(T)
+    split = FinAlgebra.from_power_relation(ctx, [0, 1, 0])
+    idems = idempotents(split)
+    nil = FinAlgebra.from_power_relation(ctx, [0, 0, 1])
+    radical = nilradical(nil)
     built = []
     init = PadicScalar.__init__
 
@@ -629,6 +639,13 @@ def test_hot_paths_build_no_scalars(monkeypatch):
     x + y
     x * c
     f.apply(x)
+    higgs_to_json(T)
+    rep_to_json(V)
+    twist_to_json(S.algebra, S.tau)
+    assert compare_cohomology(T).ok
+    for e in idems:
+        component_quotient(split, e)
+    quotient_by_ideal(nil, radical)
     assert built == []
     product.entries
     assert len(built) == 36

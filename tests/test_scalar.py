@@ -313,6 +313,18 @@ def ref_mul(a, b):
     return PadicScalar(a.ctx, va + vb, (a.u * b.u) % a.ctx.p ** (prec - va - vb), prec)
 
 
+def ref_inv(a):
+    if a.is_zero:
+        raise DivisionByZeroToPrecision("inverse of O(%d^%d)" % (a.ctx.p, a.prec))
+    prec = min(a.prec - 2 * a.v, a.ctx.default_precision)
+    rel = prec + a.v
+    if rel <= 0:
+        raise DivisionByZeroToPrecision(
+            "inverse at valuation %d loses all %d known digits" % (a.v, a.prec)
+        )
+    return PadicScalar(a.ctx, -a.v, pow(a.u, -1, a.ctx.p ** rel), prec)
+
+
 def ref_from_fraction(ctx, q, prec):
     if q == 0:
         return PadicScalar.zero(ctx, prec)
@@ -337,10 +349,11 @@ def ref_rehome(c, ctx):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_shared_normaliser_matches_each_site(data):
-    # __add__, __mul__, from_residue, from_fraction, from_val_unit, reduce
-    # end in one normaliser, and linalg.Row.rehomed (the rehoming of
-    # algebra exp/log) builds its scalars in that normal form; each keeps
-    # the value, precision, normal form, context and exceptions of its own
+    # __add__, from_residue, from_fraction, from_val_unit, reduce end in
+    # one normaliser, __mul__ and inv are one-entry calls of the kernels
+    # _times and _inverse, and linalg.Row.rehomed (the rehoming of algebra
+    # exp/log) builds its scalars in that normal form; each keeps the
+    # value, precision, normal form, context and exceptions of its own
     # former body
     operand = ledger_operands(data.draw(st.sampled_from([2, 3, 5, 7])))
     x, y = data.draw(operand), data.draw(operand)
@@ -348,6 +361,7 @@ def test_shared_normaliser_matches_each_site(data):
     top = ctx.default_precision
     assert _ledger_outcome(lambda: x + y) == _ledger_outcome(lambda: ref_add(x, y))
     assert _ledger_outcome(lambda: x * y) == _ledger_outcome(lambda: ref_mul(x, y))
+    assert _ledger_outcome(x.inv) == _ledger_outcome(lambda: ref_inv(x))
     prec = data.draw(st.integers(-3, top + 3))
     assert _ledger_outcome(lambda: x.reduce(prec)) == _ledger_outcome(lambda: ref_reduce(x, prec))
     r = data.draw(st.integers(-ctx.p ** (top + 2), ctx.p ** (top + 2)))
