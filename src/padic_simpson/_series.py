@@ -21,8 +21,11 @@ series' table (its coefficients reduced mod p^(prec + headroom), the
 headroom and the inverse of the denominator's unit part) is built once per
 (kind, p, valuation, prec, s) and kept (_table).  An n x n argument with
 n >= 2 is evaluated by Paterson-Stockmeyer (_poly_eval, about 2*sqrt(M)
-matrix products for M terms); a 1 x 1 argument, where that saves no
-product worth saving, by Horner on its one integer.
+matrix products for M terms), which builds the powers of t only up to
+the first that vanishes mod the working modulus and then sums the terms
+below it: the same residues, and a nilpotent argument costs at most
+n - 1 products, whatever M is.  A 1 x 1 argument, where that saves no
+product worth saving, is evaluated by Horner on its one integer.
 """
 
 from functools import cache
@@ -83,16 +86,27 @@ def _poly_eval(t, coefs, mod):
     t^0..t^(b-1) and the giant step t^b, Horner in t^b runs over blocks of
     b coefficients, so about 2*sqrt(len(coefs)) matrix products are made
     instead of one per term.  Each block entry is summed exactly and
-    reduced once."""
+    reduced once.
+
+    The powers t^1..t^b are built in turn and the building stops at the
+    first t^z that vanishes mod `mod`: every later power, a multiple of
+    it, vanishes too, so the sum is the one of coefs[:z] over the powers
+    built.  A nilpotent n x n argument vanishes from t^n on, so its
+    series costs at most n - 1 products and is exact whatever its
+    length."""
     n = len(t)
     b = isqrt(len(coefs) - 1) + 1  # ceil(sqrt(len(coefs)))
+    top = b if len(coefs) > b else b - 1  # the highest power used
     lift = [[x % mod for x in row] for row in t]
-    baby = [[[int(i == j) for j in range(n)] for i in range(n)], lift]
-    while len(baby) < b:
-        baby.append(mat_mul(baby[-1], lift, mod))
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)], lift]
+    while len(powers) <= top and any(map(any, powers[-1])):
+        powers.append(mat_mul(powers[-1], lift, mod))
+    if not any(map(any, powers[-1])):  # t^z, z = len(powers) - 1, vanishes
+        b = len(powers) - 1
+        coefs = coefs[:b]
     # stack[i][j] holds entry (i, j) of t^0..t^(b-1)
-    stack = [list(zip(*rows)) for rows in zip(*baby[:b])]
-    giant = mat_mul(baby[-1], lift, mod) if len(coefs) > b else None
+    stack = [list(zip(*rows)) for rows in zip(*powers[:b])]
+    giant = powers[b] if len(coefs) > b else None
     acc = [[0] * n for _ in range(n)]
     for start in reversed(range(0, len(coefs), b)):
         if start + b < len(coefs):

@@ -404,9 +404,14 @@ def is_connected(A: FinAlgebra) -> bool:
 
 def connected_components(A: FinAlgebra, idems=None):
     """[Component] per primitive idempotent; supply idems explicitly to
-    override the automatic search (the documented fallback)."""
+    override the automatic search (the documented fallback).  A supplied
+    idempotent that is zero to precision spans no component and is
+    refused."""
     if idems is None:
         return list(A._components)
+    for i, e in enumerate(idems):
+        if e.is_zero_to_precision():
+            raise PadicError("idempotent %d is zero to precision; it spans no component" % i)
     return [component_quotient(A, e) for e in idems]
 
 

@@ -143,9 +143,11 @@ def _tensor_to_json(A: FinAlgebra):
 
 
 def _tensor_from_json(ctx, obj, what, exact_structure) -> FinAlgebra:
-    """FinAlgebra.create on the "mul" and "one" of obj; a missing field or
-    a bad scalar is a ParseError naming `what`, while a tensor that is not
-    an algebra raises what FinAlgebra.create raises."""
+    """FinAlgebra.create on the "mul" and "one" of obj; a missing field, a
+    bad scalar or a list of the wrong length (mul is dim x dim x dim and
+    one has dim entries, dim = len(mul)) is a ParseError naming `what`
+    or the field, while a tensor that is not an algebra raises what FinAlgebra.create
+    raises."""
     try:
         mul = [
             [[PadicScalar.parse(ctx, s) for s in row] for row in plane]
@@ -154,6 +156,14 @@ def _tensor_from_json(ctx, obj, what, exact_structure) -> FinAlgebra:
         one = [PadicScalar.parse(ctx, s) for s in obj["one"]]
     except (KeyError, ValueError, TypeError, PadicError) as exc:
         raise ParseError("bad %s: %s" % (what, exc))
+    m = len(mul)
+    lengths = [("one", len(one))]
+    for i, plane in enumerate(mul):
+        lengths.append(("mul[%d]" % i, len(plane)))
+        lengths += [("mul[%d][%d]" % (i, j), len(row)) for j, row in enumerate(plane)]
+    for name, n in lengths:
+        if n != m:
+            raise ParseError("tensor field %s holds %d entries, expected %d" % (name, n, m))
     return FinAlgebra.create(ctx, mul, one, exact_structure=exact_structure)
 
 

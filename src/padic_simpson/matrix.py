@@ -329,9 +329,11 @@ def _grid(pw, base, res, prec, amb, ctxs) -> linalg.Row:
 def mat_exp(m: PadicMatrix) -> PadicMatrix:
     """exp of a square matrix with all entries of valuation >= e0.
 
-    Exact when the matrix is nilpotent (the series terminates before the
-    truncation bound); in general truncated once the term valuation passes
-    the working precision.
+    Exact when the matrix is nilpotent: the engine (_series._poly_eval)
+    stops at the first power that vanishes mod its modulus, t^n at the
+    latest, and sums the terms below it, so no term is cut off that could
+    survive; in general truncated once the term valuation passes the
+    working precision.
     """
     ctx = m.ctx
     e0 = ctx.e0

@@ -236,16 +236,25 @@ class PadicScalar:
 
 
 def power(x, k, one, mul=operator.mul):
-    """x^k for k >= 0 by square and multiply from one, with the product
-    mul: the one power of scalars, algebra elements and matrices."""
-    out = one
-    while True:
+    """x^k for k >= 0 by square and multiply with the product mul: the
+    one power of scalars, algebra elements, matrices and the F_p
+    Frobenius of components.  The product starts from the square x^(2^j)
+    of the lowest set bit of k, not from one * x, so x^1 is x itself and
+    no product by one is made; one is returned only for k = 0.  Every
+    later product is out * x^(2^j), as from one."""
+    if not k:
+        return one
+    while not k & 1:
+        x = mul(x, x)
+        k >>= 1
+    out = x
+    k >>= 1
+    while k:
+        x = mul(x, x)
         if k & 1:
             out = mul(out, x)
         k >>= 1
-        if not k:
-            return out
-        x = mul(x, x)
+    return out
 
 
 class _Powers(dict):

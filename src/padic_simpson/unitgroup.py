@@ -8,11 +8,17 @@ as u = c * (1 + n) with c a nonzero scalar and n nilpotent; the unipotent
 factor 1 + n is uniquely p-divisible (via exp/log, defined on nilpotents),
 and the scalar factor decomposes through Teichmuller representatives.
 
+The unit test (_require_unit) decides what x.inv() decides without
+building the inverse (_unit_operator); its value is M_x, which
+decompose_unit reads its trace from.
+
 While cart_square_check runs it keeps a value table, one per call and per
 thread (a ContextVar, reset when the check returns or raises).  It keeps
-the values of the unit tests, the powers x^(p^k) of root-class
-representatives, the log(u) behind unipotent_root (one per u for every
-level) and its roots, scalar_pk_root and decompose_unit, and
+the values of the unit tests (M_x), the p-th power of each element it
+raises (so the powers x^(p^k) form one tower, level k from level k - 1,
+shared by every element on it), the log(u)
+behind unipotent_root (one per u for every level) and its roots,
+scalar_pk_root and decompose_unit, and
 the outcomes of the check's loop bodies: the pullback reconstruction of
 each (unit of R, level) and the pushout factorisation of each unit of S
 at every level, an outcome being its count and its failure strings in
@@ -43,7 +49,8 @@ from .errors import (
 )
 from . import linalg
 from .components import connected_components, idempotents
-from .scalar import PadicScalar, exp_scalar, log_scalar, teichmuller
+from .matrix import PadicMatrix
+from .scalar import PadicScalar, _inverse, exp_scalar, log_scalar, teichmuller
 
 
 # -- the value table of a running square check ----------------------------------
@@ -84,18 +91,53 @@ def _recall(kind: str, x, arg, compute):
     return value
 
 
-def _require_unit(x: AlgElement) -> None:
-    """Raise NotAUnit unless x is invertible to precision."""
+def _require_unit(x: AlgElement) -> PadicMatrix:
+    """M_x, the multiplication operator of x; NotAUnit unless x is
+    invertible to precision (x.inv() succeeds), kept under "unit" while a
+    square check runs."""
+    return _recall("unit", x, None, lambda: _unit_operator(x))
 
-    def test():
+
+def _unit_operator(x: AlgElement) -> PadicMatrix:
+    """M_x when x.inv() succeeds, else x.inv()'s refusal; no inverse is
+    built at full rank.
+
+    M_x is eliminated unreduced.  Its rows without a pivot see the same
+    updates as in x.inv()'s reduced elimination, which only adds updates
+    of rows that already have a pivot, so the pivots, the margins and the
+    PrecisionExhausted refusals are the same, and at full rank no free
+    row is left for the replay of 1 to check.  What else the reduced mode
+    can refuse is the inverse of a pivot: each is taken here, in pivot
+    order.  An elimination that refuses, or a rank below dim, calls
+    x.inv() itself, so the refusal is exactly its own.  A 1 x 1 operator
+    that is not a zero marker takes inv's one pivot step instead."""
+    A = x.algebra
+    m = A.mult_operator(x)
+    grid = m.grid
+    if A.dim == 1 and grid.res[0]:
+        _inverse(grid.pw, grid.parts(0))
+        return m
+    try:
+        elim = linalg.eliminate(m.int_rows())
+    except PadicError:
+        elim = None
+    if elim is None or elim.rank < A.dim:
         x.inv()
-        return True
+        return m
+    for i, j in elim.pivots:
+        row = elim.int_rows[i]
+        _inverse(row.pw, row.parts(j))
+    return m
 
-    _recall("unit", x, None, test)
 
-
-def _power(x: AlgElement, e: int) -> AlgElement:
-    return _recall("pow", x, e, lambda: x ** e)
+def _power(x: AlgElement, k: int) -> AlgElement:
+    """x^(p^k) as k p-th powers in turn: x itself for k = 0.  While a
+    square check runs, each p-th power is kept under its base, so the
+    powers of x form one tower, shared with every element on it."""
+    p = x.algebra.ctx.p
+    for _ in range(k):
+        x = _recall("pow", x, None, lambda y=x: y ** p)
+    return x
 
 
 @dataclass(frozen=True)
@@ -123,8 +165,7 @@ def decompose_unit(u: AlgElement) -> NilUnitDecomposition:
 
 def _decompose_unit(u: AlgElement) -> NilUnitDecomposition:
     A = u.algebra
-    _require_unit(u)
-    c = A.mult_operator(u).trace() * PadicScalar.from_fraction(A.ctx, Fraction(1, A.dim))
+    c = _require_unit(u).trace() * PadicScalar.from_fraction(A.ctx, Fraction(1, A.dim))
     if c.is_zero:
         raise NotConnected("unit has vanishing scalar trace part; algebra not connected at it")
     n = u * A.scalar_element(c.inv()) - A.unit()
@@ -151,8 +192,7 @@ class RootClass:
 
     def shifted(self, extra: int) -> "RootClass":
         """(u, k) = (u^(p^extra), k + extra): the defining rescaling."""
-        p = self.algebra.ctx.p
-        return RootClass(self.algebra, _power(self.representative, p ** extra), self.level + extra)
+        return RootClass(self.algebra, _power(self.representative, extra), self.level + extra)
 
 
 def root_class_equal(a: RootClass, b: RootClass, slack: int = DEFAULT_SLACK) -> bool:
@@ -168,9 +208,8 @@ def root_class_equal(a: RootClass, b: RootClass, slack: int = DEFAULT_SLACK) -> 
         raise PadicError("root classes over different algebras")
     ctx = a.algebra.ctx
     k = max(a.level, b.level) + (ctx.e0 - 1)
-    p = ctx.p
-    x = _power(a.representative, p ** (k - a.level))
-    y = _power(b.representative, p ** (k - b.level))
+    x = _power(a.representative, k - a.level)
+    y = _power(b.representative, k - b.level)
     prec = ctx.default_precision - slack
     return x.agrees(y, prec)
 
@@ -360,7 +399,6 @@ def _cart_square_check(R, quotient, levels, seed, slack):
         )
 
     ctx = R.ctx
-    p = ctx.p
     prec_goal = ctx.default_precision - slack
     r_units = unit_battery(R_live, seed)
     r_images = [f_live.apply(t) for t in r_units]
@@ -369,7 +407,7 @@ def _cart_square_check(R, quotient, levels, seed, slack):
 
     def root_class(t, k):
         # the class of t^(p^k) at level k
-        return RootClass(R_live, _power(t, p ** k), k)
+        return RootClass(R_live, _power(t, k), k)
 
     # pullback, general form: a unit of R is determined by its image in S
     # together with its root class, i.e. the pairs (f(t), class(t^(p^k)))

@@ -9,6 +9,7 @@ t^2 = p*t order, whose maximal order adjoins t/p).
 import collections
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import random
 import sys
@@ -1895,3 +1896,189 @@ def test_repeated_squaring_keeps_the_base():
     for _ in range(16):
         z = z * z
     assert z.is_zero_to_precision() and z.row.base == z.min_precision()
+
+
+# -- the unit test without the inverse, p-power towers ----------------------
+
+
+@functools.cache
+def solve_derived_pool(p, N):
+    """Spectral algebras of small Higgs modules at p and N: solve-derived
+    tensors of dimension 1 to 4, with their tau elements."""
+    return [spectral_algebra(gen_higgs(p, d, n, 0.6, seed=seed, precision=N))
+            for d, n, seed in ((1, 2, 0), (2, 3, 1), (1, 4, 2), (2, 2, 3))]
+
+
+# K[x]/(g) with a zero divisor z of it, as coordinates: x nilpotent, x
+# idempotent, x - 2 with x^2 = 4, x^2 with x^4 = 0, x with x^3 = x
+ZERO_DIVISORS = (([0, 0], [0, 1]), ([0, 1], [0, 1]), ([4, 0], [-2, 1]),
+                 ([0, 0, 0, 0], [0, 0, 1, 0]), ([0, 1, 0], [0, 1, 0]))
+
+
+@st.composite
+def unit_candidates(draw):
+    """An element whose unit test is decided: of an exact K[x]/(g) of
+    dimension 1 to 4 or of a solve-derived spectral algebra, at N from 8
+    to 12, with coordinates known to 4 to N digits, zero markers, and
+    valuations down to -N - 2 (pivots whose inverse keeps no digit);
+    units 1 + p*y, coordinates p^j * small (M_x singular to few digits),
+    tau elements, and zero-divisor multiples z * y (M_x rank-deficient)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.integers(8, 12))
+    ctx = PrimeContext(p, N)
+
+    def entry(vmin):
+        prec = draw(st.integers(4, N))
+        if draw(st.integers(0, 4)) == 0:
+            return PadicScalar.zero(ctx, prec)
+        v = draw(st.integers(vmin, prec - 1))
+        u = draw(st.integers(0, p ** (prec - v - 1) - 1)) * p + draw(st.integers(1, p - 1))
+        return PadicScalar(ctx, v, u, prec)
+
+    source = draw(st.sampled_from(["exact", "zero divisor", "solve-derived"]))
+    zero_divisor = None
+    if source == "exact":
+        A = FinAlgebra.from_power_relation(
+            ctx, [draw(st.integers(-p ** 2, p ** 2)) for _ in range(draw(st.integers(1, 4)))])
+    elif source == "zero divisor":
+        rel, z = draw(st.sampled_from(ZERO_DIVISORS))
+        A = FinAlgebra.from_power_relation(ctx, rel)
+        zero_divisor = A.from_ints(z)
+    else:
+        S = draw(st.sampled_from(solve_derived_pool(p, N)))
+        A = S.algebra
+        if draw(st.booleans()):
+            return draw(st.sampled_from(S.tau))
+    kind = draw(st.sampled_from(["drawn", "unit", "near", "deep"]))
+    if kind == "near":
+        x = A.from_ints([p ** draw(st.integers(0, N + 2)) * draw(st.integers(-p, p))
+                         for _ in range(A.dim)])
+    else:
+        vmin = -N - 2 if kind == "deep" else 0
+        x = A.element([entry(vmin) for _ in range(A.dim)])
+        if kind == "unit":
+            x = A.unit() + x * PadicScalar.from_int(ctx, p)
+    return x if zero_divisor is None else zero_divisor * x
+
+
+def unit_test_outcome(test, x):
+    """None when test(x) passes, else the type and message it raised."""
+    try:
+        test(x)
+    except PadicError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(unit_candidates())
+def test_unit_test_matches_the_inverse(x):
+    # _require_unit decides exactly what x.inv() does, refusals included,
+    # and returns M_x; inside a check the operator is kept under "unit"
+    # and a refusal keeps nothing
+    want = unit_test_outcome(AlgElement.inv, x)
+    assert unit_test_outcome(unitgroup._require_unit, x) == want
+    token = unitgroup._VALUES.set(unitgroup._ValueTable())
+    try:
+        assert unit_test_outcome(unitgroup._require_unit, x) == want
+        kept = list(unitgroup._VALUES.get().values.values())
+    finally:
+        unitgroup._VALUES.reset(token)
+    if want is None:
+        assert len(kept) == 1
+        assert kept[0].grid.key() == x.algebra.mult_operator(x).grid.key()
+        assert unitgroup._require_unit(x).grid.key() == kept[0].grid.key()
+    else:
+        assert kept == []
+
+
+@pytest.mark.parametrize("coords, error", [
+    # a pivot 5^-8 at dim 2: the unreduced elimination needs no inverse of
+    # it, the reduced one refuses it at its first step
+    ([PadicScalar.from_val_unit(C5_8, -8, 1), PadicScalar.zero(C5_8)],
+     DivisionByZeroToPrecision),
+    # nilpotent: rank 1, so the refusal is x.inv()'s own
+    ([PadicScalar.zero(C5_8), PadicScalar.from_int(C5_8, 1)], NotAUnit),
+    # dim 1: the one pivot step, and the zero decisions of a zero marker
+    ([PadicScalar.from_val_unit(C5_8, -8, 1)], DivisionByZeroToPrecision),
+    ([PadicScalar.from_int(C5_8, 5, 1)], PrecisionExhausted),
+    ([PadicScalar.zero(C5_8)], NotAUnit),
+])
+def test_unit_test_refusals_are_the_inverse_refusals(coords, error):
+    x = (FinAlgebra.field if len(coords) == 1 else dual_numbers)(C5_8).element(coords)
+    with pytest.raises(error) as got:
+        unitgroup._require_unit(x)
+    with pytest.raises(error) as want:
+        x.inv()
+    assert str(got.value) == str(want.value)
+
+
+TOWER_RELATIONS = ([0, 0], [0, 0, 0], [0, 1], [4, 0], [3, 0, 1], [0, 5, 0, 1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tower_powers_claim_only_earned_digits(p):
+    # x^(p^k), k = 1..3, as p-th powers of the kept level below, at N = 32
+    # from battery units and thinned copies of them; the same integers at
+    # N = 72 by one binary power outside a check: every digit claimed at
+    # N = 32 agrees, and the tower claims no fewer digits than binary
+    # powers at N = 32 and none that disagree with them
+    rng = random.Random("tower:%d" % p)
+    lo, hi = PrimeContext(p, 32), PrimeContext(p, 72)
+    compared = 0
+    for rel in TOWER_RELATIONS:
+        A, B = FinAlgebra.from_power_relation(lo, rel), FinAlgebra.from_power_relation(hi, rel)
+        units = unit_battery(A, seed=1)
+        units += [A.element([c.reduce(rng.randint(8, 32)) for c in u.coords]) for u in units]
+        token = unitgroup._VALUES.set(unitgroup._ValueTable())
+        try:
+            tower = [[unitgroup._power(u, k) for k in (1, 2, 3)] for u in units]
+            # one kept p-th power per level: x^(p^2) raised to p^1 is read
+            # from the tower, as is x^p raised to p^2
+            size = len(unitgroup._VALUES.get().values)
+            for levels in tower:
+                assert unitgroup._power(levels[1], 1) is levels[2]
+                assert unitgroup._power(levels[0], 2) is levels[2]
+            assert len(unitgroup._VALUES.get().values) == size
+        finally:
+            unitgroup._VALUES.reset(token)
+        for u, levels in zip(units, tower):
+            exact = B.from_ints([c.residue() for c in u.coords])
+            for k, y in zip((1, 2, 3), levels):
+                binary = u ** (p ** k)
+                for a, b, c in zip(y.coords, (exact ** (p ** k)).coords, binary.coords):
+                    assert b.prec >= a.prec and b.reduce(a.prec) == a
+                    assert a.prec >= c.prec and a.reduce(c.prec) == c
+                    compared += 1
+    assert compared > 500
+
+
+def test_square_check_multiplies_by_no_one_and_inverts_nothing(monkeypatch):
+    # one square check K[x]/(x^3) -> K at p = 7: no power starts from a
+    # product by the one it is given (x^1 is x), and every unit test is an
+    # elimination with no AlgElement.inv made
+    A = cubic_nilpotents(C7)
+    K = FinAlgebra.field(C7)
+    f = Morphism.create(A, K, [K.unit(), K.zero(), K.zero()])
+    ones, by_one, inverses = [], [], []
+    inner_power, inner_product = algebra.power, algebra._product
+
+    def marked_power(x, k, one):
+        # a fresh copy of one, kept, so that a product by it is told apart
+        # from a product by the unit as a battery value
+        one = AlgElement(one.algebra, Row.of(one.coords, C7.p))
+        ones.append(one.row)
+        return inner_power(x, k, one)
+
+    def product(B, a, b):
+        if any(a is r or b is r for r in ones):
+            by_one.append((a, b))
+        return inner_product(B, a, b)
+
+    inner_inv = AlgElement.inv
+    monkeypatch.setattr(algebra, "power", marked_power)
+    monkeypatch.setattr(algebra, "_product", product)
+    monkeypatch.setattr(AlgElement, "inv", lambda x: inverses.append(x) or inner_inv(x))
+    report = cart_square_check(A, f, seed=0)
+    assert report.ok and report.pullback_checked and report.pushout_checked
+    assert ones and not by_one and not inverses

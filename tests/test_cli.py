@@ -51,6 +51,31 @@ class TestInstanceFiles:
         back = io_json.algebra_from_json(io_json.algebra_to_json(A))
         assert back == A and back.exact_structure
 
+    @pytest.mark.parametrize("field, index, value, message", [
+        ("mul", (0, 1), ["0", "1", "0"], "mul[0][1] holds 3 entries, expected 2"),
+        ("mul", (1, 0), ["1"], "mul[1][0] holds 1 entries, expected 2"),
+        ("mul", (1,), [["0", "1"]], "mul[1] holds 1 entries, expected 2"),
+        ("one", (), ["1"], "one holds 1 entries, expected 2"),
+        ("one", (), ["1", "0", "0"], "one holds 3 entries, expected 2"),
+    ])
+    def test_ragged_algebra_tensor_refused(self, field, index, value, message):
+        # a list of the wrong length in "mul" or "one" is named with the
+        # length expected, never read as another tensor
+        from padic_simpson.algebra import FinAlgebra
+        from padic_simpson.errors import ParseError
+
+        obj = io_json.algebra_to_json(FinAlgebra.from_power_relation(C5, [0, 1]))
+        if index:
+            target = obj[field]
+            for i in index[:-1]:
+                target = target[i]
+            target[index[-1]] = value
+        else:
+            obj[field] = value
+        with pytest.raises(ParseError) as info:
+            io_json.algebra_from_json(obj)
+        assert str(info.value) == "tensor field " + message
+
     def test_twist_round_trip(self):
         # a twist's tensor was solved for and reloads as such, so exp of a
         # reloaded tau keeps the original's digits; read as an exact tensor

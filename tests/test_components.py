@@ -147,3 +147,17 @@ def test_refusals_of_a_shortfall_name_it(p):
                     pytest.fail("%s at N = 8 on %r, which passes at N = 32: %s"
                                 % (type(exc).__name__, (p, d, n, 0.6, seed), exc))
                 assert time.perf_counter() - start < 1.0, (p, d, n, seed)
+
+
+def test_zero_idempotent_supplied_is_refused():
+    # a caller idempotent that vanishes to precision spans no component:
+    # refused by name, before the component quotient is built, also when
+    # it follows a valid one; a nonzero one is still taken
+    A = FinAlgebra.from_power_relation(PrimeContext(5, 12), [0, 1])
+    e = A.basis_element(1)
+    for idems, index in (([A.zero()], 0), ([e, A.zero()], 1),
+                         ([A.element([c.reduce(0) for c in e.coords])], 0)):
+        with pytest.raises(PadicError, match="idempotent %d is zero to precision" % index):
+            connected_components(A, idems)
+    (comp,) = connected_components(A, [e])
+    assert comp.algebra.dim == 1

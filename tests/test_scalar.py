@@ -6,6 +6,8 @@ and the x -> x^p iteration for Teichmuller lifts.
 """
 
 import dataclasses
+import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -26,7 +28,7 @@ from padic_simpson.errors import (
     ZeroResidue,
 )
 from padic_simpson.generate import gen_higgs
-from padic_simpson.higgs import HiggsModule, SmallRep, higgs_to_rep
+from padic_simpson.higgs import HiggsModule, SmallRep, higgs_to_rep, spectral_algebra
 from padic_simpson.linalg import Row
 from padic_simpson.matrix import PadicMatrix
 from padic_simpson.scalar import (
@@ -34,6 +36,7 @@ from padic_simpson.scalar import (
     big_exp,
     exp_scalar,
     log_scalar,
+    power,
     teichmuller,
     val,
 )
@@ -563,3 +566,96 @@ class TestPrecisionRefinement:
         a = exp_scalar(PadicScalar.from_int(lo, 35))
         b = exp_scalar(PadicScalar.from_int(hi, 35))
         assert b.residue(32) == a.residue(32)
+
+
+# -- power: square and multiply from x against the product from one ---------
+
+def ref_power(x, k, one, mul=operator.mul):
+    """scalar.power as it stood: out starts at one, so x^1 was one * x."""
+    out = one
+    while True:
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+        if not k:
+            return out
+        x = mul(x, x)
+
+
+@functools.cache
+def spectral_pool(p, N):
+    """Solve-derived tensors: the spectral algebras of three small Higgs
+    modules at p and N, with their tau elements."""
+    return [spectral_algebra(gen_higgs(p, d, n, 0.6, seed=seed, precision=N))
+            for d, n, seed in ((1, 2, 0), (2, 3, 1), (1, 4, 2))]
+
+
+@st.composite
+def power_bases(draw, vmin):
+    """(x, one, mul, entries) for a power: a scalar, an element of an
+    exact K[x]/(g) of dimension 1 to 4 or of a spectral algebra (one of
+    its tau, or drawn coordinates), or a 1 x 1 to 4 x 4 matrix; entries
+    of valuation vmin and up, zero markers, precisions 4 to N.  entries
+    reads the scalars of a value."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.integers(8, 12))
+    ctx = PrimeContext(p, N)
+
+    def entry():
+        prec = draw(st.integers(4, N))
+        if draw(st.integers(0, 3)) == 0:
+            return PadicScalar.zero(ctx, prec)
+        v = draw(st.integers(vmin, prec - 1))
+        u = draw(st.integers(0, p ** (prec - v - 1) - 1)) * p + draw(st.integers(1, p - 1))
+        return PadicScalar(ctx, v, u, prec)
+
+    kind = draw(st.sampled_from(["scalar", "exact", "spectral", "tau", "matrix"]))
+    if kind == "scalar":
+        x = entry()
+        one = PadicScalar.from_int(ctx, 1, N if x.is_zero else x.prec)
+        return x, one, operator.mul, lambda y: [y]
+    if kind == "matrix":
+        n = draw(st.integers(1, 4))
+        x = PadicMatrix.from_rows(ctx, [[entry() for _ in range(n)] for _ in range(n)])
+        return (x, PadicMatrix.identity(ctx, n), operator.matmul,
+                lambda y: [y[i, j] for i in range(n) for j in range(n)])
+    if kind == "exact":
+        A = FinAlgebra.from_power_relation(
+            ctx, [draw(st.integers(-p ** 2, p ** 2)) for _ in range(draw(st.integers(1, 4)))])
+    else:
+        S = draw(st.sampled_from(spectral_pool(p, N)))
+        A = S.algebra
+        if kind == "tau":
+            x = draw(st.sampled_from(S.tau))
+            return x, A.unit(), operator.mul, lambda y: y.coords
+    x = A.element([entry() for _ in range(A.dim)])
+    return x, A.unit(), operator.mul, lambda y: y.coords
+
+
+POWER_SETTINGS = settings(max_examples=150, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+
+@POWER_SETTINGS
+@given(power_bases(0), st.integers(0, 12))
+def test_power_matches_the_product_from_one(base, k):
+    # on integral entries one * x is x itself, so starting from x saves a
+    # product and changes no (v, u, prec) of any power
+    x, one, mul, entries = base
+    got, want = power(x, k, one, mul), ref_power(x, k, one, mul)
+    assert [(c.v, c.u, c.prec) for c in entries(got)] == [
+        (c.v, c.u, c.prec) for c in entries(want)]
+    assert [(c.v, c.u, c.prec) for c in entries(x ** k)] == [
+        (c.v, c.u, c.prec) for c in entries(want)]
+
+
+@POWER_SETTINGS
+@given(power_bases(-3), st.integers(0, 12))
+def test_power_from_x_claims_no_fewer_digits(base, k):
+    # a product by a one known to p^prec loses digits on an entry of
+    # negative valuation; without it each power keeps at least the digits
+    # it had and agrees on them
+    x, one, mul, entries = base
+    for a, b in zip(entries(power(x, k, one, mul)), entries(ref_power(x, k, one, mul))):
+        assert a.prec >= b.prec
+        assert a.reduce(b.prec) == b

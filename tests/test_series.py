@@ -146,6 +146,79 @@ def test_kept_tables_are_keyed_on_every_argument():
                 assert kernel(t, p, e, prec) == ref_factorial_series(t, p, e, prec, s)
 
 
+# -- the engine against the full Paterson-Stockmeyer evaluation -------------
+
+def ref_poly_eval(t, coefs, mod):
+    """_poly_eval as it stood: every baby step t^0..t^(b-1) and the giant
+    step t^b built, and Horner in t^b over every block of coefficients,
+    whether or not a power of t vanishes."""
+    n = len(t)
+    b = isqrt(len(coefs) - 1) + 1
+    lift = [[x % mod for x in row] for row in t]
+    baby = [[[int(i == j) for j in range(n)] for i in range(n)], lift]
+    while len(baby) < b:
+        baby.append(_series.mat_mul(baby[-1], lift, mod))
+    stack = [list(zip(*rows)) for rows in zip(*baby[:b])]
+    giant = _series.mat_mul(baby[-1], lift, mod) if len(coefs) > b else None
+    acc = [[0] * n for _ in range(n)]
+    for start in reversed(range(0, len(coefs), b)):
+        if start + b < len(coefs):
+            acc = _series.mat_mul(acc, giant, mod)
+        block = coefs[start:start + b]
+        acc = [[(a + sum(e * c for e, c in zip(block, col))) % mod for a, col in zip(arow, srow)]
+               for arow, srow in zip(acc, stack)]
+    return acc
+
+
+def unimodular(rng, n, mod):
+    """An integer matrix and its inverse mod `mod`: the product of a unit
+    lower and a unit upper triangular matrix, each drawn at random."""
+    lower = [[int(i == j) or (rng.randrange(mod) if j < i else 0) for j in range(n)]
+             for i in range(n)]
+    upper = [[int(i == j) or (rng.randrange(mod) if j > i else 0) for j in range(n)]
+             for i in range(n)]
+
+    def inverse(tri, below):
+        # unit triangular: solve column by column, exactly mod `mod`
+        inv = [[int(i == j) for j in range(n)] for i in range(n)]
+        order = range(n) if below else reversed(range(n))
+        for i in order:
+            others = range(i) if below else range(i + 1, n)
+            for j in range(n):
+                inv[i][j] = (inv[i][j] - sum(tri[i][k] * inv[k][j] for k in others)) % mod
+        return inv
+
+    m = _series.mat_mul(lower, upper, mod)
+    return m, _series.mat_mul(inverse(upper, False), inverse(lower, True), mod)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 6), st.integers(1, 40),
+       st.sampled_from(["nilpotent", "scaled nilpotent", "general", "divisible"]),
+       st.integers(0, 2 ** 32))
+def test_poly_eval_matches_full_evaluation(p, n, terms, shape, seed):
+    # nilpotent arguments P U P^-1 (U strictly upper triangular, P
+    # unimodular) vanish from t^n on, or sooner when U is scaled by p;
+    # general and p-divisible arguments have no vanishing power, or one
+    # only mod `mod`: the residues are the same either way
+    rng = random.Random(seed)
+    mod = p ** rng.randint(4, 40)
+    if shape.endswith("nilpotent"):
+        scale = p ** rng.randint(1, 12) if shape.startswith("scaled") else 1
+        u = [[scale * rng.randrange(mod) if j > i else 0 for j in range(n)] for i in range(n)]
+        m, m_inv = unimodular(rng, n, mod)
+        t = _series.mat_mul(_series.mat_mul(m, u, mod), m_inv, mod)
+        power = t
+        for _ in range(n - 1):
+            power = _series.mat_mul(power, t, mod)
+        assert not any(map(any, power))
+    else:
+        scale = p ** rng.randint(1, 8) if shape == "divisible" else 1
+        t = [[scale * rng.randrange(-mod, mod) for _ in range(n)] for _ in range(n)]
+    coefs = [rng.randrange(-mod, mod) for _ in range(terms)]
+    assert _series._poly_eval(t, coefs, mod) == ref_poly_eval(t, coefs, mod)
+
+
 # -- work count ---------------------------------------------------------------
 
 def counted_products(monkeypatch):
@@ -175,6 +248,22 @@ def test_series_products_grow_like_sqrt_of_terms(monkeypatch, kernel, terms):
         t = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)]
     kernel(t, 3, 1, 32)
     assert 0 < len(calls) <= 2 * (isqrt(terms) + 1) < terms
+
+
+@pytest.mark.parametrize("kernel", [
+    _series.exp_matrix, _series.expm1_quotient_matrix, _series.log_matrix,
+])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_nilpotent_argument_stops_at_its_vanishing_power(monkeypatch, kernel, n):
+    # a strictly upper triangular n x n argument has t^n = 0: the series
+    # of 59, 60 and 35 terms cost t^2..t^n, n - 1 products, and nothing
+    # past them
+    calls = counted_products(monkeypatch)
+    t = [[3 * (5 * i + 7 * j + 1) if j > i else 0 for j in range(n)] for i in range(n)]
+    if kernel is _series.log_matrix:
+        t = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)]
+    kernel(t, 3, 1, 32)
+    assert len(calls) == n - 1
 
 
 @pytest.mark.parametrize("kernel", [
