@@ -194,10 +194,14 @@ def twist_from_json(obj, precision=None):
     # approximates the true structure constants
     B = _tensor_from_json(ctx, obj.get("algebra", {}), "twist payload", False)
     try:
-        tau = [B.element([PadicScalar.parse(ctx, s) for s in t]) for t in obj["tau"]]
+        tau = [[PadicScalar.parse(ctx, s) for s in t] for t in obj["tau"]]
     except (KeyError, ValueError, TypeError, PadicError) as exc:
         raise ParseError("bad twist payload: %s" % exc)
-    return B, tau
+    for i, t in enumerate(tau):
+        if len(t) != B.dim:
+            raise ParseError("twist field tau[%d] holds %d entries, expected %d"
+                             % (i, len(t), B.dim))
+    return B, [B.element(t) for t in tau]
 
 
 def load_instance(path: str):

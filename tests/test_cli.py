@@ -76,6 +76,24 @@ class TestInstanceFiles:
             io_json.algebra_from_json(obj)
         assert str(info.value) == "tensor field " + message
 
+    @pytest.mark.parametrize("tau0, message", [
+        (["0", "0:1", "0"], "tau[0] holds 3 entries, expected 2"),
+        (["0:1"], "tau[0] holds 1 entries, expected 2"),
+    ])
+    def test_ragged_twist_tau_refused(self, tau0, message):
+        # B_theta of this instance has dim 2: a tau coordinate list of
+        # another length is named, never read as an element of B
+        from padic_simpson.errors import ParseError
+        from padic_simpson.higgs import spectral_algebra
+
+        S = spectral_algebra(gen_higgs(5, 1, 3, 0.6, seed=1))
+        obj = io_json.twist_to_json(S.algebra, S.tau)
+        assert S.algebra.dim == 2 and len(obj["tau"][0]) == 2
+        obj["tau"][0] = tau0
+        with pytest.raises(ParseError) as info:
+            io_json.twist_from_json(obj)
+        assert str(info.value) == "twist field " + message
+
     def test_twist_round_trip(self):
         # a twist's tensor was solved for and reloads as such, so exp of a
         # reloaded tau keeps the original's digits; read as an exact tensor

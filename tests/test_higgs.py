@@ -10,12 +10,18 @@ exact one-term series.
 import hashlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from padic_simpson import higgs as higgs_module
 from padic_simpson import linalg
+from padic_simpson.algebra import FinAlgebra
 from padic_simpson.context import PrimeContext
 from padic_simpson.errors import (
     AlgebraMismatch,
     DimensionMismatch,
+    PadicError,
+    PrecisionExhausted,
     ValidationError,
 )
 from padic_simpson.generate import gen_higgs, gen_rep
@@ -211,11 +217,13 @@ class TestSpectralAlgebra:
         assert {c.prec for row in S.embed(x).entries for c in row} == {6, 7, 8, 9}
 
     def test_thin_constants_validate_on_the_stored_tensor(self):
-        # at precision 8 validation reads e_i * e_j off the stored tensor,
-        # made from the multiplication matrices, and this B_theta passes
-        # associativity
+        # at precision 8 the stored tensor is made from thin
+        # multiplication matrices; spectral_algebra certifies it by the
+        # theta-action, so the full check, which reads e_i * e_j off the
+        # stored tensor, associativity included, is called here
         S = spectral_algebra(gen_higgs(3, 2, 5, 0.6, 3, precision=8))
         assert S.algebra.dim == 5
+        S.algebra._validate()
 
     def test_embedding_kernel_trivial(self):
         # the basis matrices are linearly independent by construction
@@ -343,8 +351,120 @@ def test_spectral_algebra_makes_no_basis_products(monkeypatch):
     closure = products.count((n, False, True))
     commutators = products.count((n, True, True))  # validation of H
     assert (closure, commutators) == (d * dim, d * (d - 1))
-    # every other product is one of dim x dim operators
-    assert len(products) - closure - commutators == [rows for rows, _, _ in products].count(dim)
+    # every other product is one of dim x dim operators: one per word
+    # (parent, i) with parent != 0, whose basis matrix is no theta_i, and
+    # the d(d-1) of the commutators of the L_i; no associativity products
+    words = sum(not any(b == t for t in H.theta) for b in S.basis_matrices[1:])
+    operators = [rows for rows, _, _ in products].count(dim)
+    assert len(products) - closure - commutators == operators == words + d * (d - 1)
+
+
+def certificate_and_oracle(H):
+    """Whether spectral_algebra(H) passes, and whether FinAlgebra._validate,
+    associativity included, passes the tensor it built (None when it was
+    refused before a tensor was made)."""
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(FinAlgebra(*args, **kwargs))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(higgs_module, "FinAlgebra", recording)
+        try:
+            spectral_algebra(H)
+            passed = True
+        except PrecisionExhausted:
+            passed = False
+    if not made:
+        return passed, None
+    try:
+        made[0]._validate()
+    except PadicError:
+        return passed, False
+    return passed, True
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.integers(1, 7),
+       st.sampled_from([0.35, 0.6, 0.85, 1.0]), st.integers(0, 3), st.integers(8, 32))
+def test_certificate_refuses_what_validate_refuses(p, d, n, density, seed, N):
+    # the commutators of the L_i with the unit law and commutativity on the
+    # stored tensor pass exactly the tensors the full check passes
+    passed, oracle = certificate_and_oracle(gen_higgs(p, d, n, density, seed, precision=N))
+    assert passed == bool(oracle)
+
+
+@pytest.mark.parametrize("args, oracle", [
+    # the perturbed entry reaches the stored tensor
+    ((3, 2, 4, 0.9, 2), False),
+    # dim 2 with theta_1 in the span of 1 and theta_0: the tensor is read
+    # off L_0 alone, and the perturbed entry of L_0 loses, in c[1][0], to
+    # the exact column of M_{b_0} = 1, so only the certificate sees it
+    ((5, 2, 4, 0.6, 0), True),
+])
+def test_certificate_refuses_noncommuting_action(monkeypatch, args, oracle):
+    # entry (1, 0) of L_0 is moved by p^2, and L_0, L_1 stop commuting
+    H = gen_higgs(*args)
+    p = H.ctx.p
+    solve_rows = linalg.Elimination.solve_rows
+
+    def perturbed(self, cols):
+        sols = solve_rows(self, cols)
+        entries = sols[1].scalars()
+        entries[0] = entries[0] + PadicScalar.from_int(H.ctx, p ** 2)
+        sols[1] = linalg.Row.of(entries, p)
+        return sols
+
+    monkeypatch.setattr(linalg.Elimination, "solve_rows", perturbed)
+    with pytest.raises(PrecisionExhausted, match="theta_0 and theta_1 do not commute"):
+        spectral_algebra(H)
+    assert certificate_and_oracle(H) == (False, oracle)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([(1, 2, 0)], "structure constants not commutative at (2,1,0)"),
+    ([(0, 1, 0), (1, 0, 0)], "unit vector is not an identity at basis 1"),
+])
+def test_certificate_checks_the_stored_tensor(monkeypatch, entries, message):
+    # the L_i commute, but the tensor handed to FinAlgebra has c[i][j][k]
+    # moved by p^2 at each of entries: commutativity or the unit law on
+    # the stored tensor refuses it
+    def perturbed(ctx, dim, tensor, one, **kwargs):
+        constants = tensor.scalars()
+        for i, j, k in entries:
+            t = (i * dim + j) * dim + k
+            constants[t] = constants[t] + PadicScalar.from_int(ctx, ctx.p ** 2)
+        return FinAlgebra(ctx, dim, linalg.Row.of(constants, ctx.p), one, **kwargs)
+
+    monkeypatch.setattr(higgs_module, "FinAlgebra", perturbed)
+    with pytest.raises(PrecisionExhausted) as info:
+        spectral_algebra(gen_higgs(3, 2, 4, 0.9, 2))
+    assert str(info.value) == message
+
+
+def test_certificate_checks_dim_above_twelve(monkeypatch):
+    # 12 components p * E_ij, i < 3 <= j, n = 7: every product of two is 0,
+    # so B_theta = span(1, p * E_ij) has dim 13, above the dim 12 to which
+    # FinAlgebra.create checks associativity; spectral_algebra still makes
+    # its d(d-1) commutator products of 13 x 13 operators, and no other
+    # (every word has parent 0)
+    H = HiggsModule.create(C5, [
+        PadicMatrix.from_ints(C5, [[5 if (r, c) == (i, j) else 0 for c in range(7)]
+                                   for r in range(7)])
+        for i in range(3) for j in range(3, 7)])
+    rows = []
+    matmul = PadicMatrix.__matmul__
+
+    def counted(a, b):
+        rows.append(a.nrows)
+        return matmul(a, b)
+
+    monkeypatch.setattr(PadicMatrix, "__matmul__", counted)
+    S = spectral_algebra(H)
+    assert (S.algebra.dim, H.d) == (13, 12)
+    assert rows.count(13) == 12 * 11
+    S.algebra._validate()
 
 
 class TestTwists:
