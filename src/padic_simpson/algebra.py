@@ -4,25 +4,27 @@ constants.
 An algebra of dimension m is the data of an m x m x m tensor c with
 e_i * e_j = sum_k c[i][j][k] e_k, plus the coordinates of 1.  The tensor
 is stored once, as one linalg.Row with c[i][j][k] at (i * m + j) * m + k,
-and so is the unit; the nested scalar tuples of FinAlgebra.mul are built
-from the tensor on each read.  Commutativity, associativity and the unit
-law are checked at construction (the unit law on the columns of M_1,
-associativity via M_{e_i} M_{e_j} = M_{e_i e_j} on multiplication
-operators, with e_i e_j read off the tensor); internal constructions whose
-tensors are read off from actual endomorphism algebras may skip the
-quadratic checks above the documented size gate.
+and so is the unit, each in one context (create refuses constants of two
+contexts with ContextMismatch); the nested scalar tuples of
+FinAlgebra.mul are built from the tensor on each read.  Commutativity,
+associativity and the unit law are checked at construction (the unit law
+on the columns of M_1, associativity via M_{e_i} M_{e_j} = M_{e_i e_j} on
+multiplication operators, with e_i e_j read off the tensor); internal
+constructions whose tensors are read off from actual endomorphism
+algebras may skip the quadratic checks above the documented size gate.
 
-An AlgElement is its algebra and one linalg.Row of its coordinates: a
-plain slotted class, never written to after construction
-(tests/test_values.py checks the sources) and unhashable, whose coords
-are built from the Row on each read.  FinAlgebra.element reads scalars
-of its prime or a Row.  Sums, differences, negation, scalar products, ==,
-agrees and the precision queries have one body each on Row, shared with
-PadicMatrix.  The inverse stays on Rows too: M_x is eliminated and its
-row operations are replayed on the Row of 1 (Elimination.solve_row), or,
-on a 1-dimensional algebra, the Row of 1 is scaled by the pivot inverse
-that elimination would take, so no scalar is built.  FinAlgebra is a
-frozen dataclass with its own equality and no hash.
+An AlgElement is its algebra and one linalg.Row of its coordinates, in
+one context that may differ from its algebra's: a plain slotted class,
+never written to after construction (tests/test_values.py checks the
+sources) and unhashable, whose coords are built from the Row on each
+read.  FinAlgebra.element reads scalars of its prime or a Row.  Sums,
+differences, negation, scalar products, ==, agrees and the precision
+queries have one body each on Row, shared with PadicMatrix.  The inverse
+stays on Rows too: M_x is eliminated and its row operations are replayed
+on the Row of 1 (Elimination.solve_row), or, on a 1-dimensional algebra,
+the Row of 1 is scaled by the pivot inverse that elimination would take,
+so no scalar is built.  FinAlgebra is a frozen dataclass with its own
+equality and no hash.
 
 Element products, multiplication operators and morphism images are
 bilinear sums of scalar products, each output coordinate or entry
@@ -113,13 +115,13 @@ class FinAlgebra:
     def create(ctx, mul, one, validate=True, exact_structure=True):
         """The algebra with mul[i][j] the coordinates of e_i * e_j and one
         those of its unit, each a list of PadicScalars of ctx's prime or a
-        Row."""
+        Row; the constants lie in one context, and the unit in one."""
         m = len(mul)
         if m > MAX_DIM:
             raise PadicError("algebra dimension %d exceeds the soft limit %d" % (m, MAX_DIM))
-        tensor = PadicMatrix.stack(ctx, [linalg.Row.of(row, ctx.p) for plane in mul
+        tensor = PadicMatrix.stack(ctx, [linalg.Row.of(row, ctx) for plane in mul
                                          for row in plane], m).grid
-        alg = FinAlgebra(ctx, m, tensor, linalg.Row.of(one, ctx.p), exact_structure)
+        alg = FinAlgebra(ctx, m, tensor, linalg.Row.of(one, ctx), exact_structure)
         if validate:
             alg._validate(full=(m <= _FULL_CHECK_DIM))
         return alg
@@ -160,7 +162,7 @@ class FinAlgebra:
     def element(self, coords) -> "AlgElement":
         """The element with coordinates coords: PadicScalars of the
         algebra's prime, or a Row."""
-        return AlgElement(self, linalg.Row.of(coords, self.ctx.p))
+        return AlgElement(self, linalg.Row.of(coords, self.ctx))
 
     def basis_element(self, i) -> "AlgElement":
         return AlgElement(self, linalg.Row.unit(self.ctx, self.dim, i))
@@ -196,11 +198,11 @@ class FinAlgebra:
     @cached_property
     def _terms(self) -> list:
         """terms[i][j] lists every c[i][j][k], zero markers included, as
-        (k, valuation, precision, ambient precision, scaled residue)."""
+        (k, valuation, precision, scaled residue)."""
         m = self.dim
         flat = self.tensor
-        every = [(t % m, v, q, n, r)
-                 for t, (v, q, n, r) in enumerate(zip(flat.vals(), flat.prec, flat.amb, flat.res))]
+        every = [(t % m, v, q, r)
+                 for t, (v, q, r) in enumerate(zip(flat.vals(), flat.prec, flat.res))]
         rows = [tuple(every[s:s + m]) for s in range(0, m ** 3, m)]
         return [rows[i * m:(i + 1) * m] for i in range(m)]
 
@@ -237,7 +239,7 @@ class FinAlgebra:
     def _operator(self, x: linalg.Row) -> PadicMatrix:
         """mult_operator of the element with coordinates x."""
         m = self.dim
-        return PadicMatrix(self.ctx, m, m, linalg.Row.dot([(x, self.ctx)], self._columns))
+        return PadicMatrix(self.ctx, m, m, linalg.Row.dot([x], self._columns, self.ctx))
 
     # -- convenient constructors -------------------------------------------
 
@@ -427,7 +429,7 @@ class Morphism:
         """Coordinate k of the image is the sum of x_i * images[i][k] over
         every x_i."""
         _check(self.source, x)
-        return AlgElement(self.target, linalg.Row.dot([(x.row, self.target.ctx)], self._columns))
+        return AlgElement(self.target, linalg.Row.dot([x.row], self._columns, self.target.ctx))
 
     def is_surjective(self) -> bool:
         rank, _ = linalg.rank_with_margin(self._columns)
@@ -443,48 +445,48 @@ def _product(A: FinAlgebra, a: linalg.Row, b: linalg.Row) -> linalg.Row:
     (a_i * b_j) * c[i][j][k] over every a_i, b_j and c[i][j][k], zero
     markers included, with the ledger of adding those products one by
     one to a zero marker of A's context (that of Row.dot).  A term whose
-    product vanishes is counted in the precision alone."""
+    product vanishes is counted in the precision alone.  Each operand
+    lies in one context, so the ambient caps of every term are constants:
+    min(N a, N b) of a_i * b_j, and min(N a, N of the tensor) of its
+    product with c[i][j][k], taken once per product with A's N."""
     ctx = A.ctx
     N = ctx.default_precision
     terms = A._terms
     precs = [N] * A.dim
     sums = [0] * A.dim
-    b_parts = list(enumerate(zip(b.res, b.vals(), b.prec, b.amb)))
-    for i, (sa, va, pa, na) in enumerate(zip(a.res, a.vals(), a.prec, a.amb)):
+    nab = a.N if a.N < b.N else b.N
+    b_parts = list(enumerate(zip(b.res, b.vals(), b.prec)))
+    for i, (sa, va, pa) in enumerate(zip(a.res, a.vals(), a.prec)):
         terms_i = terms[i]
-        for j, (sb, vb, pb, nb) in b_parts:
-            # the precision of a*b, min(pa + vb, pb + va, na, nb); when a*b
-            # is a zero marker its valuation counts as pab <= vab, and then
-            # pab + vc is the least bound of the term anyway
+        for j, (sb, vb, pb) in b_parts:
+            # the precision of a*b, min(pa + vb, pb + va, N a, N b); when
+            # a*b is a zero marker its valuation counts as pab <= vab, and
+            # then pab + vc is the least bound of the term anyway
             pab = pa + vb
             q = pb + va
             if q < pab:
                 pab = q
-            if na < pab:
-                pab = na
-            if nb < pab:
-                pab = nb
+            if nab < pab:
+                pab = nab
             vab = va + vb
             sab = sa * sb
-            for k, vc, pc, nc, sc in terms_i[j]:
-                # min(pab + vc, pc + vab, na, nc)
+            for k, vc, pc, sc in terms_i[j]:
+                # min(pab + vc, pc + vab), capped below at the end
                 prec = pab + vc
                 q = pc + vab
                 if q < prec:
                     prec = q
-                if na < prec:
-                    prec = na
-                if nc < prec:
-                    prec = nc
                 if prec < precs[k]:
                     precs[k] = prec
                 if sab and sc:
                     sums[k] += sab * sc
+    cap = min(N, a.N, A.tensor.N)
+    precs = [q if q < cap else cap for q in precs]
     base = a.base + b.base + A.tensor.base
     pw = a.pw
     base, res = linalg._rebased(pw, base, [r % pw[q - base] for r, q in zip(sums, precs)],
                                 precs)
-    return linalg.Row(pw, base, res, precs, [N] * A.dim, [ctx] * A.dim, N)
+    return linalg.Row(pw, base, res, precs, ctx)
 
 
 def _check(A: FinAlgebra, x: AlgElement):
@@ -515,7 +517,7 @@ def _trace_form_radical(A: FinAlgebra):
             t = t + c
         traces.append(t)
     # gram[i][j] = the sum of c[i][j][l] * tr(e_l) over every l
-    grid = linalg.Row.dot([(linalg.Row.of(traces), A.ctx)], flat.slices(range(0, m ** 3, m), m))
+    grid = linalg.Row.dot([linalg.Row.of(traces)], flat.slices(range(0, m ** 3, m), m), A.ctx)
     gram = grid.slices(range(0, m * m, m), m)
     basis = [A.element(v) for v in linalg.kernel_basis(gram)]
     for x in basis:

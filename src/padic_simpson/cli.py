@@ -194,9 +194,14 @@ def cmd_gen(args):
 
 
 def cmd_verify(args):
+    try:
+        primes = tuple(int(x) for x in args.primes.split(","))
+    except ValueError:
+        raise ParseError("--primes takes a comma-separated list of integers, got %r"
+                         % args.primes) from None
     cfg = VerifyConfig(
         suites=tuple(s.strip() for s in args.suites.split(",") if s.strip()),
-        primes=tuple(int(x) for x in args.primes.split(",")),
+        primes=primes,
         d_max=args.d_max,
         n_max=args.n_max,
         count=args.count,

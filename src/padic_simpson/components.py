@@ -224,7 +224,7 @@ class _Order:
         # val_p(det of the basis matrix): the unreduced elimination picks
         # the same pivots, and each pivot inverse has valuation -v(pivot)
         # (parts[0]).  A strictly smaller value means a strictly larger lattice.
-        self.index_valuation = -sum(pinv[0] for _, _, _, pinv in elim.steps)
+        self.index_valuation = -sum(pinv[0] for _, _, pinv in elim.steps)
 
     def coords(self, xs):
         """Lattice coordinates of each element of xs, one Row each: the

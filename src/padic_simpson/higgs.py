@@ -248,7 +248,7 @@ class SpectralAlgebra:
         included: entry t is the dot product of x with row t of _entries."""
         ctx = self.algebra.ctx
         n = self.basis_matrices[0].nrows
-        return PadicMatrix(ctx, n, n, linalg.Row.dot([(x.row, ctx)], self._entries))
+        return PadicMatrix(ctx, n, n, linalg.Row.dot([x.row], self._entries, ctx))
 
 
 def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:

@@ -46,12 +46,16 @@ def _parse_matrix(ctx, grid, what, n):
 
 
 def _context_from(obj, precision=None) -> PrimeContext:
-    """The file's context; `precision` overrides its working precision."""
+    """The file's context; `precision` overrides its working precision.
+    The file's p and precision must be JSON integers: a float, a bool or
+    a string is refused, not truncated or converted."""
+    for name in ("p", "precision") if precision is None else ("p",):
+        if name not in obj:
+            raise ParseError("missing field %r" % name)
+        if type(obj[name]) is not int:
+            raise ParseError("field %s must be an integer, got %s" % (name, json.dumps(obj[name])))
     try:
-        return PrimeContext(int(obj["p"]),
-                            int(obj["precision"] if precision is None else precision))
-    except KeyError as exc:
-        raise ParseError("missing field %s" % exc)
+        return PrimeContext(obj["p"], obj["precision"] if precision is None else int(precision))
     except (ValueError, TypeError) as exc:
         raise ParseError("bad p or precision: %s" % exc)
 

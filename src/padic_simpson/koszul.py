@@ -64,7 +64,7 @@ class CohomologyReport:
 class KoszulComplex:
     """C^k = module x Lambda^k(d) with differential e (x) w -> sum_i
     op_i(e) (x) epsilon_i ^ w; requires the operators to commute, which
-    forces d о d = 0 (verified to precision as a guard)."""
+    forces d o d = 0 (verified to precision as a guard)."""
 
     def __init__(self, operators):
         ops = list(operators)
@@ -118,7 +118,7 @@ class KoszulComplex:
                     prec[at] = q
                     res[at] = r * scale % pw[q - base]
         return PadicMatrix(ctx, n * len(dst), ncols,
-                           linalg.Row(pw, base, res, prec, [N] * size, [ctx] * size, N))
+                           linalg.Row(pw, base, res, prec, ctx))
 
     def cohomology(self, min_margin=DEFAULT_SLACK):
         """h^k = dim C^k - rank d^k - rank d^(k-1), with margins."""

@@ -9,10 +9,15 @@ zero-to-precision; if such a zero-decision rests on fewer than
 PrecisionExhausted instead of guessing a rank.
 
 Elimination works on integers.  Every row is a Row: parallel lists of
-residues scaled to one base valuation, absolute precisions, valuations,
-ambient precisions and contexts, one entry per column, and the least
-ambient precision, kept when the row is made.  A row operation x - f*y
-is one pass over those lists with the ledger of the scalar expression
+residues scaled to one base valuation, absolute precisions and
+valuations, one entry per column, in one context whose ambient precision
+N caps every product.  Precision is kept per entry, as in the model of
+Caruso, Roe and Vaccon (p-adic stability in linear algebra, ISSAC 2015);
+the context is kept per Row, and an input that would put two contexts
+into one Row is refused with ContextMismatch (Row.of, transpose).  Rows
+of one computation may still lie in different contexts: a pivot row and
+a right-hand side, the factors of a product.  A row operation x - f*y is
+one pass over those lists with the ledger of the scalar expression
 x + (-(f*y)) (see scalar.py), and a pivot row is scaled by the pivot
 inverse with the ledger of the scalar product (scalar._times and
 _inverse, the bodies of PadicScalar * and inv); valuations are
@@ -22,12 +27,11 @@ rows (or columns) of PadicScalars or Rows.  Elimination.solve_rows hands
 the solutions back as Rows, one per unknown across the right-hand sides,
 and solve_row one solution as a Row; every caller in the package stays
 on them.  PadicScalars are built at the surface alone, in normal form:
-by parsing (io_json) and by the public accessors, Elimination.rows and
-solve, kernel_basis and invert here, entries and coords of matrices and
+by parsing (io_json) and by the public accessors, Elimination.solve,
+kernel_basis and invert here, entries and coords of matrices and
 elements.  Row.key is the hashable form of a row's values, whatever its
 base.  Row.slices cuts the rows or the columns of a grid at once,
-sharing among them each list of precisions, ambient precisions or
-contexts that holds one value.
+sharing among them the list of precisions when it holds one value.
 
 Row is the one integer form of a row of scalars in the package: a
 PadicMatrix is one Row of its entries in row-major order (matrix.py), a
@@ -38,8 +42,9 @@ negated, times, rehomed, reduced, agrees, min_valuation and congruent
 (==).  Row.dot is the one product kernel of matrices: PadicMatrix @,
 multiplication operators, morphism images, spectral embeddings and the
 trace-form Gram matrix are dot products of rows with column Rows on one
-base, each output entry one integer pass with the ledger of the scalar
-fold over every term, zero markers included.  That ledger's halves, the
+base, into the one context the caller gives, each output entry one
+integer pass with the ledger of the scalar fold over every term, zero
+markers included.  That ledger's halves, the
 least prec a + v b and the least prec b + v a over the terms, are read
 from the operands' minima (Row.minima: the least valuation, and the one
 precision when all entries share it, kept per Row) whenever that side
@@ -54,7 +59,6 @@ Row.lifted is the one exact lift of residues into a wider context.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd
 from operator import add, mul
 
@@ -70,30 +74,34 @@ from .scalar import PadicScalar, _inverse, _powers, _times
 
 
 class Row:
-    """A row of p-adic entries of one prime p as parallel integer lists.
+    """A row of p-adic entries of one context as parallel integer lists.
 
     Entry k is res[k] * p^base known modulo p^prec[k], with res[k] reduced
     modulo p^(prec[k] - base), so res[k] is 0 exactly for a zero marker.
     vals() holds each entry's valuation, a zero marker's being its
-    precision; amb[k] is the ambient precision N of the entry's context
-    ctxs[k], and cap the least of them (None for an empty row), kept when
-    the row is made.  A row is never changed after construction; its
+    precision.  Every entry lies in the one context ctx, whose ambient
+    precision N caps the ledger of every product an entry enters; the
+    precisions stay per entry.  Two Rows may lie in different contexts
+    (an element and its algebra, the factors of a product, a pivot row
+    and its right-hand side), but no input that would put two contexts
+    into one Row is taken: Row.of, transpose and matrix.PadicMatrix.stack
+    refuse it with ContextMismatch.  An empty Row lies in the context its
+    caller gives.  A row is never changed after construction; its
     valuations are computed when first read, unless the operation that
     made the row knew them.  The passes over a row are plain loops: rows
     are often short, and one loop costs less per call than a
     comprehension per list.
     """
 
-    __slots__ = ("pw", "base", "res", "prec", "amb", "ctxs", "cap", "_val", "_key", "_mins")
+    __slots__ = ("pw", "base", "res", "prec", "ctx", "N", "_val", "_key", "_mins")
 
-    def __init__(self, pw, base, res, prec, amb, ctxs, cap, val=None):
+    def __init__(self, pw, base, res, prec, ctx, val=None):
         self.pw = pw  # the powers of p
         self.base = base
         self.res = res
         self.prec = prec
-        self.amb = amb
-        self.ctxs = ctxs
-        self.cap = cap
+        self.ctx = ctx
+        self.N = None if ctx is None else ctx.default_precision
         self._val = val
         self._key = None
         self._mins = None
@@ -106,19 +114,22 @@ class Row:
         return iter(self.scalars())
 
     @staticmethod
-    def of(entries, p=None) -> "Row":
-        """The row of the scalars entries, all of the prime p (by default
-        the prime of the first entry).  A Row is its own row."""
+    def of(entries, ctx: PrimeContext | None = None) -> "Row":
+        """The row of the scalars entries, all of one context and of ctx's
+        prime when ctx is given; an empty row lies in ctx.  A Row is its
+        own row."""
         if isinstance(entries, Row):
-            if p is not None and entries.pw is not None and entries.pw.p != p:
-                raise ContextMismatch("mixed primes %d and %d" % (p, entries.pw.p))
+            if ctx is not None and entries.pw is not None and entries.pw.p != ctx.p:
+                raise ContextMismatch("mixed primes %d and %d" % (ctx.p, entries.pw.p))
             return entries
-        res, prec, amb, ctxs, val = [], [], [], [], []
+        res, prec, val = [], [], []
         base = last = None
-        pw = _powers(p) if p is not None else None
+        pw = _powers(ctx.p) if ctx is not None else None
         for e in entries:
             c = e.ctx
             if c is not last:
+                if last is not None and c != last:
+                    raise ContextMismatch(_mixed(last, c))
                 if pw is None:
                     pw = _powers(c.p)
                 elif c.p != pw.p:
@@ -126,8 +137,6 @@ class Row:
                 last = c
             v, q = e.v, e.prec
             prec.append(q)
-            amb.append(c.default_precision)
-            ctxs.append(c)
             if v is None:
                 res.append(0)
                 val.append(q)
@@ -140,64 +149,53 @@ class Row:
                 base = v
             res.append(e.u * pw[v - base])
             val.append(v)
-        return Row(pw, 0 if base is None else base, res, prec, amb, ctxs,
-                   min(amb) if amb else None, val)
+        return Row(pw, 0 if base is None else base, res, prec, ctx if last is None else last, val)
 
     @staticmethod
     def unit(ctx: PrimeContext, n: int, k: int) -> "Row":
         """Row k of the n x n identity matrix of ctx."""
         N = ctx.default_precision
-        return Row(_powers(ctx.p), 0, [int(j == k) for j in range(n)], [N] * n, [N] * n,
-                   [ctx] * n, N, [0 if j == k else N for j in range(n)])
+        return Row(_powers(ctx.p), 0, [int(j == k) for j in range(n)], [N] * n, ctx,
+                   [0 if j == k else N for j in range(n)])
 
     @staticmethod
     def of_ints(ctx: PrimeContext, xs, prec=None) -> "Row":
         """The integers xs known modulo p^prec (by default N) in ctx."""
         pw = _powers(ctx.p)
-        N = ctx.default_precision
-        q = N if prec is None else prec
+        q = ctx.default_precision if prec is None else prec
         mod = pw[q]
-        n = len(xs)
-        return Row(pw, 0, [x % mod for x in xs], [q] * n, [N] * n, [ctx] * n, N if n else None)
+        return Row(pw, 0, [x % mod for x in xs], [q] * len(xs), ctx)
 
     @staticmethod
     def zeros(ctx: PrimeContext, n: int) -> "Row":
         """n zero markers O(p^N) of ctx."""
         N = ctx.default_precision
-        return Row(_powers(ctx.p), 0, [0] * n, [N] * n, [N] * n, [ctx] * n, N, [N] * n)
+        return Row(_powers(ctx.p), 0, [0] * n, [N] * n, ctx, [N] * n)
 
     def slice(self, start, stop=None, step=1) -> "Row":
         """The entries start, start + step, .. before stop, as a Row on the
         same base: a row or a column of a grid."""
-        amb = self.amb[start:stop:step]
         val = self._val
         return Row(self.pw, self.base, self.res[start:stop:step], self.prec[start:stop:step],
-                   amb, self.ctxs[start:stop:step], min(amb) if amb else None,
-                   None if val is None else val[start:stop:step])
+                   self.ctx, None if val is None else val[start:stop:step])
 
     def slices(self, starts, size, step=1) -> tuple:
         """The Rows of the size entries start, start + step, .. for each
         start in starts, on this row's base: the rows or the columns of a
-        grid.  When this row has one precision, or one context (and so
-        one ambient precision), every slice shares one list of it, so the
-        views a matrix or an algebra keeps cost little more than their
-        residues and valuations."""
-        pw, base, res, prec, amb, ctxs = self.pw, self.base, self.res, self.prec, self.amb, self.ctxs
+        grid.  When this row has one precision, every slice shares one
+        list of it, so the views a matrix or an algebra keeps cost little
+        more than their residues and valuations."""
+        pw, base, res, prec, ctx = self.pw, self.base, self.res, self.prec, self.ctx
         val = self._val or self.vals()
         span = (size - 1) * step + 1 if size else 0
         one_prec = prec and prec.count(prec[0]) == len(prec)
-        one_ctx = ctxs and ctxs.count(ctxs[0]) == len(ctxs)
-        q, a, c = prec[:size], amb[:size], ctxs[:size]
-        cap = min(a) if a else None
+        q = prec[:size]
         out = []
         for s in starts:
             e = s + span
             if not one_prec:
                 q = prec[s:e:step]
-            if not one_ctx:
-                a, c = amb[s:e:step], ctxs[s:e:step]
-                cap = min(a) if a else None
-            out.append(Row(pw, base, res[s:e:step], q, a, c, cap, val[s:e:step]))
+            out.append(Row(pw, base, res[s:e:step], q, ctx, val[s:e:step]))
         return tuple(out)
 
     def vals(self) -> list:
@@ -240,32 +238,32 @@ class Row:
         """The entries' values as one hashable tuple: the residues rebased
         to the least valuation of a nonzero entry (_rebased; the base is
         None when every entry is a zero marker), the precisions and the
-        contexts.  Two Rows have equal keys exactly when each entry has the
-        same (parts(), context), whatever their bases.  Computed when first
-        read, and kept."""
+        context.  Two Rows have equal keys exactly when they lie in one
+        context and each entry has the same parts(), whatever their bases.
+        Computed when first read, and kept."""
         key = self._key
         if key is None:
             res = self.res
             base = None
             if any(res):
                 base, res = _rebased(self.pw, self.base, res, self.prec)
-            key = self._key = (base, tuple(res), tuple(self.prec), tuple(self.ctxs))
+            key = self._key = (base, tuple(res), tuple(self.prec), self.ctx)
         return key
 
     def parts(self, k):
-        """(valuation, unit, precision, ambient) of entry k, valuation and
+        """(valuation, unit, precision, N) of entry k, valuation and
         precision alike and unit 0 for a zero marker."""
         v = self.val_at(k)
         r = self.res[k]
-        return v, r // self.pw[v - self.base] if r else 0, self.prec[k], self.amb[k]
+        return v, r // self.pw[v - self.base] if r else 0, self.prec[k], self.N
 
     def scalar(self, k) -> PadicScalar:
-        return PadicScalar.from_parts(self.ctxs[k], self.parts(k))
+        return PadicScalar.from_parts(self.ctx, self.parts(k))
 
     def scalars(self) -> list:
-        pw, base = self.pw, self.base
+        pw, base, c = self.pw, self.base, self.ctx
         out = []
-        for r, v, q, c in zip(self.res, self._val or self.vals(), self.prec, self.ctxs):
+        for r, v, q in zip(self.res, self._val or self.vals(), self.prec):
             out.append(PadicScalar(c, v, r // pw[v - base], q) if r
                        else PadicScalar(c, None, 0, q))
         return out
@@ -275,69 +273,62 @@ class Row:
         known modulo its p^N: a zero marker lifts to O(p^N)."""
         pw, base, N = self.pw, self.base + shift, ctx.default_precision
         mod = pw[N - base]
-        n = len(self.res)
-        return Row(pw, base, [r % mod for r in self.res], [N] * n, [N] * n, [ctx] * n,
-                   N if n else None)
+        return Row(pw, base, [r % mod for r in self.res], [N] * len(self.res), ctx)
 
     def sub_mul(self, f, y: "Row") -> "Row":
-        """self - f*y entry by entry, for f = (v, u, prec, amb) as parts()
+        """self - f*y entry by entry, for f = (v, u, prec, N) as parts()
         gives them: the value, precision and context of x + (-(f * y)),
         whose ledger is min(prec_x, prec_f + v_y, prec_y + v_f, N_f, N_y)."""
         pw = self.pw
         if y.pw is not pw:
             raise ContextMismatch("mixed primes %d and %d" % (pw.p, y.pw.p))
-        fv, fu, fprec, famb = f
+        fv, fu, fprec, cap = f
+        if y.N < cap:
+            cap = y.N
         if fu:
             base = min(self.base, fv + y.base)
             s, g = pw[self.base - base], fu * pw[fv + y.base - base]
         else:  # f * y vanishes to the ledger's precision
             base, s, g = self.base, 1, 0
         res, prec = [], []
-        for a, r, b, c, n, t in zip(self.prec, self.res, y._val or y.vals(), y.prec, y.amb,
-                                    y.res):
+        for a, r, b, c, t in zip(self.prec, self.res, y._val or y.vals(), y.prec, y.res):
             q = fprec + b
             c += fv
             if c < q:
                 q = c
             if a < q:
                 q = a
-            if famb < q:
-                q = famb
-            if n < q:
-                q = n
+            if cap < q:
+                q = cap
             prec.append(q)
             res.append((r * s - g * t) % pw[q - base])
-        return Row(pw, base, res, prec, self.amb, self.ctxs, self.cap)
+        return Row(pw, base, res, prec, self.ctx)
 
     def scaled(self, s, ctx: PrimeContext | None = None) -> "Row":
-        """Every entry times the scalar s = (v, u, prec, amb) as parts()
+        """Every entry times the scalar s = (v, u, prec, N) as parts()
         gives it (a zero marker's valuation its precision), with the
-        ledger of _times; the products lie in ctx when it
-        is given (s * x, s of ctx), else in each entry's own context
-        (x * s)."""
-        sv, su, sprec, samb = s
+        ledger of _times; the products lie in ctx when it is given (s * x,
+        s of ctx), else in this row's context (x * s)."""
+        sv, su, sprec, cap = s
+        if self.N < cap:
+            cap = self.N
         pw = self.pw
         base = self.base + sv
         res, prec, val = [], [], []
-        for r, v, q, n in zip(self.res, self._val or self.vals(), self.prec, self.amb):
+        for r, v, q in zip(self.res, self._val or self.vals(), self.prec):
             w = v + sprec
             q += sv
             if w < q:
                 q = w
-            if samb < q:
-                q = samb
-            if n < q:
-                q = n
+            if cap < q:
+                q = cap
             prec.append(q)
             res.append((su * r) % pw[q - base])
             # a unit multiple keeps the valuation, shifted by sv, unless
             # the product vanishes to its precision
             v += sv
             val.append(v if r and v < q else q)
-        if ctx is None:
-            return Row(pw, base, res, prec, self.amb, self.ctxs, self.cap, val)
-        n = len(res)
-        return Row(pw, base, res, prec, [samb] * n, [ctx] * n, samb, val)
+        return Row(pw, base, res, prec, self.ctx if ctx is None else ctx, val)
 
     def times(self, c: PadicScalar) -> "Row":
         """c * x for every entry x, with the ledger of PadicScalar * in c's
@@ -349,7 +340,7 @@ class Row:
     def combined(self, other: "Row", sign: int) -> "Row":
         """self + sign * other entry by entry, with the ledger of
         PadicScalar + (and of -, which adds the negation): precision
-        min(prec a, prec b), in self's contexts."""
+        min(prec a, prec b), in self's context."""
         pw = self.pw
         base = min(self.base, other.base)
         s, t = pw[self.base - base], sign * pw[other.base - base]
@@ -359,18 +350,17 @@ class Row:
                 q = w
             prec.append(q)
             res.append((r * s + x * t) % pw[q - base])
-        return Row(pw, base, res, prec, self.amb, self.ctxs, self.cap)
+        return Row(pw, base, res, prec, self.ctx)
 
     def negated(self) -> "Row":
         pw, base = self.pw, self.base
         res = [(-r) % pw[q - base] for r, q in zip(self.res, self.prec)]
-        return Row(pw, base, res, self.prec, self.amb, self.ctxs, self.cap, self._val)
+        return Row(pw, base, res, self.prec, self.ctx, self._val)
 
     def rehomed(self, ctx: PrimeContext) -> "Row":
         """Every entry as a scalar of ctx: reduced to its N."""
-        N, out = ctx.default_precision, self.reduced(ctx.default_precision)
-        n = len(out.res)
-        return Row(out.pw, out.base, out.res, out.prec, [N] * n, [ctx] * n, N if n else None)
+        out = self.reduced(ctx.default_precision)
+        return Row(out.pw, out.base, out.res, out.prec, ctx)
 
     def reduced(self, prec: int) -> "Row":
         """Every entry with the digits beyond p^prec forgotten."""
@@ -382,7 +372,7 @@ class Row:
                 r %= pw[q - base]
             res.append(r)
             precs.append(q)
-        return Row(pw, base, res, precs, self.amb, self.ctxs, self.cap)
+        return Row(pw, base, res, precs, self.ctx)
 
     def agrees(self, other: "Row", prec: int) -> bool:
         """Entrywise equality mod p^prec, False unless every entry of both
@@ -398,13 +388,13 @@ class Row:
         return min(vals) if vals else None
 
     @staticmethod
-    def dot(rows, columns) -> "Row":
-        """The dot products of each (row, ctx) of rows, nonempty and on one
-        base, with each Row of columns, on one base, of the rows' length
-        and of the rows' prime, as one rebased Row in row-major order: the
-        value and precision of adding the products a*b one by one to a zero
-        marker of ctx.  That precision is the least of ctx's N and, over
-        the terms, min(prec a + v b, prec b + v a, N a, N b), a zero
+    def dot(rows, columns, ctx: PrimeContext) -> "Row":
+        """The dot products of each Row of rows, nonempty and on one base,
+        with each Row of columns, on one base, of the rows' length and of
+        the rows' prime, as one rebased Row of ctx in row-major order: the
+        value and precision of adding the products a*b one by one to a
+        zero marker of ctx.  That precision is the least of ctx's N and,
+        over the terms, min(prec a + v b, prec b + v a, N a, N b), a zero
         marker's valuation counting as its precision; each product is
         exact modulo its own precision, so the exact sum of the scaled
         residues, reduced mod p^(precision - base), has the digits of the
@@ -416,17 +406,17 @@ class Row:
         for a column of one precision, so that half is read from the
         operands' minima (Row.minima, kept per Row) instead of a pass over
         the terms."""
-        pw = rows[0][0].pw
+        pw = rows[0].pw
         if columns and columns[0].pw is not pw:
             raise ContextMismatch("mixed primes %d and %d" % (pw.p, columns[0].pw.p))
-        base = rows[0][0].base + (columns[0].base if columns else 0)
-        cols = [(c.res, c.prec, c._val or c.vals(), c.cap) + c.minima() for c in columns]
-        out_res, out_prec, amb, ctxs = [], [], [], []
-        for row, ctx in rows:
+        base = rows[0].base + (columns[0].base if columns else 0)
+        N = ctx.default_precision
+        cols = [(c.res, c.prec, c._val or c.vals(), c.N) + c.minima() for c in columns]
+        out_res, out_prec = [], []
+        for row in rows:
             res, prec, vals = row.res, row.prec, row._val or row.vals()
             least, same = row.minima()
-            N = ctx.default_precision
-            cap = row.cap if row.cap < N else N
+            cap = row.N if row.N < N else N
             for cres, cprec, cvals, ccap, cleast, csame in cols:
                 q = same + cleast if same is not None else min(map(add, prec, cvals))
                 w = csame + least if csame is not None else min(map(add, cprec, vals))
@@ -438,10 +428,25 @@ class Row:
                     q = cap
                 out_prec.append(q)
                 out_res.append(sum(map(mul, res, cres)) % pw[q - base])
-            amb += [N] * len(cols)
-            ctxs += [ctx] * len(cols)
         base, out_res = _rebased(pw, base, out_res, out_prec)
-        return Row(pw, base, out_res, out_prec, amb, ctxs, min(amb, default=None))
+        return Row(pw, base, out_res, out_prec, ctx)
+
+
+def _mixed(a: PrimeContext, b: PrimeContext) -> str:
+    """The refusal of the contexts a and b in one Row."""
+    if a.p != b.p:
+        return "mixed primes %d and %d" % (a.p, b.p)
+    return "mixed contexts %r and %r in one row" % (a, b)
+
+
+def one_context(rows) -> PrimeContext:
+    """The one context of the Rows rows (nonempty), refusing Rows of two
+    contexts, which would have to share one Row."""
+    ctx = rows[0].ctx
+    for r in rows:
+        if r.ctx is not ctx and r.ctx != ctx:
+            raise ContextMismatch(_mixed(ctx, r.ctx))
+    return ctx
 
 
 def _rebased(pw, base, res, prec):
@@ -483,24 +488,19 @@ def congruent(a: Row, b: Row, prec=None) -> bool:
 
 
 def transpose(cols) -> list:
-    """The Rows across the Rows cols, all of one prime and one length: row
-    t holds entry t of every column, rescaled to the least base among
+    """The Rows across the Rows cols, all of one context and one length:
+    row t holds entry t of every column, rescaled to the least base among
     them."""
     if not cols:
         return []
+    ctx = one_context(cols)
     pw = cols[0].pw
-    if any(c.pw is not pw for c in cols):
-        raise ContextMismatch("mixed primes in the columns of one matrix")
     base = min(c.base for c in cols)
     res = [c.res if c.base == base else [r * pw[c.base - base] for r in c.res] for c in cols]
     known = all(c._val is not None for c in cols)
-    out = []
-    for t in range(len(cols[0].res)):
-        amb = [c.amb[t] for c in cols]
-        out.append(Row(pw, base, [r[t] for r in res], [c.prec[t] for c in cols], amb,
-                       [c.ctxs[t] for c in cols], min(amb),
-                       [c._val[t] for c in cols] if known else None))
-    return out
+    return [Row(pw, base, [r[t] for r in res], [c.prec[t] for c in cols], ctx,
+                [c._val[t] for c in cols] if known else None)
+            for t in range(len(cols[0].res))]
 
 
 @dataclass
@@ -518,10 +518,9 @@ class Elimination:
     nrows: int
     ncols: int
     min_margin: int  # evidence required of every zero decision
-    ctx: PrimeContext | None  # context of the first entry; None when empty
-    # per pivot step (pivot row, [(target row, factor parts)], the
-    # pivot's context, the parts of the pivot inverse); None unless the
-    # elimination was reduced
+    ctx: PrimeContext | None  # context of the first row; None when empty
+    # per pivot step (pivot row, [(target row, factor parts)], the parts
+    # of the pivot inverse); None unless the elimination was reduced
     steps: list | None
     pivot_of_col: dict = field(repr=False)  # pivot column -> its row
     free_rows: list = field(repr=False)  # rows without a pivot, in order
@@ -529,11 +528,6 @@ class Elimination:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    @cached_property
-    def rows(self) -> list:
-        """The worked matrix as rows of PadicScalars."""
-        return [row.scalars() for row in self.int_rows]
 
     def solve(self, rhs_cols):
         """Solve mat @ X = rhs for each right-hand-side column (a list of
@@ -567,10 +561,9 @@ class Elimination:
                     "right-hand side of length %d for a system of %d rows"
                     % (len(col), self.nrows)
                 )
-        p = self.ctx.p if self.ctx is not None else None
         # one Row per matrix row, across the columns, so every recorded
         # operation is a row operation
-        rows = self._replay(transpose([Row.of(c, p) for c in rhs_cols]))
+        rows = self._replay(transpose([Row.of(c, self.ctx) for c in rhs_cols]))
         if rows is None:
             return None
         return self._unknowns(rows, len(rhs_cols))
@@ -596,11 +589,12 @@ class Elimination:
     def _replay(self, rows):
         """rows through the recorded row operations; None when a row
         without a pivot keeps a nonzero entry."""
-        for pi, targets, pctx, pinv in self.steps:
+        for pi, targets, pinv in self.steps:
             y = rows[pi]
             for i, f in targets:
                 rows[i] = rows[i].sub_mul(f, y)
-            rows[pi] = y.scaled(pinv, pctx)
+            # into the pivot's context, which its worked row keeps
+            rows[pi] = y.scaled(pinv, self.int_rows[pi].ctx)
         # consistency: non-pivot rows must have vanishing right-hand sides
         for i in self.free_rows:
             for r, q in zip(rows[i].res, rows[i].prec):
@@ -645,16 +639,11 @@ def eliminate(mat, reduce_above=False, min_margin=DEFAULT_SLACK):
     list of PadicScalars or a Row.
     """
     work = []
-    p = None
     for row in mat:
-        row = Row.of(row, p)
-        if p is None and row.res:
-            p = row.pw.p
-        work.append(row)
+        work.append(Row.of(row, work[0].ctx if work else None))
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
-    ctx = work[0].ctxs[0] if nrows and ncols else None
-    pw = _powers(p) if p is not None else None
+    ctx, pw = (work[0].ctx, work[0].pw) if ncols else (None, None)
     free_rows = list(range(nrows))
     free_cols = list(range(ncols))
     pivots = []
@@ -698,9 +687,8 @@ def eliminate(mat, reduce_above=False, min_margin=DEFAULT_SLACK):
         if reduce_above:
             if pivot_inv is None:
                 pivot_inv = _inverse(pw, pivot)
-            pctx = y.ctxs[pj]
-            work[pi] = y.scaled(pivot_inv, pctx)
-            steps.append((pi, updated, pctx, pivot_inv))
+            work[pi] = y.scaled(pivot_inv)
+            steps.append((pi, updated, pivot_inv))
 
     # every remaining candidate entry vanished to precision; record how
     # confidently, and refuse to decide on thin evidence
@@ -790,9 +778,9 @@ def triangular_lattice_rows(cols) -> list:
             raise IntegralStructureFailure("lattice generators do not span")
         col = cols.pop(best)
         pw = col.pw
-        v, u, prec, amb = col.parts(row)
+        v, u, prec, N = col.parts(row)
         # the pivot becomes the pure power p^v
-        col = col.scaled(_inverse(pw, (0, u, prec - v, amb)))
+        col = col.scaled(_inverse(pw, (0, u, prec - v, N)))
         pivot_inv = None
         for ci, other in enumerate(cols):
             if not other.res[row]:

@@ -2,28 +2,30 @@
 
 A PadicMatrix is one integer grid in the layout of linalg.Row: its shape
 (nrows x ncols) and a Row of the nrows * ncols entries in row-major order,
-on one base valuation, with per entry a residue, a precision, a valuation
-(computed when first read), an ambient precision N and a context.  One
-precision is kept per entry, not per matrix, as in the per-entry-precision
-linear algebra of Caruso, Roe and Vaccon (p-adic stability in linear
-algebra, ISSAC 2015).  Rows and columns are slices of the grid
+on one base valuation and in one context, with per entry a residue, a
+precision and a valuation (computed when first read).  One precision is
+kept per entry, not per matrix, as in the per-entry-precision linear
+algebra of Caruso, Roe and Vaccon (p-adic stability in linear algebra,
+ISSAC 2015); the context, and so the ambient precision N, is one per
+grid, and from_rows, stack and block_diag refuse input that would mix
+two (ContextMismatch).  Rows and columns are slices of the grid
 (int_rows, int_columns), so elimination and the product kernel read them
 without building scalars; each view is made once per matrix, on first
 read, and kept as a tuple, so a matrix that enters many products is
-sliced once and no caller can grow a kept view.  The slices share one
-list of each of the precisions, ambient precisions and contexts that is
-one value throughout the grid (Row.slices), and a view lives as long as
-its matrix: a check on matrices a caller holds takes its products on
-fresh matrices over the same grids (higgs._detached).
+sliced once and no caller can grow a kept view.  The slices share the
+list of precisions when it is one value throughout the grid
+(Row.slices), and a view lives as long as its matrix: a check on
+matrices a caller holds takes its products on fresh matrices over the
+same grids (higgs._detached).
 
 Arithmetic works on the grid, each entry with the ledger of the scalar
 expression it replaces (scalar.py): + and - that of PadicScalar + and -
-(in the left operand's contexts), scale and kron that of the products
+(in the left operand's context), scale and kron that of the products
 c*a and a*b, and @ that of summing the entry products a*b one by one,
 each output entry one dot product of a row and a column (Row.dot), in
-the context of the first entry of its row of the left factor.  ==,
-agrees and the precision queries decide on residues as PadicScalar ==,
-agrees, is_zero and v do.  +, -, negation, scale, rehomed, reduced,
+the context of the left factor's grid; the two factors may lie in
+different contexts.  ==, agrees and the precision queries decide on
+residues as PadicScalar ==, agrees, is_zero and v do.  +, -, negation, scale, rehomed, reduced,
 agrees and min_valuation are the bodies on Row that algebra elements
 share (linalg.py).  The scalars of entries, m[i, j] and rows() are built
 on demand, in the normal form of scalar._scaled_residue.
@@ -73,9 +75,10 @@ class PadicMatrix:
 
     @staticmethod
     def from_rows(ctx: PrimeContext, rows) -> "PadicMatrix":
-        """The matrix of rows of PadicScalars, all of ctx's prime."""
+        """The matrix of rows of PadicScalars, all of one context of ctx's
+        prime (ctx for an empty matrix)."""
         n, m, flat = _row_major(rows)
-        return PadicMatrix(ctx, n, m, linalg.Row.of(flat, ctx.p))
+        return PadicMatrix(ctx, n, m, linalg.Row.of(flat, ctx))
 
     @staticmethod
     def from_ints(ctx: PrimeContext, rows, prec: int | None = None) -> "PadicMatrix":
@@ -162,8 +165,8 @@ class PadicMatrix:
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
         """Product with the precision ledger of summing the entry products
         a*b one by one: one dot product per row of self and column of
-        other, entry (i, j) in the context of row i's first entry, as the
-        fold's result is; with no terms, zero markers O(p^N) of self.ctx."""
+        other, in the context of self's grid, as the fold's result is;
+        with no terms, zero markers O(p^N) of self.ctx."""
         self._check(other)
         n, k, m = self.nrows, self.ncols, other.ncols
         if k != other.nrows:
@@ -172,7 +175,7 @@ class PadicMatrix:
         if not (n and k):
             return PadicMatrix.zeros(self.ctx, n, m)
         return PadicMatrix(self.ctx, n, m, linalg.Row.dot(
-            [(row, row.ctxs[0]) for row in self.int_rows()], other.int_columns()))
+            self.int_rows(), other.int_columns(), self.grid.ctx))
 
     def scale(self, c: PadicScalar) -> "PadicMatrix":
         """c * a for every entry a, with the ledger of PadicScalar * in
@@ -201,21 +204,18 @@ class PadicMatrix:
 
     @staticmethod
     def stack(ctx: PrimeContext, rows, ncols: int) -> "PadicMatrix":
-        """The matrix of the Rows rows, each of ncols entries, on their
-        least base."""
+        """The matrix of the Rows rows, each of ncols entries and all of
+        one context, on their least base."""
         if not rows:
             return PadicMatrix.zeros(ctx, 0, ncols)
+        grid_ctx = linalg.one_context(rows)
         pw = rows[0].pw
         base = min(r.base for r in rows)
-        res, prec, amb, ctxs = [], [], [], []
+        res, prec = [], []
         for r in rows:
-            if r.pw is not pw:
-                raise ContextMismatch("mixed primes in the rows of one matrix")
             res += r.res if r.base == base else [x * pw[r.base - base] for x in r.res]
             prec += r.prec
-            amb += r.amb
-            ctxs += r.ctxs
-        return PadicMatrix(ctx, len(rows), ncols, _grid(pw, base, res, prec, amb, ctxs))
+        return PadicMatrix(ctx, len(rows), ncols, linalg.Row(pw, base, res, prec, grid_ctx))
 
     def kron(self, other: "PadicMatrix") -> "PadicMatrix":
         """Kronecker product (tensor of operators in the standard basis),
@@ -224,7 +224,7 @@ class PadicMatrix:
         makes row (i, k) of the product."""
         self._check(other)
         a, m, rows = self.grid, self.ncols, other.int_rows()
-        pieces = [row.scaled(a.parts(j), a.ctxs[j]) for i in range(self.nrows)
+        pieces = [row.scaled(a.parts(j), a.ctx) for i in range(self.nrows)
                   for row in rows for j in range(i * m, (i + 1) * m)]
         grid = PadicMatrix.stack(self.ctx, pieces, other.ncols).grid
         return PadicMatrix(self.ctx, self.nrows * other.nrows, m * other.ncols, grid)
@@ -232,12 +232,13 @@ class PadicMatrix:
     @staticmethod
     def block_diag(a: "PadicMatrix", b: "PadicMatrix") -> "PadicMatrix":
         """The block matrix with a top left, b bottom right and zero markers
-        O(p^N) of a.ctx elsewhere."""
+        O(p^N) elsewhere, in the one context of a's and b's grids."""
         a._check(b)
+        ctx = linalg.one_context((a.grid, b.grid))
         pw = a.grid.pw
         base = min(a.grid.base, b.grid.base)
-        N, k, m = a.ctx.default_precision, a.ncols, b.ncols
-        res, prec, amb, ctxs = [], [], [], []
+        N, k, m = ctx.default_precision, a.ncols, b.ncols
+        res, prec = [], []
         for x, left, right in ((a, 0, m), (b, k, 0)):
             g, w = x.grid, x.ncols
             s = pw[g.base - base]
@@ -245,9 +246,7 @@ class PadicMatrix:
                 cut = slice(i * w, (i + 1) * w)
                 res += [0] * left + [r * s for r in g.res[cut]] + [0] * right
                 prec += [N] * left + g.prec[cut] + [N] * right
-                amb += [N] * left + g.amb[cut] + [N] * right
-                ctxs += [a.ctx] * left + g.ctxs[cut] + [a.ctx] * right
-        return PadicMatrix(a.ctx, a.nrows + b.nrows, k + m, _grid(pw, base, res, prec, amb, ctxs))
+        return PadicMatrix(a.ctx, a.nrows + b.nrows, k + m, linalg.Row(pw, base, res, prec, ctx))
 
     def rehomed(self, ctx: PrimeContext) -> "PadicMatrix":
         """Every entry as a scalar of ctx, capped at its N."""
@@ -318,12 +317,6 @@ def _row_major(rows):
         if len(r) != m:
             raise DimensionMismatch("rows of lengths %d and %d" % (m, len(r)))
     return len(rows), m, [x for r in rows for x in r]
-
-
-def _grid(pw, base, res, prec, amb, ctxs) -> linalg.Row:
-    """The Row of entries assembled here, with its least ambient
-    precision."""
-    return linalg.Row(pw, base, res, prec, amb, ctxs, min(amb) if amb else None)
 
 
 def mat_exp(m: PadicMatrix) -> PadicMatrix:

@@ -19,8 +19,9 @@ The per-entry kernels live here: _times and _inverse are the one body of
 the product and of the inverse, on parts (v, u, prec, N; a zero marker's
 v is its prec and its u 0), and * and inv are their one-entry calls.
 The loops of linalg.Row, the integer rows that matrices, elements and
-elimination work on, are their vector forms; __add__ keeps its own body,
-the per-entry reference for Row.combined.  Every other value made from
+elimination work on, are their vector forms, each Row in one context, so
+its loops take N once per row; __add__ keeps its own body, the per-entry
+reference for Row.combined.  Every other value made from
 an integer residue r * p^base known mod p^prec (from_residue,
 from_fraction, from_val_unit, reduce, add) ends in one normaliser,
 _scaled_residue, so a scalar has one normal form whatever made it.

@@ -61,6 +61,8 @@ class VerifyConfig:
     def __post_init__(self):
         if self.count < 1:
             raise PadicError("count must be at least 1")
+        if self.d_max < 1 or self.n_max < 1:
+            raise PadicError("d_max and n_max must be at least 1")
         if self.d_max > 4 or self.n_max > 6:
             raise PadicError("soft limits: d_max <= 4, n_max <= 6 keep runs desk-scale")
         unknown = set(self.suites) - set(SUITE_NAMES)
@@ -114,12 +116,13 @@ def _ce(kind, H, detail, replay):
 
 def suite_roundtrip(cfg: VerifyConfig, fixture=None) -> SuiteResult:
     """Correspondence round-trips both ways at N - 8, plus the exact
-    triviality criterion (theta = 0 iff rho = 1)."""
+    triviality criterion (theta = 0 iff rho = 1); a fixture is judged at
+    its own N - 8."""
     res = SuiteResult("roundtrip")
     prec = cfg.precision - 8
     if fixture is not None:
         try:
-            _roundtrip_one(fixture, prec)
+            _roundtrip_one(fixture, fixture.ctx.default_precision - 8)
             res.record(True)
         except PadicError as exc:
             res.record(False, _ce("roundtrip", fixture if isinstance(fixture, HiggsModule) else None,

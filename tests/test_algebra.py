@@ -719,23 +719,31 @@ def ledger(scalars):
 
 @st.composite
 def scalar_contexts(draw, p):
-    """(context, precision): a context of its own (N from 8 to 12, widened
-    by up to 4 half the time), so that it may be narrower or wider than
-    the algebra's, and a precision from -2 up that is the context's N half
-    the time."""
+    """A context of its own (N from 8 to 12, widened by up to 4 half the
+    time), so that it may be narrower or wider than the algebra's: the
+    one context of an operand."""
     ctx = PrimeContext(p, draw(st.integers(8, 12)))
     if draw(st.booleans()):
         ctx = ctx.widen(draw(st.integers(1, 4)))
-    top = ctx.default_precision
-    return ctx, top if draw(st.booleans()) else draw(st.integers(-2, top))
+    return ctx
 
 
 @st.composite
-def algebra_scalars(draw, p, at=None):
-    """A scalar at a (context, precision) drawn by scalar_contexts, or at
-    at when it is given: a zero marker one time in four, else a valuation
-    from -3 up."""
-    ctx, prec = draw(scalar_contexts(p)) if at is None else at
+def scalar_precisions(draw, ctx):
+    """A precision from -2 up that is ctx's N half the time."""
+    top = ctx.default_precision
+    return top if draw(st.booleans()) else draw(st.integers(-2, top))
+
+
+@st.composite
+def algebra_scalars(draw, p, ctx=None, prec=None):
+    """A scalar of ctx, or of a context drawn by scalar_contexts, at prec
+    or at a precision drawn by scalar_precisions: a zero marker one time
+    in four, else a valuation from -3 up."""
+    if ctx is None:
+        ctx = draw(scalar_contexts(p))
+    if prec is None:
+        prec = draw(scalar_precisions(ctx))
     if draw(st.integers(0, 3)) == 0:
         return PadicScalar.zero(ctx, prec)
     v = draw(st.integers(-3, prec - 1))
@@ -744,25 +752,29 @@ def algebra_scalars(draw, p, at=None):
 
 
 @st.composite
-def algebra_lines(draw, p, n):
-    """n algebra_scalars, half the time all at one drawn context and
-    precision: coordinates, or a column of constants or of images, whose
-    ledger half Row.dot reads from its minima rather than term by
-    term."""
-    at = draw(scalar_contexts(p)) if draw(st.booleans()) else None
-    return [draw(algebra_scalars(p, at)) for _ in range(n)]
+def algebra_lines(draw, p, n, ctx=None):
+    """n algebra_scalars of ctx, or of one context drawn by
+    scalar_contexts, half the time all at one drawn precision:
+    coordinates, or a column of constants or of images, whose ledger half
+    Row.dot reads from its minima rather than term by term."""
+    if ctx is None:
+        ctx = draw(scalar_contexts(p))
+    prec = draw(scalar_precisions(ctx)) if draw(st.booleans()) else None
+    return [draw(algebra_scalars(p, ctx, prec)) for _ in range(n)]
 
 
 @st.composite
 def ledger_algebras(draw, p=None):
     """Unvalidated tensors (neither associative nor commutative in general)
-    with constants and unit drawn by algebra_scalars, each column
-    c[.][j][k] of the multiplication operators, and the unit, drawn as one
-    algebra_lines."""
+    with constants and unit drawn by algebra_scalars: the constants in one
+    context and the unit in one, each drawn by scalar_contexts, each
+    column c[.][j][k] of the multiplication operators, and the unit, drawn
+    as one algebra_lines."""
     p = draw(st.sampled_from([2, 3, 5, 7])) if p is None else p
     ctx = PrimeContext(p, draw(st.integers(8, 12)))
     m = draw(st.integers(1, 3))
-    cols = {(j, k): draw(algebra_lines(p, m)) for j in range(m) for k in range(m)}
+    tensor_ctx = draw(scalar_contexts(p))
+    cols = {(j, k): draw(algebra_lines(p, m, tensor_ctx)) for j in range(m) for k in range(m)}
     mul = [[[cols[j, k][i] for k in range(m)] for j in range(m)] for i in range(m)]
     return FinAlgebra.create(ctx, mul, draw(algebra_lines(p, m)), validate=False)
 
@@ -775,8 +787,7 @@ KERNEL_SETTINGS = settings(max_examples=300, deadline=None,
 @given(st.data())
 def test_product_kernel_matches_scalar_fold(data):
     A = data.draw(ledger_algebras())
-    entry = algebra_scalars(A.ctx.p)
-    x, y = (A.element([data.draw(entry) for _ in range(A.dim)]) for _ in range(2))
+    x, y = (A.element(data.draw(algebra_lines(A.ctx.p, A.dim))) for _ in range(2))
     got = x * y
     assert got.algebra is A
     assert ledger(got.coords) == ledger(fold_product(x, y))
@@ -797,8 +808,10 @@ def test_operator_kernel_matches_scalar_fold(data):
 def test_apply_kernel_matches_scalar_fold(data):
     A = data.draw(ledger_algebras())
     T = data.draw(ledger_algebras(A.ctx.p))
-    # column k of the image matrix, images[.][k], is one algebra_lines
-    cols = [data.draw(algebra_lines(A.ctx.p, A.dim)) for _ in range(T.dim)]
+    # column k of the image matrix, images[.][k], is one algebra_lines,
+    # all in the one context of the images
+    images_ctx = data.draw(scalar_contexts(A.ctx.p))
+    cols = [data.draw(algebra_lines(A.ctx.p, A.dim, images_ctx)) for _ in range(T.dim)]
     images = [T.element([col[i] for col in cols]) for i in range(A.dim)]
     f = Morphism(A, T, tuple(images))
     x = A.element(data.draw(algebra_lines(A.ctx.p, A.dim)))
@@ -1520,7 +1533,7 @@ def near_algebras(draw):
     s = draw(st.sampled_from([1, 2, 3, 3]))
     A = FinAlgebra.from_power_relation(ctx, [draw(st.integers(-p ** 3, p ** 3))
                                              for _ in range(s)])
-    entry = algebra_scalars(p)
+    entry = algebra_scalars(p, ctx)
 
     def near(c):
         kind = draw(st.integers(0, 5))
@@ -1564,9 +1577,9 @@ def test_basis_products_match_scalar_fold(data):
     # the products x * e_j on integer Rows carry the ledger of
     # AlgElement.__mul__
     A = data.draw(ledger_algebras())
-    x = A.element([data.draw(algebra_scalars(A.ctx.p)) for _ in range(A.dim)])
+    x = A.element(data.draw(algebra_lines(A.ctx.p, A.dim)))
     for j in range(A.dim):
-        got = _product(A, Row.of(x.coords, A.ctx.p), Row.unit(A.ctx, A.dim, j)).scalars()
+        got = _product(A, Row.of(x.coords, A.ctx), Row.unit(A.ctx, A.dim, j)).scalars()
         assert ledger(got) == ledger(fold_product(x, A.basis_element(j)))
 
 
@@ -1579,7 +1592,7 @@ def test_mul_view_returns_the_constants_given(data):
     # the view that ref_eq reads is the nested tuple create once stored
     p = data.draw(st.sampled_from([2, 3, 5, 7]))
     m = data.draw(st.integers(1, 3))
-    entry = algebra_scalars(p)
+    entry = algebra_scalars(p, data.draw(scalar_contexts(p)))
     mul = [[[data.draw(entry) for _ in range(m)] for _ in range(m)] for _ in range(m)]
     A = FinAlgebra.create(PrimeContext(p, 10), mul, [data.draw(entry) for _ in range(m)],
                           validate=False)
@@ -1618,7 +1631,7 @@ def near_pairs(draw):
             return c.reduce(draw(st.integers(-2, top)))
         if change == 3:
             return c + PadicScalar.from_int(ctx, p ** draw(st.integers(0, top)))
-        return draw(algebra_scalars(p))
+        return draw(algebra_scalars(p, A.ctx))
 
     mul = [[[near(c) for c in row] for row in plane] for plane in A.mul]
     return A, FinAlgebra.create(ctx, mul, [near(c) for c in A.one], validate=False)
@@ -1691,7 +1704,7 @@ def image_morphisms(draw):
     that the image matrix has a kernel."""
     A = draw(ledger_algebras())
     T = draw(ledger_algebras(A.ctx.p))
-    entry = algebra_scalars(A.ctx.p)
+    entry = algebra_scalars(A.ctx.p, draw(scalar_contexts(A.ctx.p)))
     images = []
     for i in range(A.dim):
         if images and draw(st.booleans()):
@@ -1710,8 +1723,7 @@ def test_image_matrix_matches_scalar_rows(f, data):
     got = outcome(lambda: [ledger(x.coords) for x in f.kernel_basis()])
     want = outcome(lambda: [ledger(v) for v in linalg.kernel_basis(rows)])
     assert got == want
-    entry = algebra_scalars(f.target.ctx.p)
-    w = f.target.element([data.draw(entry) for _ in range(f.target.dim)])
+    w = f.target.element(data.draw(algebra_lines(f.target.ctx.p, f.target.dim)))
     got = outcome(lambda: unitgroup._unit_lifter(f)(w))
     want = outcome(lambda: ref_unit_lifter(f)(w))
     if isinstance(got, AlgElement):
@@ -1796,13 +1808,14 @@ def element_outcome(fn):
 def test_element_ops_match_scalar_coordinates(A, data):
     p = A.ctx.p
     entry = algebra_scalars(p)
-    coords = [[data.draw(entry) for _ in range(A.dim)] for _ in range(2)]
+    coords = [data.draw(algebra_lines(p, A.dim)) for _ in range(2)]
     x, y = (A.element(c) for c in coords)
     rx, ry = (RefElement(A, c) for c in coords)
     c = data.draw(entry)
     prec = data.draw(st.integers(-2, 14))
     T = data.draw(ledger_algebras(p))
-    f = Morphism(A, T, tuple(T.element([data.draw(entry) for _ in range(T.dim)])
+    images_ctx = data.draw(scalar_contexts(p))
+    f = Morphism(A, T, tuple(T.element(data.draw(algebra_lines(p, T.dim, images_ctx)))
                              for _ in range(A.dim)))
     ops = [
         lambda a, b: a + b, lambda a, b: a - b, lambda a, b: -a, lambda a, b: a * c,
@@ -1846,8 +1859,7 @@ def test_inv_matches_solve_route(A, data):
     # valuation, so that M_x is singular to few digits): every coordinate's
     # (v, u, prec, ctx), or the type and message of the refusal
     p = A.ctx.p
-    entry = algebra_scalars(p)
-    x = A.element([data.draw(entry) for _ in range(A.dim)])
+    x = A.element(data.draw(algebra_lines(p, A.dim)))
     thin = A.element([c.reduce(data.draw(st.integers(-2, 14))) for c in x.coords])
     near = A.from_ints([p ** data.draw(st.integers(0, 14)) * data.draw(st.integers(-p, p))
                         for _ in range(A.dim)])
@@ -2066,7 +2078,7 @@ def test_square_check_multiplies_by_no_one_and_inverts_nothing(monkeypatch):
     def marked_power(x, k, one):
         # a fresh copy of one, kept, so that a product by it is told apart
         # from a product by the unit as a battery value
-        one = AlgElement(one.algebra, Row.of(one.coords, C7.p))
+        one = AlgElement(one.algebra, Row.of(one.coords, C7))
         ones.append(one.row)
         return inner_power(x, k, one)
 

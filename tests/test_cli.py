@@ -94,6 +94,24 @@ class TestInstanceFiles:
             io_json.twist_from_json(obj)
         assert str(info.value) == "twist field " + message
 
+    @pytest.mark.parametrize("field, value", [
+        ("p", 7.9), ("p", True), ("p", "5"), ("p", None),
+        ("precision", 16.7), ("precision", False), ("precision", "32"), ("precision", 32.0),
+    ])
+    def test_context_fields_must_be_json_integers(self, field, value):
+        # "p": 7.9 used to read as p = 7, "precision": 16.7 as N = 16 and
+        # "p": true as 1; every kind of file reads its context here
+        from padic_simpson.errors import ParseError
+
+        obj = io_json.higgs_to_json(gen_higgs(5, d=1, rank=2, seed=3))
+        obj[field] = value
+        with pytest.raises(ParseError) as info:
+            io_json.higgs_from_json(obj)
+        assert str(info.value) == "field %s must be an integer, got %s" % (field, json.dumps(value))
+        # the --precision override still replaces the file's precision
+        if field == "precision":
+            assert io_json.higgs_from_json(obj, 24).ctx == PrimeContext(5, 24)
+
     def test_twist_round_trip(self):
         # a twist's tensor was solved for and reloads as such, so exp of a
         # reloaded tau keeps the original's digits; read as an exact tensor
@@ -278,6 +296,22 @@ def test_negative_slack_exit_2(tmp_path, monkeypatch, capsys, command):
     assert run_cli(*argv, "--slack", "-1") == 2
     assert "the slack must be at least 0, got -1" in capsys.readouterr().err
     assert [f.name for f in tmp_path.iterdir()] == ["h.json"]
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--primes", "x"), ("--primes", "3,,5"), ("--primes", ""),
+    ("--d-max", "0"), ("--d-max", "-1"), ("--n-max", "0"), ("--count", "0"),
+])
+def test_bad_grid_options_exit_2(tmp_path, monkeypatch, capsys, option, value):
+    # a grid verify cannot run is refused as invalid input (exit 2), not
+    # as a suite failure with a traceback (exit 1) or as a run at d = 1
+    monkeypatch.chdir(tmp_path)
+    message = {"--primes": "--primes takes a comma-separated list of integers, got %r" % value,
+               "--count": "count must be at least 1"}.get(option,
+                                                           "d_max and n_max must be at least 1")
+    assert run_cli("verify", "--count", "1", option, value) == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_slack_accepted_where_ranks_are_decided():
@@ -475,6 +509,17 @@ class TestVerifyCommand:
         # isolation through the corresponding command
         out = tmp_path / "out.json"
         assert run_cli("to-rep", str(ce), "--out", str(out)) == 2
+
+    def test_fixture_judged_at_its_own_precision(self, tmp_path):
+        # a valid file made at N = 16 round-trips to 16 - 8 digits: it
+        # passes under any run precision, and writes no counterexample
+        path = tmp_path / "h16.json"
+        assert run_cli("gen", "--p", "5", "--d", "2", "--rank", "3", "--seed", "1",
+                       "--precision", "16", "--out", str(path)) == 0
+        for precision in ([], ["--precision", "16"], ["--precision", "40"]):
+            assert run_cli("verify", "--suites", "roundtrip", "--count", "1", *precision,
+                           "--fixture", str(path), "--counterexample-dir", str(tmp_path)) == 0
+        assert [f.name for f in tmp_path.iterdir()] == ["h16.json"]
 
 
 class TestEntryPoint:

@@ -413,7 +413,7 @@ def test_certificate_refuses_noncommuting_action(monkeypatch, args, oracle):
         sols = solve_rows(self, cols)
         entries = sols[1].scalars()
         entries[0] = entries[0] + PadicScalar.from_int(H.ctx, p ** 2)
-        sols[1] = linalg.Row.of(entries, p)
+        sols[1] = linalg.Row.of(entries, H.ctx)
         return sols
 
     monkeypatch.setattr(linalg.Elimination, "solve_rows", perturbed)
@@ -435,7 +435,7 @@ def test_certificate_checks_the_stored_tensor(monkeypatch, entries, message):
         for i, j, k in entries:
             t = (i * dim + j) * dim + k
             constants[t] = constants[t] + PadicScalar.from_int(ctx, ctx.p ** 2)
-        return FinAlgebra(ctx, dim, linalg.Row.of(constants, ctx.p), one, **kwargs)
+        return FinAlgebra(ctx, dim, linalg.Row.of(constants, ctx), one, **kwargs)
 
     monkeypatch.setattr(higgs_module, "FinAlgebra", perturbed)
     with pytest.raises(PrecisionExhausted) as info:

@@ -16,8 +16,8 @@ lattice basis and the index valuation of components._Order are kept
 below as they stood before their rows became integer Rows, each row
 entry computed as x - f * y from PadicScalars; ranks, margins, span
 decisions, the rows kept, every output entry and every refusal must
-match.  The entries drawn mix ambient precisions, zero markers down to
-one digit and valuations from -1 up.
+match.  The rows drawn mix ambient precisions, one context per row,
+with zero markers down to one digit and valuations from -1 up.
 """
 
 import pytest
@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from padic_simpson import linalg
-from padic_simpson.algebra import _FULL_CHECK_DIM, FinAlgebra, quotient_by_ideal
+from padic_simpson.algebra import _FULL_CHECK_DIM, FinAlgebra, Morphism, quotient_by_ideal
 from padic_simpson.components import _Order
 from padic_simpson.context import DEFAULT_SLACK, PrimeContext
 from padic_simpson.errors import (
@@ -35,7 +35,8 @@ from padic_simpson.errors import (
     PadicError,
     PrecisionExhausted,
 )
-from padic_simpson.higgs import _IncrementalSpan
+from padic_simpson.generate import gen_higgs
+from padic_simpson.higgs import _IncrementalSpan, direct_sum
 from padic_simpson.linalg import Row
 from padic_simpson.matrix import PadicMatrix
 from padic_simpson.scalar import PadicScalar
@@ -236,11 +237,18 @@ def outcome(fn, *args):
 
 
 @st.composite
-def scalars(draw, ctx):
-    """A scalar of ctx or of a widened ctx: zero markers, thin (down to one
-    digit) and full precisions, valuations from -1 up."""
+def contexts(draw, ctx):
+    """The one context of an operand: ctx, or ctx widened by up to 3
+    digits half the time."""
     if draw(st.booleans()):
         ctx = ctx.widen(draw(st.integers(1, 3)))
+    return ctx
+
+
+@st.composite
+def scalars(draw, ctx):
+    """A scalar of ctx: zero markers, thin (down to one digit) and full
+    precisions, valuations from -1 up."""
     p, top = ctx.p, ctx.default_precision
     prec = draw(st.sampled_from([top, top, draw(st.integers(1, top)), draw(st.integers(1, 3))]))
     if draw(st.integers(0, 3)) == 0:
@@ -251,30 +259,42 @@ def scalars(draw, ctx):
     return PadicScalar(ctx, v, u, prec)
 
 
+@st.composite
+def lines(draw, ctx, n):
+    """n scalars of one context drawn by contexts(ctx): a row or a column."""
+    line_ctx = draw(contexts(ctx))
+    return [draw(scalars(line_ctx)) for _ in range(n)]
+
+
 def _combination(mat, coeffs):
-    """mat @ coeffs summed scalar by scalar (a right-hand side in the span)."""
+    """mat @ coeffs summed scalar by scalar (a right-hand side in the
+    span), each product c * a in the context of the coefficients."""
     out = []
     for row in mat:
-        acc = row[0] * coeffs[0]
+        acc = coeffs[0] * row[0]
         for a, c in zip(row[1:], coeffs[1:]):
-            acc = acc + a * c
+            acc = acc + c * a
         out.append(acc)
     return out
 
 
 @st.composite
 def systems(draw):
+    """A matrix, each row in a context of its own (or all in one, when it
+    is a product through a narrower space), and right-hand-side columns
+    in one context of their own."""
     ctx = CONTEXTS[draw(st.sampled_from(sorted(CONTEXTS)))]
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    entry = scalars(ctx)
     if draw(st.booleans()):
-        mat = [[draw(entry) for _ in range(n)] for _ in range(m)]
+        mat = [draw(lines(ctx, n)) for _ in range(m)]
     else:  # rank deficient and thin: a product through a narrower space
         r = draw(st.integers(1, 2))
-        left = [[draw(entry) for _ in range(r)] for _ in range(m)]
+        left = [draw(lines(ctx, r)) for _ in range(m)]
+        entry = scalars(draw(contexts(ctx)))
         right = [[draw(entry) for _ in range(r)] for _ in range(n)]
         mat = [_combination(left, col) for col in right]
         mat = [list(row) for row in zip(*mat)]
+    entry = scalars(draw(contexts(ctx)))
     cols = []
     for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
@@ -382,7 +402,7 @@ def _rank_outcome(fn, mat, min_margin):
 def _rank_and_rows(mat, min_margin):
     e = linalg.eliminate(mat, min_margin=min_margin)
     assert (e.rank, e.margin) == linalg.rank_with_margin(mat, min_margin)
-    return e.rank, e.margin, [ledger(row) for row in e.rows]
+    return e.rank, e.margin, [ledger(r.scalars()) for r in e.int_rows]
 
 
 def _ref_rank_and_rows(mat, min_margin):
@@ -419,15 +439,14 @@ def span_streams(draw):
     ones (dependent up to the precision they carry)."""
     ctx = CONTEXTS[draw(st.sampled_from(sorted(CONTEXTS)))]
     width = draw(st.integers(1, 4))
-    entry = scalars(ctx)
     vecs = []
     for _ in range(draw(st.integers(1, 6))):
         if vecs and draw(st.booleans()):
             picks = draw(st.lists(st.sampled_from(vecs), min_size=1, max_size=3))
             mat = [list(col) for col in zip(*picks)]
-            vecs.append(_combination(mat, [draw(entry) for _ in picks]))
+            vecs.append(_combination(mat, draw(lines(ctx, len(picks)))))
         else:
-            vecs.append([draw(entry) for _ in range(width)])
+            vecs.append(draw(lines(ctx, width)))
     return vecs, draw(st.integers(1, 6))
 
 
@@ -461,17 +480,25 @@ def _parts(s):
     return (s.prec if s.v is None else s.v), s.u, s.prec, s.ctx.default_precision
 
 
+@st.composite
+def operand_lines(draw, p, n):
+    """n ledger_operands in the one context of the first, which is of
+    another prime now and then."""
+    first = draw(ledger_operands(p))
+    return [first] + [draw(ledger_operands(p, first.ctx)) for _ in range(n - 1)]
+
+
 @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_fused_row_operation_matches_scalar_ops(data):
     # Row.sub_mul is x + (-(f * y)) entry by entry, to the last digit of
     # the ledger, context included.  The engine takes its factors from
-    # the entries of its own rows, so it meets mixed primes only within a
-    # row or across two rows, and refuses them there
-    operand = ledger_operands(data.draw(st.sampled_from([2, 3, 5, 7])))
-    f = data.draw(operand)
-    xs = [data.draw(operand) for _ in range(data.draw(st.integers(1, 4)))]
-    ys = [data.draw(operand) for _ in xs]
+    # the entries of its own rows, each of one context, so it meets mixed
+    # primes only across two rows, and refuses them there
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    f = data.draw(ledger_operands(p))
+    n = data.draw(st.integers(1, 4))
+    xs, ys = data.draw(operand_lines(p, n)), data.draw(operand_lines(p, n))
     primes = {s.ctx.p for s in xs + ys}
     if len(primes) > 1:
         with pytest.raises(ContextMismatch):
@@ -518,9 +545,8 @@ def reductions(draw):
             work, pivots = [], []
         pivot_rows = sorted((j, work[i]) for (i, j) in pivots)
     else:
-        entry = scalars(CONTEXTS[mat[0][0].ctx.p])
         js = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-        pivot_rows = [(j, [draw(entry) for _ in range(n)]) for j in js]
+        pivot_rows = [(j, draw(lines(CONTEXTS[mat[0][0].ctx.p], n))) for j in js]
     return [draw(st.sampled_from([x, x.reduce(1)])) for x in vec], pivot_rows
 
 
@@ -576,9 +602,11 @@ def ideals(draw):
     rel = [0] + [draw(st.integers(0, ctx.p ** 2)) * draw(st.sampled_from([1, ctx.p]))
                  for _ in range(m - 1)]
     A = FinAlgebra.from_power_relation(ctx, rel)
-    entry = scalars(ctx)
-    gens = [A.element([PadicScalar.zero(ctx)] + [draw(entry) for _ in range(m - 1)])
-            for _ in range(draw(st.integers(1, 2)))]
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        gen_ctx = draw(contexts(ctx))
+        gens.append(A.element([PadicScalar.zero(gen_ctx)]
+                              + [draw(scalars(gen_ctx)) for _ in range(m - 1)]))
     return A, [g * A.basis_element(i) for g in gens for i in range(m)]
 
 
@@ -623,8 +651,7 @@ def lattice_generators(draw):
     scaled identity among them now and then, so that they span."""
     ctx = CONTEXTS[draw(st.sampled_from(sorted(CONTEXTS)))]
     m = draw(st.integers(1, 4))
-    entry = scalars(ctx)
-    cols = [[draw(entry) for _ in range(m)] for _ in range(draw(st.integers(1, 5)))]
+    cols = [draw(lines(ctx, m)) for _ in range(draw(st.integers(1, 5)))]
     if draw(st.booleans()):
         scale = PadicScalar.from_int(ctx, ctx.p ** draw(st.integers(0, 2)))
         cols += [[scale if i == j else PadicScalar.zero(ctx) for i in range(m)]
@@ -701,9 +728,45 @@ def test_dot_refuses_columns_of_another_prime():
     row = Row.of_ints(C3, [1, 2])
     for column in (Row.of_ints(C5, [1, 2]), Row.zeros(C5, 2)):
         with pytest.raises(ContextMismatch):
-            Row.dot([(row, C3)], [column])
-    assert Row.dot([(row, C3)], [Row.of_ints(C3, [1, 2])]).scalars() == [
+            Row.dot([row], [column], C3)
+    assert Row.dot([row], [Row.of_ints(C3, [1, 2])], C3).scalars() == [
         PadicScalar.from_int(C3, 5)]
+
+
+def test_one_context_per_row():
+    # contexts of one prime with N = 32 and N = 40 never share a Row:
+    # every input that would put both into one is refused, as mixed
+    # primes are; Rows in different contexts still meet in a product, a
+    # scalar product and a morphism image, each in its own output context
+    C32, C40 = PrimeContext(5, 32), PrimeContext(5, 40)
+    one32, one40 = PadicScalar.from_int(C32, 1), PadicScalar.from_int(C40, 1)
+    zero32, zero40 = PadicScalar.zero(C32), PadicScalar.zero(C40)
+    refusals = [
+        lambda: Row.of([one32, one40]),
+        lambda: PadicMatrix.from_rows(C32, [[one32], [one40]]),
+        lambda: PadicMatrix.stack(C32, [Row.of_ints(C32, [1]), Row.of_ints(C40, [1])], 1),
+        lambda: linalg.transpose([Row.of_ints(C32, [1, 2]), Row.of_ints(C40, [3, 4])]),
+        lambda: FinAlgebra.create(C32, [[[one32, zero32], [zero32, one32]],
+                                        [[zero40, one40], [zero40, zero40]]],
+                                  [one32, zero32], validate=False),
+        lambda: direct_sum(gen_higgs(5, 1, 2, seed=0), gen_higgs(5, 1, 2, seed=0, precision=40)),
+    ]
+    for refused in refusals:
+        with pytest.raises(ContextMismatch, match="mixed contexts"):
+            refused()
+
+    a = PadicMatrix.from_ints(C32, [[1, 2], [3, 4]])
+    b = PadicMatrix.from_ints(C40, [[5, 6], [7, 8]], 36)
+    ab = a @ b
+    assert ab.grid.ctx is C32 and ab == PadicMatrix.from_ints(C32, [[19, 22], [43, 50]])
+    assert [x.prec for row in ab.entries for x in row] == [32] * 4
+    A = FinAlgebra.from_power_relation(C32, [0, 0])
+    x = A.from_ints([3, 5]) * PadicScalar.from_int(C40, 2)
+    assert [(c.ctx, c.residue(), c.prec) for c in x.coords] == [(C40, 6, 32), (C40, 10, 32)]
+    K = FinAlgebra.field(C40)
+    image = Morphism.create(A, K, [K.unit(), K.zero()]).apply(A.from_ints([3, 5]))
+    assert image.algebra is K
+    assert [(c.ctx, c.residue(), c.prec) for c in image.coords] == [(C40, 3, 32)]
 
 
 # -- Row.key --------------------------------------------------------------
@@ -711,44 +774,40 @@ def test_dot_refuses_columns_of_another_prime():
 
 def _entries(row):
     """Per entry, the (parts, context) that Row.key stands for."""
-    return [(row.parts(k), row.ctxs[k]) for k in range(len(row))]
+    return [(row.parts(k), row.ctx) for k in range(len(row))]
 
 
 def _moved(row, s):
     """row on a base s lower: the same entries, residues scaled by p^s."""
     pw = row.pw
-    return Row(pw, row.base - s, [r * pw[s] for r in row.res], row.prec, row.amb, row.ctxs,
-               row.cap)
+    return Row(pw, row.base - s, [r * pw[s] for r in row.res], row.prec, row.ctx)
 
 
 @st.composite
 def key_rows(draw):
-    """Rows of one prime made several ways from one draw of scalars: by
-    Row.of, moved to a lower base, as a rebased product with 1 when the
-    scalars share a context, and with one entry changed in value,
-    precision (zero markers included) or context."""
+    """Rows of one prime made several ways from one draw of scalars of one
+    context: by Row.of, moved to a lower base, as a rebased product with
+    1, with one entry changed in value or precision (zero markers
+    included), and with every entry moved into a wider context."""
     ctx = CONTEXTS[draw(st.sampled_from(sorted(CONTEXTS)))]
     p = ctx.p
-    xs = [draw(scalars(ctx)) for _ in range(draw(st.integers(1, 4)))]
-    if draw(st.booleans()):  # one context for all
-        xs = [x.reduce(ctx.default_precision) for x in xs]
-        xs = [PadicScalar(ctx, x.v, x.u, x.prec) for x in xs]
+    xs = draw(lines(ctx, draw(st.integers(1, 4))))
+    ctx = xs[0].ctx
     row = Row.of(xs)
     rows = [row, _moved(row, draw(st.integers(1, 3))), Row.of(list(xs))]
-    if all(x.ctx is ctx for x in xs):
-        one = Row.of([PadicScalar.from_int(ctx.widen(8), 1)])
-        rows.append(Row.dot([(one, ctx)], [row.slice(k, k + 1) for k in range(len(xs))]))
+    one = Row.of([PadicScalar.from_int(ctx.widen(8), 1)])
+    rows.append(Row.dot([one], [row.slice(k, k + 1) for k in range(len(xs))], ctx))
     k = draw(st.integers(0, len(xs) - 1))
     x = xs[k]
     changed = draw(st.sampled_from([
         PadicScalar.zero(x.ctx, max(1, x.prec - 1)),
         PadicScalar.zero(x.ctx, x.prec),
-        PadicScalar(x.ctx.widen(1), x.v, x.u, x.prec),
         x + PadicScalar.from_val_unit(x.ctx, max(x.prec - 1, -1), 1),
         x.reduce(x.prec - 1),
     ]))
     other = Row.of(xs[:k] + [changed] + xs[k + 1:])
     rows += [other, _moved(other, 2)]
+    rows.append(Row.of([PadicScalar(ctx.widen(1), x.v, x.u, x.prec) for x in xs]))
     # every nonzero entry at one valuation higher, same unit and precision
     # where that fits: the rebased residues may agree, the values do not
     rows.append(Row.of([PadicScalar(x.ctx, x.v + 1, x.u, x.prec)

@@ -301,19 +301,19 @@ def fold_matmul(a: PadicMatrix, b: PadicMatrix) -> PadicMatrix:
 
 @st.composite
 def ledger_contexts(draw, ctx):
-    """(context, precision): ctx widened by up to 4 digits half the time,
-    and any precision up to that context's N."""
+    """The one context of an operand: ctx, or ctx widened by up to 4
+    digits half the time."""
     if draw(st.booleans()):
         ctx = ctx.widen(draw(st.integers(1, 4)))
-    return ctx, draw(st.integers(-2, ctx.default_precision))
+    return ctx
 
 
 @st.composite
-def ledger_scalars(draw, ctx, at=None):
-    """Zero markers, valuations from -3 up, any precision up to the
-    context's, and entries of contexts widened by up to 4 digits; at the
-    (context, precision) at when it is given."""
-    ctx, prec = draw(ledger_contexts(ctx)) if at is None else at
+def ledger_scalars(draw, ctx, prec=None):
+    """Scalars of ctx: zero markers, valuations from -3 up, and any
+    precision up to ctx's N, or prec when it is given."""
+    if prec is None:
+        prec = draw(st.integers(-2, ctx.default_precision))
     p = ctx.p
     if draw(st.integers(0, 3)) == 0:
         return PadicScalar.zero(ctx, prec)
@@ -325,21 +325,23 @@ def ledger_scalars(draw, ctx, at=None):
 
 @st.composite
 def ledger_lines(draw, ctx, n):
-    """n ledger_scalars, half the time all at one drawn context and
-    precision: a row or column whose ledger half Row.dot reads from its
-    minima rather than term by term."""
-    at = draw(ledger_contexts(ctx)) if draw(st.booleans()) else None
-    return [draw(ledger_scalars(ctx, at)) for _ in range(n)]
+    """n ledger_scalars of ctx, half the time all at one drawn precision:
+    a row or column whose ledger half Row.dot reads from its minima rather
+    than term by term."""
+    prec = draw(st.integers(-2, ctx.default_precision)) if draw(st.booleans()) else None
+    return [draw(ledger_scalars(ctx, prec)) for _ in range(n)]
 
 
 @st.composite
 def matmul_operands(draw):
-    """a (n x k) and b (k x m), each row of a and each column of b at one
-    context and precision about half the time."""
+    """a (n x k) and b (k x m), each in a context of its own drawn by
+    ledger_contexts, each row of a and each column of b at one precision
+    about half the time."""
     ctx = PrimeContext(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(8, 12)))
     n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
-    a = PadicMatrix.from_rows(ctx, [draw(ledger_lines(ctx, k)) for _ in range(n)])
-    cols = [draw(ledger_lines(ctx, k)) for _ in range(m)]
+    a_ctx, b_ctx = draw(ledger_contexts(ctx)), draw(ledger_contexts(ctx))
+    a = PadicMatrix.from_rows(ctx, [draw(ledger_lines(a_ctx, k)) for _ in range(n)])
+    cols = [draw(ledger_lines(b_ctx, k)) for _ in range(m)]
     b = PadicMatrix.from_rows(ctx, [[col[t] for col in cols] for t in range(k)])
     return a, b
 
@@ -526,14 +528,17 @@ def near(draw, x, ctx):
 @st.composite
 def grid_operands(draw, square=False):
     """Two matrices of one shape (always square with square, else half
-    the time), the second near the first, a scalar and a precision."""
-    ctx = PrimeContext(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(8, 12)))
+    the time) in one context drawn by ledger_contexts, the second near the
+    first, a scalar of a context of its own and a precision."""
+    base = PrimeContext(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(8, 12)))
+    ctx = draw(ledger_contexts(base))
     n = draw(st.integers(1, 4))
     m = n if square or draw(st.booleans()) else draw(st.integers(1, 4))
     entry = ledger_scalars(ctx)
     a = PadicMatrix.from_rows(ctx, [[draw(entry) for _ in range(m)] for _ in range(n)])
     b = PadicMatrix.from_rows(ctx, [[draw(near(x, ctx)) for x in row] for row in a.entries])
-    return a, b, draw(entry), draw(st.integers(-2, ctx.default_precision + 2))
+    c = draw(ledger_scalars(draw(ledger_contexts(base))))
+    return a, b, c, draw(st.integers(-2, base.default_precision + 2))
 
 
 GRID_SETTINGS = settings(max_examples=200, deadline=None,

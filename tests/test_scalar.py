@@ -227,15 +227,17 @@ class TestArithmetic:
 
 
 @st.composite
-def ledger_operands(draw, p):
+def ledger_operands(draw, p, ctx=None):
     """A scalar of p or, now and then, of another prime: contexts of 8 to 12
     digits, widened by up to 4, zero markers, thin and full precisions,
-    valuations from -1 up."""
-    if draw(st.integers(0, 7)) == 0:
-        p = draw(st.sampled_from([2, 3, 5, 7]))
-    ctx = PrimeContext(p, draw(st.integers(8, 12)))
-    if draw(st.booleans()):
-        ctx = ctx.widen(draw(st.integers(1, 4)))
+    valuations from -1 up; a scalar of ctx when it is given."""
+    if ctx is None:
+        if draw(st.integers(0, 7)) == 0:
+            p = draw(st.sampled_from([2, 3, 5, 7]))
+        ctx = PrimeContext(p, draw(st.integers(8, 12)))
+        if draw(st.booleans()):
+            ctx = ctx.widen(draw(st.integers(1, 4)))
+    p = ctx.p
     top = ctx.default_precision
     prec = draw(st.sampled_from([top, draw(st.integers(1, top)), draw(st.integers(1, 3))]))
     if draw(st.integers(0, 3)) == 0:
