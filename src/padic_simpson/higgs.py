@@ -17,7 +17,7 @@ exp(tau_i) recovers the representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
@@ -80,6 +80,13 @@ class _Side:
     def is_trivial(self) -> bool:
         return all(t.is_zero_to_precision() for t in self.operators())
 
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """The commutation and smallness checks of this side (_validate),
+        made on first read and kept: a side never changes, so every entry
+        point that requires it valid reads one report."""
+        return _validate(self)
+
 
 @dataclass(frozen=True, eq=False)
 class HiggsModule(_Side):
@@ -121,11 +128,14 @@ class SmallRep(_Side):
 # -- validation ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
+    """The failures of one side's checks, kept with the side (its
+    validation), so its fields are tuples."""
+
     kind: str
-    commutation: list = field(default_factory=list)  # (i, j, commutator valuation)
-    smallness: list = field(default_factory=list)  # (component, row, col, valuation)
+    commutation: tuple = ()  # (i, j, commutator valuation)
+    smallness: tuple = ()  # (component, row, col, valuation)
 
     @property
     def ok(self) -> bool:
@@ -149,21 +159,21 @@ class ValidationReport:
 def _validate(X) -> ValidationReport:
     """Commutation of the matrices and smallness of the operators (every
     entry at valuation >= e0)."""
-    report = ValidationReport(X.kind)
+    commutation, smallness = [], []
     e0 = X.ctx.e0
     mats = _detached(X.matrices)
     for i in range(X.d):
         for j in range(i + 1, X.d):
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
             if not comm.is_zero_to_precision():
-                report.commutation.append((i, j, comm.min_valuation()))
+                commutation.append((i, j, comm.min_valuation()))
     n = X.rank
     for i, op in enumerate(X.operators()):
         g = op.grid
         for t, (r, v) in enumerate(zip(g.res, g.vals())):
             if r and v < e0:
-                report.smallness.append((i, t // n, t % n, v))
-    return report
+                smallness.append((i, t // n, t % n, v))
+    return ValidationReport(X.kind, tuple(commutation), tuple(smallness))
 
 
 def _detached(mats) -> list:
@@ -175,13 +185,15 @@ def _detached(mats) -> list:
 
 
 def validate_higgs(H: HiggsModule) -> ValidationReport:
-    """theta wedge theta = 0 componentwise, and theta = 0 mod p^e0."""
-    return _validate(H)
+    """theta wedge theta = 0 componentwise, and theta = 0 mod p^e0: the
+    report H keeps (its validation)."""
+    return H.validation
 
 
 def validate_rep(V: SmallRep) -> ValidationReport:
-    """Commuting generator images congruent to 1 mod p^e0."""
-    return _validate(V)
+    """Commuting generator images congruent to 1 mod p^e0: the report V
+    keeps (its validation)."""
+    return V.validation
 
 
 def require_valid(report: ValidationReport):

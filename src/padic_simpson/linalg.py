@@ -20,18 +20,22 @@ a right-hand side, the factors of a product.  A row operation x - f*y is
 one pass over those lists with the ledger of the scalar expression
 x + (-(f*y)) (see scalar.py), and a pivot row is scaled by the pivot
 inverse with the ledger of the scalar product (scalar._times and
-_inverse, the bodies of PadicScalar * and inv); valuations are
+_inverse, the bodies of PadicScalar * and inv); each has one body on
+the lists (_sub_mul, _scaled), which Row.sub_mul and Row.scaled wrap,
+eliminate runs on the pivot row's lists, and the replay of a kept
+elimination runs on directly, building no Row per step.  Valuations are
 recomputed only where the pivot search, a margin or a later step reads
 them.  eliminate, Elimination.solve and triangular_lattice_rows take
 rows (or columns) of PadicScalars or Rows.  Elimination.solve_rows hands
 the solutions back as Rows, one per unknown across the right-hand sides,
-and solve_row one solution as a Row; every caller in the package stays
-on them.  PadicScalars are built at the surface alone, in normal form:
-by parsing (io_json) and by the public accessors, Elimination.solve,
-kernel_basis and invert here, entries and coords of matrices and
-elements.  Row.key is the hashable form of a row's values, whatever its
-base.  Row.slices cuts the rows or the columns of a grid at once,
-sharing among them the list of precisions when it holds one value.
+and solve_row one solution as a Row, replaying its column as one-entry
+lists with no transpose; every caller in the package stays on them.
+PadicScalars are built at the surface alone, in normal form: by parsing
+(io_json) and by the public accessors, Elimination.solve, kernel_basis
+and invert here, entries and coords of matrices and elements.  Row.key
+is the hashable form of a row's values, whatever its base.  Row.slices
+cuts the rows or the columns of a grid at once, sharing among them the
+list of precisions when it holds one value.
 
 Row is the one integer form of a row of scalars in the package: a
 PadicMatrix is one Row of its entries in row-major order (matrix.py), a
@@ -44,15 +48,17 @@ multiplication operators, morphism images, spectral embeddings and the
 trace-form Gram matrix are dot products of rows with column Rows on one
 base, into the one context the caller gives, each output entry one
 integer pass with the ledger of the scalar fold over every term, zero
-markers included.  That ledger's halves, the
-least prec a + v b and the least prec b + v a over the terms, are read
-from the operands' minima (Row.minima: the least valuation, and the one
-precision when all entries share it, kept per Row) whenever that side
-has one precision P, for min(P + v b) is P + min(v b) exactly; only a
-row or column of mixed precisions pays the per-term pass.  Element
-products read the operands and the tensor as Rows too, with the same
-ledger over every term (algebra._product).  Both kernels rebase their
-output (_rebased).
+markers included.  That ledger's halves, the least prec a + v b and the
+least prec b + v a over the terms, are read from the operands'
+descriptors whenever that side has one precision P, for min(P + v b) is
+P + min(v b) exactly; only a row or column of mixed precisions pays the
+per-term pass.  A descriptor (Row.descriptor: the lists, N, the least
+valuation, and the one precision when all entries share it) is built
+when a Row first enters a product and kept with it, so the columns a
+FinAlgebra, a Morphism, a SpectralAlgebra or a matrix keeps are
+described once, not on every product.  Element products read the
+operands and the tensor as Rows too, with the same ledger over every
+term (algebra._product).  Both kernels rebase their output (_rebased).
 Row.lifted is the one exact lift of residues into a wider context.
 """
 
@@ -87,13 +93,14 @@ class Row:
     into one Row is taken: Row.of, transpose and matrix.PadicMatrix.stack
     refuse it with ContextMismatch.  An empty Row lies in the context its
     caller gives.  A row is never changed after construction; its
-    valuations are computed when first read, unless the operation that
-    made the row knew them.  The passes over a row are plain loops: rows
+    valuations, its key and its descriptor for Row.dot are computed when
+    first read and kept, the valuations unless the operation that made
+    the row knew them.  The passes over a row are plain loops: rows
     are often short, and one loop costs less per call than a
     comprehension per list.
     """
 
-    __slots__ = ("pw", "base", "res", "prec", "ctx", "N", "_val", "_key", "_mins")
+    __slots__ = ("pw", "base", "res", "prec", "ctx", "N", "_val", "_key", "_desc")
 
     def __init__(self, pw, base, res, prec, ctx, val=None):
         self.pw = pw  # the powers of p
@@ -104,7 +111,7 @@ class Row:
         self.N = None if ctx is None else ctx.default_precision
         self._val = val
         self._key = None
-        self._mins = None
+        self._desc = None
 
     def __len__(self):
         return len(self.res)
@@ -200,11 +207,7 @@ class Row:
 
     def vals(self) -> list:
         if self._val is None:
-            pw, base = self.pw, self.base
-            p, logs = pw.p, pw.logs
-            val = self._val = []
-            for r, q in zip(self.res, self.prec):
-                val.append(q if not r else base if r % p else base + logs[gcd(r, pw[q - base])])
+            self._val = _vals(self.pw, self.base, self.res, self.prec)
         return self._val
 
     def val_at(self, k) -> int:
@@ -218,21 +221,23 @@ class Row:
             return self.base
         return self.base + pw.logs[gcd(r, pw[q - self.base])]
 
-    def minima(self) -> tuple:
-        """(least valuation, the one precision of every entry or None when
-        the precisions differ), a zero marker's valuation counting as its
-        precision; (None, None) for an empty row.  Computed when first
-        read, and kept: Row.dot reads one half of its ledger from them."""
-        mins = self._mins
-        if mins is None:
-            prec = self.prec
-            if not prec:
-                mins = self._mins = (None, None)
-            else:
-                q = prec[0]
-                mins = self._mins = (min(self._val or self.vals()),
-                                     q if prec.count(q) == len(prec) else None)
-        return mins
+    def descriptor(self) -> tuple:
+        """What Row.dot reads of this row or column: (residues,
+        precisions, valuations, N, least valuation, the one precision of
+        every entry or None when the precisions differ), a zero marker's
+        valuation counting as its precision, and both minima None for an
+        empty row.  Computed when first read, and kept, so the columns an
+        algebra, a morphism or a matrix keeps are described once."""
+        desc = self._desc
+        if desc is None:
+            prec, val = self.prec, self._val or self.vals()
+            least = same = None
+            if prec:
+                least, same = min(val), prec[0]
+                if prec.count(same) != len(prec):
+                    same = None
+            desc = self._desc = (self.res, prec, val, self.N, least, same)
+        return desc
 
     def key(self) -> tuple:
         """The entries' values as one hashable tuple: the residues rebased
@@ -278,57 +283,23 @@ class Row:
     def sub_mul(self, f, y: "Row") -> "Row":
         """self - f*y entry by entry, for f = (v, u, prec, N) as parts()
         gives them: the value, precision and context of x + (-(f * y)),
-        whose ledger is min(prec_x, prec_f + v_y, prec_y + v_f, N_f, N_y)."""
+        whose ledger is min(prec_x, prec_f + v_y, prec_y + v_f, N_f, N_y)
+        (_sub_mul)."""
         pw = self.pw
         if y.pw is not pw:
             raise ContextMismatch("mixed primes %d and %d" % (pw.p, y.pw.p))
-        fv, fu, fprec, cap = f
-        if y.N < cap:
-            cap = y.N
-        if fu:
-            base = min(self.base, fv + y.base)
-            s, g = pw[self.base - base], fu * pw[fv + y.base - base]
-        else:  # f * y vanishes to the ledger's precision
-            base, s, g = self.base, 1, 0
-        res, prec = [], []
-        for a, r, b, c, t in zip(self.prec, self.res, y._val or y.vals(), y.prec, y.res):
-            q = fprec + b
-            c += fv
-            if c < q:
-                q = c
-            if a < q:
-                q = a
-            if cap < q:
-                q = cap
-            prec.append(q)
-            res.append((r * s - g * t) % pw[q - base])
+        base, res, prec = _sub_mul(pw, self.base, self.res, self.prec, f,
+                                   y.base, y.res, y.prec, y._val or y.vals(), y.N)
         return Row(pw, base, res, prec, self.ctx)
 
     def scaled(self, s, ctx: PrimeContext | None = None) -> "Row":
         """Every entry times the scalar s = (v, u, prec, N) as parts()
         gives it (a zero marker's valuation its precision), with the
-        ledger of _times; the products lie in ctx when it is given (s * x,
-        s of ctx), else in this row's context (x * s)."""
-        sv, su, sprec, cap = s
-        if self.N < cap:
-            cap = self.N
-        pw = self.pw
-        base = self.base + sv
-        res, prec, val = [], [], []
-        for r, v, q in zip(self.res, self._val or self.vals(), self.prec):
-            w = v + sprec
-            q += sv
-            if w < q:
-                q = w
-            if cap < q:
-                q = cap
-            prec.append(q)
-            res.append((su * r) % pw[q - base])
-            # a unit multiple keeps the valuation, shifted by sv, unless
-            # the product vanishes to its precision
-            v += sv
-            val.append(v if r and v < q else q)
-        return Row(pw, base, res, prec, self.ctx if ctx is None else ctx, val)
+        ledger of _times (_scaled); the products lie in ctx when it is
+        given (s * x, s of ctx), else in this row's context (x * s)."""
+        base, res, prec, val = _scaled(self.pw, self.base, self.res, self.prec,
+                                       self._val or self.vals(), s, self.N)
+        return Row(self.pw, base, res, prec, self.ctx if ctx is None else ctx, val)
 
     def times(self, c: PadicScalar) -> "Row":
         """c * x for every entry x, with the ledger of PadicScalar * in c's
@@ -376,16 +347,32 @@ class Row:
 
     def agrees(self, other: "Row", prec: int) -> bool:
         """Entrywise equality mod p^prec, False unless every entry of both
-        is known mod p^prec; False on mixed lengths (congruent)."""
-        if min(self.prec, default=prec) < prec or min(other.prec, default=prec) < prec:
+        is known mod p^prec; False on mixed lengths or primes, as
+        congruent decides them."""
+        res = self.res
+        if len(res) != len(other.res):
             return False
-        return congruent(self, other, prec)
+        if not res:
+            return True
+        pw = self.pw
+        if other.pw is not pw:
+            return False
+        base = min(self.base, other.base)
+        s, t, mod = pw[self.base - base], pw[other.base - base], pw[prec - base]
+        for r, q, x, w in zip(res, self.prec, other.res, other.prec):
+            if q < prec or w < prec or (r * s - x * t) % mod:
+                return False
+        return True
 
     def min_valuation(self) -> int | None:
-        """Least valuation of a nonzero entry; None when every entry is a
-        zero marker."""
-        vals = [v for r, v in zip(self.res, self.vals()) if r]
-        return min(vals) if vals else None
+        """Least valuation of a nonzero entry: the base plus the valuation
+        of the gcd of the residues, each reduced below its precision; None
+        when every entry is a zero marker."""
+        g = gcd(*self.res)
+        if not g:
+            return None
+        p = self.pw.p
+        return self.base if g % p else self.base + _series.int_valuation(g, p)
 
     @staticmethod
     def dot(rows, columns, ctx: PrimeContext) -> "Row":
@@ -404,20 +391,21 @@ class Row:
         and of prec b + v a.  When every entry of the row has one
         precision P, min(P + v b) is P + min(v b) exactly, and likewise
         for a column of one precision, so that half is read from the
-        operands' minima (Row.minima, kept per Row) instead of a pass over
-        the terms."""
+        operands' descriptors (Row.descriptor, kept per Row) instead of a
+        pass over the terms; a column the caller keeps is described on
+        its first product only."""
         pw = rows[0].pw
         if columns and columns[0].pw is not pw:
             raise ContextMismatch("mixed primes %d and %d" % (pw.p, columns[0].pw.p))
         base = rows[0].base + (columns[0].base if columns else 0)
         N = ctx.default_precision
-        cols = [(c.res, c.prec, c._val or c.vals(), c.N) + c.minima() for c in columns]
         out_res, out_prec = [], []
         for row in rows:
-            res, prec, vals = row.res, row.prec, row._val or row.vals()
-            least, same = row.minima()
-            cap = row.N if row.N < N else N
-            for cres, cprec, cvals, ccap, cleast, csame in cols:
+            res, prec, vals, cap, least, same = row._desc or row.descriptor()
+            if N < cap:
+                cap = N
+            for col in columns:
+                cres, cprec, cvals, ccap, cleast, csame = col._desc or col.descriptor()
                 q = same + cleast if same is not None else min(map(add, prec, cvals))
                 w = csame + least if csame is not None else min(map(add, cprec, vals))
                 if w < q:
@@ -430,6 +418,72 @@ class Row:
                 out_res.append(sum(map(mul, res, cres)) % pw[q - base])
         base, out_res = _rebased(pw, base, out_res, out_prec)
         return Row(pw, base, out_res, out_prec, ctx)
+
+
+def _vals(pw, base, res, prec) -> list:
+    """The valuation of each entry res[k] * p^base known mod p^prec[k], a
+    zero marker's being its precision."""
+    p, logs = pw.p, pw.logs
+    val = []
+    for r, q in zip(res, prec):
+        val.append(q if not r else base if r % p else base + logs[gcd(r, pw[q - base])])
+    return val
+
+
+def _sub_mul(pw, base, res, prec, f, ybase, yres, yprec, yval, ycap):
+    """(base, residues, precisions) of x - f*y entry by entry, x and y
+    given by their lists on their bases, y with its valuations and the N
+    of its context: the one body of a row operation (Row.sub_mul and the
+    replay of Elimination)."""
+    fv, fu, fprec, cap = f
+    if ycap < cap:
+        cap = ycap
+    if fu:
+        out = min(base, fv + ybase)
+        s, g = pw[base - out], fu * pw[fv + ybase - out]
+        base = out
+    else:  # f * y vanishes to the ledger's precision
+        s, g = 1, 0
+    out_res, out_prec = [], []
+    for a, r, b, c, t in zip(prec, res, yval, yprec, yres):
+        q = fprec + b
+        c += fv
+        if c < q:
+            q = c
+        if a < q:
+            q = a
+        if cap < q:
+            q = cap
+        out_prec.append(q)
+        out_res.append((r * s - g * t) % pw[q - base])
+    return base, out_res, out_prec
+
+
+def _scaled(pw, base, res, prec, val, s, cap):
+    """(base, residues, precisions, valuations) of every entry times the
+    scalar s = (v, u, prec, N), for a row given by its lists, its
+    valuations and the N of its context: the one body of a pivot scaling
+    (Row.scaled and the replay of Elimination), with the ledger of
+    _times."""
+    sv, su, sprec, scap = s
+    if scap < cap:
+        cap = scap
+    base += sv
+    out_res, out_prec, out_val = [], [], []
+    for r, v, q in zip(res, val, prec):
+        w = v + sprec
+        q += sv
+        if w < q:
+            q = w
+        if cap < q:
+            q = cap
+        out_prec.append(q)
+        out_res.append((su * r) % pw[q - base])
+        # a unit multiple keeps the valuation, shifted by sv, unless the
+        # product vanishes to its precision
+        v += sv
+        out_val.append(v if r and v < q else q)
+    return base, out_res, out_prec, out_val
 
 
 def _mixed(a: PrimeContext, b: PrimeContext) -> str:
@@ -464,10 +518,11 @@ def _rebased(pw, base, res, prec):
     return base + t, [r // s for r in res]
 
 
-def congruent(a: Row, b: Row, prec=None) -> bool:
-    """Whether every entry of a equals the same entry of b modulo p^prec,
-    by default modulo the lesser of their precisions, as PadicScalar
-    equality decides it; False on mixed primes or lengths."""
+def congruent(a: Row, b: Row) -> bool:
+    """Whether every entry of a equals the same entry of b modulo the
+    lesser of their precisions, as PadicScalar equality decides it; False
+    on mixed primes or lengths (Row.agrees decides equality modulo one
+    given precision)."""
     if len(a.res) != len(b.res):
         return False
     if not a.res:
@@ -478,9 +533,7 @@ def congruent(a: Row, b: Row, prec=None) -> bool:
     base = min(a.base, b.base)
     s, t = pw[a.base - base], pw[b.base - base]
     for r, q, x, w in zip(a.res, a.prec, b.res, b.prec):
-        if prec is not None:
-            q = prec
-        elif w < q:
+        if w < q:
             q = w
         if (r * s - x * t) % pw[q - base]:
             return False
@@ -551,69 +604,119 @@ class Elimination:
         arithmetic they would see as extra columns of the elimination, and
         are then checked as such: row by row, each row across all columns.
         """
-        if self.steps is None:
-            raise ValueError("solve needs a reduced elimination (reduce_above=True)")
-        if not rhs_cols:
+        cols = self._right_hand_sides(rhs_cols)
+        if not cols:
             return [Row.zeros(self.ctx, 0) for _ in range(self.ncols)]
-        for col in rhs_cols:
-            if len(col) != self.nrows:
-                raise DimensionMismatch(
-                    "right-hand side of length %d for a system of %d rows"
-                    % (len(col), self.nrows)
-                )
-        # one Row per matrix row, across the columns, so every recorded
+        # one row per matrix row, across the columns, so every recorded
         # operation is a row operation
-        rows = self._replay(transpose([Row.of(c, self.ctx) for c in rhs_cols]))
-        if rows is None:
-            return None
-        return self._unknowns(rows, len(rhs_cols))
+        return self._solved(transpose(cols))
 
-    def solve_row(self, col: Row) -> Row | None:
-        """The solution of mat @ x = col for one Row col of length nrows,
-        as one Row over the unknowns (ncols >= 1): solve_rows on one
-        column, with no scalar built.  None when the system is
-        inconsistent to precision."""
-        rows = self.solve_rows([col])
-        return None if rows is None else transpose(rows)[0]
+    def solve_row(self, col) -> Row | None:
+        """The solution of mat @ x = col for one column col (a Row, or a
+        list of PadicScalars) of length nrows, as one Row over the
+        unknowns (ncols >= 1), or None when the system is inconsistent to
+        precision: what solve_rows gives on [col], read across the
+        unknowns.  The column is replayed as nrows one-entry lists, with
+        no Row built per step and no transpose; the unknowns' entries are
+        put on their least base, and unknowns in two contexts are refused
+        with ContextMismatch, as transpose refuses them."""
+        (col,) = self._right_hand_sides([col])
+        n = self.nrows
+        rows = ([col.base] * n, [[r] for r in col.res], [[q] for q in col.prec],
+                [None] * n if col._val is None else [[v] for v in col._val], [col.ctx] * n)
+        if not self._replay(col.pw, *rows):
+            return None
+        bases, res, prec, val, ctxs = rows
+        pw, ctx, N = col.pw, None, self.ctx.default_precision
+        out_base, out_res, out_prec, out_val = [], [], [], []
+        for j in range(self.ncols):
+            i = self.pivot_of_col.get(j)
+            if i is None:  # a free unknown: the zero marker O(p^N) of the elimination
+                c, b, r, q, v = self.ctx, 0, 0, N, N
+            else:
+                c, b, r, q, v = ctxs[i], bases[i], res[i][0], prec[i][0], val[i] and val[i][0]
+            if ctx is None:
+                ctx = c
+            elif c is not ctx and c != ctx:
+                raise ContextMismatch(_mixed(ctx, c))
+            out_base.append(b)
+            out_res.append(r)
+            out_prec.append(q)
+            out_val.append(v)
+        base = min(out_base)
+        for k, b in enumerate(out_base):
+            if b != base:
+                out_res[k] *= pw[b - base]
+        return Row(pw, base, out_res, out_prec, ctx, None if None in out_val else out_val)
 
     def inverse(self):
         """The rows of the inverse of the eliminated square matrix as Rows:
         solve() on the identity columns; None when the matrix is singular
         to precision."""
         n = self.nrows
-        rows = self._replay([Row.unit(self.ctx, n, i) for i in range(n)])
-        if rows is None:
-            return None
-        return self._unknowns(rows, n)
+        return self._solved([Row.unit(self.ctx, n, i) for i in range(n)])
 
-    def _replay(self, rows):
-        """rows through the recorded row operations; None when a row
-        without a pivot keeps a nonzero entry."""
+    def _right_hand_sides(self, cols) -> list:
+        """The columns cols as Rows, refused unless the elimination kept
+        its steps and each column has nrows entries."""
+        if self.steps is None:
+            raise ValueError("solve needs a reduced elimination (reduce_above=True)")
+        for col in cols:
+            if len(col) != self.nrows:
+                raise DimensionMismatch(
+                    "right-hand side of length %d for a system of %d rows"
+                    % (len(col), self.nrows)
+                )
+        return [Row.of(c, self.ctx) for c in cols]
+
+    def _solved(self, rows):
+        """Per unknown, a Row of its values across the Rows rows (one per
+        matrix row) after the replay: the pivot row of its column, or
+        zeros for a free unknown; None when the system is inconsistent."""
+        lists = ([r.base for r in rows], [r.res for r in rows], [r.prec for r in rows],
+                 [r._val for r in rows], [r.ctx for r in rows])
+        pw = rows[0].pw if rows else None
+        if not self._replay(pw, *lists):
+            return None
+        bases, res, prec, val, ctxs = lists
+        count = len(rows[0].res) if rows else 0
+        out = []
+        for j in range(self.ncols):
+            i = self.pivot_of_col.get(j)
+            out.append(Row.zeros(self.ctx, count) if i is None
+                       else Row(pw, bases[i], res[i], prec[i], ctxs[i], val[i]))
+        return out
+
+    def _replay(self, pw, bases, res, prec, val, ctxs) -> bool:
+        """Rows of the prime pw, given as parallel lists of their bases,
+        residues, precisions, valuations (or None) and contexts, through
+        the recorded row operations, in place, with the bodies of
+        Row.sub_mul and Row.scaled; False when a row without a pivot keeps
+        a nonzero entry."""
+        int_rows = self.int_rows
         for pi, targets, pinv in self.steps:
-            y = rows[pi]
+            ybase, yres, yprec = bases[pi], res[pi], prec[pi]
+            yval = val[pi] or _vals(pw, ybase, yres, yprec)
+            ycap = ctxs[pi].default_precision
             for i, f in targets:
-                rows[i] = rows[i].sub_mul(f, y)
+                bases[i], res[i], prec[i] = _sub_mul(pw, bases[i], res[i], prec[i], f,
+                                                     ybase, yres, yprec, yval, ycap)
+                val[i] = None
             # into the pivot's context, which its worked row keeps
-            rows[pi] = y.scaled(pinv, self.int_rows[pi].ctx)
+            bases[pi], res[pi], prec[pi], val[pi] = _scaled(pw, ybase, yres, yprec, yval,
+                                                            pinv, ycap)
+            ctxs[pi] = int_rows[pi].ctx
         # consistency: non-pivot rows must have vanishing right-hand sides
         for i in self.free_rows:
-            for r, q in zip(rows[i].res, rows[i].prec):
+            for r, q in zip(res[i], prec[i]):
                 if r:
-                    return None
+                    return False
                 if q < self.min_margin:
                     raise PrecisionExhausted(
                         "consistency of a linear system decided on %d digits "
                         "(< %d)" % (q, self.min_margin)
                     )
-        return rows
-
-    def _unknowns(self, rows, count):
-        """Per unknown, a Row of its values across the count replayed
-        columns: the pivot row of its column, or zeros for a free
-        unknown."""
-        pivot_of_col = self.pivot_of_col
-        return [rows[pivot_of_col[j]] if j in pivot_of_col else Row.zeros(self.ctx, count)
-                for j in range(self.ncols)]
+        return True
 
 
 def reduce_vector(vec: Row, pivot_rows) -> Row:
@@ -675,6 +778,9 @@ def eliminate(mat, reduce_above=False, min_margin=DEFAULT_SLACK):
         done.append(pi)
         pivot_inv = None  # _inverse refuses only once it is used
         updated = []
+        # every row is of pw's prime (Row.of), so the steps run the list
+        # bodies of Row.sub_mul and Row.scaled on the pivot row's lists,
+        # whose valuations the search has just read
         for i in targets:
             x = work[i]
             if not x.res[pj]:
@@ -682,12 +788,15 @@ def eliminate(mat, reduce_above=False, min_margin=DEFAULT_SLACK):
             if pivot_inv is None:
                 pivot_inv = _inverse(pw, pivot)
             f = _times(pw, x.parts(pj), pivot_inv)
-            work[i] = x.sub_mul(f, y)
+            base, res, prec = _sub_mul(pw, x.base, x.res, x.prec, f,
+                                       y.base, y.res, y.prec, y._val, y.N)
+            work[i] = Row(pw, base, res, prec, x.ctx)
             updated.append((i, f))
         if reduce_above:
             if pivot_inv is None:
                 pivot_inv = _inverse(pw, pivot)
-            work[pi] = y.scaled(pivot_inv)
+            base, res, prec, val = _scaled(pw, y.base, y.res, y.prec, y._val, pivot_inv, y.N)
+            work[pi] = Row(pw, base, res, prec, y.ctx, val)
             steps.append((pi, updated, pivot_inv))
 
     # every remaining candidate entry vanished to precision; record how

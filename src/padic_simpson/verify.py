@@ -65,6 +65,8 @@ class VerifyConfig:
             raise PadicError("d_max and n_max must be at least 1")
         if self.d_max > 4 or self.n_max > 6:
             raise PadicError("soft limits: d_max <= 4, n_max <= 6 keep runs desk-scale")
+        if not self.suites:
+            raise PadicError("no suites to run: name at least one of %s" % ", ".join(SUITE_NAMES))
         unknown = set(self.suites) - set(SUITE_NAMES)
         if unknown:
             raise PadicError("unknown suites: %s" % ", ".join(sorted(unknown)))

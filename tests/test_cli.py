@@ -458,6 +458,14 @@ class TestVerifyCommand:
     def test_bad_suite_name(self):
         assert run_cli("verify", "--suites", "nonsense") == 2
 
+    def test_empty_suite_list_refused(self, capsys):
+        # a list that names no suite would run nothing and read as "every
+        # suite passed"; it is refused as a bad name is
+        for suites in (",", ""):
+            assert run_cli("verify", "--suites", suites) == 2
+            err = capsys.readouterr().err
+            assert "no suites to run" in err
+
     def test_cartdiag_replay_hint_parses(self, monkeypatch):
         # force a failing square check so the suite writes its replay hint
         from types import SimpleNamespace

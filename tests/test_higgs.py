@@ -152,6 +152,53 @@ class TestCorrespondence:
         V = higgs_to_rep(H)
         assert validate_rep(V).ok
 
+    def test_each_side_is_validated_once(self, monkeypatch):
+        # the report is kept on the side, so the entry points of one op
+        # share it: a spectral op (as the bench runs it) validates H once,
+        # and compare_cohomology validates H and V once each
+        from padic_simpson.koszul import compare_cohomology
+
+        calls = []
+        real = higgs_module._validate
+        monkeypatch.setattr(higgs_module, "_validate", lambda X: calls.append(X) or real(X))
+        for seed in range(3):
+            H = gen_higgs(5, d=2, rank=3, seed=seed)
+            S = spectral_algebra(H)
+            twist_higgs(H, S, make_twist(S.algebra, S.tau))
+            higgs_to_rep(H)
+            assert calls == [H]
+            assert validate_higgs(H) is H.validation
+            calls.clear()
+            H = gen_higgs(5, d=2, rank=3, seed=seed)
+            compare_cohomology(H)
+            assert [type(X) for X in calls] == [HiggsModule, SmallRep] and calls[0] is H
+            calls.clear()
+
+    def test_kept_report_cannot_change(self):
+        H = higgs(C5, [[0, 5], [0, 0]], [[0, 0], [5, 0]], [[1, 0], [0, 0]])
+        report = validate_higgs(H)
+        assert isinstance(report.commutation, tuple) and isinstance(report.smallness, tuple)
+        with pytest.raises(AttributeError):
+            report.commutation.append((0, 1, 0))
+        with pytest.raises(AttributeError):
+            report.smallness = ()
+        assert validate_higgs(H) is report
+
+    def test_noncommuting_module_refused_at_the_first_entry_point(self):
+        # the kept report refuses at whichever entry point comes first,
+        # with the text of the checks
+        from padic_simpson.koszul import compare_cohomology, higgs_cohomology
+
+        text = ("higgs instance INVALID\n"
+                "  components 0 and 1 do not commute (commutator valuation 2)")
+        for entry in (spectral_algebra, higgs_to_rep, higgs_cohomology, compare_cohomology):
+            H = higgs(C5, [[0, 5], [0, 0]], [[0, 0], [5, 0]])
+            with pytest.raises(ValidationError) as exc:
+                entry(H)
+            assert str(exc.value) == text
+            with pytest.raises(ValidationError, match="^higgs instance INVALID"):
+                higgs_to_rep(H)
+
 
 class TestSpectralAlgebra:
     def test_checks_keep_no_views_on_the_callers_matrices(self):

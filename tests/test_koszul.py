@@ -7,15 +7,17 @@ kernel/cokernel of a single matrix, computed by hand below.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from padic_simpson.context import PrimeContext
-from padic_simpson.errors import CommutationFailure, PrecisionExhausted
+from padic_simpson import linalg
+from padic_simpson.context import DEFAULT_SLACK, PrimeContext
+from padic_simpson.errors import CommutationFailure, PadicError, PrecisionExhausted
 from padic_simpson.generate import gen_commuting_units, gen_higgs
-from padic_simpson.higgs import HiggsModule, SmallRep
+from padic_simpson.higgs import HiggsModule, SmallRep, higgs_to_rep
 from padic_simpson.koszul import (
     KoszulComplex,
     compare_cohomology,
@@ -244,3 +246,102 @@ def test_differential_matches_scalar_sums(ops):
     for k, diff in enumerate(kos.differentials):
         assert [[(x.v, x.u, x.prec, x.ctx) for x in row] for row in diff.entries] == \
             [[(x.v, x.u, x.prec, x.ctx) for x in row] for row in ref_differential(kos, k)]
+
+
+# -- the d o d guard ---------------------------------------------------------
+
+
+@st.composite
+def nearly_commuting_operators(draw):
+    """Two or three operators in one context: a or a @ a for one drawn
+    matrix a, each plus p^e times a matrix of its own, so that their
+    commutators vanish to some digits and not to others."""
+    ctx = PrimeContext(draw(st.sampled_from([2, 3, 5])), draw(st.integers(8, 12)))
+    n = draw(st.integers(1, 3))
+    entry = ledger_scalars(ctx)
+
+    def matrix():
+        return PadicMatrix.from_rows(ctx, [[draw(entry) for _ in range(n)] for _ in range(n)])
+
+    a = matrix()
+    ops = []
+    for _ in range(draw(st.integers(2, 3))):
+        base = a @ a if draw(st.booleans()) else a
+        e = draw(st.integers(0, ctx.default_precision + 2))
+        ops.append(base + matrix().scale(PadicScalar.from_int(ctx, ctx.p ** e)))
+    return ops
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(nearly_commuting_operators())
+def test_commutation_guard_decides_d_squared_in_one_context(ops):
+    # in one context every entry of d^(k+1) d^k is +-(op_i op_j - op_j op_i)
+    # with at least the terms, and at most the precision, of the guard's
+    # commutator, or a sum of zero-marker terms: whatever the guard lets
+    # through has d o d = 0
+    guard = all(ops[i].commutes_with(ops[j])
+                for i in range(len(ops)) for j in range(i + 1, len(ops)))
+    try:
+        kos = KoszulComplex(ops)
+    except CommutationFailure:
+        assert not guard
+        return
+    assert guard
+    for k in range(kos.d - 1):
+        assert (kos.differentials[k + 1] @ kos.differentials[k]).is_zero_to_precision()
+
+
+def test_d_squared_check_decides_what_the_guard_cannot():
+    # operators of contexts with N = 40 and N = 10: the guard's commutator
+    # diag(5^10, -5^10) is capped at the narrower N and reads zero, while
+    # d^1 d^0 keeps 11 digits of it, in the complex's context, and does
+    # not vanish; the d o d check is what refuses this complex
+    a = PadicMatrix.from_ints(PrimeContext(5, 40), [[0, 5], [0, 0]])
+    b = PadicMatrix.from_ints(PrimeContext(5, 10), [[0, 0], [5 ** 9, 0]])
+    assert a.commutes_with(b) and b.commutes_with(a)
+    with pytest.raises(PadicError, match="d o d != 0 at degree 0"):
+        KoszulComplex([a, b])
+    # in the complex of the narrower context the same terms keep 10
+    # digits, and d o d vanishes to them
+    kos = KoszulComplex([b, a])
+    assert (kos.differentials[1] @ kos.differentials[0]).is_zero_to_precision()
+
+
+# -- the end-degree cross-check, frozen ------------------------------------
+
+
+def ref_check_ends(ops, n, h, min_margin):
+    """koszul._check_ends as it stood before it was deleted: H^0 as the
+    joint kernel (n - rank) and H^top as the joint cokernel, computed
+    directly, refusing when either disagrees with the complex."""
+    stacked = [row for op in ops for row in op.int_rows()]
+    joint_kernel = n - linalg.rank_with_margin(stacked, min_margin)[0]
+    side_by_side = linalg.transpose([col for op in ops for col in op.int_columns()])
+    rank_images, _ = linalg.rank_with_margin(side_by_side, min_margin)
+    cokernel = n - rank_images
+    if h[0] != joint_kernel or h[-1] != cokernel:
+        raise PrecisionExhausted(
+            "Koszul end degrees disagree with the direct kernel/cokernel "
+            "computation (h0 %d vs %d, htop %d vs %d); raise precision"
+            % (h[0], joint_kernel, h[-1], cokernel)
+        )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_end_degrees_need_no_cross_check(p):
+    # over the generator's grid at the bench's densities, on both sides,
+    # the direct kernel and cokernel agree with the complex's h^0 and
+    # h^top wherever the complex decides its ranks, and refuse nowhere
+    # else: the cross-check could never fire
+    decided = 0
+    for d, n, density, seed in product((1, 2, 3), range(1, 7), (0.0, 0.35, 0.6, 0.85), range(3)):
+        H = gen_higgs(p, d, n, density, seed=seed)
+        for X in (H, higgs_to_rep(H)):
+            ops = X.operators()
+            try:
+                h, _ = KoszulComplex(ops).cohomology()
+            except PrecisionExhausted:
+                continue
+            ref_check_ends(ops, n, h, DEFAULT_SLACK)
+            decided += 1
+    assert decided == 2 * 3 * 6 * 4 * 3

@@ -389,6 +389,192 @@ def test_batch_consistency_is_checked_row_by_row():
         elim.solve([first])
 
 
+# -- one-column solves and kept descriptors ------------------------------
+
+
+def _ref_replay(elim, rows):
+    """Elimination._replay as it stood before it ran on lists: every step
+    a Row.sub_mul or a Row.scaled building a Row."""
+    for pi, targets, pinv in elim.steps:
+        y = rows[pi]
+        for i, f in targets:
+            rows[i] = rows[i].sub_mul(f, y)
+        rows[pi] = y.scaled(pinv, elim.int_rows[pi].ctx)
+    for i in elim.free_rows:
+        for r, q in zip(rows[i].res, rows[i].prec):
+            if r:
+                return None
+            if q < elim.min_margin:
+                raise PrecisionExhausted("consistency of a linear system decided on %d digits "
+                                         "(< %d)" % (q, elim.min_margin))
+    return rows
+
+
+def _ref_unknowns(elim, rows, count):
+    return [rows[elim.pivot_of_col[j]] if j in elim.pivot_of_col
+            else Row.zeros(elim.ctx, count) for j in range(elim.ncols)]
+
+
+def ref_solve_rows(elim, rhs_cols):
+    """Elimination.solve_rows as it stood: the columns transposed into
+    Rows, one per matrix row, and replayed Row by Row."""
+    if elim.steps is None:
+        raise ValueError("solve needs a reduced elimination (reduce_above=True)")
+    if not rhs_cols:
+        return [Row.zeros(elim.ctx, 0) for _ in range(elim.ncols)]
+    for col in rhs_cols:
+        if len(col) != elim.nrows:
+            raise DimensionMismatch("right-hand side of length %d for a system of %d rows"
+                                    % (len(col), elim.nrows))
+    rows = _ref_replay(elim, linalg.transpose([Row.of(c, elim.ctx) for c in rhs_cols]))
+    return None if rows is None else _ref_unknowns(elim, rows, len(rhs_cols))
+
+
+def ref_solve_row(elim, col):
+    """Elimination.solve_row as it stood: solve_rows on [col], the
+    unknowns transposed back into one Row."""
+    rows = ref_solve_rows(elim, [col])
+    return None if rows is None else linalg.transpose(rows)[0]
+
+
+def ref_inverse(elim):
+    """Elimination.inverse as it stood: the identity rows replayed."""
+    n = elim.nrows
+    rows = _ref_replay(elim, [Row.unit(elim.ctx, n, i) for i in range(n)])
+    return None if rows is None else _ref_unknowns(elim, rows, n)
+
+
+def row_outcome(fn, *args):
+    """A comparable record of a call returning one Row: per entry its
+    parts and context, and the base and residues it is held on; None; or
+    the exception it raised."""
+    try:
+        row = fn(*args)
+    except (PadicError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+    if row is None:
+        return None
+    return ([(row.parts(k), row.ctx) for k in range(len(row))], row.base, row.res)
+
+
+@st.composite
+def one_column_systems(draw):
+    """An elimination of a matrix up to 5 x 5 over p in 2, 3, 5, 7, each
+    row in a context of its own (so pivot rows, and the unknowns, may lie
+    in two), and one column in a context of its own, as a Row or as
+    scalars; now and then an unreduced elimination or a column of another
+    length."""
+    ctx = PrimeContext(draw(st.sampled_from([2, 3, 5, 7])), 8)
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    mat = [draw(lines(ctx, n)) for _ in range(m)]
+    min_margin = draw(st.integers(1, 6))
+    reduced = draw(st.integers(0, 15)) > 0
+    entry = scalars(draw(contexts(ctx)))
+    if draw(st.booleans()):
+        col = _combination(mat, [draw(entry) for _ in range(n)])
+    else:
+        col = [draw(entry) for _ in range(m + (draw(st.integers(0, 15)) == 0))]
+    if draw(st.booleans()):
+        col = Row.of(col)
+    return _eliminated(mat, min_margin, reduced), col
+
+
+def _eliminated(mat, min_margin, reduced=True):
+    """The elimination of mat at min_margin, or with no margin required
+    where a rank decision is too thin for it."""
+    try:
+        return linalg.eliminate(mat, reduce_above=reduced, min_margin=min_margin)
+    except PrecisionExhausted:
+        return linalg.eliminate(mat, reduce_above=reduced, min_margin=0)
+
+
+@settings(max_examples=800, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(one_column_systems())
+def test_solve_row_matches_the_transposing_path(system):
+    elim, col = system
+    assert row_outcome(elim.solve_row, col) == row_outcome(ref_solve_row, elim, col)
+
+
+def test_solve_row_refuses_unknowns_in_two_contexts():
+    # pivot rows of N = 32 and N = 40 put the unknowns into two contexts,
+    # which one Row cannot hold
+    C32, C40 = PrimeContext(5, 32), PrimeContext(5, 40)
+    mat = [Row.of_ints(C32, [1, 0]), Row.of_ints(C40, [0, 1])]
+    elim = linalg.eliminate(mat, reduce_above=True)
+    with pytest.raises(ContextMismatch, match="mixed contexts"):
+        elim.solve_row(Row.of_ints(C32, [1, 2]))
+    assert row_outcome(elim.solve_row, Row.of_ints(C32, [1, 2])) == row_outcome(
+        ref_solve_row, elim, Row.of_ints(C32, [1, 2]))
+    with pytest.raises(ValueError, match="reduced elimination"):
+        linalg.eliminate(mat).solve_row(Row.of_ints(C32, [1, 2]))
+
+
+def _described(row):
+    """The descriptor of a fresh Row of row's lists."""
+    return Row(row.pw, row.base, row.res, row.prec, row.ctx).descriptor()
+
+
+@SETTINGS
+@given(st.data())
+def test_kept_descriptors_equal_fresh_ones(data):
+    # the descriptors the kept rows and columns of two matrices carry
+    # after a product are the ones fresh Rows of their lists would build,
+    # and a second product reads them, unchanged
+    ctx = CONTEXTS[data.draw(st.sampled_from(sorted(CONTEXTS)))]
+    m, k, n = (data.draw(st.integers(1, 4)) for _ in range(3))
+
+    def matrix(rows, cols):
+        c = data.draw(contexts(ctx))
+        return PadicMatrix.from_rows(c, [[data.draw(scalars(c)) for _ in range(cols)]
+                                         for _ in range(rows)])
+
+    a, b = matrix(m, k), matrix(k, n)
+    first = a @ b
+    views = a.int_rows() + b.int_columns()
+    kept = [v.descriptor() for v in views]
+    assert (a @ b).grid.key() == first.grid.key()
+    assert all(v.descriptor() is d for v, d in zip(views, kept))
+    assert kept == [_described(v) for v in views]
+
+
+def test_kept_descriptors_of_an_algebra_and_a_morphism():
+    # the columns FinAlgebra._columns and Morphism._columns keep are
+    # described on their first product and read from then on
+    ctx = PrimeContext(3, 16)
+    A = FinAlgebra.from_power_relation(ctx, [3, 0, 9])
+    x = A.from_ints([1, 2, 3])
+    first = A.mult_operator(x)
+    kept = [c.descriptor() for c in A._columns]
+    assert A.mult_operator(x) == first
+    assert all(c.descriptor() is d for c, d in zip(A._columns, kept))
+    assert kept == [_described(c) for c in A._columns]
+    f = Morphism.create(A, A, [A.element(Row.unit(ctx, 3, i)) for i in range(3)])
+    assert f.apply(x) == f.apply(x) == x
+    assert [c.descriptor() for c in f._columns] == [_described(c) for c in f._columns]
+
+
+@SETTINGS
+@given(systems())
+def test_solve_rows_and_inverse_unchanged(system):
+    # the list replay against the Row replay it replaces, on every
+    # column at once and on the identity, down to the base and residues
+    mat, cols, min_margin = system
+
+    def rows_of(fn, *args):
+        try:
+            rows = fn(*args)
+        except PadicError as exc:
+            return (type(exc).__name__, str(exc))
+        return None if rows is None else [(_entries(r), r.base, r.res) for r in rows]
+
+    elim = _eliminated(mat, min_margin)
+    assert rows_of(elim.solve_rows, cols) == rows_of(ref_solve_rows, elim, cols)
+    assert rows_of(elim.solve_rows, []) == rows_of(ref_solve_rows, elim, [])
+    n = min(len(mat), len(mat[0]))
+    square = _eliminated([r[:n] for r in mat[:n]], min_margin)
+    assert rows_of(square.inverse) == rows_of(ref_inverse, square)
+
+
 # -- the fused row kernel against the per-scalar row operations ----------
 
 
@@ -838,3 +1024,20 @@ def test_row_key_keeps_the_base_of_values_only():
     zeros = Row.zeros(ctx, 2)
     assert _moved(zeros, 3).key() == zeros.key() != Row.of_ints(ctx, [0, 0], 7).key()
     assert Row.zeros(PrimeContext(3, 9), 2).key() != zeros.key()
+
+
+@SETTINGS
+@given(key_rows(), st.integers(-1, 10))
+def test_agrees_and_min_valuation_match_the_scalars(rows, prec):
+    # Row.agrees and Row.min_valuation against the scalar decisions they
+    # stand for, whatever the base: equality mod p^prec of entries both
+    # known mod p^prec (False on mixed lengths), and the least valuation
+    # of a nonzero entry
+    for a in rows:
+        xs = a.scalars()
+        vals = [x.v for x in xs if not x.is_zero]
+        assert a.min_valuation() == (min(vals) if vals else None)
+        for b in rows + [a.slice(1)]:
+            ys = b.scalars()
+            want = len(xs) == len(ys) and all(x.agrees(y, prec) for x, y in zip(xs, ys))
+            assert a.agrees(b, prec) == want
