@@ -53,7 +53,6 @@ from .components import (
     component_quotient,
     connected_components,
     idempotents,
-    is_connected,
 )
 from .unitgroup import (
     CartSquareReport,

@@ -20,16 +20,19 @@ headroom: val_p((M+s)!) digits for exp, floor(log_p M) for log.  Each
 series' table (its coefficients reduced mod p^(prec + headroom), the
 headroom and the inverse of the denominator's unit part) is built once per
 (kind, p, valuation, prec, s) and kept (_table).  An n x n argument with
-n >= 2 is evaluated by Paterson-Stockmeyer (_poly_eval, about 2*sqrt(M)
-matrix products for M terms), which builds the powers of t only up to
-the first that vanishes mod the working modulus and then sums the terms
-below it: the same residues, and a nilpotent argument costs at most
-n - 1 products, whatever M is.  A 1 x 1 argument, where that saves no
-product worth saving, is evaluated by Horner on its one integer.
+n >= 2 is evaluated by Cayley-Hamilton (_poly_eval): the coefficients are
+reduced modulo the characteristic polynomial of t, computed without
+division by Berkowitz's algorithm (_charpoly), and the remainder of degree
+below n is evaluated at t with n - 2 matrix products, whatever M is.  The
+characteristic polynomial vanishes at t over every commutative ring, so
+the residues are exactly those of the full sum, and a nilpotent argument
+is summed exactly however long its series.  A 1 x 1 argument is evaluated
+by Horner on its one integer, which is that same division by x - a without
+the bookkeeping.
 """
 
 from functools import cache
-from math import factorial, isqrt, lcm
+from math import factorial, lcm
 from operator import mul
 
 
@@ -80,41 +83,61 @@ def mat_mul(a, b, mod):
     return [[sum(map(mul, row, col)) % mod for col in cols] for row in a]
 
 
-def _poly_eval(t, coefs, mod):
-    """sum_k coefs[k] * t^k mod `mod` for a square integer matrix t, by
-    Paterson-Stockmeyer: with b = ceil(sqrt(len(coefs))) baby steps
-    t^0..t^(b-1) and the giant step t^b, Horner in t^b runs over blocks of
-    b coefficients, so about 2*sqrt(len(coefs)) matrix products are made
-    instead of one per term.  Each block entry is summed exactly and
-    reduced once.
+def _charpoly(t, mod):
+    """det(x - t) mod `mod` for a square integer matrix t, as its
+    coefficients c_0..c_n (c_k of x^k, c_n = 1), by Berkowitz: no
+    division, so it holds over Z/mod for any modulus.
 
-    The powers t^1..t^b are built in turn and the building stops at the
-    first t^z that vanishes mod `mod`: every later power, a multiple of
-    it, vanishes too, so the sum is the one of coefs[:z] over the powers
-    built.  A nilpotent n x n argument vanishes from t^n on, so its
-    series costs at most n - 1 products and is exact whatever its
-    length."""
+    With B the leading k x k block of t, a = t[k][k], r the row t[k][:k]
+    and c the column t[:k][k], det(x - t_(k+1)) = (x - a) det(x - B)
+    - r adj(x - B) c, and adj(x - B) = sum_i x^(k-1-i) sum_(j<=i)
+    b_(i-j) B^j, where b_0 = 1, b_1, .. are the coefficients of
+    det(x - B) from the top.  So the coefficients of det(x - t_(k+1))
+    from the top are those of det(x - B) times the Toeplitz matrix of
+    1, -a, -r c, -r B c, .., -r B^(k-1) c; the scalars r B^j c take
+    k - 1 matrix-vector products, O(n^4) work in all."""
+    poly = [1]  # det(x - B), highest degree first
+    for k, trow in enumerate(t):
+        rows = t[:k]
+        v = [row[k] for row in rows]  # B^j c; a product stops at B's k columns
+        toeplitz = [trow[k]]  # a, r c, r B c, ..
+        for j in range(k):
+            if j:
+                v = [sum(map(mul, row, v)) % mod for row in rows]
+            toeplitz.append(sum(map(mul, trow, v)))
+        poly = [1] + [(b - sum(map(mul, poly[m::-1], toeplitz))) % mod
+                      for m, b in enumerate(poly[1:] + [0])]
+    poly.reverse()
+    return poly
+
+
+def _poly_eval(t, coefs, mod):
+    """sum_k coefs[k] * t^k mod `mod` for an n x n integer matrix t,
+    n >= 2, by Cayley-Hamilton: the characteristic polynomial chi of t
+    (_charpoly) vanishes at t over every commutative ring, so the sum
+    equals r(t) for the remainder r of the coefficients modulo the monic
+    chi, taken by synthetic division.  r has n coefficients, and Horner
+    from r_(n-1) t + r_(n-2) evaluates it with n - 2 matrix products,
+    whatever the number of terms."""
     n = len(t)
-    b = isqrt(len(coefs) - 1) + 1  # ceil(sqrt(len(coefs)))
-    top = b if len(coefs) > b else b - 1  # the highest power used
     lift = [[x % mod for x in row] for row in t]
-    powers = [[[int(i == j) for j in range(n)] for i in range(n)], lift]
-    while len(powers) <= top and any(map(any, powers[-1])):
-        powers.append(mat_mul(powers[-1], lift, mod))
-    if not any(map(any, powers[-1])):  # t^z, z = len(powers) - 1, vanishes
-        b = len(powers) - 1
-        coefs = coefs[:b]
-    # stack[i][j] holds entry (i, j) of t^0..t^(b-1)
-    stack = [list(zip(*rows)) for rows in zip(*powers[:b])]
-    giant = powers[b] if len(coefs) > b else None
-    acc = [[0] * n for _ in range(n)]
-    for start in reversed(range(0, len(coefs), b)):
-        if start + b < len(coefs):
-            acc = mat_mul(acc, giant, mod)
-        block = coefs[start:start + b]
-        acc = [[(a + sum(map(mul, block, e))) % mod for a, e in zip(arow, srow)]
-               for arow, srow in zip(acc, stack)]
-    return acc
+    chi = _charpoly(lift, mod)
+    rem = list(coefs) + [0] * (n - len(coefs))
+    neg = [-c for c in chi[:n]]
+    for d in range(len(rem) - 1, n - 1, -1):
+        q = rem[d] % mod
+        if q:
+            for i, c in enumerate(neg, d - n):
+                rem[i] += q * c
+    top = rem[n - 1] % mod
+    acc = [[top * x % mod for x in row] for row in lift]
+    for k in range(n - 2, -1, -1):
+        c = rem[k] % mod
+        for i, row in enumerate(acc):
+            row[i] += c
+        if k:
+            acc = mat_mul(acc, lift, mod)
+    return [[x % mod for x in row] for row in acc]
 
 
 @cache

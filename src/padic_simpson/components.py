@@ -398,10 +398,6 @@ def _check_complete(A: FinAlgebra, idems):
         raise PrecisionExhausted("lifted idempotents do not sum to 1")
 
 
-def is_connected(A: FinAlgebra) -> bool:
-    return len(idempotents(A)) == 1
-
-
 def connected_components(A: FinAlgebra, idems=None):
     """[Component] per primitive idempotent; supply idems explicitly to
     override the automatic search (the documented fallback).  A supplied

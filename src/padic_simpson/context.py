@@ -46,6 +46,11 @@ class PrimeContext:
                 "precision %d below the minimum %d; series truncation bounds "
                 "need headroom" % (self.default_precision, MIN_PRECISION)
             )
+        # the value the dataclass would compute, kept: contexts key caches
+        object.__setattr__(self, "_hash", hash((self.p, self.default_precision)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def exp_domain_exponent(self) -> int:

@@ -322,11 +322,11 @@ def _row_major(rows):
 def mat_exp(m: PadicMatrix) -> PadicMatrix:
     """exp of a square matrix with all entries of valuation >= e0.
 
-    Exact when the matrix is nilpotent: the engine (_series._poly_eval)
-    stops at the first power that vanishes mod its modulus, t^n at the
-    latest, and sums the terms below it, so no term is cut off that could
-    survive; in general truncated once the term valuation passes the
-    working precision.
+    Exact when the matrix is nilpotent: its characteristic polynomial is
+    x^n, and the engine (_series._poly_eval) reduces the series modulo the
+    characteristic polynomial exactly, so the sum is that of the terms
+    below t^n and no term is cut off that could survive; in general
+    truncated once the term valuation passes the working precision.
     """
     ctx = m.ctx
     e0 = ctx.e0

@@ -115,6 +115,23 @@ class TestContext:
         assert C3.e0 == 1
         assert C2.e0 == 2
 
+    def test_hash_is_kept_and_equal_contexts_hash_equal(self):
+        # the hash is computed once per context, and is the one the frozen
+        # dataclass would compute from its fields: equal contexts, built
+        # apart or by widen, hash equal, and a context's hash never moves
+        a, b = PrimeContext(5, 20), PrimeContext(5, 20)
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash(a) == hash((5, 20))
+        assert hash(PrimeContext(5, 17).widen(3)) == hash(a)
+        assert hash(a.widen(0)) == hash(a) and hash(a.widen(-2)) == hash(a)
+        assert hash(dataclasses.replace(a, default_precision=40)) == hash(PrimeContext(5, 40))
+        assert PrimeContext(5, 20) != PrimeContext(3, 20) != PrimeContext(3, 21)
+        assert {a: 1}[b] == 1 and len({a, b, C5, PrimeContext(5, 32)}) == 2
+        assert [f.name for f in dataclasses.fields(a)] == ["p", "default_precision"]
+        assert repr(a) == "PrimeContext(p=5, N=20)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.p = 3
+
 
 class TestArithmetic:
     def test_add_trivial(self):

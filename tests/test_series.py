@@ -1,10 +1,14 @@
-"""The integer series kernels: the Paterson-Stockmeyer engine behind exp,
-the expm1 quotient and log against the term-by-term sums it replaced, and
-its matrix-product count."""
+"""The integer series kernels: the Cayley-Hamilton engine behind exp, the
+expm1 quotient and log against the term-by-term sums and the
+Paterson-Stockmeyer evaluations it replaced, Berkowitz's characteristic
+polynomial against its defining properties, and the engine's
+matrix-product count."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import factorial, isqrt
+from operator import mul
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -146,12 +150,86 @@ def test_kept_tables_are_keyed_on_every_argument():
                 assert kernel(t, p, e, prec) == ref_factorial_series(t, p, e, prec, s)
 
 
-# -- the engine against the full Paterson-Stockmeyer evaluation -------------
+# -- the characteristic polynomial ------------------------------------------
+
+def leibniz_det(t):
+    """det t by the sum over permutations, exactly."""
+    n = len(t)
+    total = 0
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = sign
+        for i in range(n):
+            term *= t[i][perm[i]]
+        total += term
+    return total
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 6), st.integers(1, 40),
+       st.sampled_from(["zero", "nilpotent", "scaled", "general"]), st.integers(0, 2 ** 32))
+def test_charpoly_is_monic_and_vanishes_at_its_argument(p, n, k, shape, seed):
+    # chi = det(x - t) mod p^k: monic, c_(n-1) = -tr t, c_0 = (-1)^n det t,
+    # and chi(t) = 0 (Cayley-Hamilton), summed by Horner in t
+    rng = random.Random(seed)
+    mod = p ** k
+    scale = p ** rng.randint(1, 8) if shape == "scaled" else 1
+    t = [[0 if shape == "zero" or (shape == "nilpotent" and j <= i)
+          else scale * rng.randrange(-mod, mod) for j in range(n)] for i in range(n)]
+    chi = _series._charpoly([[x % mod for x in row] for row in t], mod)
+    assert len(chi) == n + 1 and chi[n] == 1
+    assert all(0 <= c < mod for c in chi[:n])
+    assert chi[n - 1] == -sum(t[i][i] for i in range(n)) % mod
+    if n <= 4:
+        assert chi[0] == (-1) ** n * leibniz_det(t) % mod
+    if shape in ("zero", "nilpotent"):
+        assert chi[:n] == [0] * n
+    acc = [[0] * n for _ in range(n)]
+    for c in reversed(chi):
+        acc = ref_mat_mul(acc, t, mod)
+        for i in range(n):
+            acc[i][i] = (acc[i][i] + c) % mod
+    assert not any(map(any, acc))
+
+
+# -- the engine against the Paterson-Stockmeyer evaluations -----------------
+
+def ps_poly_eval(t, coefs, mod):
+    """_poly_eval by Paterson-Stockmeyer, as it stood before the
+    Cayley-Hamilton reduction: baby steps t^0..t^(b-1), b =
+    ceil(sqrt(len(coefs))), built only up to the first power that vanishes
+    mod `mod`, and Horner in the giant step t^b over the blocks of
+    coefficients below it."""
+    n = len(t)
+    b = isqrt(len(coefs) - 1) + 1
+    top = b if len(coefs) > b else b - 1
+    lift = [[x % mod for x in row] for row in t]
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)], lift]
+    while len(powers) <= top and any(map(any, powers[-1])):
+        powers.append(_series.mat_mul(powers[-1], lift, mod))
+    if not any(map(any, powers[-1])):
+        b = len(powers) - 1
+        coefs = coefs[:b]
+    stack = [list(zip(*rows)) for rows in zip(*powers[:b])]
+    giant = powers[b] if len(coefs) > b else None
+    acc = [[0] * n for _ in range(n)]
+    for start in reversed(range(0, len(coefs), b)):
+        if start + b < len(coefs):
+            acc = _series.mat_mul(acc, giant, mod)
+        block = coefs[start:start + b]
+        acc = [[(a + sum(map(mul, block, e))) % mod for a, e in zip(arow, srow)]
+               for arow, srow in zip(acc, stack)]
+    return acc
+
 
 def ref_poly_eval(t, coefs, mod):
-    """_poly_eval as it stood: every baby step t^0..t^(b-1) and the giant
-    step t^b built, and Horner in t^b over every block of coefficients,
-    whether or not a power of t vanishes."""
+    """_poly_eval by the full Paterson-Stockmeyer evaluation: every baby
+    step t^0..t^(b-1) and the giant step t^b built, and Horner in t^b over
+    every block of coefficients, whether or not a power of t vanishes."""
     n = len(t)
     b = isqrt(len(coefs) - 1) + 1
     lift = [[x % mod for x in row] for row in t]
@@ -200,7 +278,8 @@ def test_poly_eval_matches_full_evaluation(p, n, terms, shape, seed):
     # nilpotent arguments P U P^-1 (U strictly upper triangular, P
     # unimodular) vanish from t^n on, or sooner when U is scaled by p;
     # general and p-divisible arguments have no vanishing power, or one
-    # only mod `mod`: the residues are the same either way
+    # only mod `mod`: the residues are those of both Paterson-Stockmeyer
+    # evaluations, the full one and the one that stops at a vanishing power
     rng = random.Random(seed)
     mod = p ** rng.randint(4, 40)
     if shape.endswith("nilpotent"):
@@ -216,7 +295,9 @@ def test_poly_eval_matches_full_evaluation(p, n, terms, shape, seed):
         scale = p ** rng.randint(1, 8) if shape == "divisible" else 1
         t = [[scale * rng.randrange(-mod, mod) for _ in range(n)] for _ in range(n)]
     coefs = [rng.randrange(-mod, mod) for _ in range(terms)]
-    assert _series._poly_eval(t, coefs, mod) == ref_poly_eval(t, coefs, mod)
+    got = _series._poly_eval(t, coefs, mod)
+    assert got == ref_poly_eval(t, coefs, mod)
+    assert got == ps_poly_eval(t, coefs, mod)
 
 
 # -- work count ---------------------------------------------------------------
@@ -241,13 +322,14 @@ def counted_products(monkeypatch):
 ])
 def test_series_products_grow_like_sqrt_of_terms(monkeypatch, kernel, terms):
     """At p = 3, N = 32 and valuation 1 the series run M = 59, 60 and 35
-    terms; each makes at most 2*ceil(sqrt(M+1)) matrix products."""
+    terms; on a 4 x 4 argument each makes n - 2 = 2 matrix products,
+    whatever M is."""
     calls = counted_products(monkeypatch)
     t = [[3 * (5 * i + 7 * j + 1) for j in range(4)] for i in range(4)]
     if kernel is _series.log_matrix:
         t = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)]
     kernel(t, 3, 1, 32)
-    assert 0 < len(calls) <= 2 * (isqrt(terms) + 1) < terms
+    assert calls == [4, 4] and len(calls) < terms
 
 
 @pytest.mark.parametrize("kernel", [
@@ -255,15 +337,32 @@ def test_series_products_grow_like_sqrt_of_terms(monkeypatch, kernel, terms):
 ])
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_nilpotent_argument_stops_at_its_vanishing_power(monkeypatch, kernel, n):
-    # a strictly upper triangular n x n argument has t^n = 0: the series
-    # of 59, 60 and 35 terms cost t^2..t^n, n - 1 products, and nothing
-    # past them
+    # a strictly upper triangular n x n argument has characteristic
+    # polynomial x^n: the series of 59, 60 and 35 terms reduce to their
+    # terms below t^n, evaluated with n - 2 products
     calls = counted_products(monkeypatch)
     t = [[3 * (5 * i + 7 * j + 1) if j > i else 0 for j in range(n)] for i in range(n)]
     if kernel is _series.log_matrix:
         t = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)]
     kernel(t, 3, 1, 32)
-    assert len(calls) == n - 1
+    assert len(calls) == n - 2
+
+
+@pytest.mark.parametrize("kernel", [
+    _series.exp_matrix, _series.expm1_quotient_matrix, _series.log_matrix,
+])
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+@pytest.mark.parametrize("shape", ["general", "zero"])
+def test_every_square_argument_costs_n_minus_two_products(monkeypatch, kernel, n, shape):
+    # the count depends on n alone: not on the entries, the number of
+    # terms, or whether a power of t vanishes
+    calls = counted_products(monkeypatch)
+    t = [[3 * (5 * i + 7 * j + 1) if shape == "general" else 0 for j in range(n)]
+         for i in range(n)]
+    if kernel is _series.log_matrix:
+        t = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)]
+    kernel(t, 3, 1, 32)
+    assert calls == [n] * (n - 2)
 
 
 @pytest.mark.parametrize("kernel", [
