@@ -31,7 +31,9 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
 )
+from .linalg import _parts, _sub_mul
 from .matrix import PadicMatrix, mat_exp, mat_log
+from .scalar import _inverse, _times
 
 
 class _Side:
@@ -269,15 +271,20 @@ def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:
     symmetric algebra on the dual differentials inside End(E).
 
     Each new basis matrix b_j is b_parent * theta_i for a recorded word
-    (parent, i), and the closure forms every b_j * theta_i.  Those d * dim
-    products, and the theta_i for tau, are solved on one factorisation of
-    the span: the solution of b_j * theta_i is column j of L_i, the
+    (parent, i), and the closure forms every b_j * theta_i.  The span
+    (_IncrementalSpan) reduces each of those d * dim products once, and
+    that one reduction both decides whether the product is a new basis
+    matrix and gives its coordinates in the basis: column j of L_i, the
     matrix of multiplication by theta_i on B_theta (the multiplication
-    matrices of FGLM).  The multiplication operators follow without any
-    n x n product: M_{b_0} = 1, M_{b_j} = L_i for a word (0, i), and
-    M_{b_j} = L_i M_{b_parent} otherwise.  c[i][j] = c[j][i] is column i
-    of M_{b_j} and column j of M_{b_i}; the tensor keeps, per pair, the
-    one with more digits, so it is symmetric.
+    matrices of FGLM, read off the normal forms of the closure).  No
+    second elimination of the span and no solve follow.  tau_i is column
+    0 of L_i, the coordinates of b_0 * theta_i, when that product has
+    theta_i's parts, and theta_i reduced once more otherwise.  The
+    multiplication operators follow without any n x n product: M_{b_0} =
+    1, M_{b_j} = L_i for a word (0, i), and M_{b_j} = L_i M_{b_parent}
+    otherwise.  c[i][j] = c[j][i] is column i of M_{b_j} and column j of
+    M_{b_i}; the tensor keeps, per pair, the one with more digits, so it
+    is symmetric.
 
     The tensor is certified by the theta-action, not by an associativity
     check.  In exact arithmetic, let A = Q_p[L_1..L_d] and phi(M) = M e_0.
@@ -291,48 +298,45 @@ def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:
     checks are therefore the d(d-1)/2 commutators L_a L_b == L_b L_a,
     then commutativity and the unit law on the stored tensor
     (FinAlgebra._validate(full=False)), at every dim, in place of the
-    O(dim^5) associativity check.  The argument is exact; at finite
-    precision each check is decided on its own ledger (the commutators to
-    the digits their products keep), and nothing here bounds the
-    associativity defect of a stored constant against the digits it
-    claims.  B_theta is a subalgebra of End(E), so a failed check is a
-    precision shortfall."""
+    O(dim^5) associativity check.  The argument does not depend on where
+    the coordinates come from; it is exact, and at finite precision each
+    check is decided on its own ledger (the commutators to the digits
+    their products keep), and nothing here bounds the associativity
+    defect of a stored constant against the digits it claims.  B_theta is
+    a subalgebra of End(E), so a failed check is a precision shortfall."""
     require_valid(validate_higgs(H))
     ctx = H.ctx
     n, d = H.rank, H.d
     basis = [PadicMatrix.identity(ctx, n)]
     words = []  # (parent, i) per basis[j], j >= 1: basis[parent] @ theta_i
-    products = []  # products[j][i] = basis[j] @ theta_i, as a grid
+    coords = []  # coords[j][i]: the coordinates of basis[j] @ theta_i, a Row
     span = _IncrementalSpan()
     span.add(basis[0].grid)
     frontier = [0]
     theta = _detached(H.theta)
+    tops = []  # the grids of basis[0] @ theta_i
     while frontier:
         next_frontier = []
         for j in frontier:
             row = []
             for i, t in enumerate(theta):
                 cand = basis[j] @ t
-                row.append(cand.grid)
-                if span.add(cand.grid):
+                if j == 0:
+                    tops.append(cand.grid)
+                new, c = span.add(cand.grid)
+                row.append(c)
+                if new:
                     next_frontier.append(len(basis))
                     basis.append(cand)
                     words.append((j, i))
-            products.append(row)
+            coords.append(row)
         frontier = next_frontier
         if len(basis) > n * n:
             raise PrecisionExhausted("span closure exceeded the dimension bound")
     dim = len(basis)
-    # the span's rows: entry i of every basis matrix, the grids being
-    # the matrices' entries in row-major order
-    span_rows = linalg.transpose([b.grid for b in basis])
-    # per unknown k, one Row: row k of [L_0 | .. | L_(d-1) | tau]
-    cols = [products[j][i] for i in range(d) for j in range(dim)] + [t.grid for t in H.theta]
-    sols = linalg.eliminate(span_rows, reduce_above=True).solve_rows(cols)
-    if sols is None:
-        raise PrecisionExhausted("a product or a component escaped the closed span")
-    action = [PadicMatrix.stack(ctx, [s.slice(i * dim, (i + 1) * dim) for s in sols], dim)
-              for i in range(d)]
+    # column j of L_i holds the coordinates of basis[j] @ theta_i
+    action = [PadicMatrix.stack(ctx, [_padded(coords[j][i], dim) for j in range(dim)],
+                                dim).transpose() for i in range(d)]
     ops = [PadicMatrix.identity(ctx, dim)]
     for parent, i in words:
         ops.append(action[i] if parent == 0 else action[i] @ ops[parent])
@@ -357,23 +361,72 @@ def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:
         B._validate(full=False)
     except PadicError as exc:
         raise PrecisionExhausted(str(exc)) from exc
-    tau = [B.element(c) for c in linalg.transpose([s.slice(d * dim) for s in sols])]
+    tau = []
+    for i, t in enumerate(H.theta):
+        c = coords[0][i]
+        if tops[i].key() != t.grid.key():  # b_0 @ theta_i lost digits of theta_i
+            new, c = span.add(t.grid)
+            if new:
+                raise PrecisionExhausted("theta_%d escaped the closed span" % i)
+        tau.append(B.element(_padded(c, dim)))
     return SpectralAlgebra(B, tuple(basis), tuple(tau))
 
 
+def _padded(col, dim) -> linalg.Row:
+    """The Row col of coordinates in b_0..b_(k-1), k <= dim, as dim
+    coordinates: a vector decided before b_k was added has the exact
+    coordinate 0, the zero marker O(p^N), at b_k."""
+    extra = dim - len(col.res)
+    if not extra:
+        return col
+    return linalg.Row(col.pw, col.base, col.res + [0] * extra, col.prec + [col.N] * extra,
+                      col.ctx)
+
+
 class _IncrementalSpan:
-    """Echelonised span with minimal-valuation pivots; add() reports
-    whether the vector enlarged the span.  A dependence decision must rest
-    on at least min_margin vanishing digits, else the span rank is
-    ambiguous."""
+    """The span of the vectors b_0..b_(k-1) added so far, echelonised with
+    minimal-valuation pivots: row r is b_r reduced by the rows before it,
+    kept with its pivot column, the inverse of its pivot entry and its
+    coordinates T_r in b_0..b_r (T_r[r] = 1).
+
+    A vector x is reduced once, by every row in turn, as x - f_r * row_r
+    with f_r = x[pivot_r] / row_r[pivot_r] on the ledger of x + (-(f*y))
+    (linalg._sub_mul), a zero-marker factor's included: O(p^q) still
+    bounds what the remainder knows.  Skipping such a factor, as
+    linalg.reduce_vector does, lets a remainder claim digits that its
+    factor does not have.  Then x = sum f_r row_r + remainder, and the
+    remainder decides dependence.  An entry of it that does not vanish
+    makes x the new b_k: the remainder becomes row k, its least-valuation
+    entry the pivot, with T_k = e_k - sum f_r T_r, and x's coordinates
+    are e_k.  Otherwise x's coordinates are sum f_r T_r, provided the
+    remainder vanishes to at least min_margin digits, else the span rank
+    is ambiguous.  Each f_r T_r reaches only the entries T_r has: padding
+    T_r with O(p^N) would charge them N + v(f_r) digits when v(f_r) < 0.
+    The passes run on the list bodies _parts, _times, _inverse and
+    _sub_mul, as the replay of an Elimination does."""
 
     def __init__(self, min_margin=DEFAULT_SLACK):
         self.min_margin = min_margin
-        self.rows = []  # (pivot index, reduced linalg.Row)
+        self.rows = []  # (pivot index, reduced Row, parts of its pivot inverse, T_r)
 
-    def add(self, vec) -> bool:
-        row = linalg.reduce_vector(linalg.Row.of(vec), self.rows)
-        vals, prec = row.vals(), row.prec
+    def add(self, vec) -> tuple:
+        """(True, e_k) when vec enlarges the span as b_k, else (False, its
+        coordinates in b_0..b_(k-1)): Rows in vec's context."""
+        x = linalg.Row.of(vec)
+        pw, N = x.pw, x.N
+        base, res, prec = x.base, x.res, x.prec
+        # -sum f_r T_r; its base is 0 or below, as _sub_mul lowers it
+        cbase, cres, cprec = 0, [], []
+        for j, y, yinv, t in self.rows:
+            f = _times(pw, _parts(pw, base, res[j], prec[j], N), yinv)
+            base, res, prec = _sub_mul(pw, base, res, prec, f, y.base, y.res, y.prec, y._val, y.N)
+            # T_r reaches b_0..b_r, the last of them untouched so far
+            cres.append(0)
+            cprec.append(N)
+            cbase, cres, cprec = _sub_mul(pw, cbase, cres, cprec, f, t.base, t.res, t.prec,
+                                          t._val or t.vals(), t.N)
+        row = linalg.Row(pw, base, res, prec, x.ctx)
+        vals = row.vals()
         best = None
         for i, v in enumerate(vals):
             if v < prec[i] and (best is None or v < vals[best]):
@@ -385,9 +438,12 @@ class _IncrementalSpan:
                     "span dependence decided on %d digits (< %d)"
                     % (thinnest, self.min_margin)
                 )
-            return False
-        self.rows.append((best, row))
-        return True
+            return False, linalg.Row(pw, cbase, cres, cprec, x.ctx).negated()
+        # T_k = e_k - sum f_r T_r: the sum's entries and an exact 1 at b_k
+        t = linalg.Row(pw, cbase, cres + [pw[-cbase]], cprec + [N], x.ctx)
+        k = len(self.rows)
+        self.rows.append((best, row, _inverse(pw, row.parts(best)), t))
+        return True, linalg.Row.unit(x.ctx, k + 1, k)
 
 
 # -- twists ----------------------------------------------------------------------

@@ -222,7 +222,13 @@ def load_instance(path: str):
 
 
 def write_instance(path: str, obj):
+    """Write obj to path in canonical form; a path that cannot be written
+    is refused with PadicError, as load_instance refuses one it cannot
+    read, so the CLI exits 2 rather than with a traceback."""
     text = canonical_dumps(obj)
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise PadicError("cannot write %s: %s" % (path, exc))
     return text

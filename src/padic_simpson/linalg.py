@@ -23,7 +23,8 @@ inverse with the ledger of the scalar product (scalar._times and
 _inverse, the bodies of PadicScalar * and inv); each has one body on
 the lists (_sub_mul, _scaled), which Row.sub_mul and Row.scaled wrap,
 eliminate runs on the pivot row's lists, and the replay of a kept
-elimination runs on directly, building no Row per step.  Valuations are
+elimination and the span of higgs.spectral_algebra run on directly,
+building no Row per step (_parts reads an entry's parts off the lists).  Valuations are
 recomputed only where the pivot search, a margin or a later step reads
 them.  eliminate, Elimination.solve and triangular_lattice_rows take
 rows (or columns) of PadicScalars or Rows.  Elimination.solve_rows hands
@@ -428,6 +429,18 @@ def _vals(pw, base, res, prec) -> list:
     for r, q in zip(res, prec):
         val.append(q if not r else base if r % p else base + logs[gcd(r, pw[q - base])])
     return val
+
+
+def _parts(pw, base, r, q, N):
+    """(valuation, unit, precision, N) of the entry r * p^base known mod
+    p^q, r reduced mod p^(q - base), of a context of ambient precision N:
+    Row.parts on the lists of a row."""
+    if not r:
+        return q, 0, q, N
+    if r % pw.p:
+        return base, r, q, N
+    t = pw.logs[gcd(r, pw[q - base])]
+    return base + t, r // pw[t], q, N
 
 
 def _sub_mul(pw, base, res, prec, f, ybase, yres, yprec, yval, ycap):

@@ -1,6 +1,7 @@
 """The benchmark's outputs, pinned: one pass of each workload of
-bench/run.py at seed 7 must reproduce the digest of its per-op records;
-and every library name bench/tracer.py patches must exist.
+bench/run.py at seed 7, and at the held-out seed 23, must reproduce the
+digest of its per-op records; and every library name bench/tracer.py
+patches must exist.
 
 A change meant only to make the program faster must leave every output
 byte-identical; this checks it on the benchmark's own stream.  The
@@ -24,6 +25,12 @@ DIGESTS = {
     "algebra": "5c53f8ca2f186e0ef36e20f8f6d98b89bb5a234429c58bdd6ff14827be3b7ffb",
 }
 
+HELD_OUT_DIGESTS = {
+    "pipeline": "2e2f7f196edf241f0f10f33024463201bc42958b7cc73a096cfe8b10fc49d0e0",
+    "spectral": "c02518acf1347b07399850f42a3551ec18bb4247ae5603666641b89bd7d18aa9",
+    "algebra": "02f705d5016eea2e1b7c9a5aa257d5c21b60f05f3317c96d1304ad63f64590a4",
+}
+
 
 @pytest.fixture(scope="module")
 def bench_run():
@@ -43,14 +50,24 @@ def bench_run():
                 del sys.modules[name]
 
 
-@pytest.mark.parametrize("workload", sorted(DIGESTS))
-def test_bench_pass_digest(bench_run, workload, tmp_path):
+def pass_digest(bench_run, workload, seed, tmp_path):
+    """The digest of one pass of workload at seed, on the library here."""
     lib = types.SimpleNamespace(**{m: importlib.import_module("padic_simpson." + m)
                                    for m in bench_run.LIB_MODULES})
-    wl = bench_run.WORKLOADS[workload](lib, 7, str(tmp_path))
+    wl = bench_run.WORKLOADS[workload](lib, seed, str(tmp_path))
     stream = bench_run.Stream(wl)
     stream.run_pass(lib)
-    assert bench_run.digest(stream.records) == DIGESTS[workload]
+    return bench_run.digest(stream.records)
+
+
+@pytest.mark.parametrize("workload", sorted(DIGESTS))
+def test_bench_pass_digest(bench_run, workload, tmp_path):
+    assert pass_digest(bench_run, workload, 7, tmp_path) == DIGESTS[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(HELD_OUT_DIGESTS))
+def test_bench_pass_digest_held_out_seed(bench_run, workload, tmp_path):
+    assert pass_digest(bench_run, workload, 23, tmp_path) == HELD_OUT_DIGESTS[workload]
 
 
 def test_tracer_names_exist():

@@ -8,11 +8,11 @@ import sys
 
 import pytest
 
-from padic_simpson import io_json
+from padic_simpson import io_json, linalg
 from padic_simpson.cli import build_parser, main
 from padic_simpson.context import PrimeContext
 from padic_simpson.generate import gen_higgs
-from padic_simpson.higgs import HiggsModule, SmallRep
+from padic_simpson.higgs import HiggsModule, SmallRep, spectral_algebra
 from padic_simpson.matrix import PadicMatrix
 
 
@@ -224,6 +224,39 @@ def test_gen_rank_zero_exit_2(tmp_path, capsys, kind):
         assert not path.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "to-rep", "to-higgs", "spectral", "verify --out",
+                                     "verify --counterexample-dir"])
+def test_unwritable_output_exit_2(tmp_path, capsys, command):
+    # a path that cannot be written is refused as invalid input, exit 2,
+    # not the exit 1 of a failed suite, and no file is written
+    h, v, bad = tmp_path / "h.json", tmp_path / "v.json", tmp_path / "bad.json"
+    assert run_cli("gen", "--p", "5", "--d", "1", "--rank", "2", "--seed", "1",
+                   "--out", str(h)) == 0
+    assert run_cli("to-rep", str(h), "--out", str(v)) == 0
+    write_higgs(bad, HiggsModule.create(C5, [PadicMatrix.from_ints(C5, [[0, 5], [0, 0]]),
+                                             PadicMatrix.from_ints(C5, [[0, 0], [5, 0]])]))
+    capsys.readouterr()
+    missing = tmp_path / "missing"
+    target = missing / "out.json"
+    argv = {
+        "gen": ["gen", "--p", "5", "--d", "1", "--rank", "2", "--out", str(target)],
+        "to-rep": ["to-rep", str(h), "--out", str(target)],
+        "to-higgs": ["to-higgs", str(v), "--out", str(target)],
+        "spectral": ["spectral", str(h), "--out", str(target)],
+        "verify --out": ["verify", "--suites", "roundtrip", "--count", "1",
+                         "--out", str(target)],
+        # the fixture fails the suite, so its counterexample is written
+        "verify --counterexample-dir": [
+            "verify", "--suites", "roundtrip", "--count", "1", "--fixture", str(bad),
+            "--counterexample-dir", str(missing)],
+    }[command]
+    if command == "verify --counterexample-dir":
+        target = missing / "counterexample_roundtrip.json"
+    assert run_cli(*argv) == 2
+    assert "error: cannot write %s: " % target in capsys.readouterr().err
+    assert not missing.exists()
+
+
 @pytest.mark.parametrize("density", ["1.5", "-0.5", "nan"])
 def test_gen_density_outside_unit_interval_exit_2(tmp_path, capsys, density):
     # a density is a probability: above 1 it would be the law of 1 under
@@ -366,17 +399,36 @@ class TestCohomologyCommands:
         assert B.dim == 2 and len(tau) == 1
 
     def test_spectral_shortfall_exit_4(self, tmp_path, capsys):
-        # at precision 8 a product of this B_theta's basis leaves the span
-        # it was solved on; as a subalgebra of End(E) it can only have run
-        # out of digits
+        # at precision 8 the multiplication matrices of this B_theta do not
+        # commute to the digits they keep; as a subalgebra of End(E) it can
+        # only have run out of digits
+        path, out = tmp_path / "h.json", tmp_path / "s.json"
+        assert run_cli("gen", "--kind", "higgs", "--p", "2", "--d", "2", "--rank", "5",
+                       "--density", "0.6", "--seed", "1", "--precision", "8",
+                       "--out", str(path)) == 0
+        assert run_cli("spectral", str(path), "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert ("precision exhausted: the multiplication matrices of theta_0 and theta_1 "
+                "do not commute") in err
+        assert not out.exists()
+
+    def test_spectral_at_precision_8_earns_its_digits(self, tmp_path):
+        # refused once the span's decisions and a second elimination of it
+        # disagreed; decided once, it is B_theta of dim 4, and every digit
+        # of its tensor and tau agrees with B_theta at N = 72
         path, out = tmp_path / "h.json", tmp_path / "s.json"
         assert run_cli("gen", "--kind", "higgs", "--p", "3", "--d", "2", "--rank", "4",
                        "--density", "0.6", "--seed", "2", "--precision", "8",
                        "--out", str(path)) == 0
-        assert run_cli("spectral", str(path), "--out", str(out)) == 4
-        err = capsys.readouterr().err
-        assert "precision exhausted: a product or a component escaped the closed span" in err
-        assert not out.exists()
+        assert run_cli("spectral", str(path), "--out", str(out)) == 0
+        S = spectral_algebra(io_json.higgs_from_json(io_json.load_instance(str(path))[0]))
+        W = spectral_algebra(gen_higgs(3, 2, 4, 0.6, 2, precision=72))
+        assert S.algebra.dim == W.algebra.dim == 4
+        for x, y in [(S.algebra.tensor, W.algebra.tensor)] + \
+                [(s.row, w.row) for s, w in zip(S.tau, W.tau, strict=True)]:
+            for k in range(len(x)):
+                assert y.prec[k] >= x.prec[k]
+                assert linalg.congruent(x.slice(k, k + 1), y.slice(k, k + 1))
 
 
 class TestGen:

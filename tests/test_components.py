@@ -75,14 +75,18 @@ def components_grid_digest(p, n):
 # coordinate of negative valuation came to be a precision shortfall: at
 # N = 8, spectral_algebra(gen_higgs(3, 2, 6, 0.6, 5)) is refused with
 # PrecisionExhausted on a coordinate of valuation -1 known to 4 digits,
-# where it was an IntegralStructureFailure, and passes at N = 32
+# where it was an IntegralStructureFailure, and passes at N = 32.  Six
+# were re-recorded when spectral_algebra came to read its L_i off the
+# closure's own reductions: (3, 8), (3, 32) and (5, *), the records of
+# gen_higgs(p, 2, 6, 0.6, 5) and gen_higgs(5, 2, 3, 0.6, 1) alone; at
+# (3, 8) the refusal's coordinate rests on 5 digits where it rested on 4
 COMPONENTS_GRID = {
     (2, 8): "60fe684d081a0bbd", (2, 12): "31ef4e5051ebb444",
     (2, 20): "f4f2941daa1f3229", (2, 32): "06373478b71dd45c",
-    (3, 8): "1101dd994a8e97bb", (3, 12): "dbf65546d2abfbe5",
-    (3, 20): "9bc2c4cdcb1be20c", (3, 32): "1c902722f557c5fa",
-    (5, 8): "a0564928e6545779", (5, 12): "a00df7ed81744034",
-    (5, 20): "807c9c709fbae79c", (5, 32): "2618fdaba919d184",
+    (3, 8): "69a73fe78ff54b3e", (3, 12): "dbf65546d2abfbe5",
+    (3, 20): "9bc2c4cdcb1be20c", (3, 32): "a64e239f88f22a85",
+    (5, 8): "810cf5ab439d5dbc", (5, 12): "2f963c348dc68cb3",
+    (5, 20): "c61e0db8400fa4e2", (5, 32): "7b72b1dc3a63a0cb",
     (7, 8): "22e4a8c73b1c764a", (7, 12): "1c9e1df994419ff5",
     (7, 20): "8433e64385b10cb6", (7, 32): "ca6243477e6c1345",
 }

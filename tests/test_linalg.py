@@ -10,18 +10,23 @@ solution entry, every None and every PrecisionExhausted must match the
 reference, both for a batch of columns and for columns solved one at a
 time on one factorisation.
 
-The unreduced elimination behind rank_with_margin, the incremental span
-of spectral_algebra, reduce_vector, quotient_by_ideal, the triangular
-lattice basis and the index valuation of components._Order are kept
-below as they stood before their rows became integer Rows, each row
-entry computed as x - f * y from PadicScalars; ranks, margins, span
-decisions, the rows kept, every output entry and every refusal must
-match.  The rows drawn mix ambient precisions, one context per row,
-with zero markers down to one digit and valuations from -1 up.
+The unreduced elimination behind rank_with_margin, reduce_vector,
+quotient_by_ideal, the triangular lattice basis and the index valuation
+of components._Order are kept below as they stood before their rows
+became integer Rows, each row entry computed as x - f * y from
+PadicScalars; ranks, margins, the rows kept, every output entry and
+every refusal must match.  The incremental span of spectral_algebra is
+checked the same way against RefCoordSpan, its rule per scalar, which
+applies the factor of every pivot, a zero marker's included, and returns
+coordinates; RefSpan keeps the rule it replaced, which skipped a
+zero-marker factor, and the two may decide differently only where
+RefSpan read a digit the full ledger does not keep.  The rows drawn mix
+ambient precisions, one context per row, with zero markers down to one
+digit and valuations from -1 up.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from padic_simpson import linalg
@@ -140,13 +145,16 @@ def ref_rank_with_margin(mat, min_margin=DEFAULT_SLACK):
 
 
 class RefSpan:
-    """higgs._IncrementalSpan with its per-scalar row operation."""
+    """higgs._IncrementalSpan's decisions as they stood, with their
+    per-scalar row operation: a pivot whose entry is a zero marker is
+    skipped, as linalg.reduce_vector skips it.  Frozen as the old rule,
+    which RefCoordSpan replaced."""
 
     def __init__(self, min_margin=4):
         self.min_margin = min_margin
         self.rows = []
 
-    def add(self, vec) -> bool:
+    def reduce(self, vec) -> list:
         vec = list(vec)
         for (piv, row) in self.rows:
             e = vec[piv]
@@ -154,22 +162,68 @@ class RefSpan:
                 continue
             f = e / row[piv]
             vec = [a - f * b for a, b in zip(vec, row)]
-        best = None
-        for i, e in enumerate(vec):
-            if e.is_zero:
-                continue
-            if best is None or e.v < vec[best].v:
-                best = i
+        return vec
+
+    def add(self, vec) -> bool:
+        vec = self.reduce(vec)
+        best = _least_nonzero(vec)
         if best is None:
-            thinnest = min(e.prec for e in vec)
-            if thinnest < self.min_margin:
-                raise PrecisionExhausted(
-                    "span dependence decided on %d digits (< %d)"
-                    % (thinnest, self.min_margin)
-                )
+            _check_margin(vec, self.min_margin)
             return False
         self.rows.append((best, vec))
         return True
+
+
+class RefCoordSpan:
+    """higgs._IncrementalSpan per scalar: every pivot's factor f applied
+    as x - f * y, a zero marker's included, to the vector and, over the
+    entries T_r has, to the coordinates; a new vector b_k keeps T_k = e_k
+    - sum f_r T_r and is e_k, a dependent one is sum f_r T_r."""
+
+    def __init__(self, min_margin=4):
+        self.min_margin = min_margin
+        self.rows = []  # (pivot, reduced row, T_r)
+
+    def reduce(self, vec) -> tuple:
+        """(remainder, -sum f_r T_r)."""
+        vec = list(vec)
+        ctx = vec[0].ctx
+        acc = []
+        for (piv, row, t) in self.rows:
+            f = vec[piv] / row[piv]
+            vec = [a - f * b for a, b in zip(vec, row)]
+            acc = [a - f * b for a, b in zip(acc + [PadicScalar.zero(ctx)], t)]
+        return vec, acc
+
+    def add(self, vec) -> tuple:
+        vec, acc = self.reduce(vec)
+        ctx = vec[0].ctx
+        best = _least_nonzero(vec)
+        if best is None:
+            _check_margin(vec, self.min_margin)
+            return False, [-a for a in acc]
+        k = len(self.rows)
+        self.rows.append((best, vec, acc + [PadicScalar.from_int(ctx, 1)]))
+        return True, [PadicScalar.zero(ctx)] * k + [PadicScalar.from_int(ctx, 1)]
+
+
+def _least_nonzero(vec):
+    """The first entry of least valuation that does not vanish, or None."""
+    best = None
+    for i, e in enumerate(vec):
+        if e.is_zero:
+            continue
+        if best is None or e.v < vec[best].v:
+            best = i
+    return best
+
+
+def _check_margin(vec, min_margin):
+    thinnest = min(e.prec for e in vec)
+    if thinnest < min_margin:
+        raise PrecisionExhausted(
+            "span dependence decided on %d digits (< %d)" % (thinnest, min_margin)
+        )
 
 
 def ref_solve(mat, rhs_cols, min_margin=DEFAULT_SLACK):
@@ -637,25 +691,91 @@ def span_streams(draw):
 
 
 def _span_decisions(cls, vecs, min_margin):
+    """What a span of the rule cls decides on each vector, with the
+    coordinates it returns, then the rows it keeps with their T_r; up to
+    the first refusal."""
     span = cls(min_margin)
     decisions = []
     for vec in vecs:
         try:
-            decisions.append(span.add(vec))
+            new, coords = span.add(vec)
         except PrecisionExhausted as exc:
             decisions.append(("PrecisionExhausted", str(exc)))
             break
-        decisions.append([(piv, ledger(row.scalars() if isinstance(row, Row) else row))
-                          for piv, row in span.rows])
+        decisions.append((new, ledger(coords)))
+        decisions.append([(row[0], ledger(row[1]), ledger(row[-1])) for row in span.rows])
     return decisions
 
 
 @SETTINGS
 @given(span_streams())
-def test_incremental_span_decisions_unchanged(stream):
+def test_incremental_span_matches_the_full_ledger_reference(stream):
     vecs, min_margin = stream
     assert (_span_decisions(_IncrementalSpan, vecs, min_margin)
-            == _span_decisions(RefSpan, vecs, min_margin))
+            == _span_decisions(RefCoordSpan, vecs, min_margin))
+
+
+def _decision(span, vec):
+    """span.add(vec) as a comparable decision: dependent, the pivot of a
+    new row, or the refusal."""
+    try:
+        new = span.add(vec)
+    except PrecisionExhausted as exc:
+        return str(exc)
+    if isinstance(new, tuple):
+        new = new[0]
+    return span.rows[-1][0] if new else False
+
+
+def _over_read(old, full):
+    """The entries at which the old rule's remainder old read a digit that
+    the full ledger's remainder full does not keep: a nonzero entry at a
+    valuation at least its full-ledger precision, or vanishing digits
+    beyond that precision."""
+    return [k for k, (a, b) in enumerate(zip(old, full))
+            if (not a.is_zero and a.v >= b.prec) or (a.is_zero and a.prec > b.prec)]
+
+
+def _stream_of(ctx, parts):
+    """Vectors of ctx from (v, u, prec) per entry, v None for a zero marker."""
+    return [[PadicScalar(ctx, v, u, prec) for v, u, prec in vec] for vec in parts]
+
+
+# the rules part at the third vector: its entry 1 is O(2), so the first
+# row's factor is the zero marker O(2) and caps entry 2, 2 + O(2^8), at
+# O(2).  The old rule skips that factor and takes the vector as new, on
+# pivot 2; the full ledger finds it dependent on one vanishing digit
+PARTING_STREAM = (_stream_of(CONTEXTS[2], [
+    [(None, 0, 8)] * 3,
+    [(None, 0, 8), (0, 1, 1), (0, 1, 8)],
+    [(None, 0, 8), (None, 0, 1), (1, 1, 8)],
+]), 1)
+
+
+def test_the_rules_part_on_a_zero_marker_factor():
+    vecs, min_margin = PARTING_STREAM
+    old, full = RefSpan(min_margin), RefCoordSpan(min_margin)
+    assert [_decision(old, vec) for vec in vecs] == [False, 1, 2]
+    assert [_decision(full, vec) for vec in vecs] == [False, 1, False]
+
+
+@SETTINGS
+@given(span_streams())
+@example(PARTING_STREAM)
+def test_where_the_rules_part_the_old_rule_read_digits_it_did_not_keep(stream):
+    # the full ledger decides differently from the old rule only where the
+    # old rule's remainder claims a digit beyond the full ledger's
+    # precision; before that, the two decide alike
+    vecs, min_margin = stream
+    old, full = RefSpan(min_margin), RefCoordSpan(min_margin)
+    for vec in vecs:
+        old_rem, (full_rem, _) = old.reduce(vec), full.reduce(vec)
+        a, b = _decision(old, vec), _decision(full, vec)
+        if a != b:
+            assert _over_read(old_rem, full_rem)
+            return
+        if isinstance(a, str):
+            return
 
 
 # -- the row operation against the scalar expression ---------------------
