@@ -29,11 +29,19 @@ the residues are exactly those of the full sum, and a nilpotent argument
 is summed exactly however long its series.  A 1 x 1 argument is evaluated
 by Horner on its one integer, which is that same division by x - a without
 the bookkeeping.
+
+The lattice algebra exp/log conjugate into, sum over k < n of
+(p^s t)^k Z_p^n, has its triangular basis computed here too
+(krylov_basis): scaled by p^d to be integral, it holds p^(prec + d) Z_p^n,
+so its Hermite-style reduction runs on residues modulo that power, with
+no precision to track.
 """
 
 from functools import cache
 from math import factorial, lcm
 from operator import mul
+
+from .errors import IntegralStructureFailure
 
 
 def digit_sum(n: int, p: int) -> int:
@@ -81,6 +89,63 @@ def mat_mul(a, b, mod):
     mod `mod` once."""
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) % mod for col in cols] for row in a]
+
+
+def krylov_basis(t, p, s, prec):
+    """(d, columns): a triangular basis of the lattice L = sum over k < n
+    of (p^s t)^k Z_p^n, for an n x n integer matrix t and s < 0, as n
+    integer columns over p^d, d = (n - 1)(-s), each entry over p^d known
+    modulo p^prec.
+
+    p^d L is spanned by the columns of p^(d + k s) t^k for k < n and holds
+    p^d Z_p^n, so it holds p^(prec + d) Z_p^n and is computed modulo
+    p^(prec + d) on plain integers (Domich, Kannan and Trotter, Hermite
+    normal form computation using modulo determinant arithmetic, 1987).
+    The generators are reduced by the pivot rule of
+    linalg.triangular_lattice_rows: row by row, the first column of least
+    valuation at that row is the pivot, scaled to the pure power p^v, and
+    every other column is cleared at that row; column r of the result
+    vanishes above row r.  Once row r is done only the rows below it are
+    kept of the other columns, and a column vanishing on all of them is
+    dropped, as no later row can pick it."""
+    n = len(t)
+    d = (n - 1) * -s
+    mod = p ** (prec + d)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    cols = []
+    for k in range(n):
+        if k:
+            power = mat_mul(t, power, mod)
+        scale = p ** (d + k * s)
+        for col in zip(*power):
+            col = [scale * x % mod for x in col]
+            if any(col):
+                cols.append(col)
+    out = []
+    for row in range(n):
+        best = None
+        for ci, col in enumerate(cols):
+            x = col[0]
+            # x has less valuation than the pivot so far iff p^v does not divide it
+            if x and (best is None or x % pv):
+                best, pv = ci, p ** int_valuation(x, p)
+                if pv == 1:
+                    break
+        if best is None:
+            raise IntegralStructureFailure("lattice generators do not span")
+        col = cols.pop(best)
+        # the pivot becomes the pure power p^v
+        w = pow(col[0] // pv, -1, mod)
+        tail = [x * w % mod for x in col[1:]]
+        out.append([0] * row + [pv] + tail)
+        kept = []
+        for other in cols:
+            f = other[0] // pv  # integral since the pivot has least valuation
+            rest = [(x - f * y) % mod for x, y in zip(other[1:], tail)] if f else other[1:]
+            if any(rest):
+                kept.append(rest)
+        cols = kept
+    return d, out
 
 
 def _charpoly(t, mod):

@@ -62,15 +62,18 @@ exp(x) and log(1 + x) have one engine (_operator_series): mat_exp(M'),
 or mat_log(1 + M'), applied to the coordinates of 1, for M' the
 multiplication operator M_x conjugated into a triangular basis P of the
 lattice sum over k < dim of (M_x/p^e0)^k Z_p^dim; an entry of M' below e0
-is the domain refusal.  Only the precision policy depends on the tensor.
-By default the result keeps the ledger of M_x and of 1, with P exact and
-the products with P made in a wider context: every solve-derived tensor
-takes this route, and so does an exact tensor whose M_x has every entry
-at valuation >= e0 (then P = 1).  An exact tensor with an entry of M_x
-below e0 needs P, whose denominators would cost digits, so the engine
-runs on the exact lift of the algebra to a wider precision instead,
-capped at the sensitivity of exp/log to a p^N change of x and widened
-until every digit reaches the cap.  A nilpotent x has every eigen-scalar
+is the domain refusal.  P is computed on plain integers from the residues
+of M_x taken as exact, by the pivot rule of the order saturation reduced
+modulo a fixed power of p (_series.krylov_basis), and is itself exact.
+Only the precision policy depends on the tensor.  By default the result
+keeps the ledger of M_x and of 1, with the products with P made in a
+wider context: every solve-derived tensor takes this route, and so does
+an exact tensor whose M_x has every entry at valuation >= e0 (then
+P = 1).  An exact tensor with an entry of M_x below e0 needs P, whose
+denominators would cost digits, so the engine runs on the exact lift of
+the algebra to a wider precision instead, capped at the sensitivity of
+exp/log to a p^N change of x and widened until every digit reaches the
+cap.  A nilpotent x has every eigen-scalar
 at 0 and takes the same routes: there is no finite series.
 """
 
@@ -80,7 +83,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from . import linalg
+from . import _series, linalg
 from .context import PrimeContext
 from .errors import (
     ContextMismatch,
@@ -595,22 +598,24 @@ def _krylov_basis(m: PadicMatrix) -> PadicMatrix | None:
 
     M/p^e0 maps L into itself exactly when its characteristic polynomial
     is integral, i.e. when every eigen-scalar of M has valuation >= e0;
-    then P^-1 M P has every entry at valuation >= e0.  The basis is
-    computed from the residues of M taken as exact, and its own residues
-    are then taken as exact: any invertible P conjugates M, and the domain
-    test runs on the result."""
+    then P^-1 M P has every entry at valuation >= e0.  The residues T of
+    M on its base b are taken as exact, so M/p^e0 = p^s T with s = b - e0
+    < 0, and P is computed on plain integers (_series.krylov_basis): the
+    lattice p^D L, D = (n - 1)(-s), is reduced modulo p^(N + D) with the
+    pivot rule of linalg.triangular_lattice_rows, and its pivot columns
+    over p^D are P, exact at the context's precision N.  P enters only
+    products in a context wider than the result, where it is taken as
+    exact: any invertible P conjugates M, and the domain test runs on the
+    result."""
     ctx = m.ctx
     v = m.min_valuation()
     if v is None or v >= ctx.e0:
         return None
-    step = m.lifted(ctx, -ctx.e0)
-    power = PadicMatrix.identity(ctx, m.nrows)
-    gens = power.int_rows()
-    for _ in range(m.nrows - 1):
-        power = step @ power
-        gens += power.int_columns()
-    cols = linalg.triangular_lattice_rows(gens)
-    return PadicMatrix.stack(ctx, cols, m.nrows).transpose().lifted(ctx)
+    n, grid, N = m.nrows, m.grid, ctx.default_precision
+    t = [grid.res[i * n:(i + 1) * n] for i in range(n)]
+    d, cols = _series.krylov_basis(t, ctx.p, grid.base - ctx.e0, N)
+    res = [x for row in zip(*cols) for x in row]
+    return PadicMatrix(ctx, n, n, linalg.Row(grid.pw, -d, res, [N] * (n * n), ctx))
 
 
 def _operator_series(m: PadicMatrix, one: linalg.Row, kind: str) -> linalg.Row:
@@ -618,8 +623,10 @@ def _operator_series(m: PadicMatrix, one: linalg.Row, kind: str) -> linalg.Row:
     coordinates: mat_exp(M'), or mat_log(1 + M'), for M' = P^-1 M P
     with P the basis of _krylov_basis, conjugated back.  A conjugated
     entry below e0 means an eigen-scalar of M below e0: the domain
-    refusal.  The products with P and P^-1 keep the ledger of M and of
-    one; the matrix kernels keep the least precision of M'."""
+    refusal.  P is exact, made on plain integers at the precision of M's
+    context, which the caller widens beyond the result's; the products
+    with P and P^-1 keep the ledger of M and of one, and the matrix
+    kernels keep the least precision of M'."""
     ctx = m.ctx
     basis = _krylov_basis(m)
     col = PadicMatrix(ctx, len(one), 1, one)

@@ -274,10 +274,10 @@ class Row:
                        else PadicScalar(c, None, 0, q))
         return out
 
-    def lifted(self, ctx: PrimeContext, shift: int = 0) -> "Row":
-        """p^shift times the exact lift of every entry's residue into ctx,
-        known modulo its p^N: a zero marker lifts to O(p^N)."""
-        pw, base, N = self.pw, self.base + shift, ctx.default_precision
+    def lifted(self, ctx: PrimeContext) -> "Row":
+        """The exact lift of every entry's residue into ctx, known modulo
+        its p^N: a zero marker lifts to O(p^N)."""
+        pw, base, N = self.pw, self.base, ctx.default_precision
         mod = pw[N - base]
         return Row(pw, base, [r % mod for r in self.res], [N] * len(self.res), ctx)
 
@@ -885,7 +885,12 @@ def triangular_lattice_rows(cols) -> list:
     operations over Z_p (scaling by units, subtracting p-power multiples):
     column r of the result vanishes to precision above row r and holds the
     pure power p^v at row r.  Each column is a list of PadicScalars or a
-    Row; the basis columns are Rows."""
+    Row; the basis columns are Rows.
+
+    This is the order saturation of components, whose lattice coordinates
+    keep their ledger: its PrecisionExhausted refusals read it.  The Krylov
+    basis of algebra exp/log takes the same pivot rule on plain integers
+    (_series.krylov_basis), as its basis is then taken as exact."""
     cols = [Row.of(c) for c in cols]
     out = []
     for row in range(len(cols[0].res)):

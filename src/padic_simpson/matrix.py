@@ -252,11 +252,6 @@ class PadicMatrix:
         """Every entry as a scalar of ctx, capped at its N."""
         return PadicMatrix(ctx, self.nrows, self.ncols, self.grid.rehomed(ctx))
 
-    def lifted(self, ctx: PrimeContext, shift: int = 0) -> "PadicMatrix":
-        """p^shift times the exact lift of every entry's residue into ctx,
-        known modulo its p^N: a zero marker lifts to O(p^N)."""
-        return PadicMatrix(ctx, self.nrows, self.ncols, self.grid.lifted(ctx, shift))
-
     # -- precision and comparisons ----------------------------------------
 
     def min_precision(self) -> int:

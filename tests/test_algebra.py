@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from padic_simpson.algebra import (
@@ -1038,6 +1038,149 @@ def test_lattice_route_leaves_kept_views_unchanged(monkeypatch):
             m.grid.slice(i * m.ncols, (i + 1) * m.ncols).key() for i in range(m.nrows)]
         assert [c.key() for c in cols] == [
             m.grid.slice(j, None, m.ncols).key() for j in range(m.ncols)]
+
+
+def ref_krylov_basis(m):
+    """algebra._krylov_basis as it stood on the ledger: the powers of
+    M/p^e0 by PadicMatrix @ from its exact residue lift, their columns and
+    the identity reduced by linalg.triangular_lattice_rows, and the
+    reduced columns' residues lifted as exact."""
+    ctx = m.ctx
+    v = m.min_valuation()
+    if v is None or v >= ctx.e0:
+        return None
+    g, n, N = m.grid, m.nrows, ctx.default_precision
+    base = g.base - ctx.e0
+    step = PadicMatrix(ctx, n, n, Row(g.pw, base, [r % g.pw[N - base] for r in g.res],
+                                      [N] * (n * n), ctx))
+    power = PadicMatrix.identity(ctx, n)
+    gens = power.int_rows()
+    for _ in range(n - 1):
+        power = step @ power
+        gens += power.int_columns()
+    cols = linalg.triangular_lattice_rows(gens)
+    return PadicMatrix(ctx, n, n, PadicMatrix.stack(ctx, cols, n).transpose().grid.lifted(ctx))
+
+
+def exact_values(P):
+    """The entries of a matrix as Fractions, each residue taken as exact."""
+    g, n = P.grid, P.ncols
+    scale = Fraction(P.ctx.p) ** g.base
+    return [[g.res[i * n + j] * scale for j in range(n)] for i in range(P.nrows)]
+
+
+def fraction_solve(a, b):
+    """(a^-1 b, det a) over Q by Gauss-Jordan elimination."""
+    n = len(a)
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    det = Fraction(1)
+    for c in range(n):
+        r = next(r for r in range(c, n) if rows[r][c])
+        if r != c:
+            rows[c], rows[r], det = rows[r], rows[c], -det
+        pivot = rows[c][c]
+        det *= pivot
+        rows[c] = [x / pivot for x in rows[c]]
+        for r in range(n):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows], det
+
+
+def explog_outcomes(x, basis):
+    """ledger of alg_exp(x) and alg_log(1 + x), or the type and message of
+    the refusal, with basis in place of algebra._krylov_basis."""
+    kept = algebra._krylov_basis
+    algebra._krylov_basis = basis
+    try:
+        return [outcome(lambda: ledger(f(y).coords))
+                for f, y in ((alg_exp, x), (alg_log, x.algebra.unit() + x))]
+    finally:
+        algebra._krylov_basis = kept
+
+
+def check_krylov_differential(x):
+    """exp/log of x agree with the ledger basis in every (v, u, prec) or
+    refusal, and on every operator they take a basis of, the two bases
+    span one lattice: P_old^-1 P_new is integral with a unit determinant.
+    Returns the number of operators with a basis."""
+    operators, krylov = [], algebra._krylov_basis
+
+    def recorded(m):
+        operators.append(m)
+        return krylov(m)
+
+    assert explog_outcomes(x, recorded) == explog_outcomes(x, ref_krylov_basis), x
+    p, based = x.algebra.ctx.p, 0
+    for m in operators:
+        new, old = krylov(m), ref_krylov_basis(m)
+        assert (new is None) == (old is None)
+        if new is None:
+            continue
+        based += 1
+        a, b = exact_values(old), exact_values(new)
+        ident = [[Fraction(int(i == j)) for j in range(m.nrows)] for i in range(m.nrows)]
+        change, det_old = fraction_solve(a, b)
+        det_new = fraction_solve(b, ident)[1]
+        assert all(c.denominator % p for row in change for c in row), m
+        unit = det_new / det_old
+        assert unit.numerator % p and unit.denominator % p, m
+    return based
+
+
+@st.composite
+def krylov_elements(draw):
+    """An element x whose multiplication operator often has entries below
+    e0, on an exact power-relation tensor (x^n = sum rel_i x^i with
+    v(rel_i) >= (n - i) k, so the roots have valuation >= k), on a copy of
+    it built as solve-derived, or on a spectral algebra; the coordinates
+    p^v u have v from -2 to 3, so the characteristic polynomial of M_x is
+    often non-integral (exp/log refuse) and often integral with P != 1."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.sampled_from([8, 12, 20, 32]))
+    ctx = PrimeContext(p, N)
+    kind = draw(st.sampled_from(["exact", "solve-derived", "spectral"]))
+    if kind == "spectral":
+        d, n = draw(st.integers(1, 3)), draw(st.integers(2, 6))
+        H = gen_higgs(p, d, n, draw(st.sampled_from([0.6, 0.85])), draw(st.integers(0, 20)),
+                      precision=max(N, 12))
+        A = outcome(lambda: spectral_algebra(H).algebra)
+        assume(isinstance(A, FinAlgebra))
+    else:
+        n, k = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+        rel = [p ** ((n - i) * k) * draw(st.integers(0, p ** 4)) for i in range(n)]
+        A = FinAlgebra.from_power_relation(ctx, rel)
+        if kind == "solve-derived":
+            A = FinAlgebra.create(ctx, A.mul, A.one, exact_structure=False)
+    coords = []
+    for _ in range(A.dim):
+        v = draw(st.one_of(st.none(), st.integers(-2, 3)))
+        unit = draw(st.integers(0, p ** 5)) * p + draw(st.integers(1, p - 1))
+        coords.append(0 if v is None else Fraction(p) ** v * unit)
+    return grid_element(A, coords)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(krylov_elements())
+def test_krylov_basis_matches_the_ledger_basis(x):
+    check_krylov_differential(x)
+
+
+def test_krylov_differential_reaches_both_sides_of_the_domain():
+    # x = X/p on X^2 = p^6 has eigen-scalars +-p^2, inside the domain, and
+    # an operator entry below e0; on X^2 = p its eigen-scalars +-p^(-1/2)
+    # make the characteristic polynomial of M_x non-integral, and both refuse
+    for p in (2, 3, 5, 7):
+        ctx = PrimeContext(p, 20)
+        inside = grid_element(FinAlgebra.from_power_relation(ctx, [p ** 6, 0]),
+                              [0, Fraction(1, p)])
+        assert check_krylov_differential(inside) > 0
+        assert all(isinstance(r, list) for r in explog_outcomes(inside, algebra._krylov_basis))
+        outside = grid_element(FinAlgebra.from_power_relation(ctx, [p, 0]), [0, Fraction(1, p)])
+        assert check_krylov_differential(outside) > 0
+        assert [r[0] for r in explog_outcomes(outside, algebra._krylov_basis)] == [
+            "OutsideExpDomain", "OutsideLogDomain"]
 
 
 def test_returned_lists_are_fresh():

@@ -3,8 +3,10 @@ verify; the exit-code contract and determinism guarantees."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -585,10 +587,15 @@ class TestVerifyCommand:
 class TestEntryPoint:
     def test_module_invocation_and_cross_process_determinism(self, tmp_path):
         out = tmp_path / "g.json"
+        # the fresh interpreter imports the package from this checkout's src,
+        # installed or not
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
         proc = subprocess.run(
             [sys.executable, "-m", "padic_simpson.cli", "gen", "--p", "5", "--d", "1",
              "--rank", "2", "--seed", "0", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         # generation is seeded through sha512-hashed strings, so a separate

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from padic_simpson import higgs as higgs_module
 from padic_simpson import linalg
-from padic_simpson.algebra import FinAlgebra
+from padic_simpson.algebra import FinAlgebra, nilradical, quotient_by_ideal
 from padic_simpson.context import PrimeContext
 from padic_simpson.errors import (
     AlgebraMismatch,
@@ -378,6 +378,29 @@ def test_spectral_digits_are_earned(p):
         for x, y in [(S.algebra.tensor, W.algebra.tensor)] + \
                 [(s.row, w.row) for s, w in zip(S.tau, W.tau)]:
             assert over_claims(x, y) == [], (p, d, n, seed)
+
+
+def test_quotient_by_ideal_digits_are_earned():
+    # quotient_by_ideal projects with linalg.reduce_vector, which skips a
+    # pivot whose entry is a zero marker: every constant and unit
+    # coordinate of A / nilradical(A) claimed at N = 32 must agree with the
+    # same quotient at N = 72
+    quotients = 0
+    for p, d, n, seed in [(p, d, n, seed) for p in (2, 3) for d in (1, 2)
+                          for n in (2, 3, 4) for seed in (0, 1)]:
+        A, W = (spectral_algebra(gen_higgs(p, d, n, 0.6, seed, precision=N)).algebra
+                for N in (32, 72))
+        ideal, wide_ideal = nilradical(A), nilradical(W)
+        assert len(ideal) == len(wide_ideal), (p, d, n, seed)
+        if not ideal:
+            continue
+        assert all(linalg.congruent(x.row, y.row) for x, y in zip(ideal, wide_ideal))
+        S, T = quotient_by_ideal(A, ideal)[0], quotient_by_ideal(W, wide_ideal)[0]
+        assert S.dim == T.dim, (p, d, n, seed)
+        for x, y in ((S.tensor, T.tensor), (S.one, T.one)):
+            assert over_claims(x, y) == [], (p, d, n, seed)
+        quotients += 1
+    assert quotients > 0
 
 
 def test_spectral_algebra_makes_no_basis_products(monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from padic_simpson import linalg
+from padic_simpson import koszul, linalg
 from padic_simpson.context import DEFAULT_SLACK, PrimeContext
 from padic_simpson.errors import CommutationFailure, PadicError, PrecisionExhausted
 from padic_simpson.generate import gen_commuting_units, gen_higgs
@@ -25,7 +25,7 @@ from padic_simpson.koszul import (
     higgs_cohomology,
     koszul_unit_scaling_check,
 )
-from padic_simpson.matrix import PadicMatrix
+from padic_simpson.matrix import PadicMatrix, expm1_quotient
 from padic_simpson.scalar import PadicScalar
 from test_matrix import ledger_contexts, ledger_scalars
 
@@ -150,6 +150,46 @@ class TestComparison:
     def test_reports_carry_sides(self):
         out = compare_cohomology(gen_higgs(5, d=2, rank=2, seed=3))
         assert out.higgs.side == "higgs" and out.group.side == "group"
+
+    def test_expm1_quotient_once_per_distinct_theta(self, monkeypatch):
+        # density 0 makes every theta_i zero: one quotient serves all three
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return expm1_quotient(t)
+
+        monkeypatch.setattr(koszul, "expm1_quotient", counted)
+        out = compare_cohomology(gen_higgs(5, d=3, rank=3, density=0, seed=0))
+        assert out.ok and out.unit_witness_ok and len(calls) == 1
+        calls.clear()
+        H = gen_higgs(5, d=2, rank=3, seed=3)
+        assert H.theta[0] != H.theta[1]
+        assert compare_cohomology(H).unit_witness_ok and len(calls) == 2
+
+    def test_witness_verdicts_unchanged(self):
+        for p, d, n, density, seed in product((2, 3, 5, 7), (2, 3), (2, 3), (0, 0.6), (0, 1)):
+            H = gen_higgs(p, d, n, density, seed=seed)
+            assert compare_cohomology(H).unit_witness_ok == ref_witness(H), (p, d, n, density, seed)
+
+
+def ref_witness(H):
+    """The unit witness of compare_cohomology as it stood with one
+    expm1 quotient per component, repeated theta_i included."""
+    V = higgs_to_rep(H)
+    witness = True
+    prec = H.ctx.default_precision - DEFAULT_SLACK
+    for t, lhs in zip(H.theta, V.operators()):
+        u = expm1_quotient(t)
+        if not lhs.agrees(t @ u, prec):
+            witness = False
+        diff = u - PadicMatrix.identity(H.ctx, H.rank)
+        if not (diff.is_zero_to_precision() or diff.min_valuation() >= 1):
+            witness = False
+        for s in H.theta:
+            if not u.commutes_with(s):
+                witness = False
+    return witness
 
 
 class TestUnitScaling:
