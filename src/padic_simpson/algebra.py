@@ -38,16 +38,16 @@ a Row, rebased to the least valuation of its nonzero entries.
 Operators and images are made by the one product kernel, Row.dot, as dot
 products of the coordinates of x with Rows kept per algebra (one per
 operator entry, slices of the tensor) and per morphism (one per target
-coordinate, also the rows of the image matrix that surjectivity, kernels
-and unit lifts eliminate), so their terms run over every x_i, c[i][j][k]
-and image coordinate, zero markers included: a zero marker x_i caps the
-entry at min(prec x_i + v c, prec c + prec x_i, N) and adds nothing to
-its value.  Element products have their own term loop, _product, over the
-Rows of the operands and of the tensor, with the same ledger: its terms
-(a_i * b_j) * c[i][j][k] run over every a_i, b_j and c[i][j][k], zero
-markers included.  The Gram matrix of the trace form is one Row.dot too,
-of the traces with the slices c[i][j] of the tensor.  No sum skips a
-term.
+coordinate, also the rows of the image matrix it eliminates once for
+surjectivity, kernels and unit lifts), so their terms run over every
+x_i, c[i][j][k] and image coordinate, zero markers included: a zero
+marker x_i caps the entry at min(prec x_i + v c, prec c + prec x_i, N)
+and adds nothing to its value.  Element products have their own term
+loop, _product, over the Rows of the operands and of the tensor, with
+the same ledger: its terms (a_i * b_j) * c[i][j][k] run over every a_i,
+b_j and c[i][j][k], zero markers included.  The Gram matrix of the trace
+form is one Row.dot too, of the traces with the slices c[i][j] of the
+tensor.  No sum skips a term.
 
 An algebra computes its structural invariants once, on first use, and
 keeps them for its lifetime (functools.cached_property on the frozen
@@ -434,12 +434,19 @@ class Morphism:
         _check(self.source, x)
         return AlgElement(self.target, linalg.Row.dot([x.row], self._columns, self.target.ctx))
 
+    @cached_property
+    def _image(self) -> linalg.Elimination:
+        """The image matrix (rows _columns) eliminated once, reduced: its
+        rank and refusals are the unreduced ones (as in
+        components.component_quotient), but for a pivot of valuation
+        <= -N, whose inverse it refuses."""
+        return linalg.eliminate(self._columns, reduce_above=True)
+
     def is_surjective(self) -> bool:
-        rank, _ = linalg.rank_with_margin(self._columns)
-        return rank == self.target.dim
+        return self._image.rank == self.target.dim
 
     def kernel_basis(self):
-        return [self.source.element(v) for v in linalg.kernel_basis(self._columns)]
+        return [self.source.element(v) for v in self._image.kernel_basis()]
 
 
 def _product(A: FinAlgebra, a: linalg.Row, b: linalg.Row) -> linalg.Row:

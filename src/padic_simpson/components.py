@@ -266,12 +266,16 @@ def _residue_mod_p(coords: linalg.Row, k: int) -> int:
 
 def _initial_order(S: FinAlgebra) -> _Order:
     """Lattice with 1 as first basis vector, other directions scaled by one
-    common p-power so the lattice is closed under multiplication."""
+    common p-power so the lattice is closed under multiplication; the
+    basis is completed on one linalg.Span, each candidate reduced once."""
     m = S.dim
     chosen = [S.unit()]
+    span = linalg.Span()
+    if not span.add(chosen[0].row)[0]:
+        raise IntegralStructureFailure("basis completion failed to precision")
     for i in range(m):
         cand = S.basis_element(i)
-        if linalg.rank_with_margin([x.row for x in chosen] + [cand.row])[0] > len(chosen):
+        if span.add(cand.row)[0]:
             chosen.append(cand)
         if len(chosen) == m:
             break
@@ -423,21 +427,29 @@ class Component:
 
 
 def component_quotient(A: FinAlgebra, e: AlgElement) -> Component:
+    """The component e*A.  The columns e*b_i are eliminated once, reduced:
+    the basis is the columns at its pivots, and coordinates are solve_row
+    on it, read at those columns.  This gives what the unreduced
+    elimination that chose the basis and a reduced one of the basis
+    columns alone gave: the pivot search reads only rows without a pivot,
+    and reduce_above updates only rows with one, so the pivots, factors,
+    margins and refusals are the unreduced ones, all at basis columns.
+    An e that spans no column is refused."""
     m = A.dim
     cols = [e * A.basis_element(i) for i in range(m)]
-    elim = linalg.eliminate(linalg.transpose([c.row for c in cols]))
-    chosen = sorted(j for (_, j) in elim.pivots)
+    elim = linalg.eliminate(linalg.transpose([c.row for c in cols]), reduce_above=True)
+    chosen = sorted(elim.pivot_of_col)
+    if not chosen:
+        raise PadicError("idempotent spans no component: e*A is zero to precision")
     basis = [cols[j] for j in chosen]
     s = len(basis)
-    # the basis as columns: m rows even when the basis is empty
-    span = linalg.eliminate(PadicMatrix.stack(A.ctx, [b.row for b in basis], m).int_columns(),
-                            reduce_above=True)
 
     def coords_of(x: AlgElement):
-        sol = span.solve_row(x.row)
+        sol = elim.solve_row(x.row)
         if sol is None:
             raise PrecisionExhausted("element does not lie in the component span")
-        return sol
+        return linalg.Row(sol.pw, sol.base, [sol.res[j] for j in chosen],
+                          [sol.prec[j] for j in chosen], sol.ctx)
 
     mul = [[coords_of(basis[i] * basis[j]) for j in range(s)] for i in range(s)]
     one = coords_of(e)

@@ -22,7 +22,7 @@ from functools import cached_property
 
 from . import linalg
 from .algebra import AlgElement, FinAlgebra, alg_exp
-from .context import DEFAULT_SLACK, PrimeContext
+from .context import PrimeContext
 from .errors import (
     AlgebraMismatch,
     ContextMismatch,
@@ -31,9 +31,7 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
 )
-from .linalg import _parts, _sub_mul
 from .matrix import PadicMatrix, mat_exp, mat_log
-from .scalar import _inverse, _times
 
 
 class _Side:
@@ -272,7 +270,7 @@ def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:
 
     Each new basis matrix b_j is b_parent * theta_i for a recorded word
     (parent, i), and the closure forms every b_j * theta_i.  The span
-    (_IncrementalSpan) reduces each of those d * dim products once, and
+    (linalg.Span) reduces each of those d * dim products once, and
     that one reduction both decides whether the product is a new basis
     matrix and gives its coordinates in the basis: column j of L_i, the
     matrix of multiplication by theta_i on B_theta (the multiplication
@@ -310,7 +308,7 @@ def spectral_algebra(H: HiggsModule) -> SpectralAlgebra:
     basis = [PadicMatrix.identity(ctx, n)]
     words = []  # (parent, i) per basis[j], j >= 1: basis[parent] @ theta_i
     coords = []  # coords[j][i]: the coordinates of basis[j] @ theta_i, a Row
-    span = _IncrementalSpan()
+    span = linalg.Span()
     span.add(basis[0].grid)
     frontier = [0]
     theta = _detached(H.theta)
@@ -381,69 +379,6 @@ def _padded(col, dim) -> linalg.Row:
         return col
     return linalg.Row(col.pw, col.base, col.res + [0] * extra, col.prec + [col.N] * extra,
                       col.ctx)
-
-
-class _IncrementalSpan:
-    """The span of the vectors b_0..b_(k-1) added so far, echelonised with
-    minimal-valuation pivots: row r is b_r reduced by the rows before it,
-    kept with its pivot column, the inverse of its pivot entry and its
-    coordinates T_r in b_0..b_r (T_r[r] = 1).
-
-    A vector x is reduced once, by every row in turn, as x - f_r * row_r
-    with f_r = x[pivot_r] / row_r[pivot_r] on the ledger of x + (-(f*y))
-    (linalg._sub_mul), a zero-marker factor's included: O(p^q) still
-    bounds what the remainder knows.  Skipping such a factor, as
-    linalg.reduce_vector does, lets a remainder claim digits that its
-    factor does not have.  Then x = sum f_r row_r + remainder, and the
-    remainder decides dependence.  An entry of it that does not vanish
-    makes x the new b_k: the remainder becomes row k, its least-valuation
-    entry the pivot, with T_k = e_k - sum f_r T_r, and x's coordinates
-    are e_k.  Otherwise x's coordinates are sum f_r T_r, provided the
-    remainder vanishes to at least min_margin digits, else the span rank
-    is ambiguous.  Each f_r T_r reaches only the entries T_r has: padding
-    T_r with O(p^N) would charge them N + v(f_r) digits when v(f_r) < 0.
-    The passes run on the list bodies _parts, _times, _inverse and
-    _sub_mul, as the replay of an Elimination does."""
-
-    def __init__(self, min_margin=DEFAULT_SLACK):
-        self.min_margin = min_margin
-        self.rows = []  # (pivot index, reduced Row, parts of its pivot inverse, T_r)
-
-    def add(self, vec) -> tuple:
-        """(True, e_k) when vec enlarges the span as b_k, else (False, its
-        coordinates in b_0..b_(k-1)): Rows in vec's context."""
-        x = linalg.Row.of(vec)
-        pw, N = x.pw, x.N
-        base, res, prec = x.base, x.res, x.prec
-        # -sum f_r T_r; its base is 0 or below, as _sub_mul lowers it
-        cbase, cres, cprec = 0, [], []
-        for j, y, yinv, t in self.rows:
-            f = _times(pw, _parts(pw, base, res[j], prec[j], N), yinv)
-            base, res, prec = _sub_mul(pw, base, res, prec, f, y.base, y.res, y.prec, y._val, y.N)
-            # T_r reaches b_0..b_r, the last of them untouched so far
-            cres.append(0)
-            cprec.append(N)
-            cbase, cres, cprec = _sub_mul(pw, cbase, cres, cprec, f, t.base, t.res, t.prec,
-                                          t._val or t.vals(), t.N)
-        row = linalg.Row(pw, base, res, prec, x.ctx)
-        vals = row.vals()
-        best = None
-        for i, v in enumerate(vals):
-            if v < prec[i] and (best is None or v < vals[best]):
-                best = i
-        if best is None:
-            thinnest = min(prec)
-            if thinnest < self.min_margin:
-                raise PrecisionExhausted(
-                    "span dependence decided on %d digits (< %d)"
-                    % (thinnest, self.min_margin)
-                )
-            return False, linalg.Row(pw, cbase, cres, cprec, x.ctx).negated()
-        # T_k = e_k - sum f_r T_r: the sum's entries and an exact 1 at b_k
-        t = linalg.Row(pw, cbase, cres + [pw[-cbase]], cprec + [N], x.ctx)
-        k = len(self.rows)
-        self.rows.append((best, row, _inverse(pw, row.parts(best)), t))
-        return True, linalg.Row.unit(x.ctx, k + 1, k)
 
 
 # -- twists ----------------------------------------------------------------------

@@ -23,20 +23,23 @@ inverse with the ledger of the scalar product (scalar._times and
 _inverse, the bodies of PadicScalar * and inv); each has one body on
 the lists (_sub_mul, _scaled), which Row.sub_mul and Row.scaled wrap,
 eliminate runs on the pivot row's lists, and the replay of a kept
-elimination and the span of higgs.spectral_algebra run on directly,
-building no Row per step (_parts reads an entry's parts off the lists).  Valuations are
-recomputed only where the pivot search, a margin or a later step reads
-them.  eliminate, Elimination.solve and triangular_lattice_rows take
-rows (or columns) of PadicScalars or Rows.  Elimination.solve_rows hands
-the solutions back as Rows, one per unknown across the right-hand sides,
-and solve_row one solution as a Row, replaying its column as one-entry
-lists with no transpose; every caller in the package stays on them.
+elimination and Span run on directly, building no Row per step (_parts
+reads an entry's parts off the lists).  Valuations are recomputed only
+where the pivot search, a margin or a later step reads them.  eliminate
+and triangular_lattice_rows take rows (or columns) of PadicScalars or
+Rows.  A kept Elimination gives its matrix's rank, margin, kernel
+(kernel_basis) and solves: solve_rows one Row per unknown across the
+right-hand sides, solve_row one solution as a Row, replaying its column
+as one-entry lists with no transpose.  Span echelonises vectors added
+one at a time, each reduced once into its dependence decision and its
+coordinates; it and reduce_vector apply the factor of every pivot, a
+zero-marker factor's included.
 PadicScalars are built at the surface alone, in normal form: by parsing
-(io_json) and by the public accessors, Elimination.solve, kernel_basis
-and invert here, entries and coords of matrices and elements.  Row.key
-is the hashable form of a row's values, whatever its base.  Row.slices
-cuts the rows or the columns of a grid at once, sharing among them the
-list of precisions when it holds one value.
+(io_json) and by the public accessors, solve (built from solve_rows),
+kernel_basis and invert here, entries and coords of matrices and
+elements.  Row.key is the hashable form of a row's values, whatever its
+base.  Row.slices cuts the rows or the columns of a grid at once,
+sharing among them the list of precisions when it holds one value.
 
 Row is the one integer form of a row of scalars in the package: a
 PadicMatrix is one Row of its entries in row-major order (matrix.py), a
@@ -574,8 +577,8 @@ class Elimination:
     """Row echelon data for a PadicScalar matrix, held as integer Rows.
 
     A reduced elimination (reduce_above=True) also keeps its row
-    operations, so solve() can apply them to any number of right-hand sides
-    without eliminating the matrix again.
+    operations, for solve_rows and solve_row on any number of right-hand
+    sides, and its reduced rows, for kernel_basis.
     """
 
     int_rows: list  # worked matrix as Rows (row echelon, possibly reduced)
@@ -594,19 +597,6 @@ class Elimination:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def solve(self, rhs_cols):
-        """Solve mat @ X = rhs for each right-hand-side column (a list of
-        PadicScalars or a Row); returns the solution columns as
-        PadicScalars, or None if the system is inconsistent to precision:
-        the scalar view of solve_rows."""
-        rhs_cols = list(rhs_cols)
-        rows = self.solve_rows(rhs_cols)
-        if rows is None:
-            return None
-        if not self.ncols:
-            return [[] for _ in rhs_cols]
-        return list(map(list, zip(*(r.scalars() for r in rows))))
 
     def solve_rows(self, rhs_cols):
         """Solve mat @ X = rhs for one or more right-hand-side columns (lists
@@ -664,10 +654,22 @@ class Elimination:
 
     def inverse(self):
         """The rows of the inverse of the eliminated square matrix as Rows:
-        solve() on the identity columns; None when the matrix is singular
-        to precision."""
+        the identity columns replayed; None when the matrix is singular to
+        precision."""
         n = self.nrows
         return self._solved([Row.unit(self.ctx, n, i) for i in range(n)])
+
+    def kernel_basis(self) -> list:
+        """A basis of {x : mat @ x = 0} off a reduced elimination, as
+        PadicScalars: per free column f, 1 at f, minus entry f of the
+        reduced row of each pivot column, and zero markers elsewhere."""
+        if self.steps is None:
+            raise ValueError("a kernel needs a reduced elimination (reduce_above=True)")
+        ctx, piv, n = self.ctx, self.pivot_of_col, self.ncols
+        return [[PadicScalar.from_int(ctx, 1) if j == f
+                 else -self.int_rows[piv[j]].scalar(f) if j in piv
+                 else PadicScalar.zero(ctx) for j in range(n)]
+                for f in range(n) if f not in piv]
 
     def _right_hand_sides(self, cols) -> list:
         """The columns cols as Rows, refused unless the elimination kept
@@ -733,13 +735,76 @@ class Elimination:
 
 
 def reduce_vector(vec: Row, pivot_rows) -> Row:
-    """vec reduced by each (pivot column j, Row) in turn: where vec[j] is
-    nonzero, vec - (vec[j] / row[j]) * row, one exact-ledger row operation."""
+    """vec reduced by each (pivot column j, Row) in turn: vec - (vec[j] /
+    row[j]) * row, one exact-ledger row operation, a zero-marker factor's
+    included, as in Span: O(p^q) still bounds what the remainder knows."""
+    pw = vec.pw
     for j, row in pivot_rows:
-        if vec.res[j]:
-            pw = vec.pw
-            vec = vec.sub_mul(_times(pw, vec.parts(j), _inverse(pw, row.parts(j))), row)
+        vec = vec.sub_mul(_times(pw, vec.parts(j), _inverse(pw, row.parts(j))), row)
     return vec
+
+
+class Span:
+    """The span of the vectors b_0..b_(k-1) added so far, echelonised with
+    minimal-valuation pivots: row r is b_r reduced by the rows before it,
+    kept with its pivot column, the inverse of its pivot entry and its
+    coordinates T_r in b_0..b_r (T_r[r] = 1).
+
+    A vector x is reduced once, by every row in turn, as x - f_r * row_r
+    with f_r = x[pivot_r] / row_r[pivot_r] on the ledger of x + (-(f*y))
+    (_sub_mul), a zero-marker factor's included: O(p^q) still bounds what
+    the remainder knows.  Skipping such a factor lets a remainder claim
+    digits that its factor does not have; reduce_vector follows the same
+    rule.  Then x = sum f_r row_r + remainder, and the remainder decides
+    dependence.  An entry of it that does not vanish makes x the new b_k:
+    the remainder becomes row k, its least-valuation entry the pivot, with
+    T_k = e_k - sum f_r T_r, and x's coordinates are e_k.  Otherwise x's
+    coordinates are sum f_r T_r, provided the remainder vanishes to at
+    least min_margin digits, else the span rank is ambiguous.  Each
+    f_r T_r reaches only the entries T_r has: padding T_r with O(p^N)
+    would charge them N + v(f_r) digits when v(f_r) < 0.  The passes run
+    on the list bodies _parts, _times, _inverse and _sub_mul, as the
+    replay of an Elimination does."""
+
+    def __init__(self, min_margin=DEFAULT_SLACK):
+        self.min_margin = min_margin
+        self.rows = []  # (pivot index, reduced Row, parts of its pivot inverse, T_r)
+
+    def add(self, vec) -> tuple:
+        """(True, e_k) when vec enlarges the span as b_k, else (False, its
+        coordinates in b_0..b_(k-1)): Rows in vec's context."""
+        x = Row.of(vec)
+        pw, N = x.pw, x.N
+        base, res, prec = x.base, x.res, x.prec
+        # -sum f_r T_r; its base is 0 or below, as _sub_mul lowers it
+        cbase, cres, cprec = 0, [], []
+        for j, y, yinv, t in self.rows:
+            f = _times(pw, _parts(pw, base, res[j], prec[j], N), yinv)
+            base, res, prec = _sub_mul(pw, base, res, prec, f, y.base, y.res, y.prec, y._val, y.N)
+            # T_r reaches b_0..b_r, the last of them untouched so far
+            cres.append(0)
+            cprec.append(N)
+            cbase, cres, cprec = _sub_mul(pw, cbase, cres, cprec, f, t.base, t.res, t.prec,
+                                          t._val or t.vals(), t.N)
+        row = Row(pw, base, res, prec, x.ctx)
+        vals = row.vals()
+        best = None
+        for i, v in enumerate(vals):
+            if v < prec[i] and (best is None or v < vals[best]):
+                best = i
+        if best is None:
+            thinnest = min(prec)
+            if thinnest < self.min_margin:
+                raise PrecisionExhausted(
+                    "span dependence decided on %d digits (< %d)"
+                    % (thinnest, self.min_margin)
+                )
+            return False, Row(pw, cbase, cres, cprec, x.ctx).negated()
+        # T_k = e_k - sum f_r T_r: the sum's entries and an exact 1 at b_k
+        t = Row(pw, cbase, cres + [pw[-cbase]], cprec + [N], x.ctx)
+        k = len(self.rows)
+        self.rows.append((best, row, _inverse(pw, row.parts(best)), t))
+        return True, Row.unit(x.ctx, k + 1, k)
 
 
 def _min_margin_update(margin, value):
@@ -751,7 +816,7 @@ def eliminate(mat, reduce_above=False, min_margin=DEFAULT_SLACK):
 
     reduce_above additionally clears pivot columns upwards and normalises
     pivots to 1, yielding a reduced echelon form, and records the row
-    operations for Elimination.solve.  mat is a list of rows, each a
+    operations for Elimination.solve_rows and solve_row.  mat is a list of rows, each a
     list of PadicScalars or a Row.
     """
     work = []
@@ -839,25 +904,9 @@ def rank_with_margin(mat, min_margin=DEFAULT_SLACK):
 
 
 def kernel_basis(mat, min_margin=DEFAULT_SLACK):
-    """Basis of {x : mat @ x = 0} (right kernel), via reduced echelon form."""
-    if not mat:
-        return []
-    e = eliminate(mat, reduce_above=True, min_margin=min_margin)
-    ncols, ctx = e.ncols, e.ctx
-    pivot_of_col = e.pivot_of_col
-    free = [j for j in range(ncols) if j not in pivot_of_col]
-    basis = []
-    for f in free:
-        vec = [None] * ncols
-        for j in range(ncols):
-            if j == f:
-                vec[j] = PadicScalar.from_int(ctx, 1)
-            elif j in pivot_of_col:
-                vec[j] = -e.int_rows[pivot_of_col[j]].scalar(f)
-            else:
-                vec[j] = PadicScalar.zero(ctx)
-        basis.append(vec)
-    return basis
+    """Basis of {x : mat @ x = 0} (right kernel), read off the reduced
+    echelon form (Elimination.kernel_basis)."""
+    return eliminate(mat, reduce_above=True, min_margin=min_margin).kernel_basis()
 
 
 def solve(mat, rhs_cols, min_margin=DEFAULT_SLACK):
@@ -865,10 +914,14 @@ def solve(mat, rhs_cols, min_margin=DEFAULT_SLACK):
     solution columns, or None if the system is inconsistent to precision.
 
     mat: m x n rows of PadicScalar; rhs_cols: list of length-m columns.
-    To solve against one matrix repeatedly, eliminate it once and call
-    Elimination.solve instead.
+    The scalars are built from Elimination.solve_rows; to solve against
+    one matrix repeatedly, eliminate it once and call solve_rows.
     """
-    return eliminate(mat, reduce_above=True, min_margin=min_margin).solve(rhs_cols)
+    rhs_cols = list(rhs_cols)
+    rows = eliminate(mat, reduce_above=True, min_margin=min_margin).solve_rows(rhs_cols)
+    if rows is None:
+        return None
+    return list(map(list, zip(*(r.scalars() for r in rows)))) if rows else [[] for _ in rhs_cols]
 
 
 def invert(mat, min_margin=DEFAULT_SLACK):

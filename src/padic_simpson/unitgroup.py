@@ -403,7 +403,6 @@ def _cart_square_check(R, quotient, levels, seed, slack):
     r_units = unit_battery(R_live, seed)
     r_images = [f_live.apply(t) for t in r_units]
     s_units = r_images + unit_battery(S, seed + 1)
-    lift_unit = _unit_lifter(f_live)
 
     def root_class(t, k):
         # the class of t^(p^k) at level k
@@ -466,7 +465,7 @@ def _cart_square_check(R, quotient, levels, seed, slack):
         n = len(levels)
         if not n:
             return 0, ()
-        dec, failure = _pushout_witness(f_live, lift_unit, u, prec_goal)
+        dec, failure = _pushout_witness(f_live, u, prec_goal)
         if failure is not None:
             return n, (failure,) * n
         if dec is None:
@@ -477,7 +476,7 @@ def _cart_square_check(R, quotient, levels, seed, slack):
         failures = []
         for k in levels:
             w = unipotent_root(unipotent, k)
-            Wn = lift_unit(w)
+            Wn = _lift_unit(f_live, w)
             if Wn is None or not f_live.apply(Wn).agrees(w, prec_goal):
                 failures.append("unipotent factor has no unit lift to R")
                 continue
@@ -496,13 +495,13 @@ def _cart_square_check(R, quotient, levels, seed, slack):
     return report
 
 
-def _pushout_witness(f_live: Morphism, lift_unit, u: AlgElement, prec: int):
+def _pushout_witness(f_live: Morphism, u: AlgElement, prec: int):
     """The level-independent part of the pushout check on u, as
     (decomposition or None, failure or None).  General witness: the kernel
     is nilpotent, so u lifts to a unit of R and (u, k) is the image of the
     R-class (lift, k) at every level.  The decomposition u = c * (1 + n) is
     None when the eigen-scalar is not in Q_p (NotConnected)."""
-    W = lift_unit(u)
+    W = _lift_unit(f_live, u)
     if W is None or not f_live.apply(W).agrees(u, prec):
         return None, "unit %r has no unit lift to R" % u
     try:
@@ -546,26 +545,17 @@ def _pullback_unit(f_live: Morphism, s: AlgElement, rc: RootClass, slack: int):
     return None, True
 
 
-def _unit_lifter(f: Morphism):
-    """lift(w): a unit of the source mapping to the unit w, or None; any
-    linear preimage works when the kernel is nilpotent (connected onto
-    connected).  The image matrix, whose rows are the Rows f keeps for
-    apply, is eliminated once, at the first call, and each lift is one
-    Row (Elimination.solve_row)."""
-    elim = None
-
-    def lift(w: AlgElement):
-        nonlocal elim
-        if elim is None:
-            elim = linalg.eliminate(f._columns, reduce_above=True)
-        sol = elim.solve_row(w.row)
-        if sol is None:
-            return None
-        cand = AlgElement(f.source, sol)
-        try:
-            _require_unit(cand)
-        except NotAUnit:
-            return None
-        return cand
-
-    return lift
+def _lift_unit(f: Morphism, w: AlgElement):
+    """A unit of the source mapping to the unit w, or None; any linear
+    preimage works when the kernel is nilpotent (connected onto
+    connected).  The preimage is one Row, solved on the image matrix that
+    f eliminates once (Morphism._image, Elimination.solve_row)."""
+    sol = f._image.solve_row(w.row)
+    if sol is None:
+        return None
+    cand = AlgElement(f.source, sol)
+    try:
+        _require_unit(cand)
+    except NotAUnit:
+        return None
+    return cand

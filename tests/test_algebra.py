@@ -1288,6 +1288,36 @@ def test_pushout_failures_reported_at_every_level():
     assert counts["unipotent factor has no unit lift to R"] == 32
 
 
+@pytest.mark.parametrize("case", [1, 3])
+def test_square_check_eliminates_each_image_matrix_once(monkeypatch, case):
+    # K[x]/(x^2) -> K is checked on R itself, and K[x]/(x^2 - x) -> K on
+    # its live component through a second morphism: surjectivity, the
+    # kernel and every unit lift of a morphism read the one elimination of
+    # its image matrix that it keeps
+    R, f = cartdiag_cases(C5)[case]
+    matrices = []
+    eliminate = linalg.eliminate
+
+    def recorded(mat, *args, **kwargs):
+        matrices.append(mat)
+        return eliminate(mat, *args, **kwargs)
+
+    lifts = []
+    lift = unitgroup._lift_unit
+
+    def counted_lift(f_live, w):
+        lifts.append(f_live)
+        return lift(f_live, w)
+
+    monkeypatch.setattr(linalg, "eliminate", recorded)
+    monkeypatch.setattr(unitgroup, "_lift_unit", counted_lift)
+    report = cart_square_check(R, f, levels=(0, 1, 2), seed=0)
+    assert report.ok and lifts and report.kernel_checked == (1 if case == 1 else 0)
+    morphisms = {id(g): g for g in [f] + lifts}.values()
+    assert len(morphisms) == (1 if case == 1 else 2)
+    assert all(sum(m is g._columns for m in matrices) == 1 for g in morphisms)
+
+
 def test_square_check_runs_each_body_once_per_distinct_unit(monkeypatch):
     # K[x]/(x^2) -> K at p = 5: R's battery holds 12 units of 11 distinct
     # values, and the units of S 21 of 13; the pushout witness runs once
@@ -1298,9 +1328,9 @@ def test_square_check_runs_each_body_once_per_distinct_unit(monkeypatch):
     witnesses, pullbacks = [], []
     witness, pullback = unitgroup._pushout_witness, unitgroup._pullback_unit
 
-    def counted_witness(f_live, lift_unit, u, prec):
+    def counted_witness(f_live, u, prec):
         witnesses.append(u.row.key())
-        return witness(f_live, lift_unit, u, prec)
+        return witness(f_live, u, prec)
 
     def counted_pullback(f_live, s, rc, slack):
         pullbacks.append((s.row.key(), rc.representative.row.key(), rc.level))
@@ -1815,14 +1845,40 @@ def image_rows(f):
     return [[img.coords[i] for img in f.images] for i in range(f.target.dim)]
 
 
+def ref_kernel_basis(mat):
+    """linalg.kernel_basis as it stood, reading the reduced rows itself."""
+    if not mat:
+        return []
+    e = linalg.eliminate(mat, reduce_above=True)
+    ncols, ctx = e.ncols, e.ctx
+    pivot_of_col = e.pivot_of_col
+    basis = []
+    for f in [j for j in range(ncols) if j not in pivot_of_col]:
+        vec = [None] * ncols
+        for j in range(ncols):
+            if j == f:
+                vec[j] = PadicScalar.from_int(ctx, 1)
+            elif j in pivot_of_col:
+                vec[j] = -e.int_rows[pivot_of_col[j]].scalar(f)
+            else:
+                vec[j] = PadicScalar.zero(ctx)
+        basis.append(vec)
+    return basis
+
+
 def ref_unit_lifter(f):
-    elim = linalg.eliminate(image_rows(f), reduce_above=True)
+    """unitgroup's unit lifter as it stood: the image matrix eliminated at
+    the first lift, each lift one solve of its scalars."""
+    elim = None
 
     def lift(w):
-        sols = elim.solve([list(w.coords)])
-        if sols is None:
+        nonlocal elim
+        if elim is None:
+            elim = linalg.eliminate(image_rows(f), reduce_above=True)
+        rows = elim.solve_rows([list(w.coords)])
+        if rows is None:
             return None
-        cand = f.source.element(sols[0])
+        cand = f.source.element([r.scalar(0) for r in rows])
         try:
             unitgroup._require_unit(cand)
         except NotAUnit:
@@ -1860,20 +1916,24 @@ def image_morphisms(draw):
 @KERNEL_SETTINGS
 @given(image_morphisms(), st.data())
 def test_image_matrix_matches_scalar_rows(f, data):
+    # one Morphism answers all three from the one elimination it keeps;
+    # the references eliminate the scalar rows afresh, as each did before
     rows = image_rows(f)
     assert (outcome(f.is_surjective)
             == outcome(lambda: linalg.rank_with_margin(rows)[0] == f.target.dim))
     got = outcome(lambda: [ledger(x.coords) for x in f.kernel_basis()])
-    want = outcome(lambda: [ledger(v) for v in linalg.kernel_basis(rows)])
+    want = outcome(lambda: [ledger(v) for v in ref_kernel_basis(rows)])
     assert got == want
-    w = f.target.element(data.draw(algebra_lines(f.target.ctx.p, f.target.dim)))
-    got = outcome(lambda: unitgroup._unit_lifter(f)(w))
-    want = outcome(lambda: ref_unit_lifter(f)(w))
-    if isinstance(got, AlgElement):
-        got = ledger(got.coords)
-    if isinstance(want, AlgElement):
-        want = ledger(want.coords)
-    assert got == want
+    lift = ref_unit_lifter(f)
+    for _ in range(data.draw(st.integers(1, 3))):
+        w = f.target.element(data.draw(algebra_lines(f.target.ctx.p, f.target.dim)))
+        got = outcome(lambda: unitgroup._lift_unit(f, w))
+        want = outcome(lambda: lift(w))
+        if isinstance(got, AlgElement):
+            got = ledger(got.coords)
+        if isinstance(want, AlgElement):
+            want = ledger(want.coords)
+        assert got == want
 
 
 # -- the Row of an element against the scalar tuple it replaces ------------

@@ -1,7 +1,8 @@
 """The benchmark's outputs, pinned: one pass of each workload of
 bench/run.py at seed 7, and at the held-out seed 23, must reproduce the
-digest of its per-op records; and every library name bench/tracer.py
-patches must exist.
+digest of its per-op records; every library name bench/tracer.py
+patches must exist; and a pass with the tracer installed must give the
+same digest and leave every patched attribute as it found it.
 
 A change meant only to make the program faster must leave every output
 byte-identical; this checks it on the benchmark's own stream.  The
@@ -50,10 +51,15 @@ def bench_run():
                 del sys.modules[name]
 
 
+def library(bench_run):
+    """The modules bench/run.py drives, as imported here."""
+    return types.SimpleNamespace(**{m: importlib.import_module("padic_simpson." + m)
+                                    for m in bench_run.LIB_MODULES})
+
+
 def pass_digest(bench_run, workload, seed, tmp_path):
     """The digest of one pass of workload at seed, on the library here."""
-    lib = types.SimpleNamespace(**{m: importlib.import_module("padic_simpson." + m)
-                                   for m in bench_run.LIB_MODULES})
+    lib = library(bench_run)
     wl = bench_run.WORKLOADS[workload](lib, seed, str(tmp_path))
     stream = bench_run.Stream(wl)
     stream.run_pass(lib)
@@ -83,3 +89,46 @@ def test_tracer_names_exist():
     for mod, cls, meth in tracer.SPAN_METHODS + tracer.COUNT_METHODS:
         assert meth in vars(getattr(importlib.import_module("padic_simpson." + mod), cls)), (
             mod, cls, meth)
+
+
+def _patch_points(tracer_module, lib):
+    """Every attribute the tracer may patch, by identity: the module
+    dicts of the package, the dicts of the classes whose methods it wraps,
+    and the CLI's command table."""
+    points = {name: dict(vars(module)) for name, module in sys.modules.items()
+              if name == "padic_simpson" or name.startswith("padic_simpson.")}
+    for mod, cls, _ in tracer_module.SPAN_METHODS + tracer_module.COUNT_METHODS:
+        points[mod + "." + cls] = dict(vars(getattr(getattr(lib, mod), cls)))
+    points["cli._COMMANDS"] = dict(lib.cli._COMMANDS)
+    return points
+
+
+def _unchanged(before, after):
+    return before.keys() == after.keys() and all(
+        before[k].keys() == after[k].keys()
+        and all(after[k][name] is value for name, value in before[k].items())
+        for k in before)
+
+
+def test_traced_pass_keeps_the_digest_and_restores_the_library(bench_run, tmp_path):
+    # what `bench/run.py --trace 1` does, on one algebra pass: the tracer
+    # wraps the layer entry points, the traced pass must reproduce the
+    # untraced digest pinned in DIGESTS, and uninstall must put back every
+    # original
+    lib = library(bench_run)
+    tracer_module = sys.modules[bench_run.Tracer.__module__]
+    wl = bench_run.WORKLOADS["algebra"](lib, 7, str(tmp_path))
+    before = _patch_points(tracer_module, lib)
+    tracer = bench_run.Tracer(lib)
+    stream = bench_run.Stream(wl)
+    tracer.install()
+    try:
+        assert lib.linalg.eliminate is not before["padic_simpson.linalg"]["eliminate"]
+        stream.run_pass(lib, tracer)
+    finally:
+        tracer.uninstall()
+    assert _unchanged(before, _patch_points(tracer_module, lib))
+    assert bench_run.digest(stream.records) == DIGESTS["algebra"]
+    metrics = tracer.metrics(len(stream.outcomes))
+    assert metrics["linalg.eliminate_calls"]["value"] > 0
+    assert metrics["unitgroup.cart_square_ms"]["value"] > 0

@@ -381,10 +381,10 @@ def test_spectral_digits_are_earned(p):
 
 
 def test_quotient_by_ideal_digits_are_earned():
-    # quotient_by_ideal projects with linalg.reduce_vector, which skips a
-    # pivot whose entry is a zero marker: every constant and unit
-    # coordinate of A / nilradical(A) claimed at N = 32 must agree with the
-    # same quotient at N = 72
+    # quotient_by_ideal projects with linalg.reduce_vector, which applies
+    # every pivot's factor, a zero marker's included, as linalg.Span does:
+    # every constant and unit coordinate of A / nilradical(A) claimed at
+    # N = 32 must agree with the same quotient at N = 72
     quotients = 0
     for p, d, n, seed in [(p, d, n, seed) for p in (2, 3) for d in (1, 2)
                           for n in (2, 3, 4) for seed in (0, 1)]:
@@ -439,7 +439,7 @@ def test_tau_reduces_theta_again_when_b0_theta_lost_digits(monkeypatch):
     H = gen_higgs(3, 2, 4, 0.9, 2)
     S = spectral_algebra(H)
     one = PadicMatrix.identity(H.ctx, H.rank).grid.key()
-    matmul, add = PadicMatrix.__matmul__, higgs_module._IncrementalSpan.add
+    matmul, add = PadicMatrix.__matmul__, linalg.Span.add
     handed = []
 
     def cut(a, b):
@@ -451,7 +451,7 @@ def test_tau_reduces_theta_again_when_b0_theta_lost_digits(monkeypatch):
         return add(self, vec)
 
     monkeypatch.setattr(PadicMatrix, "__matmul__", cut)
-    monkeypatch.setattr(higgs_module._IncrementalSpan, "add", recorded)
+    monkeypatch.setattr(linalg.Span, "add", recorded)
     T = spectral_algebra(H)
     assert handed[-H.d:] == [t.grid.key() for t in H.theta]
     assert T.algebra.dim == S.algebra.dim
@@ -508,7 +508,7 @@ def test_certificate_refuses_noncommuting_action(monkeypatch, args, oracle):
     H = gen_higgs(*args)
     p = H.ctx.p
     target = (spectral_algebra(H).basis_matrices[1] @ H.theta[0]).grid.key()
-    add = higgs_module._IncrementalSpan.add
+    add = linalg.Span.add
 
     def perturbed(self, vec):
         new, coords = add(self, vec)
@@ -518,7 +518,7 @@ def test_certificate_refuses_noncommuting_action(monkeypatch, args, oracle):
             coords = linalg.Row.of(entries, H.ctx)
         return new, coords
 
-    monkeypatch.setattr(higgs_module._IncrementalSpan, "add", perturbed)
+    monkeypatch.setattr(linalg.Span, "add", perturbed)
     with pytest.raises(PrecisionExhausted, match="theta_0 and theta_1 do not commute"):
         spectral_algebra(H)
     assert certificate_and_oracle(H) == (False, oracle)

@@ -2,27 +2,29 @@
 the integer row engine against the per-scalar row operations it replaces.
 
 The reference functions below are the augmented-system solver and the
-identity-augmented inverse as they stood before Elimination.solve existed:
-the right-hand sides ride along as extra columns of one elimination whose
-pivot search is confined to the coefficient columns.  Elimination.solve
-replays the recorded row operations on the columns instead, so every
-solution entry, every None and every PrecisionExhausted must match the
-reference, both for a batch of columns and for columns solved one at a
-time on one factorisation.
+identity-augmented inverse as they stood before a kept elimination
+solved them: the right-hand sides ride along as extra columns of one
+elimination whose pivot search is confined to the coefficient columns.
+Elimination.solve_rows replays the recorded row operations on the
+columns instead, so every solution entry, every None and every
+PrecisionExhausted must match the reference, both for a batch of columns
+and for columns solved one at a time on one factorisation; linalg.solve
+builds its scalars from those Rows.
 
-The unreduced elimination behind rank_with_margin, reduce_vector,
-quotient_by_ideal, the triangular lattice basis and the index valuation
-of components._Order are kept below as they stood before their rows
-became integer Rows, each row entry computed as x - f * y from
-PadicScalars; ranks, margins, the rows kept, every output entry and
-every refusal must match.  The incremental span of spectral_algebra is
-checked the same way against RefCoordSpan, its rule per scalar, which
-applies the factor of every pivot, a zero marker's included, and returns
-coordinates; RefSpan keeps the rule it replaced, which skipped a
-zero-marker factor, and the two may decide differently only where
-RefSpan read a digit the full ledger does not keep.  The rows drawn mix
-ambient precisions, one context per row, with zero markers down to one
-digit and valuations from -1 up.
+The unreduced elimination behind rank_with_margin, quotient_by_ideal,
+the triangular lattice basis and the index valuation of components._Order
+are kept below as they stood before their rows became integer Rows, each
+row entry computed as x - f * y from PadicScalars; ranks, margins, the
+rows kept, every output entry and every refusal must match.
+linalg.Span is checked the same way against RefCoordSpan, its rule per
+scalar, which applies the factor of every pivot, a zero marker's
+included, and returns coordinates; RefSpan keeps the rule it replaced,
+which skipped a zero-marker factor, and the two may decide differently
+only where RefSpan read a digit the full ledger does not keep.
+reduce_vector follows the span's rule, against ref_reduce_vector per
+scalar; skipping_reduce_vector keeps the rule it replaced.  The rows
+drawn mix ambient precisions, one context per row, with zero markers
+down to one digit and valuations from -1 up.
 """
 
 import pytest
@@ -41,8 +43,8 @@ from padic_simpson.errors import (
     PrecisionExhausted,
 )
 from padic_simpson.generate import gen_higgs
-from padic_simpson.higgs import _IncrementalSpan, direct_sum
-from padic_simpson.linalg import Row
+from padic_simpson.higgs import direct_sum
+from padic_simpson.linalg import Row, Span
 from padic_simpson.matrix import PadicMatrix
 from padic_simpson.scalar import PadicScalar
 from test_scalar import ledger_operands
@@ -145,10 +147,10 @@ def ref_rank_with_margin(mat, min_margin=DEFAULT_SLACK):
 
 
 class RefSpan:
-    """higgs._IncrementalSpan's decisions as they stood, with their
-    per-scalar row operation: a pivot whose entry is a zero marker is
-    skipped, as linalg.reduce_vector skips it.  Frozen as the old rule,
-    which RefCoordSpan replaced."""
+    """The span's decisions as they stood, with their per-scalar row
+    operation: a pivot whose entry is a zero marker is skipped, as
+    linalg.reduce_vector skipped it too.  Frozen as the old rule, which
+    RefCoordSpan replaced."""
 
     def __init__(self, min_margin=4):
         self.min_margin = min_margin
@@ -175,7 +177,7 @@ class RefSpan:
 
 
 class RefCoordSpan:
-    """higgs._IncrementalSpan per scalar: every pivot's factor f applied
+    """linalg.Span per scalar: every pivot's factor f applied
     as x - f * y, a zero marker's included, to the vector and, over the
     entries T_r has, to the coordinates; a new vector b_k keeps T_k = e_k
     - sum f_r T_r and is e_k, a dependent one is sum f_r T_r."""
@@ -366,8 +368,19 @@ SETTINGS = settings(max_examples=300, deadline=None,
 # -- properties ----------------------------------------------------------
 
 
+def _scalar_columns(elim, cols):
+    """The solution columns of solve_rows as PadicScalars: what
+    linalg.solve builds from them."""
+    rows = elim.solve_rows(cols)
+    if rows is None:
+        return None
+    if not rows:
+        return [[] for _ in cols]
+    return list(map(list, zip(*(r.scalars() for r in rows))))
+
+
 def _factored(mat, cols, min_margin):
-    return linalg.eliminate(mat, reduce_above=True, min_margin=min_margin).solve(cols)
+    return _scalar_columns(linalg.eliminate(mat, reduce_above=True, min_margin=min_margin), cols)
 
 
 def _column_by_column(solve_one, mat, cols, min_margin):
@@ -382,7 +395,8 @@ def _column_by_column(solve_one, mat, cols, min_margin):
 
 def _reused_column_by_column(mat, cols, min_margin):
     elim = linalg.eliminate(mat, reduce_above=True, min_margin=min_margin)
-    return _column_by_column(lambda _, col, __: elim.solve(col), mat, cols, min_margin)
+    return _column_by_column(lambda _, col, __: _scalar_columns(elim, col), mat, cols,
+                             min_margin)
 
 
 @SETTINGS
@@ -413,10 +427,10 @@ def test_solve_reuses_one_factorisation():
     elim = linalg.eliminate(mat, reduce_above=True)
     inside = [PadicScalar.from_int(ctx, x) for x in (5, 11, 17)]  # 1*col0 + 2*col1
     outside = [PadicScalar.from_int(ctx, x) for x in (1, 0, 0)]
-    (x,) = elim.solve([inside])
+    (x,) = _scalar_columns(elim, [inside])
     assert [s.residue() for s in x] == [1, 2]
-    assert elim.solve([inside, outside]) is None
-    assert elim.solve([]) == []
+    assert elim.solve_rows([inside, outside]) is None
+    assert _scalar_columns(elim, []) == []
 
 
 def test_batch_consistency_is_checked_row_by_row():
@@ -440,7 +454,7 @@ def test_batch_consistency_is_checked_row_by_row():
     first = [PadicScalar.from_int(ctx, 1)] + [PadicScalar.zero(ctx)] * 3
     elim = linalg.eliminate(mat, reduce_above=True, min_margin=5)
     with pytest.raises(PrecisionExhausted):
-        elim.solve([first])
+        elim.solve_rows([first])
 
 
 # -- one-column solves and kept descriptors ------------------------------
@@ -711,7 +725,7 @@ def _span_decisions(cls, vecs, min_margin):
 @given(span_streams())
 def test_incremental_span_matches_the_full_ledger_reference(stream):
     vecs, min_margin = stream
-    assert (_span_decisions(_IncrementalSpan, vecs, min_margin)
+    assert (_span_decisions(Span, vecs, min_margin)
             == _span_decisions(RefCoordSpan, vecs, min_margin))
 
 
@@ -822,6 +836,18 @@ def test_fused_row_operation_matches_scalar_ops(data):
 
 
 def ref_reduce_vector(vec, pivot_rows):
+    """linalg.reduce_vector per scalar: every pivot's factor applied, a
+    zero marker's included, as RefCoordSpan applies it."""
+    vec = list(vec)
+    for j, row in pivot_rows:
+        f = vec[j] / row[j]
+        vec = [a - f * b for a, b in zip(vec, row)]
+    return vec
+
+
+def skipping_reduce_vector(vec, pivot_rows):
+    """linalg.reduce_vector as it stood: a pivot whose entry in vec is a
+    zero marker is skipped, as RefSpan skips it."""
     vec = list(vec)
     for j, row in pivot_rows:
         e = vec[j]
@@ -862,6 +888,23 @@ def test_reduce_vector_unchanged(case):
     vec, pivot_rows = case
     assert (outcome(lambda: [_reduce_vector(vec, pivot_rows)])
             == outcome(lambda: [ref_reduce_vector(vec, pivot_rows)]))
+
+
+def test_reduce_vector_rules_part_on_a_zero_marker_factor():
+    # entry 1 of vec is O(2), so the factor of the pivot row at column 1 is
+    # O(2) and caps entry 0, 1 + O(2^8), at O(2).  The old rule skips that
+    # factor and claims all 8 digits of entry 0, which a lift of vec
+    # refutes: vec = [1, 2] reduces to [-1, 0]
+    ctx = CONTEXTS[2]
+    one = PadicScalar.from_int(ctx, 1)
+    pivot_rows = [(1, [one, one])]
+    vec = [one, PadicScalar.zero(ctx, 1)]
+    lift = ref_reduce_vector([one, PadicScalar.from_int(ctx, 2)], pivot_rows)
+    old, new = skipping_reduce_vector(vec, pivot_rows), _reduce_vector(vec, pivot_rows)
+    assert ledger(new) == ledger(ref_reduce_vector(vec, pivot_rows))
+    assert [(x.v, x.prec) for x in old] == [(0, 8), (None, 1)]
+    assert [(x.v, x.prec) for x in new] == [(0, 1), (None, 1)]
+    assert not old[0].agrees(lift[0], 8) and new[0].agrees(lift[0], 1)
 
 
 def ref_quotient_by_ideal(A, ideal_basis):
@@ -1015,9 +1058,9 @@ def test_solve_refuses_a_right_hand_side_of_another_length():
     elim = linalg.eliminate(PadicMatrix.identity(ctx, 2).rows(), reduce_above=True)
     for col in ([1, 2, 5], [1]):
         with pytest.raises(DimensionMismatch, match="length %d .* 2 rows" % len(col)):
-            elim.solve([[PadicScalar.from_int(ctx, x) for x in col]])
-    (x,) = elim.solve([[PadicScalar.from_int(ctx, x) for x in (1, 2)]])
-    assert [s.residue() for s in x] == [1, 2]
+            elim.solve_rows([[PadicScalar.from_int(ctx, x) for x in col]])
+    x = elim.solve_row([PadicScalar.from_int(ctx, x) for x in (1, 2)])
+    assert [s.residue() for s in x.scalars()] == [1, 2]
 
 
 def test_empty_system_inverts_to_the_empty_matrix():
